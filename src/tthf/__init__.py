@@ -1,7 +1,6 @@
 """Two-timescale hybrid federated learning: simulator, certificates, adaptive control."""
 
 from .bounds import (
-    DiversityEstimate,
     Prop1Params,
     Thm2Constants,
     diversity_fit,
@@ -68,7 +67,6 @@ from .topology import (
     network_from_json,
     network_to_json,
     outage_prob,
-    place_devices,
     spectral_radius,
 )
 from .trainer import MetricsTrace, TrainTask, make_task, run_baseline, run_tthf

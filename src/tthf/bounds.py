@@ -15,20 +15,6 @@ from .losses import LINEAR_REGRESSION, LossModel, device_hessian, solve_optimum
 from .schedules import StepSchedule
 
 
-@dataclass(frozen=True)
-class DiversityEstimate:
-    delta: float
-    zeta: float
-    omega: float
-    delta_prime: float
-
-    def __post_init__(self):
-        if not 0 <= self.omega <= 1:
-            raise ValueError("omega must lie in [0, 1]")
-        if self.delta < 0 or self.delta_prime < 0:
-            raise ValueError("delta terms must be non-negative")
-
-
 def diversity_fit(
     cluster_grads: Sequence[np.ndarray],
     global_grad: np.ndarray,
@@ -219,6 +205,17 @@ def omega_max_value(gamma: float, alpha: float, mu: float, beta: float, tau: int
     return (1.0 / (beta * gamma)) * math.sqrt(alpha / z1) * math.sqrt(mu * gamma - 1.0 + 1.0 / (1.0 + alpha))
 
 
+def nu_terms(
+    gamma: float, alpha: float, mu: float, beta: float, z1: float, z2: float, omega: float
+) -> tuple[float, float]:
+    """The noise and diversity terms of nu; the second is inf unless omega < omega_max."""
+    first = beta**2 * gamma**2 * z2 / (mu * gamma - 1.0)
+    # (alpha*Z2/Z1)/(omega_max^2 - omega^2) in a form that is finite at Z1 = 0
+    denom = alpha * (mu * gamma - 1.0 + 1.0 / (1.0 + alpha)) - omega**2 * beta**2 * gamma**2 * z1
+    second = math.inf if denom <= 0 else alpha * z2 * beta**2 * gamma**2 / denom
+    return first, second
+
+
 def thm2_constants(
     gamma: float,
     alpha: float,
@@ -243,12 +240,9 @@ def thm2_constants(
     z1 = z1_value(gamma, alpha, mu, beta, tau)
     z2 = z2_value(gamma, alpha, beta, tau, sigma2, phi, delta)
     omega_max = omega_max_value(gamma, alpha, mu, beta, tau)
-    first = beta**2 * gamma**2 * z2 / (mu * gamma - 1.0)
-    # (alpha*Z2/Z1)/(omega_max^2 - omega^2) in a form that is finite at Z1 = 0
-    denom = alpha * (mu * gamma - 1.0 + 1.0 / (1.0 + alpha)) - omega**2 * beta**2 * gamma**2 * z1
-    if denom <= 0:
+    first, second = nu_terms(gamma, alpha, mu, beta, z1, z2, omega)
+    if second == math.inf:
         raise ValueError(f"omega={omega} is not below omega_max={omega_max}")
-    second = alpha * z2 * beta**2 * gamma**2 / denom
     nu = max(first, second, alpha * init_gap)
     return Thm2Constants(
         alpha_min=alpha_min_value(gamma, mu, beta, omega),
@@ -313,15 +307,16 @@ def sgd_variance_bound(
     return float((1.0 - batch_size / n) / (batch_size * (n - 1)) * total)
 
 
-def certificate_report(path, constants: Thm2Constants, ts, measured, bound):
+def certificate_report(path, constants: Thm2Constants, measured, t0: int = 0):
     """JSON report: the constant set plus per-t (measured, bound) pairs."""
+    holds, ts, bound = envelope_check(measured, constants.nu, constants.alpha, t0)
     payload = {
         "constants": asdict(constants),
         "per_t": [
             {"t": int(t), "measured": float(m), "bound": float(b)}
             for t, m, b in zip(ts, measured, bound)
         ],
-        "holds": bool(all(m <= b for m, b in zip(measured, bound))),
+        "holds": holds,
     }
     Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return payload

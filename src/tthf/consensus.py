@@ -7,15 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .topology import DisconnectedGraphError, graph_diameter
-
-
-@dataclass
-class ClusterModels:
-    """Intermediate (pre-consensus) and post-consensus model rows for one cluster."""
-
-    w_tilde: np.ndarray
-    w: Optional[np.ndarray] = None
+from .topology import graph_diameter
 
 
 @dataclass
@@ -95,30 +87,18 @@ def divergence_estimate(
 ) -> float:
     """Norm-gap divergence estimate via scalar max/min flooding.
 
-    Each device floods |w_tilde_i| to its neighbors; after diameter-many rounds every
-    node holds the global max and min, and the estimate is their difference. Always a
-    lower bound on the exact divergence.
+    Each device floods |w_tilde_i| to its neighbors. Flooding only copies the
+    extremes it has seen, so after diameter-many rounds on a connected graph
+    every node holds the exact global max and min, and the estimate is their
+    difference (`flooding_extremes` simulates the rounds). Always a lower bound
+    on the exact divergence. Passing `rounds` (the cluster's diameter) vouches
+    that the graph is connected; without it the diameter is computed, which
+    raises on a disconnected graph.
     """
-    n = w_tilde.shape[0]
-    if n == 1:
-        return 0.0
     if rounds is None:
-        rounds = graph_diameter(adjacency)  # raises if disconnected
+        graph_diameter(adjacency)  # raises if disconnected
     norms = np.linalg.norm(w_tilde, axis=1)
-    known_max = norms.copy()
-    known_min = norms.copy()
-    for _ in range(rounds):
-        new_max = known_max.copy()
-        new_min = known_min.copy()
-        for i in range(n):
-            nbrs = np.flatnonzero(adjacency[i])
-            if nbrs.size:
-                new_max[i] = max(known_max[i], known_max[nbrs].max())
-                new_min[i] = min(known_min[i], known_min[nbrs].min())
-        known_max, known_min = new_max, new_min
-    if not np.allclose(known_max, known_max[0]) or not np.allclose(known_min, known_min[0]):
-        raise DisconnectedGraphError("flooding did not reach consensus; graph disconnected?")
-    return float(known_max[0] - known_min[0])
+    return float(norms.max() - norms.min())
 
 
 def flooding_extremes(w_tilde: np.ndarray, adjacency: np.ndarray, rounds: int):

@@ -5,7 +5,7 @@ interval-length line search."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -99,9 +99,7 @@ def feasibility_check(
     nu_max = xi * (T + alpha)
     z1 = bounds.z1_value(gamma, alpha, mu, beta, tau)
     z2_min = bounds.z2_value(gamma, alpha, beta, tau, sigma2, 0.0, delta)
-    first = beta**2 * gamma**2 * z2_min / (mu * gamma - 1.0)
-    denom = alpha * (mu * gamma - 1.0 + 1.0 / (1.0 + alpha)) - omega**2 * beta**2 * gamma**2 * z1
-    second = math.inf if denom <= 0 else alpha * z2_min * beta**2 * gamma**2 / denom
+    first, second = bounds.nu_terms(gamma, alpha, mu, beta, z1, z2_min, omega)
     third = alpha * grad0_norm_sq / (2.0 * mu)
     terms = (first, second, third)
     return FeasibilityResult(
@@ -257,32 +255,21 @@ class ControlState:
     xi: float
     T: int
     tau_max: int
-    predictors: dict = field(default_factory=dict)
 
     def step_schedule(self) -> StepSchedule:
         return StepSchedule(kind="diminishing", gamma=self.gamma_step, alpha=self.alpha)
 
 
-class _DynamicSchedule:
-    """Step-size view that always reads the controller's latest (gamma, alpha)."""
+@dataclass
+class _Decisions:
+    """The controller's live decisions; run_protocol reads the step size through eta."""
 
-    def __init__(self, box):
-        self._box = box
-
-    @property
-    def kind(self):
-        return "diminishing"
-
-    @property
-    def gamma(self):
-        return self._box["sched"].gamma
-
-    @property
-    def alpha(self):
-        return self._box["sched"].alpha
+    sched: StepSchedule
+    phi: float
+    tau_next: int
 
     def eta(self, t: int) -> float:
-        return self._box["sched"].eta(t)
+        return self.sched.eta(t)
 
 
 def predict_interval_cost(
@@ -313,8 +300,7 @@ def predict_interval_cost(
             last_gamma[c] = g
             energy += g * spec.size * cost.e_d2d
             delay += g * cost.delta_d2d
-    progress = 1.0 - (t_km1 + sched.alpha) / (t_km1 + tau + sched.alpha)
-    return cost.c1 * energy / tau + cost.c2 * delay / tau + cost.c3 * progress
+    return sum(cost.interval_terms(energy, delay, t_km1, tau, sched.alpha))
 
 
 def solve_P(
@@ -358,7 +344,6 @@ class AdaptiveConfig:
     tau1: int = 10
     zeta_frac: float = 0.1
     gamma_over_mu: float = 2.0
-    batch_size: Optional[int] = None
     sigma_batch: int = 16
     gamma_max: int = 100
     alpha_cap: float = 1e9
@@ -459,7 +444,7 @@ def run_adaptive(
         alpha=alpha, phi=phi, nu_max=feas.nu_max, xi=xi, T=T, tau_max=config.tau_max,
     )
 
-    sched_box = {"sched": state.step_schedule(), "phi": phi, "tau_next": min(config.tau1, config.tau_max)}
+    live = _Decisions(state.step_schedule(), phi, min(config.tau1, config.tau_max))
     n_clusters = len(task.clusters)
     coeffs = [PredictorCoeffs() for _ in range(n_clusters)]
     ups_history = [[0.0] for _ in range(n_clusters)]
@@ -470,14 +455,14 @@ def run_adaptive(
         c = spec.index
         ups_history[c].append(ups)
         g = gamma_rounds(
-            sched_box["sched"].eta(t), sched_box["phi"], spec.size, ups, spec.lambda_c,
+            live.eta(t), live.phi, spec.size, ups, spec.lambda_c,
             gamma_max=config.gamma_max,
         )
         gam_history[c].append(g)
         return g
 
     def tau_provider(k, t_km1):
-        return sched_box["tau_next"]
+        return live.tau_next
 
     def on_aggregate(k, t_k, w_hat, W, rng):
         # device-side probes at the sampled models, then server-side re-estimation
@@ -525,11 +510,11 @@ def run_adaptive(
                 coeffs[c] = fit_predictor(ups_history[c], transition_gammas)
             ups_history[c] = [0.0]
             gam_history[c] = []
-        sched_box["sched"] = state.step_schedule()
-        sched_box["phi"] = state.phi
+        live.sched = state.step_schedule()
+        live.phi = state.phi
         if t_k < state.T:
-            sched_box["tau_next"] = solve_P(
-                t_k, coeffs, task.clusters, sched_box["sched"], state.phi, cost,
+            live.tau_next = solve_P(
+                t_k, coeffs, task.clusters, live.sched, state.phi, cost,
                 config.tau_max, state.T, gamma_max=config.gamma_max,
             )
         return {
@@ -539,13 +524,13 @@ def run_adaptive(
             "delta_prime": state.delta_prime,
             "sigma2": state.sigma2,
             "nu": nu,
-            "tau_next": sched_box["tau_next"],
+            "tau_next": live.tau_next,
             "note": phi_note,
         }
 
     trace = trainer.run_protocol(
         task,
-        _DynamicSchedule(sched_box),
+        live,
         state.T,
         tau_provider,
         gamma_provider,

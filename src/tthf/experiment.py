@@ -3,16 +3,17 @@ and plot-ready CSV/JSON emission."""
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from . import control, data, losses, topology, trainer
+from . import bounds, control, data, losses, topology, trainer
 from .consensus import OutagePolicy
 from .costs import CostParams
 from .schedules import GammaPlan, StepSchedule, TrainingSchedule
@@ -28,6 +29,10 @@ class ConfigError(ValueError):
         self.field_path = path
         super().__init__(f"config field '{path}': {message}")
 
+
+# AdaptiveConfig fields the control block does not carry: T and gamma_max come
+# from the schedule block, and the relaxation caps are not configurable
+_NOT_IN_CONTROL_BLOCK = ("T", "gamma_max", "max_T_doublings", "max_xi_relaxations")
 
 _DEFAULTS = {
     "dataset": {
@@ -46,19 +51,10 @@ _DEFAULTS = {
         "n_clusters": 25,
         "cluster_size": 5,
         "field_m": 50.0,
-        "d_c": 1.0 / 8.0,
+        "d_c": topology.DEFAULT_MIXING_STEP,
         "seed": 11,
         "max_attempts": 100,
-        "channel": {
-            "noise_psd_dbm_hz": -173.0,
-            "bandwidth_hz": 1e6,
-            "tx_power_dbm": 24.0,
-            "pathloss_ref_db": -30.0,
-            "pathloss_exp": 3.75,
-            "ref_dist_m": 1.0,
-            "rate_bps": 14e6,
-            "outage_threshold": 0.05,
-        },
+        "channel": asdict(topology.ChannelParams()),
     },
     "sgd": {"batch_size": "full"},
     "step": {"kind": "diminishing", "gamma": "auto", "alpha": "auto", "eta": 0.01},
@@ -66,30 +62,18 @@ _DEFAULTS = {
         "mode": "fixed",
         "T": None,
         "tau": 20,
-        "gamma": {"mode": "fixed", "value": 0, "cadence": 5, "phi": 1.0, "max_rounds": 100},
+        "gamma": {**asdict(GammaPlan()), "mode": "fixed"},
     },
     "aggregation": {"mode": "sampled"},
     "control": {
+        **{
+            f.name: f.default
+            for f in fields(control.AdaptiveConfig)
+            if f.name not in _NOT_IN_CONTROL_BLOCK
+        },
         "xi": "auto",
-        "xi_boost": 4.0,
-        "tau_max": 40,
-        "tau1": 10,
-        "zeta_frac": 0.1,
-        "gamma_over_mu": 2.0,
-        "sigma_batch": 16,
-        "use_pl_surrogate": True,
-        "alpha_cap": 1e9,
-        "alpha_margin": 2.0,
     },
-    "cost": {
-        "e_d2d": 0.04,
-        "e_glob": 1.0,
-        "delta_d2d": 0.04,
-        "delta_glob": 1.0,
-        "c1": 1e-3,
-        "c2": 1e2,
-        "c3": 1e4,
-    },
+    "cost": asdict(CostParams()),
     "outage": {"enabled": False},
     "init": {"kind": "zeros", "scale": 1.0, "seed": 0},
     "replace_between_intervals": False,
@@ -200,11 +184,16 @@ def build_task(config: ExperimentConfig) -> TrainTask:
     plan = data.PartitionPlan(mode=cfg["partition"]["mode"], seed=cfg["partition"]["seed"])
     model = losses.LossModel(kind=cfg["loss"]["kind"], reg=cfg["loss"]["reg"], dim=dataset.dim)
     flat_parts = data.partition(dataset, n_devices, plan, kind=model.kind)
+    batch = cfg["sgd"]["batch_size"]
+    smallest = min(p.n_points for p in flat_parts)
+    if batch != "full" and batch > smallest:
+        raise ConfigError(
+            "sgd.batch_size", f"{batch} exceeds the smallest device dataset ({smallest} points)"
+        )
     parts, pos = [], 0
     for spec in clusters:
         parts.append(flat_parts[pos : pos + spec.size])
         pos += spec.size
-    batch = cfg["sgd"]["batch_size"]
     task = trainer.make_task(
         model,
         clusters,
@@ -266,19 +255,9 @@ def run_single(config: ExperimentConfig, task: TrainTask, seed: int) -> MetricsT
     if sched_cfg["mode"] == "adaptive":
         ctrl = cfg["control"]
         adaptive = control.AdaptiveConfig(
-            xi=None if ctrl["xi"] == "auto" else float(ctrl["xi"]),
-            xi_boost=ctrl["xi_boost"],
+            **{**ctrl, "xi": None if ctrl["xi"] == "auto" else float(ctrl["xi"])},
             T=sched_cfg["T"],
-            tau_max=ctrl["tau_max"],
-            tau1=ctrl["tau1"],
-            zeta_frac=ctrl["zeta_frac"],
-            gamma_over_mu=ctrl["gamma_over_mu"],
-            batch_size=task.batch_size,
-            sigma_batch=ctrl["sigma_batch"],
             gamma_max=sched_cfg["gamma"]["max_rounds"],
-            alpha_cap=ctrl["alpha_cap"],
-            alpha_margin=ctrl["alpha_margin"],
-            use_pl_surrogate=ctrl["use_pl_surrogate"],
         )
         trace, _ = control.run_adaptive(
             task, adaptive, cost=cost, outage=outage, seed=seed, topology_refresh=refresh
@@ -341,32 +320,20 @@ def accumulate_cost(trace: MetricsTrace, cost: CostParams, alpha: Optional[float
     t_km1 = 0
     for t_k, tau_k in zip(trace.boundaries, trace.taus):
         sl = slice(t_km1, t_k)
-        e_k = float(trace.energy[sl].sum())
-        d_k = float(trace.delay[sl].sum())
-        term_a = cost.c1 * e_k / tau_k
-        term_b = cost.c2 * d_k / tau_k
-        term_c = 0.0
-        if alpha is not None:
-            term_c = cost.c3 * (1.0 - (t_km1 + alpha) / (t_km1 + tau_k + alpha))
-        terms.append({"k": len(terms) + 1, "a": term_a, "b": term_b, "c": term_c})
-        objective += term_a + term_b + term_c
+        a, b, c = cost.interval_terms(
+            float(trace.energy[sl].sum()), float(trace.delay[sl].sum()), t_km1, tau_k, alpha
+        )
+        terms.append({"k": len(terms) + 1, "a": a, "b": b, "c": c})
+        objective += a + b + c
         t_km1 = t_k
     return CostSummary(total_energy, total_delay, terms, objective)
 
 
 def objective_cost_until(trace: MetricsTrace, cost: CostParams, t_stop: int, alpha: float) -> float:
     """Objective accumulated over the intervals needed to reach timestep t_stop."""
-    objective = 0.0
-    t_km1 = 0
-    for t_k, tau_k in zip(trace.boundaries, trace.taus):
-        sl = slice(t_km1, t_k)
-        objective += cost.c1 * float(trace.energy[sl].sum()) / tau_k
-        objective += cost.c2 * float(trace.delay[sl].sum()) / tau_k
-        objective += cost.c3 * (1.0 - (t_km1 + alpha) / (t_km1 + tau_k + alpha))
-        if t_k >= t_stop:
-            break
-        t_km1 = t_k
-    return objective
+    n_intervals = bisect.bisect_left(trace.boundaries, t_stop) + 1
+    terms = accumulate_cost(trace, cost, alpha).interval_terms[:n_intervals]
+    return sum(term["a"] + term["b"] + term["c"] for term in terms)
 
 
 def time_to_fraction_of_peak(accuracy: np.ndarray, target: float) -> Optional[int]:
@@ -392,6 +359,27 @@ def compare_runs(trace_a: MetricsTrace, trace_b: MetricsTrace) -> dict:
     }
 
 
+def certificate_constants(
+    config: ExperimentConfig, task: TrainTask, sigma2: float = 0.0
+) -> bounds.Thm2Constants:
+    """Sublinear-rate constants of a certified fixed-tau run.
+
+    Uses the exact quadratic diversity constants, the longest configured
+    interval, the true initial gap and the given SGD noise bound sigma2.
+    """
+    cfg = config.raw
+    steps = resolve_step_schedule(config, task)
+    delta, zeta = bounds.exact_diversity_quadratic(task.model, task.parts)
+    omega = zeta / (2.0 * task.beta)
+    tau = cfg["schedule"]["tau"]
+    tau_max = int(max(tau) if isinstance(tau, list) else tau)
+    init_gap = task.global_loss(task.w0) - task.f_star
+    return bounds.thm2_constants(
+        steps.gamma, steps.alpha, task.mu, task.beta, tau_max, sigma2,
+        cfg["schedule"]["gamma"]["phi"], delta, init_gap, omega,
+    )
+
+
 def _bound_check(config, task, traces, mean_gap):
     """Sublinear-envelope pass/fail when a certificate applies, else None.
 
@@ -400,8 +388,6 @@ def _bound_check(config, task, traces, mean_gap):
     exact noise bound).
     """
     cfg = config.raw
-    from . import bounds
-
     if (
         task.model.kind != losses.LINEAR_REGRESSION
         or cfg["step"]["kind"] != "diminishing"
@@ -410,21 +396,12 @@ def _bound_check(config, task, traces, mean_gap):
         or cfg["schedule"]["gamma"]["mode"] != "certified"
     ):
         return None
-    steps = resolve_step_schedule(config, task)
-    delta, zeta = bounds.exact_diversity_quadratic(task.model, task.parts)
-    omega = zeta / (2.0 * task.beta)
-    tau = cfg["schedule"]["tau"]
-    tau_max = int(max(tau) if isinstance(tau, list) else tau)
-    init_gap = task.global_loss(task.w0) - task.f_star
     try:
-        constants = bounds.thm2_constants(
-            steps.gamma, steps.alpha, task.mu, task.beta, tau_max, 0.0,
-            cfg["schedule"]["gamma"]["phi"], delta, init_gap, omega,
-        )
+        constants = certificate_constants(config, task)
     except ValueError:
         return None
-    ts = traces[0].t
-    return bool(np.all(mean_gap <= constants.nu / (ts + steps.alpha)))
+    holds, _, _ = bounds.envelope_check(mean_gap, constants.nu, constants.alpha, t0=int(traces[0].t[0]))
+    return holds
 
 
 def run_experiment(config_source, output_dir: Optional[str] = None, workers: int = 1) -> dict:

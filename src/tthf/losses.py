@@ -9,7 +9,7 @@ Two strongly convex model families are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,11 +20,6 @@ _KINDS = (LINEAR_REGRESSION, SQUARED_HINGE_SVM)
 
 class StrongConvexityError(ValueError):
     """Raised when strong convexity of the global loss cannot be certified."""
-
-
-class DataPoint(NamedTuple):
-    x: np.ndarray
-    y: float
 
 
 @dataclass(frozen=True)
@@ -68,10 +63,6 @@ class DevicePartition:
     @property
     def n_points(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def points(self) -> list[DataPoint]:
-        return [DataPoint(self.X[i], float(self.y[i])) for i in range(self.n_points)]
 
 
 def _check_dims(model: LossModel, w: np.ndarray, part: DevicePartition):
@@ -255,12 +246,12 @@ def predict_labels(
 def accuracy(model: LossModel, w: np.ndarray, X: np.ndarray, labels: np.ndarray, n_labels: int) -> float:
     """Fraction of points whose predicted label matches the raw integer label."""
     if model.kind == SQUARED_HINGE_SVM:
-        pred = predict_labels(model, w, X, n_labels)
+        class_scores = None
         truth = (labels >= (n_labels + 1) // 2).astype(int)
-        return float(np.mean(pred == truth))
-    scores = np.asarray(X, dtype=float) @ w
-    class_scores = np.array(
-        [scores[labels == l].mean() if np.any(labels == l) else np.inf for l in range(n_labels)]
-    )
-    pred = np.argmin(np.abs(scores[:, None] - class_scores[None, :]), axis=1)
-    return float(np.mean(pred == labels))
+    else:
+        scores = np.asarray(X, dtype=float) @ w
+        class_scores = np.array(
+            [scores[labels == l].mean() if np.any(labels == l) else np.inf for l in range(n_labels)]
+        )
+        truth = labels
+    return float(np.mean(predict_labels(model, w, X, n_labels, class_scores) == truth))

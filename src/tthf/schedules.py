@@ -77,13 +77,3 @@ class TrainingSchedule:
         n_full, rem = divmod(T, tau)
         taus = [tau] * n_full + ([rem] if rem else [])
         return cls(T=T, taus=taus)
-
-    def boundaries(self) -> list[int]:
-        """Aggregation times t_k (cumulative interval ends), clipped to T."""
-        out, t = [], 0
-        for tau in self.taus:
-            t += tau
-            out.append(min(t, self.T))
-            if t >= self.T:
-                break
-        return out

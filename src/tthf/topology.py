@@ -69,14 +69,6 @@ def outage_prob(params: ChannelParams, snr_linear: float) -> float:
     return float(1.0 - np.exp(-(2.0**spectral_eff - 1.0) / snr_linear))
 
 
-def place_devices(n_clusters: int, cluster_size: int, field_m: float, seed: int) -> list[np.ndarray]:
-    """Uniform i.i.d. positions, one field per cluster."""
-    if field_m <= 0:
-        raise ValueError("field size must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x70B0]))
-    return [rng.uniform(0.0, field_m, size=(cluster_size, 2)) for _ in range(n_clusters)]
-
-
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     diff = positions[:, None, :] - positions[None, :, :]
     return np.sqrt((diff**2).sum(axis=-1))
@@ -298,4 +290,13 @@ def network_from_json(path) -> tuple[list[ClusterSpec], ChannelParams]:
         )
         for entry in payload["clusters"]
     ]
+    # consensus code trusts the stored diameter as the flooding round count
+    for spec in clusters:
+        if not is_connected(spec.adjacency):
+            raise DisconnectedGraphError(f"cluster {spec.index}: stored graph is disconnected")
+        diameter = graph_diameter(spec.adjacency)
+        if diameter != spec.diameter:
+            raise ValueError(
+                f"cluster {spec.index}: stored diameter {spec.diameter} != graph diameter {diameter}"
+            )
     return clusters, params

@@ -108,6 +108,10 @@ class TestDivergenceEstimate:
             norms = np.linalg.norm(w, axis=1)
             np.testing.assert_allclose(known_max, norms.max(), atol=1e-12)
             np.testing.assert_allclose(known_min, norms.min(), atol=1e-12)
+            # the closed form returns node 0's flooded extremes exactly
+            expected = known_max[0] - known_min[0]
+            assert consensus.divergence_estimate(w, adj) == expected
+            assert consensus.divergence_estimate(w, adj, rounds=rounds) == expected
 
     def test_disconnected_rejected(self):
         adj = np.zeros((3, 3), dtype=bool)

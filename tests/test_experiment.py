@@ -57,6 +57,11 @@ class TestConfig:
         assert cfg["cost"]["e_d2d"] / cfg["cost"]["e_glob"] == pytest.approx(0.04)
         assert cfg["cost"]["delta_d2d"] / cfg["cost"]["delta_glob"] == pytest.approx(0.04)
 
+    def test_merged_defaults_hash_pinned(self):
+        # defaults are derived from the dataclasses; the merged config must not drift
+        config = experiment.load_config({"schedule": {"T": 10}, "seeds": [1], "output_dir": "x"})
+        assert config.hash() == "506f2ac22ca77278"
+
     def test_hash_stable_under_field_reordering(self, tmp_path):
         cfg_a = minimal_config(tmp_path)
         cfg_b = json.loads(json.dumps(cfg_a))
@@ -206,6 +211,15 @@ class TestCli:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["run", str(cfg_path)]) == 2
+
+    def test_oversized_batch_exits_2_naming_field(self, tmp_path, capsys):
+        # the default dataset leaves 3-4 points on each of the 125 devices
+        cfg = {"schedule": {"T": 5}, "sgd": {"batch_size": 8}, "seeds": [1],
+               "output_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert "sgd.batch_size" in capsys.readouterr().err
 
     def test_sweep_verb(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Loss/gradient oracles: direct summation, finite differences, eigen decompositions."""
 
+import typing
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,9 @@ class TestOptimumSolver:
         w_star = losses.solve_optimum(model, [parts])
         g = sum(losses.grad_full(model, w_star, p) for p in parts) / 2
         assert np.linalg.norm(g) < 1e-10
+
+
+class TestPredictLabels:
+    def test_annotations_resolve(self):
+        hints = typing.get_type_hints(losses.predict_labels)
+        assert hints["class_scores"] == typing.Optional[np.ndarray]

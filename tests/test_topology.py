@@ -1,5 +1,7 @@
 """Channel arithmetic, graph construction, and mixing-matrix certificates."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -58,19 +60,19 @@ class TestOutageProb:
 
 class TestPlacement:
     def test_default_network_size(self):
-        positions = topology.place_devices(25, 5, 50.0, seed=0)
-        assert len(positions) == 25
-        assert sum(p.shape[0] for p in positions) == 125
+        clusters = topology.build_network(25, 5, 50.0, ChannelParams(), seed=0)
+        assert len(clusters) == 25
+        assert sum(spec.positions.shape[0] for spec in clusters) == 125
 
     def test_positions_in_field(self):
-        for p in topology.place_devices(10, 4, 50.0, seed=1):
-            assert np.all(p >= 0) and np.all(p <= 50.0)
+        for spec in topology.build_network(10, 4, 50.0, ChannelParams(), seed=1):
+            assert np.all(spec.positions >= 0) and np.all(spec.positions <= 50.0)
 
     def test_same_seed_same_layout(self):
-        a = topology.place_devices(3, 4, 50.0, seed=7)
-        b = topology.place_devices(3, 4, 50.0, seed=7)
+        a = topology.build_network(3, 4, 50.0, ChannelParams(), seed=7)
+        b = topology.build_network(3, 4, 50.0, ChannelParams(), seed=7)
         for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+            np.testing.assert_array_equal(x.positions, y.positions)
 
 
 class TestBuildGraph:
@@ -88,7 +90,9 @@ class TestBuildGraph:
     def test_mean_degree_near_two_on_default_config(self):
         degrees = []
         for seed in range(100):
-            positions = topology.place_devices(1, 5, 50.0, seed=seed)[0]
+            # raw uniform layouts: build_cluster's connectivity retries would bias the degree
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0x70B0]))
+            positions = rng.uniform(0.0, 50.0, size=(5, 2))
             adj = topology.build_graph(positions, ChannelParams())
             degrees.extend(adj.sum(axis=1).tolist())
         assert 1.0 <= np.mean(degrees) <= 3.0
@@ -213,3 +217,22 @@ class TestNetworkBuild:
             np.testing.assert_array_equal(a.V, b.V)
             assert a.lambda_c == b.lambda_c
             assert a.diameter == b.diameter
+
+    @pytest.mark.parametrize(
+        "edit, error, match",
+        [
+            (lambda e: e.update(adjacency=[[0] * len(row) for row in e["adjacency"]]),
+             DisconnectedGraphError, "cluster 1: stored graph is disconnected"),
+            (lambda e: e.update(diameter=e["diameter"] + 1), ValueError, "cluster 1: stored diameter"),
+        ],
+        ids=["disconnected", "wrong-diameter"],
+    )
+    def test_json_untrusted_cluster_rejected(self, tmp_path, edit, error, match):
+        clusters = topology.build_network(2, 4, 50.0, ChannelParams(), seed=4)
+        path = tmp_path / "net.json"
+        topology.network_to_json(clusters, ChannelParams(), path)
+        payload = json.loads(path.read_text())
+        edit(payload["clusters"][1])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(error, match=match):
+            topology.network_from_json(path)
