@@ -38,6 +38,7 @@ from .data import LabeledDataset, PartitionPlan, gen_synthetic, load_csv, partit
 from .experiment import (
     ConfigError,
     ExperimentConfig,
+    HorizonMismatchError,
     accumulate_cost,
     build_task,
     compare_runs,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +39,20 @@ def effective_matrix(V: np.ndarray, lost_edges) -> np.ndarray:
     return V_eff
 
 
+# one entry per (cluster matrix, round count) in use; a topology refresh brings
+# new matrix bytes, so stale entries age out instead of being invalidated
+_POWER_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_POWER_CACHE_SIZE)
+def _cached_power(V_bytes: bytes, n: int, gamma: int) -> np.ndarray:
+    """V^gamma for the n x n matrix with these bytes; read-only, as callers share it."""
+    V = np.frombuffer(V_bytes, dtype=float).reshape(n, n)
+    power = np.linalg.matrix_power(V, gamma)
+    power.flags.writeable = False
+    return power
+
+
 def run_consensus(
     w_tilde: np.ndarray,
     V: np.ndarray,
@@ -45,41 +60,54 @@ def run_consensus(
     outage: Optional[OutagePolicy] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """Apply `gamma` rounds of gossip mixing to the rows of w_tilde."""
+    """Apply `gamma` rounds of gossip mixing to the rows of w_tilde.
+
+    Lossless rounds are one multiply by the cached V^gamma. Lossy rounds draw
+    each round's link losses from rng, one uniform per edge in (i < j) row-major
+    order, and mix with that round's effective matrix.
+    """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if gamma == 0:
         return w_tilde.copy()
-    z = w_tilde
-    lossless = outage is None or not outage.enabled
-    if not lossless and rng is None:
+    if outage is None or not outage.enabled:
+        V = np.ascontiguousarray(V, dtype=float)
+        return _cached_power(V.tobytes(), V.shape[0], gamma) @ w_tilde
+    if rng is None:
         raise ValueError("outage-enabled consensus needs an rng")
-    n = V.shape[0]
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if V[i, j] != 0.0]
+    edges = np.argwhere(np.triu(V, 1) != 0.0)
+    probs = outage.link_outage[edges[:, 0], edges[:, 1]]
+    z = w_tilde
     for _ in range(gamma):
-        if lossless:
-            z = V @ z
-        else:
-            probs = np.array([outage.link_outage[i, j] for i, j in edges])
-            lost_mask = rng.random(len(edges)) < probs
-            lost = [e for e, m in zip(edges, lost_mask) if m]
-            z = effective_matrix(V, lost) @ z
+        lost = rng.random(len(edges)) < probs
+        z = effective_matrix(V, edges[lost].tolist()) @ z
     return z
 
 
 def consensus_error(w: np.ndarray, w_tilde: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-device error norms against the intermediate-model average, and the cluster RMS."""
-    center = w_tilde.mean(axis=0)
-    errs = np.linalg.norm(w - center, axis=1)
-    return errs, float(np.sqrt(np.mean(errs**2)))
+    """Per-device error norms against the intermediate-model average, and the cluster RMS.
+
+    Axes before the last two are batch axes: (..., s, d) inputs give (..., s)
+    norms and one RMS per batch entry (a float for 2-D inputs).
+    """
+    center = w_tilde.mean(axis=-2, keepdims=True)
+    errs = np.linalg.norm(w - center, axis=-1)
+    rms = np.sqrt(np.mean(errs**2, axis=-1))
+    return errs, float(rms) if rms.ndim == 0 else rms
 
 
-def divergence_exact(w_tilde: np.ndarray) -> float:
-    """Max pairwise distance between intermediate device models."""
-    if w_tilde.shape[0] < 2:
-        return 0.0
-    diff = w_tilde[:, None, :] - w_tilde[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=-1)).max())
+def divergence_exact(w_tilde: np.ndarray):
+    """Max pairwise distance between intermediate device models.
+
+    Axes before the last two are batch axes: (..., s, d) input gives one
+    distance per batch entry (a float for 2-D input).
+    """
+    if w_tilde.shape[-2] < 2:
+        out = np.zeros(w_tilde.shape[:-2])
+    else:
+        diff = w_tilde[..., :, None, :] - w_tilde[..., None, :, :]
+        out = np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 def divergence_estimate(

@@ -450,16 +450,20 @@ def run_adaptive(
     ups_history = [[0.0] for _ in range(n_clusters)]
     gam_history: list[list[int]] = [[] for _ in range(n_clusters)]
 
-    def gamma_provider(t, local_step, spec, w_tilde, eta_next):
-        ups = divergence_estimate(w_tilde, spec.adjacency, rounds=spec.diameter)
-        c = spec.index
-        ups_history[c].append(ups)
-        g = gamma_rounds(
-            live.eta(t), live.phi, spec.size, ups, spec.lambda_c,
-            gamma_max=config.gamma_max,
-        )
-        gam_history[c].append(g)
-        return g
+    def gamma_provider(t, local_step, clusters, blocks, eta_next):
+        gammas = [0] * len(clusters)
+        for members, block in blocks:
+            for c, w_tilde in zip(members, block):
+                spec = clusters[c]
+                ups = divergence_estimate(w_tilde, spec.adjacency, rounds=spec.diameter)
+                ups_history[c].append(ups)
+                g = gamma_rounds(
+                    live.eta(t), live.phi, spec.size, ups, spec.lambda_c,
+                    gamma_max=config.gamma_max,
+                )
+                gam_history[c].append(g)
+                gammas[c] = g
+        return gammas
 
     def tau_provider(k, t_km1):
         return live.tau_next

@@ -22,6 +22,18 @@ from .trainer import MetricsTrace, TrainTask
 SCHEMA_VERSION = 1
 
 
+class HorizonMismatchError(RuntimeError):
+    """Seed runs of one experiment ended at different effective horizons."""
+
+    def __init__(self, horizons: dict):
+        self.horizons = horizons
+        listing = ", ".join(f"seed {seed}: T={T}" for seed, T in horizons.items())
+        super().__init__(
+            f"seed runs disagree on the effective horizon ({listing}); "
+            "the adaptive controller relaxed T differently per seed, so no trace was written"
+        )
+
+
 class ConfigError(ValueError):
     """Configuration problem, reported with the offending field path."""
 
@@ -423,6 +435,9 @@ def run_experiment(config_source, output_dir: Optional[str] = None, workers: int
         results = dict(one(s) for s in seeds)
 
     traces = [results[s] for s in seeds]
+    horizons = {seed: len(trace) for seed, trace in zip(seeds, traces)}
+    if len(set(horizons.values())) > 1:
+        raise HorizonMismatchError(horizons)
     for seed, trace in zip(seeds, traces):
         trace.to_csv(out / f"trace_seed{seed}.csv")
         if trace.control_rows:
@@ -436,7 +451,7 @@ def run_experiment(config_source, output_dir: Optional[str] = None, workers: int
         "schema_version": SCHEMA_VERSION,
         "config_hash": config.hash(),
         "seeds": seeds,
-        "T": cfg["schedule"]["T"],
+        "T": len(traces[0]),
         "mu": task.mu,
         "beta": task.beta,
         "f_star": task.f_star,

@@ -61,8 +61,11 @@ def local_sgd_step(
 def global_aggregate(
     models: Sequence[np.ndarray], varrho: np.ndarray, sampled: Sequence[int]
 ) -> np.ndarray:
-    """Server model from one sampled device per cluster, size-weighted."""
-    return sum(varrho[c] * models[i] for c, i in enumerate(sampled))
+    """Server model from one sampled device per cluster, size-weighted.
+
+    The column sum adds the weighted models in cluster order, as a running sum would.
+    """
+    return (np.asarray(varrho)[:, None] * np.asarray(models)[sampled]).sum(axis=0)
 
 
 @dataclass
@@ -228,15 +231,15 @@ class MetricsTrace:
 # gamma providers ------------------------------------------------------------
 
 
-def no_consensus_provider(t, local_step, cluster, w_tilde, eta_next):
-    return 0
+def no_consensus_provider(t, local_step, clusters, blocks, eta_next):
+    return [0] * len(clusters)
 
 
 def fixed_gamma_provider(plan: GammaPlan):
-    def provider(t, local_step, cluster, w_tilde, eta_next):
-        if plan.mode == "none" or plan.value == 0:
-            return 0
-        return plan.value if local_step % plan.cadence == 0 else 0
+    def provider(t, local_step, clusters, blocks, eta_next):
+        if plan.mode == "none" or plan.value == 0 or local_step % plan.cadence != 0:
+            return [0] * len(clusters)
+        return [plan.value] * len(clusters)
 
     return provider
 
@@ -246,11 +249,15 @@ def certified_gamma_provider(plan: GammaPlan):
     from .consensus import divergence_exact
     from .control import gamma_rounds
 
-    def provider(t, local_step, cluster, w_tilde, eta_next):
-        upsilon = divergence_exact(w_tilde)
-        return gamma_rounds(
-            eta_next, plan.phi, cluster.size, upsilon, cluster.lambda_c, gamma_max=plan.max_rounds
-        )
+    def provider(t, local_step, clusters, blocks, eta_next):
+        gammas = [0] * len(clusters)
+        for members, block in blocks:
+            for c, upsilon in zip(members, divergence_exact(block).tolist()):
+                spec = clusters[c]
+                gammas[c] = gamma_rounds(
+                    eta_next, plan.phi, spec.size, upsilon, spec.lambda_c, gamma_max=plan.max_rounds
+                )
+        return gammas
 
     return provider
 
@@ -264,6 +271,28 @@ def provider_from_plan(plan: GammaPlan):
 
 
 # engine ----------------------------------------------------------------------
+
+
+def size_groups(cluster_slices: Sequence[slice]) -> list[tuple[list[int], slice | np.ndarray, int]]:
+    """Clusters grouped by size: (member cluster indices, device rows, size) per group.
+
+    The group's device rows, reshaped to (members, size, d), hold its clusters
+    in member order. They are a slice, so indexing gives a view, when the
+    members are consecutive clusters, as they are when all clusters share a size.
+    """
+    by_size: dict[int, list[int]] = {}
+    for c, sl in enumerate(cluster_slices):
+        by_size.setdefault(sl.stop - sl.start, []).append(c)
+    groups = []
+    for size, members in by_size.items():
+        if members == list(range(members[0], members[-1] + 1)):
+            rows = slice(cluster_slices[members[0]].start, cluster_slices[members[-1]].stop)
+        else:
+            rows = np.concatenate(
+                [np.arange(cluster_slices[c].start, cluster_slices[c].stop) for c in members]
+            )
+        groups.append((members, rows, size))
+    return groups
 
 
 def run_protocol(
@@ -283,7 +312,10 @@ def run_protocol(
     """Run the full two-timescale protocol for T timesteps.
 
     tau_provider(k, t_km1) -> length of interval k (1-based k).
-    gamma_provider(t, local_step, cluster_spec, w_tilde_c, eta_t) -> D2D rounds.
+    gamma_provider(t, local_step, clusters, blocks, eta_t) -> D2D rounds for this
+    step, one int per cluster in `clusters` order. blocks holds one
+    (member cluster indices, intermediate models of shape (members, size, d))
+    pair per cluster size, so a provider can batch its per-cluster rule.
     on_aggregate(k, t_k, w_hat, W, estimate_rng) -> optional dict merged into the
     control row (the adaptive controller hooks its re-estimation logic here).
     radius_ref, when given, tracks the largest device-model distance from that
@@ -297,6 +329,10 @@ def run_protocol(
     clusters = list(task.clusters)
     n_clusters = len(clusters)
     n_dev = task.n_devices
+    dim = task.model.dim
+    groups = size_groups(task.cluster_slices)
+    # refreshes keep every cluster's size
+    sizes = np.array([spec.size for spec in clusters])
     upload_scale = 1.0 if aggregation == SAMPLED else n_dev / n_clusters
 
     rng_sampling = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SAMPLING]))
@@ -337,7 +373,7 @@ def run_protocol(
 
     def outage_policies():
         if outage is None or not outage.enabled:
-            return None
+            return [None] * n_clusters
         return [OutagePolicy(enabled=True, link_outage=spec.link_outage) for spec in clusters]
 
     per_cluster_outage = outage_policies()
@@ -361,22 +397,31 @@ def run_protocol(
             bad = int(np.flatnonzero(np.isnan(W_tilde).any(axis=1))[0])
             raise RuntimeError(f"NaN model parameters at t={t} (device {bad}); aborting run")
 
-        # per-cluster consensus
-        W_new = np.empty_like(W_tilde)
-        cluster_means = np.empty((n_clusters, task.model.dim))
-        eps2_by_cluster = np.empty(n_clusters)
+        # D2D consensus: the round rule, error and means run once per size
+        # group on (members, size, d) blocks; only the gossip is per cluster
         local_step = t - t_km1
-        for c, spec in enumerate(clusters):
-            sl = task.cluster_slices[c]
-            wt_c = W_tilde[sl]
-            gamma = int(gamma_provider(t, local_step, spec, wt_c, eta_next))
-            gamma_log[t - 1, c] = gamma
-            policy = per_cluster_outage[c] if per_cluster_outage else None
-            W_new[sl] = run_consensus(wt_c, spec.V, gamma, outage=policy, rng=outage_rngs[c])
-            cluster_means[c] = wt_c.mean(axis=0)
-            errs, _ = consensus_error(W_new[sl], wt_c)
-            eps2_by_cluster[c] = float(np.mean(errs**2))
+        blocks = [
+            (members, W_tilde[dev_rows].reshape(len(members), size, dim))
+            for members, dev_rows, size in groups
+        ]
+        gamma_log[t - 1] = gamma_provider(t, local_step, clusters, blocks, eta_next)
+        W_new = np.empty_like(W_tilde)
+        gammas = gamma_log[t - 1].tolist()
+        for spec, sl, gamma, policy, rng in zip(
+            clusters, task.cluster_slices, gammas, per_cluster_outage, outage_rngs
+        ):
+            W_new[sl] = run_consensus(W_tilde[sl], spec.V, gamma, outage=policy, rng=rng)
         W = W_new
+        cluster_means = np.empty((n_clusters, dim))
+        mixed_means = np.empty((n_clusters, dim))
+        eps2_by_cluster = np.empty(n_clusters)
+        for (members, block), (_, dev_rows, size) in zip(blocks, groups):
+            mixed = W[dev_rows].reshape(len(members), size, dim)
+            errs, _ = consensus_error(mixed, block)
+            eps2_by_cluster[members] = np.mean(errs**2, axis=-1)
+            cluster_means[members] = block.mean(axis=1)
+            if aggregation == FULL:
+                mixed_means[members] = mixed.mean(axis=1)
 
         # metrics for this timestep; the server-equivalent model is the sampled
         # combination for TT-HF and the full weighted average for baselines
@@ -384,9 +429,7 @@ def run_protocol(
         if aggregation == SAMPLED:
             w_hat_virtual = global_aggregate(W, varrho, sampled)
         else:
-            w_hat_virtual = varrho @ np.stack(
-                [W[task.cluster_slices[c]].mean(axis=0) for c in range(n_clusters)]
-            )
+            w_hat_virtual = varrho @ mixed_means
         rows["t"].append(t)
         rows["gap_s"].append(task.global_loss(w_hat_virtual) - task.f_star)
         rows["gap_a"].append(task.global_loss(w_bar) - task.f_star)
@@ -394,9 +437,8 @@ def run_protocol(
         rows["eps"].append(float(np.sqrt(varrho @ eps2_by_cluster)))
         g_total = int(gamma_log[t - 1].sum())
         rows["gtot"].append(g_total)
-        sizes = np.array([spec.size for spec in clusters])
         energy = float((gamma_log[t - 1] * sizes).sum() * cost.e_d2d)
-        delay = float(gamma_log[t - 1].sum() * cost.delta_d2d)
+        delay = float(g_total * cost.delta_d2d)
         if acc_log is not None:
             acc_log.append(task.accuracy(w_hat_virtual))
 

@@ -6,10 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tthf import data, losses, topology, trainer
 
 warnings.filterwarnings("ignore", message="distance .* below reference")
+
+# property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic and its runtime bounded
+settings.register_profile("tthf", derandomize=True, deadline=None, max_examples=30, database=None)
+settings.load_profile("tthf")
 
 
 def random_connected_adjacency(rng: np.random.Generator, n: int) -> np.ndarray:

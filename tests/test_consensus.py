@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tthf import consensus, topology
 from tthf.consensus import OutagePolicy
@@ -187,3 +190,70 @@ class TestMonotoneContraction:
                 errs, _ = consensus.consensus_error(out, w)
                 assert errs.max() <= prev + 1e-12
                 prev = errs.max()
+
+
+def iterated_consensus(w, V, gamma, outage=None, rng=None):
+    """Gamma explicit rounds z <- V_round z, building the lossy edge list each round."""
+    n = V.shape[0]
+    z = w.copy()
+    for _ in range(gamma):
+        if outage is None:
+            z = V @ z
+        else:
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if V[i, j] != 0.0]
+            probs = np.array([outage.link_outage[i, j] for i, j in edges])
+            lost_mask = rng.random(len(edges)) < probs
+            z = consensus.effective_matrix(V, [e for e, m in zip(edges, lost_mask) if m]) @ z
+    return z
+
+
+batches = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.integers(1, 9), st.integers(1, 6)),
+    elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestBatchedProperties:
+    @given(w_tilde=batches, seed=st.integers(0, 2**32 - 1))
+    def test_batched_error_and_divergence_equal_per_cluster_calls(self, w_tilde, seed):
+        w = w_tilde + np.random.default_rng(seed).standard_normal(w_tilde.shape)
+        errs, rms = consensus.consensus_error(w, w_tilde)
+        divergence = consensus.divergence_exact(w_tilde)
+        assert errs.shape == w.shape[:2] and rms.shape == divergence.shape == w.shape[:1]
+        for c in range(w.shape[0]):
+            errs_c, rms_c = consensus.consensus_error(w[c], w_tilde[c])
+            np.testing.assert_array_equal(errs[c], errs_c)
+            assert rms[c] == rms_c and isinstance(rms_c, float)
+            div_c = consensus.divergence_exact(w_tilde[c])
+            assert divergence[c] == div_c and isinstance(div_c, float)
+
+    @given(n=st.integers(2, 8), gamma=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+    def test_cached_power_matches_iterated_rounds(self, n, gamma, seed):
+        rng = np.random.default_rng(seed)
+        V, _, _ = random_mixing_matrix(rng, n)
+        w = rng.standard_normal((n, int(rng.integers(1, 6))))
+        out = consensus.run_consensus(w, V, gamma)
+        np.testing.assert_allclose(out, iterated_consensus(w, V, gamma), rtol=0, atol=1e-12)
+        if gamma:
+            power = consensus._cached_power(V.tobytes(), n, gamma)
+            assert not power.flags.writeable and not np.shares_memory(out, power)
+            first = out.copy()
+            out[...] = np.nan
+            np.testing.assert_array_equal(consensus.run_consensus(w, V, gamma), first)
+
+    @given(
+        n=st.integers(2, 8),
+        gamma=st.integers(1, 12),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lossy_rounds_keep_means_and_match_the_per_round_oracle(self, n, gamma, p, seed):
+        rng = np.random.default_rng(seed)
+        V, adj, _ = random_mixing_matrix(rng, n)
+        policy = OutagePolicy(enabled=True, link_outage=np.where(adj, p, 0.0))
+        w = rng.standard_normal((n, 3))
+        out = consensus.run_consensus(w, V, gamma, outage=policy, rng=np.random.default_rng(seed))
+        np.testing.assert_allclose(out.mean(axis=0), w.mean(axis=0), rtol=0, atol=1e-10)
+        oracle = iterated_consensus(w, V, gamma, outage=policy, rng=np.random.default_rng(seed))
+        np.testing.assert_array_equal(out, oracle)

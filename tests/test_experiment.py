@@ -105,6 +105,41 @@ class TestRunExperiment:
             assert (tmp_path / "out" / name).read_bytes() == blob, name
 
 
+def relaxing_config(tmp_path, seeds):
+    # on the default network, the feasibility check doubles T three times for
+    # seed 7 (60 -> 480) and not at all for seed 2
+    return {
+        "schedule": {"mode": "adaptive", "T": 60},
+        "control": {"xi": 100},
+        "seeds": seeds,
+        "output_dir": str(tmp_path / "out"),
+    }
+
+
+class TestEffectiveHorizon:
+    def test_disagreeing_seed_horizons_raise_before_writing(self, tmp_path):
+        with pytest.raises(experiment.HorizonMismatchError, match="seed 7: T=480") as info:
+            experiment.run_experiment(relaxing_config(tmp_path, [2, 7]))
+        assert info.value.horizons == {2: 60, 7: 480}
+        assert not list((tmp_path / "out").glob("trace_seed*.csv"))
+
+    def test_cli_exits_1_with_the_horizons(self, tmp_path, capsys, monkeypatch):
+        def mismatch(*args, **kwargs):
+            raise experiment.HorizonMismatchError({2: 60, 7: 480})
+
+        monkeypatch.setattr(experiment, "run_experiment", mismatch)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(relaxing_config(tmp_path, [2, 7])))
+        assert cli.main(["run", str(cfg_path)]) == 1
+        assert "seed 2: T=60, seed 7: T=480" in capsys.readouterr().err
+
+    def test_summary_reports_the_effective_horizon(self, tmp_path):
+        summary = experiment.run_experiment(relaxing_config(tmp_path, [7]))
+        assert summary["T"] == 480
+        trace = trainer.MetricsTrace.from_csv(tmp_path / "out" / "trace_seed7.csv")
+        assert len(trace) == 480
+
+
 class TestAccumulateCost:
     def build_trace(self, tmp_path, gamma_value=0):
         cfg = minimal_config(

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tthf import losses, trainer
+from tthf import data, losses, topology, trainer
+from tthf.bounds import dispersion_sample
+from tthf.consensus import OutagePolicy, consensus_error, divergence_exact, effective_matrix
+from tthf.control import gamma_rounds
+from tthf.costs import CostParams
 from tthf.losses import LINEAR_REGRESSION, DevicePartition, LossModel
 from tthf.schedules import GammaPlan, StepSchedule, TrainingSchedule
 from tthf.topology import ClusterSpec
@@ -241,3 +247,159 @@ class TestNanGuard:
                 GammaPlan(mode="none"),
                 seed=2,
             )
+
+
+def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
+    """TT-HF with a plain loop over clusters: the oracle of the batched engine.
+
+    Per step and cluster it picks the rounds, runs them one `V @ z` (or one
+    effective matrix) at a time, and measures that cluster's error and mean.
+    Returns the trace columns and the per-cluster rounds.
+    """
+    cost = CostParams()
+    clusters, slices, varrho = task.clusters, task.cluster_slices, task.varrho
+    T, taus = schedule.T, list(schedule.taus)
+    rng_sampling = np.random.default_rng(np.random.SeedSequence([seed, trainer._STREAM_SAMPLING]))
+    outage_rngs = [
+        np.random.default_rng(np.random.SeedSequence([seed, trainer._STREAM_OUTAGE, c]))
+        for c in range(len(clusters))
+    ]
+    dev_rngs = trainer.device_rngs(seed, task.n_devices)
+
+    def sample():
+        return [
+            int(rng_sampling.integers(0, spec.size)) + sl.start
+            for spec, sl in zip(clusters, slices)
+        ]
+
+    W = np.tile(task.w0, (task.n_devices, 1)).astype(float)
+    sampled = sample()
+    cols = {name: [] for name in ("gap_s", "gap_a", "disp", "eps", "energy", "delay")}
+    gammas = np.zeros((T, len(clusters)), dtype=int)
+    k, t_km1 = 1, 0
+    t_k = min(taus[0], T)
+    for t in range(1, T + 1):
+        if task.quad_A is not None and task.batch_size is None:
+            grads = np.einsum("dij,dj->di", task.quad_A, W) - task.quad_b
+        else:
+            grads = np.stack([
+                losses.grad_sgd(task.model, W[d], part, task.batch_size, dev_rngs[d])
+                for d, part in enumerate(task.flat_parts)
+            ])
+        W_tilde = W - steps.eta(t - 1) * grads
+        W_new = np.empty_like(W_tilde)
+        means, eps2 = [], []
+        for c, (spec, sl) in enumerate(zip(clusters, slices)):
+            wt_c = W_tilde[sl]
+            if plan.mode == "certified":
+                g = gamma_rounds(steps.eta(t), plan.phi, spec.size, divergence_exact(wt_c),
+                                 spec.lambda_c, gamma_max=plan.max_rounds)
+            elif plan.mode == "fixed" and plan.value and (t - t_km1) % plan.cadence == 0:
+                g = plan.value
+            else:
+                g = 0
+            gammas[t - 1, c] = g
+            n = spec.size
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if spec.V[i, j] != 0.0]
+            z = wt_c.copy()
+            for _ in range(g):
+                if outage:
+                    probs = np.array([spec.link_outage[i, j] for i, j in edges])
+                    lost = outage_rngs[c].random(len(edges)) < probs
+                    z = effective_matrix(spec.V, [e for e, m in zip(edges, lost) if m]) @ z
+                else:
+                    z = spec.V @ z
+            W_new[sl] = z
+            errs, _ = consensus_error(z, wt_c)
+            eps2.append(float(np.mean(errs**2)))
+            means.append(wt_c.mean(axis=0))
+        W = W_new
+        w_hat = sum(varrho[c] * W[i] for c, i in enumerate(sampled))
+        means = np.stack(means)
+        cols["gap_s"].append(task.global_loss(w_hat) - task.f_star)
+        cols["gap_a"].append(task.global_loss(varrho @ means) - task.f_star)
+        cols["disp"].append(dispersion_sample(means, varrho))
+        cols["eps"].append(float(np.sqrt(varrho @ np.array(eps2))))
+        energy = float((gammas[t - 1] * [spec.size for spec in clusters]).sum() * cost.e_d2d)
+        delay = float(gammas[t - 1].sum() * cost.delta_d2d)
+        if t == t_k:
+            energy += cost.e_glob
+            delay += cost.delta_glob
+            W = np.tile(w_hat, (task.n_devices, 1))
+            sampled = sample()
+            t_km1 = t
+            k += 1
+            t_k = min(t_km1 + (taus[k - 1] if k - 1 < len(taus) else taus[-1]), T)
+        cols["energy"].append(energy)
+        cols["delay"].append(delay)
+    return {name: np.array(v) for name, v in cols.items()}, gammas
+
+
+def unequal_cluster_task(sizes=(3, 2, 3, 5), seed=4):
+    """Clusters of several sizes; the two size-3 clusters are not adjacent in device order."""
+    ds = data.gen_synthetic(4, 4, 60, 2.0, seed)
+    model = LossModel(kind=LINEAR_REGRESSION, reg=0.5, dim=4)
+    plan = data.PartitionPlan("extreme", seed=seed + 1)
+    flat = data.partition(ds, sum(sizes), plan, kind=model.kind)
+    channel, step = topology.ChannelParams(), topology.DEFAULT_MIXING_STEP
+    clusters = [
+        topology.build_cluster(c, size, 50.0, channel, step, seed) for c, size in enumerate(sizes)
+    ]
+    bounds_ = np.cumsum((0,) + tuple(sizes))
+    parts = [flat[a:b] for a, b in zip(bounds_[:-1], bounds_[1:])]
+    return trainer.make_task(model, clusters, parts)
+
+
+CERTIFIED = GammaPlan(mode="certified", phi=0.5, max_rounds=60)
+# (task builder, round plan, lossy links)
+ORACLE_CASES = {
+    "fixed": (build_small_task, GammaPlan(mode="fixed", value=3, cadence=2), False),
+    "certified": (build_small_task, CERTIFIED, False),
+    "lossy": (
+        lambda: build_small_task(batch_size=4), GammaPlan(mode="fixed", value=4, cadence=1), True
+    ),
+    "unequal-certified": (unequal_cluster_task, CERTIFIED, False),
+    "unequal-lossy": (unequal_cluster_task, GammaPlan(mode="fixed", value=3, cadence=1), True),
+}
+
+
+class TestBatchedEngineOracle:
+    def test_unequal_sizes_group_by_size(self):
+        task = unequal_cluster_task()
+        groups = trainer.size_groups(task.cluster_slices)
+        assert [(members, size) for members, _, size in groups] == [([0, 2], 3), ([1], 2), ([3], 5)]
+        np.testing.assert_array_equal(groups[0][1], [0, 1, 2, 5, 6, 7])
+        assert groups[2][1] == slice(8, 13)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_run_protocol_matches_per_cluster_loop(self, case):
+        make, plan, lossy = ORACLE_CASES[case]
+        task = make()
+        steps = StepSchedule(kind="diminishing", gamma=2 / task.mu, alpha=30.0)
+        schedule = TrainingSchedule.uniform(33, 7)
+        outage = OutagePolicy(enabled=True) if lossy else None
+        trace = trainer.run_tthf(task, steps, schedule, plan, outage=outage, seed=5)
+        expected, gammas = reference_tthf(task, steps, schedule, plan, outage=lossy, seed=5)
+        assert gammas.any()
+        np.testing.assert_array_equal(trace.gamma_by_cluster, gammas)
+        np.testing.assert_array_equal(trace.gamma_total, gammas.sum(axis=1))
+        got = {
+            "gap_s": trace.loss_gap_sampled, "gap_a": trace.loss_gap_avg, "disp": trace.dispersion,
+            "eps": trace.eps_rms, "energy": trace.energy, "delay": trace.delay,
+        }
+        for name, column in expected.items():
+            if lossy:
+                # no matrix power on the lossy path: the same arithmetic in the same order
+                np.testing.assert_array_equal(got[name], column, err_msg=name)
+            else:
+                np.testing.assert_allclose(got[name], column, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+class TestTraceLength:
+    @given(T=st.integers(1, 40), tau=st.integers(1, 15), gamma=st.integers(0, 3))
+    def test_length_equals_effective_horizon(self, small_task, T, tau, gamma):
+        steps = StepSchedule(kind="constant", eta_const=0.1 / small_task.beta)
+        plan = GammaPlan(mode="fixed", value=gamma, cadence=1)
+        trace = trainer.run_tthf(small_task, steps, TrainingSchedule.uniform(T, tau), plan, seed=1)
+        assert len(trace) == T == trace.boundaries[-1]
+        np.testing.assert_array_equal(trace.t, np.arange(1, T + 1))
