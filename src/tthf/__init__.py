@@ -47,9 +47,9 @@ from .experiment import (
     run_single,
 )
 from .losses import (
+    DeviceData,
     DevicePartition,
     LossModel,
-    cluster_loss,
     global_loss,
     grad_full,
     grad_sgd,

@@ -11,7 +11,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import LINEAR_REGRESSION, LossModel, device_hessian, solve_optimum
+from .losses import (
+    LINEAR_REGRESSION, LossModel, device_data, grad_full, grad_point, quadratic_stats, solve_optimum,
+)
 from .schedules import StepSchedule
 
 
@@ -30,20 +32,15 @@ def exact_diversity_quadratic(model: LossModel, clusters) -> tuple[float, float]
     """(delta, zeta) certified for a regularized quadratic task.
 
     The cluster-vs-global gradient gap is affine in w, so delta is the gap at the
-    optimum and zeta the spectral norm of the worst data-Hessian difference.
+    optimum and zeta the spectral norm of the worst cluster-Hessian difference.
     """
     if model.kind != LINEAR_REGRESSION:
         raise ValueError("exact diversity constants only available for quadratics")
-    w_star = solve_optimum(model, clusters)
-    h_clusters, g_clusters = [], []
-    for cluster in clusters:
-        h = sum(device_hessian(p) for p in cluster) / len(cluster)
-        b = sum(p.X.T @ p.y / p.n_points for p in cluster) / len(cluster)
-        h_clusters.append(h)
-        g_clusters.append(h @ w_star - b + model.reg * w_star)
-    sizes = np.array([len(c) for c in clusters], dtype=float)
-    weights = sizes / sizes.sum()
-    h_global = sum(wt * h for wt, h in zip(weights, h_clusters))
+    data = device_data(model, clusters)
+    w_star = solve_optimum(model, data)
+    h_clusters = [data.A[sl].mean(axis=0) for sl in data.cluster_slices]
+    g_clusters = [h @ w_star - data.b[sl].mean(axis=0) for h, sl in zip(h_clusters, data.cluster_slices)]
+    h_global = sum(wt * h for wt, h in zip(data.varrho, h_clusters))
     delta = max(float(np.linalg.norm(g)) for g in g_clusters)
     zeta = max(float(np.max(np.abs(np.linalg.eigvalsh(h - h_global)))) for h in h_clusters)
     return delta, zeta
@@ -293,17 +290,13 @@ def sgd_variance_bound(
     n = part.n_points
     if batch_size >= n:
         return 0.0
-    h_i = device_hessian(part)
-    g_center = part.X.T @ (part.X @ center - part.y) / n  # reg term cancels in deviations
-    worst = 0.0
+    h_i = quadratic_stats([part])[0][0]
+    g_center = grad_full(model, center, part)
     total = 0.0
-    for b in range(n):
-        x = part.X[b]
-        g_b = (x @ center - part.y[b]) * x
-        c_b = float(np.linalg.norm(g_b - g_center))
+    for x, y in zip(part.X, part.y):
+        c_b = float(np.linalg.norm(grad_point(model, center, x, y) - g_center))
         l_b = float(np.max(np.abs(np.linalg.eigvalsh(np.outer(x, x) - h_i))))
         total += (c_b + l_b * radius) ** 2
-        worst = max(worst, c_b + l_b * radius)
     return float((1.0 - batch_size / n) / (batch_size * (n - 1)) * total)
 
 

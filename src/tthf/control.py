@@ -353,19 +353,21 @@ class AdaptiveConfig:
     max_xi_relaxations: int = 3
 
 
-def _initial_estimates(task, w0, batch, rng):
-    """Sampled-device gradient probes at the initial model."""
+def _probe(task, models, batch, rng):
+    """One sampled device per cluster probes its gradient at its own row of models.
+
+    Returns the server's sigma2, the per-cluster gradients and their weighted mean.
+    """
     sigma_locals, grads = [], []
     for c, spec in enumerate(task.clusters):
         dev = int(rng.integers(0, spec.size))
         part = task.parts[c][dev]
-        b = min(batch, part.n_points)
-        if b >= part.n_points:
-            g = losses.grad_full(task.model, w0, part)
+        w = models[task.cluster_slices[c].start + dev]
+        if batch >= part.n_points:
             sigma_locals.append(0.0)
-            grads.append(g)
+            grads.append(losses.grad_full(task.model, w, part))
         else:
-            s2, g = estimate_sigma(task.model, part, w0, b, rng)
+            s2, g = estimate_sigma(task.model, part, w, batch, rng)
             sigma_locals.append(s2)
             grads.append(g)
     g_bar = sum(task.varrho[c] * g for c, g in enumerate(grads))
@@ -393,7 +395,7 @@ def run_adaptive(
     omega = config.zeta_frac  # zeta/(2 beta)
     gamma_step = config.gamma_over_mu / task.mu
 
-    sigma2, grads, g_bar = _initial_estimates(task, w0, config.sigma_batch, rng_init)
+    sigma2, grads, g_bar = _probe(task, np.tile(w0, (task.n_devices, 1)), config.sigma_batch, rng_init)
     delta_prime = bounds.diversity_fit(grads, g_bar, float(np.linalg.norm(w0)), zeta)
     grad0_sq = float(g_bar @ g_bar) if config.use_pl_surrogate else 2.0 * task.mu * (
         task.global_loss(w0) - task.f_star
@@ -468,23 +470,9 @@ def run_adaptive(
     def tau_provider(k, t_km1):
         return live.tau_next
 
-    def on_aggregate(k, t_k, w_hat, W, rng):
+    def on_aggregate(k, t_k, w_hat, W, rng, clusters):
         # device-side probes at the sampled models, then server-side re-estimation
-        sigma_locals, g_list = [], []
-        for c, spec in enumerate(task.clusters):
-            dev = int(rng.integers(0, spec.size))
-            part = task.parts[c][dev]
-            w_dev = W[task.cluster_slices[c].start + dev]
-            b = min(config.sigma_batch, part.n_points)
-            if b >= part.n_points:
-                sigma_locals.append(0.0)
-                g_list.append(losses.grad_full(task.model, w_dev, part))
-            else:
-                s2, g = estimate_sigma(task.model, part, w_dev, b, rng)
-                sigma_locals.append(s2)
-                g_list.append(g)
-        g_bar_k = sum(task.varrho[c] * g for c, g in enumerate(g_list))
-        state.sigma2 = server_sigma(sigma_locals)
+        state.sigma2, g_list, g_bar_k = _probe(task, W, config.sigma_batch, rng)
         state.delta_prime = bounds.diversity_fit(
             g_list, g_bar_k, float(np.linalg.norm(w_hat)), state.zeta
         )
@@ -518,7 +506,7 @@ def run_adaptive(
         live.phi = state.phi
         if t_k < state.T:
             live.tau_next = solve_P(
-                t_k, coeffs, task.clusters, live.sched, state.phi, cost,
+                t_k, coeffs, clusters, live.sched, state.phi, cost,
                 config.tau_max, state.T, gamma_max=config.gamma_max,
             )
         return {

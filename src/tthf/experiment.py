@@ -151,6 +151,11 @@ def load_config(source) -> ExperimentConfig:
     return ExperimentConfig(raw=merged, path=path)
 
 
+def _is_int(value, least: int) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def _validate(cfg):
     if cfg["dataset"]["kind"] not in ("synthetic", "csv"):
         raise ConfigError("dataset.kind", "must be 'synthetic' or 'csv'")
@@ -162,15 +167,19 @@ def _validate(cfg):
         raise ConfigError("loss.kind", "unknown loss kind")
     if cfg["schedule"]["mode"] not in ("fixed", "adaptive"):
         raise ConfigError("schedule.mode", "must be 'fixed' or 'adaptive'")
-    if not isinstance(cfg["schedule"]["T"], int) or cfg["schedule"]["T"] < 1:
+    if not _is_int(cfg["schedule"]["T"], 1):
         raise ConfigError("schedule.T", "must be a positive integer")
+    tau = cfg["schedule"]["tau"]
+    if not (_is_int(tau, 1) or (isinstance(tau, list) and tau and all(_is_int(x, 1) for x in tau))):
+        raise ConfigError("schedule.tau", "must be a positive integer or a non-empty list of them")
     if cfg["aggregation"]["mode"] not in (trainer.SAMPLED, trainer.FULL):
         raise ConfigError("aggregation.mode", "must be 'sampled' or 'full'")
     batch = cfg["sgd"]["batch_size"]
-    if batch != "full" and (not isinstance(batch, int) or batch < 1):
+    if batch != "full" and not _is_int(batch, 1):
         raise ConfigError("sgd.batch_size", "must be 'full' or a positive integer")
-    if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
-        raise ConfigError("seeds", "must be a non-empty list of integers")
+    seeds = cfg["seeds"]
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s, 0) for s in seeds):
+        raise ConfigError("seeds", "must be a non-empty list of non-negative integers")
     gm = cfg["schedule"]["gamma"]["mode"]
     if gm not in ("none", "fixed", "certified"):
         raise ConfigError("schedule.gamma.mode", "must be 'none', 'fixed', or 'certified'")

@@ -1,4 +1,4 @@
-"""Learning tasks: per-device / cluster / global losses, gradients, curvature constants.
+"""Learning tasks: device and global losses, gradients, curvature constants.
 
 Two strongly convex model families are supported:
 
@@ -76,32 +76,113 @@ def _check_dims(model: LossModel, w: np.ndarray, part: DevicePartition):
     return w
 
 
+def size_groups(sizes: Sequence[int]) -> list[tuple[list[int], slice | np.ndarray, int]]:
+    """Consecutive row ranges of the given sizes, grouped by size: (members, rows, size).
+
+    The group's rows, reshaped to (members, size, ...), hold its members in
+    order. They are a slice, so indexing gives a view, when the members are
+    consecutive, as they are when all ranges share a size.
+    """
+    ends = np.cumsum(sizes)
+    by_size: dict[int, list[int]] = {}
+    for i, size in enumerate(sizes):
+        by_size.setdefault(int(size), []).append(i)
+    groups = []
+    for size, members in by_size.items():
+        if members == list(range(members[0], members[-1] + 1)):
+            rows = slice(int(ends[members[0]]) - size, int(ends[members[-1]]))
+        else:
+            rows = np.concatenate([np.arange(ends[i] - size, ends[i]) for i in members])
+        groups.append((members, rows, size))
+    return groups
+
+
+def quadratic_stats(parts: Sequence[DevicePartition]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked per-device data Hessians H_i = X_i'X_i/D_i, b_i = X_i'y_i/D_i and c_i = y_i'y_i/(2D_i).
+
+    A regression device loss is F_i(w) = 0.5 w'(H_i + reg*I)w - b_i'w + c_i.
+    """
+    H = np.stack([p.X.T @ p.X / p.n_points for p in parts])
+    b = np.stack([p.X.T @ p.y / p.n_points for p in parts])
+    c = np.array([0.5 * np.mean(p.y**2) for p in parts])
+    return H, b, c
+
+
+class DeviceData:
+    """Every device's data, stacked once in cluster order for batched losses and gradients.
+
+    Devices with equal point counts share one (devices, points, d) block. For
+    regression it holds A_i = H_i + reg*I, b_i and their device means too.
+    """
+
+    def __init__(self, model: LossModel, clusters: Sequence[Sequence[DevicePartition]]):
+        sizes = [len(c) for c in clusters]
+        if not sizes or min(sizes) == 0:
+            raise ValueError("empty cluster" if sizes else "no devices")
+        self.parts = [p for c in clusters for p in c]
+        self.n_devices = len(self.parts)
+        self.n_points = np.array([p.n_points for p in self.parts])
+        self.starts = np.cumsum(self.n_points) - self.n_points
+        self.X = np.concatenate([p.X for p in self.parts])
+        self.y = np.concatenate([p.y for p in self.parts])
+        if self.X.shape[1] != model.dim:
+            raise ValueError(f"feature dimension {self.X.shape[1]} does not match model dim {model.dim}")
+        self.blocks = [
+            (members, self.X[rows].reshape(len(members), n, model.dim), self.y[rows].reshape(len(members), n))
+            for members, rows, n in size_groups(self.n_points)
+        ]
+        self.cluster_groups = size_groups(sizes)
+        ends = np.cumsum(sizes)
+        self.cluster_slices = [slice(int(end) - size, int(end)) for size, end in zip(sizes, ends)]
+        self.varrho = np.array(sizes, dtype=float) / ends[-1]
+        if model.kind == LINEAR_REGRESSION:
+            H, self.b, c = quadratic_stats(self.parts)
+            self.A = H + model.reg * np.eye(model.dim)
+            self.mean_quad = (self.A.mean(axis=0), self.b.mean(axis=0), float(c.mean()))
+
+
+def device_data(model: LossModel, data) -> DeviceData:
+    """`data` as a DeviceData: stacked data as is; clusters of partitions, or one partition, stacked."""
+    if isinstance(data, DeviceData):
+        return data
+    return DeviceData(model, [[data]] if isinstance(data, DevicePartition) else data)
+
+
+def _loss_batch(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray):
+    """Mean per-point loss at w over the rows of X; leading axes of X and y are devices."""
+    margins = np.matmul(X, w)
+    if model.kind == LINEAR_REGRESSION:
+        data_term = 0.5 * np.mean((y - margins) ** 2, axis=-1)
+    else:
+        slack = np.maximum(0.0, 1.0 - y * margins)
+        data_term = 0.5 * np.mean(slack**2, axis=-1)
+    return data_term + 0.5 * model.reg * (w @ w)
+
+
 def local_loss(model: LossModel, w: np.ndarray, part: DevicePartition) -> float:
     """Average per-point loss over the device's dataset, L2 term included."""
-    w = _check_dims(model, w, part)
-    margins = part.X @ w
+    return float(_loss_batch(model, _check_dims(model, w, part), part.X, part.y))
+
+
+def global_loss(model: LossModel, w: np.ndarray, data) -> float:
+    """F(w) = (1/I) sum_i F_i(w): closed form 0.5 w'Aw - b'w + c for regression, else device_mean_loss."""
+    data = device_data(model, data)
     if model.kind == LINEAR_REGRESSION:
-        data_term = 0.5 * np.mean((part.y - margins) ** 2)
-    else:
-        slack = np.maximum(0.0, 1.0 - part.y * margins)
-        data_term = 0.5 * np.mean(slack**2)
-    return float(data_term + 0.5 * model.reg * (w @ w))
+        A, b, c = data.mean_quad
+        return float(0.5 * w @ (A @ w) - b @ w + c)
+    return device_mean_loss(model, w, data)
 
 
-def cluster_loss(model: LossModel, w: np.ndarray, cluster_parts: Sequence[DevicePartition]) -> float:
-    """Uniformly weighted mean of the device losses inside one cluster."""
-    if len(cluster_parts) == 0:
-        raise ValueError("empty cluster")
-    return float(np.mean([local_loss(model, w, p) for p in cluster_parts]))
-
-
-def global_loss(model: LossModel, w: np.ndarray, clusters: Sequence[Sequence[DevicePartition]]) -> float:
-    """Cluster losses weighted by relative cluster size; equals the flat device mean."""
-    sizes = np.array([len(c) for c in clusters], dtype=float)
-    if np.any(sizes == 0):
-        raise ValueError("empty cluster")
-    weights = sizes / sizes.sum()
-    return float(sum(wt * cluster_loss(model, w, c) for wt, c in zip(weights, clusters)))
+def device_mean_loss(model: LossModel, w: np.ndarray, data) -> float:
+    """sum_c varrho_c F_c(w), F_c the mean device loss of cluster c; equals (1/I) sum_i F_i(w)."""
+    data = device_data(model, data)
+    losses = np.empty(data.n_devices)
+    for members, X, y in data.blocks:
+        losses[members] = _loss_batch(model, w, X, y)
+    cluster_means = np.empty(len(data.varrho))
+    for members, rows, size in data.cluster_groups:
+        cluster_means[members] = losses[rows].reshape(len(members), size).mean(axis=1)
+    return float(data.varrho @ cluster_means)
 
 
 def grad_point(model: LossModel, w: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
@@ -114,61 +195,65 @@ def grad_point(model: LossModel, w: np.ndarray, x: np.ndarray, y: float) -> np.n
 
 
 def _grad_batch(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    margins = X @ w
+    """Mean per-point gradient over the rows of X; leading axes of w, X and y are devices."""
+    margins = np.matmul(X, w[..., None])[..., 0]
     if model.kind == LINEAR_REGRESSION:
-        g = X.T @ (margins - y) / X.shape[0]
+        residual = margins - y
     else:
-        slack = np.maximum(0.0, 1.0 - y * margins)
-        g = X.T @ (-y * slack) / X.shape[0]
+        residual = -y * np.maximum(0.0, 1.0 - y * margins)
+    g = np.matmul(np.swapaxes(X, -1, -2), residual[..., None])[..., 0] / X.shape[-2]
     return g + model.reg * w
 
 
-def grad_full(model: LossModel, w: np.ndarray, part: DevicePartition) -> np.ndarray:
-    """Exact gradient of the local loss."""
-    w = _check_dims(model, w, part)
-    return _grad_batch(model, w, part.X, part.y)
+def grad_full(model: LossModel, w: np.ndarray, data) -> np.ndarray:
+    """Exact gradient of the local loss: at one model w for a DevicePartition, else at
+    one model per device, w of shape (n_devices, d), for every device."""
+    one = isinstance(data, DevicePartition)
+    w, data = _check_dims(model, w, data)[None] if one else w, device_data(model, data)
+    if model.kind == LINEAR_REGRESSION:
+        g = np.einsum("dij,dj->di", data.A, w) - data.b
+    else:
+        g = np.empty((data.n_devices, model.dim))
+        for members, X, y in data.blocks:
+            g[members] = _grad_batch(model, w[members], X, y)
+    return g[0] if one else g
 
 
-def grad_sgd(
-    model: LossModel,
-    w: np.ndarray,
-    part: DevicePartition,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Gradient over a uniform without-replacement mini-batch of exactly batch_size points."""
-    w = _check_dims(model, w, part)
-    n = part.n_points
-    if not 1 <= batch_size <= n:
-        raise ValueError(f"batch_size {batch_size} out of range [1, {n}]")
-    if batch_size == n:
-        return _grad_batch(model, w, part.X, part.y)
-    idx = rng.choice(n, size=batch_size, replace=False)
-    return _grad_batch(model, w, part.X[idx], part.y[idx])
+def grad_sgd(model: LossModel, w: np.ndarray, data, batch_size: int, rng) -> np.ndarray:
+    """Gradient over a uniform without-replacement mini-batch of exactly batch_size points.
+
+    For stacked data, w and rng hold one model and one generator per device; each
+    device draws its own batch, in device order, and all run as one block.
+    """
+    one = isinstance(data, DevicePartition)
+    w, data = _check_dims(model, w, data)[None] if one else w, device_data(model, data)
+    if not 1 <= batch_size <= data.n_points.min():
+        raise ValueError(f"batch_size {batch_size} out of range [1, {data.n_points.min()}]")
+    rows = np.stack([
+        start + (np.arange(n) if n == batch_size else gen.choice(n, size=batch_size, replace=False))
+        for start, n, gen in zip(data.starts, data.n_points, [rng] if one else rng)
+    ])
+    g = _grad_batch(model, w, data.X[rows], data.y[rows])
+    full = data.n_points == batch_size
+    if model.kind == LINEAR_REGRESSION and full.any():
+        # a batch of every point is the full batch, so it takes grad_full's closed form
+        g[full] = grad_full(model, w, data)[full]
+    return g[0] if one else g
 
 
-def device_hessian(part: DevicePartition) -> np.ndarray:
-    """Data part of the device Hessian, (1/D_i) sum x x^T (regularizer excluded)."""
-    return part.X.T @ part.X / part.n_points
-
-
-def smoothness_constants(
-    model: LossModel, clusters: Sequence[Sequence[DevicePartition]]
-) -> tuple[float, float]:
+def smoothness_constants(model: LossModel, data) -> tuple[float, float]:
     """(mu, beta): strong convexity of the global loss and the worst per-device smoothness.
 
     For quadratics mu = lambda_min(global data Hessian) + reg; for the squared hinge
     only the regularizer certifies strong convexity. beta is the max over devices of
     the per-device curvature bound lambda_max(H_i) + reg in both cases.
     """
-    parts = [p for c in clusters for p in c]
-    if not parts:
-        raise ValueError("no devices")
-    hessians = [device_hessian(p) for p in parts]
+    data = device_data(model, data)
+    hessians, _, _ = quadratic_stats(data.parts)
     beta = max(float(np.linalg.eigvalsh(h)[-1]) for h in hessians) + model.reg
     if model.kind == LINEAR_REGRESSION:
-        weights = _device_weights(clusters)
-        h_global = sum(wt * h for wt, h in zip(weights, hessians))
+        # rho_i = varrho_c * rho_{i,c} = 1/I for every device
+        h_global = (hessians * (1.0 / data.n_devices)).sum(axis=0)
         mu = float(np.linalg.eigvalsh(h_global)[0]) + model.reg
         if mu <= 1e-12:
             raise StrongConvexityError("strong convexity not certified: rank-deficient data and reg=0")
@@ -179,44 +264,22 @@ def smoothness_constants(
     return mu, max(beta, mu)
 
 
-def _device_weights(clusters: Sequence[Sequence[DevicePartition]]) -> list[float]:
-    # rho_i = varrho_c * rho_{i,c} = 1/I for every device
-    n_dev = sum(len(c) for c in clusters)
-    return [1.0 / n_dev] * n_dev
-
-
-def quadratic_stats(
-    model: LossModel, clusters: Sequence[Sequence[DevicePartition]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked per-device (A_i, b_i, c_i) with F_i(w) = 0.5 w'A_i w - b_i'w + c_i."""
-    if model.kind != LINEAR_REGRESSION:
-        raise ValueError("quadratic stats only defined for linear regression")
-    parts = [p for c in clusters for p in c]
-    eye = np.eye(model.dim)
-    A = np.stack([device_hessian(p) + model.reg * eye for p in parts])
-    b = np.stack([p.X.T @ p.y / p.n_points for p in parts])
-    c = np.array([0.5 * np.mean(p.y**2) for p in parts])
-    return A, b, c
-
-
 def solve_optimum(
     model: LossModel,
-    clusters: Sequence[Sequence[DevicePartition]],
+    data,
     tol: float = 1e-10,
     max_iter: int = 2_000_000,
 ) -> np.ndarray:
     """Global minimizer: normal equations for quadratics, full-batch GD for the SVM."""
-    parts = [p for c in clusters for p in c]
-    weights = _device_weights(clusters)
+    data = device_data(model, data)
+    rho = 1.0 / data.n_devices
     if model.kind == LINEAR_REGRESSION:
-        A = sum(wt * (device_hessian(p) + model.reg * np.eye(model.dim)) for wt, p in zip(weights, parts))
-        b = sum(wt * (p.X.T @ p.y / p.n_points) for wt, p in zip(weights, parts))
-        return np.linalg.solve(A, b)
-    mu, beta = smoothness_constants(model, clusters)
+        return np.linalg.solve((data.A * rho).sum(axis=0), (data.b * rho).sum(axis=0))
+    mu, beta = smoothness_constants(model, data)
     w = np.zeros(model.dim)
     eta = 1.0 / beta
     for _ in range(max_iter):
-        g = sum(wt * grad_full(model, w, p) for wt, p in zip(weights, parts))
+        g = (grad_full(model, np.broadcast_to(w, (data.n_devices, model.dim)), data) * rho).sum(axis=0)
         if float(np.linalg.norm(g)) < tol:
             break
         w = w - eta * g

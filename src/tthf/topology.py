@@ -250,12 +250,6 @@ def build_network(
     ]
 
 
-def cluster_weights(clusters: list[ClusterSpec]) -> np.ndarray:
-    """Relative cluster sizes varrho_c = s_c / I."""
-    sizes = np.array([c.size for c in clusters], dtype=float)
-    return sizes / sizes.sum()
-
-
 def network_to_json(clusters: list[ClusterSpec], params: ChannelParams, path):
     payload = {
         "channel": asdict(params),

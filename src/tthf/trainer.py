@@ -18,9 +18,9 @@ from . import losses
 from .bounds import dispersion_sample
 from .consensus import OutagePolicy, consensus_error, run_consensus
 from .costs import CostParams
-from .losses import LINEAR_REGRESSION, DevicePartition, LossModel
+from .losses import DeviceData, DevicePartition, LossModel
 from .schedules import GammaPlan, StepSchedule, TrainingSchedule
-from .topology import ClusterSpec, cluster_weights
+from .topology import ClusterSpec
 
 SAMPLED = "sampled"
 FULL = "full"
@@ -38,24 +38,6 @@ def device_rngs(seed: int, n_devices: int) -> list[np.random.Generator]:
         np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SGD, d]))
         for d in range(n_devices)
     ]
-
-
-def local_sgd_step(
-    model: LossModel,
-    w: np.ndarray,
-    part: DevicePartition,
-    eta: float,
-    rng: Optional[np.random.Generator] = None,
-    batch_size: Optional[int] = None,
-) -> np.ndarray:
-    """One intermediate update w - eta * g with g from the device's gradient estimate."""
-    if eta < 0:
-        raise ValueError("step size must be non-negative")
-    if batch_size is None:
-        g = losses.grad_full(model, w, part)
-    else:
-        g = losses.grad_sgd(model, w, part, batch_size, rng)
-    return w - eta * g
 
 
 def global_aggregate(
@@ -80,13 +62,10 @@ class TrainTask:
     f_star: float
     mu: float
     beta: float
+    data: DeviceData
     batch_size: Optional[int] = None
     eval_accuracy: bool = False
     n_labels: int = 2
-    # fast-path quadratic statistics, filled by make_task for regression tasks
-    quad_A: Optional[np.ndarray] = None
-    quad_b: Optional[np.ndarray] = None
-    global_quad: Optional[tuple] = None
 
     def __post_init__(self):
         if len(self.clusters) != len(self.parts):
@@ -94,22 +73,17 @@ class TrainTask:
         for spec, cluster_parts in zip(self.clusters, self.parts):
             if spec.size != len(cluster_parts):
                 raise ValueError(f"cluster {spec.index}: spec size != number of partitions")
-        self.varrho = cluster_weights(self.clusters)
-        self.flat_parts = [p for c in self.parts for p in c]
-        self.n_devices = len(self.flat_parts)
-        offsets = np.cumsum([0] + [spec.size for spec in self.clusters])
-        self.cluster_slices = [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
-        self.all_X = np.concatenate([p.X for p in self.flat_parts])
+        self.varrho = self.data.varrho
+        self.flat_parts = self.data.parts
+        self.n_devices = self.data.n_devices
+        self.cluster_slices = self.data.cluster_slices
         self.all_labels = np.concatenate([p.labels for p in self.flat_parts])
 
     def global_loss(self, w: np.ndarray) -> float:
-        if self.global_quad is not None:
-            A, b, c = self.global_quad
-            return float(0.5 * w @ (A @ w) - b @ w + c)
-        return losses.global_loss(self.model, w, self.parts)
+        return losses.global_loss(self.model, w, self.data)
 
     def accuracy(self, w: np.ndarray) -> float:
-        return losses.accuracy(self.model, w, self.all_X, self.all_labels, self.n_labels)
+        return losses.accuracy(self.model, w, self.data.X, self.all_labels, self.n_labels)
 
 
 def make_task(
@@ -121,11 +95,14 @@ def make_task(
     eval_accuracy: bool = False,
     n_labels: int = 2,
 ) -> TrainTask:
-    """Resolve the exact optimum and curvature constants and wire the fast paths."""
-    mu, beta = losses.smoothness_constants(model, parts)
-    w_star = losses.solve_optimum(model, parts)
-    f_star = losses.global_loss(model, w_star, parts)
-    task = TrainTask(
+    """Stack the device data once and resolve the exact optimum and curvature constants."""
+    data = losses.DeviceData(model, parts)
+    mu, beta = losses.smoothness_constants(model, data)
+    w_star = losses.solve_optimum(model, data)
+    # F(w*) sums the device losses, non-negative terms that do not cancel at
+    # the optimum as the regression closed form's terms do
+    f_star = losses.device_mean_loss(model, w_star, data)
+    return TrainTask(
         model=model,
         clusters=clusters,
         parts=parts,
@@ -134,15 +111,11 @@ def make_task(
         f_star=f_star,
         mu=mu,
         beta=beta,
+        data=data,
         batch_size=batch_size,
         eval_accuracy=eval_accuracy,
         n_labels=n_labels,
     )
-    if model.kind == LINEAR_REGRESSION:
-        A, b, c = losses.quadratic_stats(model, parts)
-        task.quad_A, task.quad_b = A, b
-        task.global_quad = (A.mean(axis=0), b.mean(axis=0), float(c.mean()))
-    return task
 
 
 @dataclass
@@ -273,28 +246,6 @@ def provider_from_plan(plan: GammaPlan):
 # engine ----------------------------------------------------------------------
 
 
-def size_groups(cluster_slices: Sequence[slice]) -> list[tuple[list[int], slice | np.ndarray, int]]:
-    """Clusters grouped by size: (member cluster indices, device rows, size) per group.
-
-    The group's device rows, reshaped to (members, size, d), hold its clusters
-    in member order. They are a slice, so indexing gives a view, when the
-    members are consecutive clusters, as they are when all clusters share a size.
-    """
-    by_size: dict[int, list[int]] = {}
-    for c, sl in enumerate(cluster_slices):
-        by_size.setdefault(sl.stop - sl.start, []).append(c)
-    groups = []
-    for size, members in by_size.items():
-        if members == list(range(members[0], members[-1] + 1)):
-            rows = slice(cluster_slices[members[0]].start, cluster_slices[members[-1]].stop)
-        else:
-            rows = np.concatenate(
-                [np.arange(cluster_slices[c].start, cluster_slices[c].stop) for c in members]
-            )
-        groups.append((members, rows, size))
-    return groups
-
-
 def run_protocol(
     task: TrainTask,
     steps: StepSchedule,
@@ -316,12 +267,13 @@ def run_protocol(
     step, one int per cluster in `clusters` order. blocks holds one
     (member cluster indices, intermediate models of shape (members, size, d))
     pair per cluster size, so a provider can batch its per-cluster rule.
-    on_aggregate(k, t_k, w_hat, W, estimate_rng) -> optional dict merged into the
-    control row (the adaptive controller hooks its re-estimation logic here).
+    on_aggregate(k, t_k, w_hat, W, estimate_rng, clusters) -> optional dict merged into
+    the control row (the adaptive controller hooks its re-estimation logic here);
+    clusters are the specs of interval k+1, already refreshed.
     radius_ref, when given, tracks the largest device-model distance from that
     reference over every gradient evaluation point (meta["max_radius"]).
-    topology_refresh(k) -> new cluster specs, called between intervals when
-    devices re-place (positions stay static within each interval either way).
+    topology_refresh(k) -> new cluster specs for interval k, called when interval
+    k-1 ends (positions stay static within each interval either way).
     """
     if aggregation not in (SAMPLED, FULL):
         raise ValueError(f"unknown aggregation mode {aggregation!r}")
@@ -330,7 +282,7 @@ def run_protocol(
     n_clusters = len(clusters)
     n_dev = task.n_devices
     dim = task.model.dim
-    groups = size_groups(task.cluster_slices)
+    groups = task.data.cluster_groups
     # refreshes keep every cluster's size
     sizes = np.array([spec.size for spec in clusters])
     upload_scale = 1.0 if aggregation == SAMPLED else n_dev / n_clusters
@@ -383,15 +335,10 @@ def run_protocol(
         eta_next = steps.eta(t)
 
         # local SGD step for every device
-        if task.quad_A is not None and task.batch_size is None:
-            grads = np.einsum("dij,dj->di", task.quad_A, W) - task.quad_b
+        if task.batch_size is None:
+            grads = losses.grad_full(task.model, W, task.data)
         else:
-            grads = np.empty_like(W)
-            for d, part in enumerate(task.flat_parts):
-                if task.batch_size is None:
-                    grads[d] = losses.grad_full(task.model, W[d], part)
-                else:
-                    grads[d] = losses.grad_sgd(task.model, W[d], part, task.batch_size, dev_rngs[d])
+            grads = losses.grad_sgd(task.model, W, task.data, task.batch_size, dev_rngs)
         W_tilde = W - eta_prev * grads
         if np.isnan(W_tilde).any():
             bad = int(np.flatnonzero(np.isnan(W_tilde).any(axis=1))[0])
@@ -453,8 +400,15 @@ def run_protocol(
                 "sampled": list(sampled),
                 "gamma_by_cluster": gamma_log[t_km1:t].sum(axis=0).tolist(),
             }
+            if t < T and topology_refresh is not None:
+                fresh = topology_refresh(k + 1)
+                if fresh is not None:
+                    if [s.size for s in fresh] != [s.size for s in clusters]:
+                        raise ValueError("topology refresh must preserve cluster sizes")
+                    clusters = list(fresh)
+                    per_cluster_outage = outage_policies()
             if on_aggregate is not None:
-                extra = on_aggregate(k, t, w_hat, W, rng_estimate)
+                extra = on_aggregate(k, t, w_hat, W, rng_estimate, clusters)
                 if extra:
                     row.update(extra)
             control_rows.append(row)
@@ -464,13 +418,6 @@ def run_protocol(
             sampled = sample_indices()
             t_km1 = t
             if t < T:
-                if topology_refresh is not None:
-                    fresh = topology_refresh(k + 1)
-                    if fresh is not None:
-                        if [s.size for s in fresh] != [s.size for s in clusters]:
-                            raise ValueError("topology refresh must preserve cluster sizes")
-                        clusters = list(fresh)
-                        per_cluster_outage = outage_policies()
                 k += 1
                 tau_k = int(tau_provider(k, t_km1))
                 if tau_k < 1:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tthf import bounds, control, losses
+from tthf import bounds, control, losses, topology
 from tthf.control import PredictorCoeffs
 from tthf.costs import CostParams
 from tthf.losses import LINEAR_REGRESSION, DevicePartition, LossModel
@@ -332,3 +332,26 @@ class TestRunAdaptive:
         for row in trace.control_rows:
             for key in ("tau_k", "alpha", "phi", "delta_prime", "sigma2", "nu", "gamma_by_cluster"):
                 assert key in row
+
+    def test_plans_each_interval_on_its_refreshed_topology(self, monkeypatch):
+        task = build_small_task(mode="extreme", per_label=100, reg=1.5)
+        fresh = {}
+
+        def refresh(k):
+            fresh[k] = topology.build_network(4, 3, 50.0, topology.ChannelParams(), seed=100 + k)
+            return fresh[k]
+
+        plans = []
+        solve_P = control.solve_P
+
+        def spy(t_km1, coeffs, clusters, *args, **kwargs):
+            plans.append(clusters)
+            return solve_P(t_km1, coeffs, clusters, *args, **kwargs)
+
+        monkeypatch.setattr(control, "solve_P", spy)
+        cfg = control.AdaptiveConfig(T=30, tau_max=6, tau1=3, zeta_frac=0.02, sigma_batch=8)
+        trace, _ = control.run_adaptive(task, cfg, seed=3, topology_refresh=refresh)
+        # every aggregation before the horizon refreshes, then plans the next interval
+        assert len(plans) == len(trace.boundaries) - 1 == len(fresh)
+        for k, clusters in enumerate(plans, start=1):
+            assert [id(spec) for spec in clusters] == [id(spec) for spec in fresh[k + 1]]

@@ -256,6 +256,23 @@ class TestCli:
         assert cli.main(["run", str(cfg_path)]) == 2
         assert "sgd.batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, override",
+        [
+            ("schedule.tau", {"schedule": {"T": 20, "tau": 0}}),
+            ("schedule.T", {"schedule": {"T": True, "tau": 5}}),
+            ("seeds", {"seeds": ["a"]}),
+            ("seeds", {"seeds": [1.7]}),
+        ],
+        ids=["zero-tau", "boolean-T", "string-seed", "float-seed"],
+    )
+    def test_unrunnable_config_exits_2_before_any_output(self, tmp_path, capsys, field, override):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(tmp_path, **override)))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_verb(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(minimal_config(tmp_path, seeds=[1])))

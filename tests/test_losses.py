@@ -4,6 +4,8 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tthf import losses
 from tthf.losses import (
@@ -76,8 +78,8 @@ class TestClusterGlobalLoss:
         big = [random_part(rng, 5, 2, i) for i in range(3)]
         small = [random_part(rng, 5, 2, 3)]
         w = rng.standard_normal(2)
-        expected = 0.75 * losses.cluster_loss(model, w, big) + 0.25 * losses.cluster_loss(
-            model, w, small
+        expected = 0.75 * np.mean([losses.local_loss(model, w, p) for p in big]) + 0.25 * (
+            losses.local_loss(model, w, small[0])
         )
         assert losses.global_loss(model, w, [big, small]) == pytest.approx(expected, rel=1e-12)
 
@@ -258,6 +260,60 @@ class TestOptimumSolver:
         w_star = losses.solve_optimum(model, [parts])
         g = sum(losses.grad_full(model, w_star, p) for p in parts) / 2
         assert np.linalg.norm(g) < 1e-10
+
+
+def stacked_devices(kind, counts, dim, seed):
+    """Clusters of random partitions (two devices a cluster) with the given point counts."""
+    rng = np.random.default_rng(seed)
+    parts = [random_part(rng, n, dim, i) for i, n in enumerate(counts)]
+    if kind == SQUARED_HINGE_SVM:
+        for p in parts:
+            p.y = np.sign(p.y) + (p.y == 0)
+    clusters = [parts[i : i + 2] for i in range(0, len(parts), 2)]
+    return LossModel(kind, reg=0.3, dim=dim), clusters, parts, rng
+
+
+KINDS = st.sampled_from([LINEAR_REGRESSION, SQUARED_HINGE_SVM])
+COUNTS = st.lists(st.integers(1, 7), min_size=1, max_size=7)
+
+
+class TestBatchedLayer:
+    """The batched calls on stacked data against one call per device."""
+
+    @given(kind=KINDS, counts=COUNTS, dim=st.integers(1, 5), seed=st.integers(0, 2**16))
+    def test_grad_full_equals_per_device_calls(self, kind, counts, dim, seed):
+        model, clusters, parts, rng = stacked_devices(kind, counts, dim, seed)
+        W = rng.standard_normal((len(parts), dim))
+        batched = losses.grad_full(model, W, losses.DeviceData(model, clusters))
+        per_device = np.stack([losses.grad_full(model, w, p) for w, p in zip(W, parts)])
+        np.testing.assert_array_equal(batched, per_device)
+
+    @given(kind=KINDS, counts=COUNTS, dim=st.integers(1, 5), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_grad_sgd_equals_per_device_calls(self, kind, counts, dim, seed, data):
+        model, clusters, parts, rng = stacked_devices(kind, counts, dim, seed)
+        # batch_size == min(counts) makes the smallest devices use every point, undrawn
+        batch = data.draw(st.integers(1, min(counts)), label="batch_size")
+        W = rng.standard_normal((len(parts), dim))
+        gens_batched = [np.random.default_rng([seed, i]) for i in range(len(parts))]
+        gens_single = [np.random.default_rng([seed, i]) for i in range(len(parts))]
+        batched = losses.grad_sgd(model, W, losses.DeviceData(model, clusters), batch, gens_batched)
+        per_device = np.stack([
+            losses.grad_sgd(model, w, p, batch, g) for w, p, g in zip(W, parts, gens_single)
+        ])
+        np.testing.assert_array_equal(batched, per_device)
+        # every device drew exactly what its own call draws
+        assert [g.random() for g in gens_batched] == [g.random() for g in gens_single]
+
+    @pytest.mark.parametrize("kind", [LINEAR_REGRESSION, SQUARED_HINGE_SVM])
+    @given(counts=COUNTS, dim=st.integers(1, 5), seed=st.integers(0, 2**16))
+    def test_global_loss_is_mean_device_loss(self, kind, counts, dim, seed):
+        model, clusters, parts, rng = stacked_devices(kind, counts, dim, seed)
+        w = rng.standard_normal(dim)
+        mean_loss = np.mean([losses.local_loss(model, w, p) for p in parts])
+        for data in (clusters, losses.DeviceData(model, clusters)):
+            assert losses.global_loss(model, w, data) == pytest.approx(mean_loss, rel=1e-12, abs=1e-12)
+            assert losses.device_mean_loss(model, w, data) == pytest.approx(mean_loss, rel=1e-12, abs=1e-12)
 
 
 class TestPredictLabels:

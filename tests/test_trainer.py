@@ -29,32 +29,40 @@ def singleton_cluster(index, part):
     )
 
 
+def one_step(task, eta):
+    """The local iterates W - eta * grads of a run's first step, from the batched gradient call."""
+    W = np.tile(task.w0, (task.n_devices, 1))
+    if task.batch_size is None:
+        grads = losses.grad_full(task.model, W, task.data)
+    else:
+        grads = losses.grad_sgd(
+            task.model, W, task.data, task.batch_size, trainer.device_rngs(0, task.n_devices)
+        )
+    return W - eta * grads
+
+
 class TestLocalSgdStep:
     def test_zero_step_is_identity(self):
-        rng = np.random.default_rng(0)
-        model = LossModel(LINEAR_REGRESSION, reg=0.1, dim=3)
-        part = DevicePartition(0, rng.standard_normal((6, 3)), rng.standard_normal(6))
-        w = rng.standard_normal(3)
-        np.testing.assert_array_equal(trainer.local_sgd_step(model, w, part, 0.0), w)
+        task = build_small_task()
+        task.w0 = np.random.default_rng(0).standard_normal(task.model.dim)
+        np.testing.assert_array_equal(one_step(task, 0.0), np.tile(task.w0, (task.n_devices, 1)))
 
     def test_descent_under_small_step(self):
-        rng = np.random.default_rng(1)
-        model = LossModel(LINEAR_REGRESSION, reg=0.1, dim=3)
-        part = DevicePartition(0, rng.standard_normal((10, 3)), rng.standard_normal(10))
-        _, beta = losses.smoothness_constants(model, [[part]])
-        w = rng.standard_normal(3)
-        w_next = trainer.local_sgd_step(model, w, part, 1.0 / beta)
-        assert losses.local_loss(model, w_next, part) <= losses.local_loss(model, w, part)
+        task = build_small_task()
+        task.w0 = np.random.default_rng(1).standard_normal(task.model.dim)
+        W_next = one_step(task, 1.0 / task.beta)
+        for w_next, part in zip(W_next, task.flat_parts):
+            assert losses.local_loss(task.model, w_next, part) <= losses.local_loss(task.model, task.w0, part)
 
     def test_matches_axpy_composition(self):
-        rng = np.random.default_rng(2)
-        model = LossModel(LINEAR_REGRESSION, reg=0.0, dim=4)
-        part = DevicePartition(0, rng.standard_normal((8, 4)), rng.standard_normal(8))
-        w = rng.standard_normal(4)
-        g = losses.grad_sgd(model, w, part, 3, np.random.default_rng(7))
-        composed = w - 0.05 * g
-        stepped = trainer.local_sgd_step(model, w, part, 0.05, np.random.default_rng(7), batch_size=3)
-        np.testing.assert_allclose(stepped, composed, atol=1e-15)
+        task = build_small_task(batch_size=3)
+        task.w0 = np.random.default_rng(2).standard_normal(task.model.dim)
+        rngs = trainer.device_rngs(0, task.n_devices)
+        composed = np.stack([
+            task.w0 - 0.05 * losses.grad_sgd(task.model, task.w0, part, 3, rng)
+            for part, rng in zip(task.flat_parts, rngs)
+        ])
+        np.testing.assert_array_equal(one_step(task, 0.05), composed)
 
 
 class TestGlobalAggregate:
@@ -279,8 +287,10 @@ def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
     k, t_km1 = 1, 0
     t_k = min(taus[0], T)
     for t in range(1, T + 1):
-        if task.quad_A is not None and task.batch_size is None:
-            grads = np.einsum("dij,dj->di", task.quad_A, W) - task.quad_b
+        if task.batch_size is None:
+            grads = np.stack([
+                losses.grad_full(task.model, W[d], part) for d, part in enumerate(task.flat_parts)
+            ])
         else:
             grads = np.stack([
                 losses.grad_sgd(task.model, W[d], part, task.batch_size, dev_rngs[d])
@@ -366,7 +376,7 @@ ORACLE_CASES = {
 class TestBatchedEngineOracle:
     def test_unequal_sizes_group_by_size(self):
         task = unequal_cluster_task()
-        groups = trainer.size_groups(task.cluster_slices)
+        groups = losses.size_groups([spec.size for spec in task.clusters])
         assert [(members, size) for members, _, size in groups] == [([0, 2], 3), ([1], 2), ([3], 5)]
         np.testing.assert_array_equal(groups[0][1], [0, 1, 2, 5, 6, 7])
         assert groups[2][1] == slice(8, 13)
