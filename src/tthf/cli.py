@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run every seed of a config and write traces + summary")
     p_run.add_argument("config", help="path to the JSON experiment config")
     p_run.add_argument("--out", default=None, help="override the config's output_dir")
-    p_run.add_argument("--workers", type=int, default=1, help="parallel seed workers")
+    p_run.add_argument("--workers", type=int, default=1, help="ignored; outputs do not depend on it")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="re-run a config over several values of one field")

@@ -274,33 +274,34 @@ class _Decisions:
 
 def predict_interval_cost(
     t_km1: int,
-    tau: int,
+    hi: int,
     coeffs_by_cluster: Sequence[PredictorCoeffs],
     clusters: Sequence[ClusterSpec],
     sched: StepSchedule,
     phi: float,
     cost: CostParams,
     gamma_max: Optional[int] = None,
-) -> float:
-    """Objective value of one candidate interval length under the predictor."""
+) -> list[float]:
+    """Objective values of the candidate interval lengths 1..hi under the predictor.
+
+    The predicted divergence and rounds do not depend on the length, so one
+    simulation to t_km1+hi yields every length's energy and delay as running sums.
+    """
     energy = cost.e_glob
     delay = cost.delta_glob
     upsilon = [0.0] * len(clusters)
-    last_gamma = [0] * len(clusters)
-    for t in range(t_km1, t_km1 + tau + 1):
-        if t > t_km1:
-            for c, coeffs in enumerate(coeffs_by_cluster):
-                if last_gamma[c] == 0:
-                    upsilon[c] = coeffs.A * upsilon[c] + coeffs.B
-                else:
-                    upsilon[c] = coeffs.a * upsilon[c] + coeffs.b
-                upsilon[c] = max(0.0, upsilon[c])
-        for c, spec in enumerate(clusters):
+    values = []
+    for t in range(t_km1, t_km1 + hi + 1):
+        for c, (spec, coeffs) in enumerate(zip(clusters, coeffs_by_cluster)):
             g = gamma_rounds(sched.eta(t), phi, spec.size, upsilon[c], spec.lambda_c, gamma_max)
-            last_gamma[c] = g
             energy += g * spec.size * cost.e_d2d
             delay += g * cost.delta_d2d
-    return sum(cost.interval_terms(energy, delay, t_km1, tau, sched.alpha))
+            # the rounds run at t pick the predictor branch of the divergence at t+1
+            slope, offset = (coeffs.A, coeffs.B) if g == 0 else (coeffs.a, coeffs.b)
+            upsilon[c] = max(0.0, slope * upsilon[c] + offset)
+        if t > t_km1:
+            values.append(sum(cost.interval_terms(energy, delay, t_km1, t - t_km1, sched.alpha)))
+    return values
 
 
 def solve_P(
@@ -318,11 +319,11 @@ def solve_P(
     hi = min(tau_max, T - t_km1)
     if hi < 1:
         raise ValueError("no feasible interval length remains before the horizon")
+    values = predict_interval_cost(
+        t_km1, hi, coeffs_by_cluster, clusters, sched, phi, cost, gamma_max
+    )
     best_tau, best_val = 1, math.inf
-    for tau in range(1, hi + 1):
-        val = predict_interval_cost(
-            t_km1, tau, coeffs_by_cluster, clusters, sched, phi, cost, gamma_max
-        )
+    for tau, val in enumerate(values, start=1):
         if val < best_val - 1e-15:
             best_tau, best_val = tau, val
     return best_tau
@@ -351,6 +352,15 @@ class AdaptiveConfig:
     use_pl_surrogate: bool = True
     max_T_doublings: int = 3
     max_xi_relaxations: int = 3
+
+    def __post_init__(self):
+        for name in ("tau_max", "tau1", "sigma_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.gamma_over_mu <= 1.0:
+            raise ValueError("gamma_over_mu must exceed 1 (the step size needs gamma > 1/mu)")
+        if not 0.0 <= self.zeta_frac < 1.0:
+            raise ValueError("zeta_frac must lie in [0, 1)")
 
 
 def _probe(task, models, batch, rng):
@@ -476,10 +486,7 @@ def run_adaptive(
         state.delta_prime = bounds.diversity_fit(
             g_list, g_bar_k, float(np.linalg.norm(w_hat)), state.zeta
         )
-        state.alpha = select_alpha(
-            task.mu, task.beta, state.gamma_step, omega, config.tau_max,
-            cap=config.alpha_cap, margin=config.alpha_margin,
-        )
+        # state.alpha keeps its start-up value: select_alpha's inputs never change
         phi_note = ""
         try:
             state.phi = phi_max(

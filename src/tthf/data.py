@@ -50,10 +50,6 @@ class PartitionPlan:
         if self.mode not in PARTITION_MODES:
             raise ValueError(f"unknown partition mode {self.mode!r}; expected one of {PARTITION_MODES}")
 
-    @property
-    def labels_per_device(self):
-        return {"extreme": 1, "moderate": MODERATE_LABELS}.get(self.mode)
-
 
 def gen_synthetic(m: int, n_labels: int, per_label: int, separation: float, seed: int) -> LabeledDataset:
     """Gaussian class clusters with centers `separation` away from the origin."""

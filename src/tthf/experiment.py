@@ -6,7 +6,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -104,6 +103,9 @@ def _merge(defaults, user, path=""):
     for key, default in defaults.items():
         sub_path = f"{path}.{key}" if path else key
         if key in user:
+            # a truthy non-boolean, say the string "no", would silently switch a flag on
+            if isinstance(default, bool) and not isinstance(user[key], bool):
+                raise ConfigError(sub_path, "must be true or false")
             out[key] = _merge(default, user[key], sub_path) if isinstance(default, dict) else user[key]
         else:
             out[key] = json.loads(json.dumps(default)) if isinstance(default, dict) else default
@@ -116,11 +118,17 @@ def _merge(defaults, user, path=""):
 
 @dataclass
 class ExperimentConfig:
-    raw: dict
-    path: Optional[str] = None
+    """The merged config plus the task-independent run objects built from it."""
 
-    def __getitem__(self, key):
-        return self.raw[key]
+    raw: dict
+    channel: topology.ChannelParams
+    cost: CostParams
+    partition: data.PartitionPlan
+    gamma_plan: GammaPlan
+    schedule: TrainingSchedule
+    outage: OutagePolicy
+    adaptive: Optional[control.AdaptiveConfig]  # adaptive mode only
+    step: Optional[StepSchedule]  # constant step only; a diminishing one needs the task
 
     def hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -128,7 +136,8 @@ class ExperimentConfig:
 
 
 def load_config(source) -> ExperimentConfig:
-    """Parse and validate a JSON config, filling documented defaults."""
+    """Parse and validate a JSON config, filling documented defaults, and build its run objects."""
+    raw = source
     if isinstance(source, (str, Path)):
         try:
             raw = json.loads(Path(source).read_text(encoding="utf-8"))
@@ -136,10 +145,6 @@ def load_config(source) -> ExperimentConfig:
             raise ConfigError("<file>", f"config file not found: {source}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError("<file>", f"invalid JSON: {exc}") from None
-        path = str(source)
-    else:
-        raw = source
-        path = None
     merged = _merge(_DEFAULTS, raw)
     for keys in _REQUIRED:
         node = merged
@@ -148,7 +153,38 @@ def load_config(source) -> ExperimentConfig:
         if node is None:
             raise ConfigError(".".join(keys), "missing required field")
     _validate(merged)
-    return ExperimentConfig(raw=merged, path=path)
+    sched = merged["schedule"]
+    adaptive = None
+    if sched["mode"] == "adaptive":
+        ctrl = merged["control"]
+        xi = None if ctrl["xi"] == "auto" else _parse("control.xi", float, ctrl["xi"])
+        adaptive = _parse(
+            "control", control.AdaptiveConfig, **{**ctrl, "xi": xi},
+            T=sched["T"], gamma_max=sched["gamma"]["max_rounds"],
+        )
+    step = None
+    if merged["step"]["kind"] == "constant":
+        step = _parse("step", StepSchedule, kind="constant", eta_const=merged["step"]["eta"])
+    make_schedule = TrainingSchedule if isinstance(sched["tau"], list) else TrainingSchedule.uniform
+    return ExperimentConfig(
+        raw=merged,
+        channel=_parse("topology.channel", topology.ChannelParams, **merged["topology"]["channel"]),
+        cost=_parse("cost", CostParams, **merged["cost"]),
+        partition=_parse("partition.mode", data.PartitionPlan, **merged["partition"]),
+        gamma_plan=_parse("schedule.gamma", GammaPlan, **sched["gamma"]),
+        schedule=_parse("schedule.tau", make_schedule, sched["T"], sched["tau"]),
+        outage=OutagePolicy(enabled=merged["outage"]["enabled"]),
+        adaptive=adaptive,
+        step=step,
+    )
+
+
+def _parse(path: str, factory, *args, **kwargs):
+    """Build one run object; a ValueError or TypeError from its own checks names `path`."""
+    try:
+        return factory(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _is_int(value, least: int) -> bool:
@@ -157,14 +193,15 @@ def _is_int(value, least: int) -> bool:
 
 
 def _validate(cfg):
+    """Checks that no run object's constructor makes: choices and integer types."""
     if cfg["dataset"]["kind"] not in ("synthetic", "csv"):
         raise ConfigError("dataset.kind", "must be 'synthetic' or 'csv'")
     if cfg["dataset"]["kind"] == "csv" and not cfg["dataset"]["path"]:
         raise ConfigError("dataset.path", "missing required field")
-    if cfg["partition"]["mode"] not in data.PARTITION_MODES:
-        raise ConfigError("partition.mode", f"must be one of {data.PARTITION_MODES}")
-    if cfg["loss"]["kind"] not in (losses.LINEAR_REGRESSION, losses.SQUARED_HINGE_SVM):
-        raise ConfigError("loss.kind", "unknown loss kind")
+    if cfg["step"]["kind"] not in ("diminishing", "constant"):
+        raise ConfigError("step.kind", "must be 'diminishing' or 'constant'")
+    if cfg["init"]["kind"] not in ("zeros", "offset"):
+        raise ConfigError("init.kind", "must be 'zeros' or 'offset'")
     if cfg["schedule"]["mode"] not in ("fixed", "adaptive"):
         raise ConfigError("schedule.mode", "must be 'fixed' or 'adaptive'")
     if not _is_int(cfg["schedule"]["T"], 1):
@@ -180,9 +217,6 @@ def _validate(cfg):
     seeds = cfg["seeds"]
     if not isinstance(seeds, list) or not seeds or not all(_is_int(s, 0) for s in seeds):
         raise ConfigError("seeds", "must be a non-empty list of non-negative integers")
-    gm = cfg["schedule"]["gamma"]["mode"]
-    if gm not in ("none", "fixed", "certified"):
-        raise ConfigError("schedule.gamma.mode", "must be 'none', 'fixed', or 'certified'")
 
 
 def build_task(config: ExperimentConfig) -> TrainTask:
@@ -190,21 +224,20 @@ def build_task(config: ExperimentConfig) -> TrainTask:
     cfg = config.raw
     ds_cfg = cfg["dataset"]
     if ds_cfg["kind"] == "synthetic":
-        dataset = data.gen_synthetic(
-            ds_cfg["m"], ds_cfg["n_labels"], ds_cfg["per_label"], ds_cfg["separation"], ds_cfg["seed"]
+        dataset = _parse(
+            "dataset", data.gen_synthetic,
+            ds_cfg["m"], ds_cfg["n_labels"], ds_cfg["per_label"], ds_cfg["separation"], ds_cfg["seed"],
         )
     else:
-        dataset = data.load_csv(ds_cfg["path"], has_header=ds_cfg["has_header"])
-    topo = cfg["topology"]
-    channel = topology.ChannelParams(**topo["channel"])
-    clusters = topology.build_network(
-        topo["n_clusters"], topo["cluster_size"], topo["field_m"], channel,
-        d_c=topo["d_c"], seed=topo["seed"], max_attempts=topo["max_attempts"],
-    )
+        dataset = _parse("dataset", data.load_csv, ds_cfg["path"], has_header=ds_cfg["has_header"])
+    clusters = _network(config, cfg["topology"]["seed"])
     n_devices = sum(c.size for c in clusters)
-    plan = data.PartitionPlan(mode=cfg["partition"]["mode"], seed=cfg["partition"]["seed"])
-    model = losses.LossModel(kind=cfg["loss"]["kind"], reg=cfg["loss"]["reg"], dim=dataset.dim)
-    flat_parts = data.partition(dataset, n_devices, plan, kind=model.kind)
+    model = _parse(
+        "loss", losses.LossModel, kind=cfg["loss"]["kind"], reg=cfg["loss"]["reg"], dim=dataset.dim
+    )
+    flat_parts = _parse(
+        "partition", data.partition, dataset, n_devices, config.partition, kind=model.kind
+    )
     batch = cfg["sgd"]["batch_size"]
     smallest = min(p.n_points for p in flat_parts)
     if batch != "full" and batch > smallest:
@@ -228,16 +261,23 @@ def build_task(config: ExperimentConfig) -> TrainTask:
         rng = np.random.default_rng(np.random.SeedSequence([int(init["seed"]), 0x1217]))
         direction = rng.standard_normal(model.dim)
         task.w0 = init["scale"] * direction / np.linalg.norm(direction)
-    elif init["kind"] != "zeros":
-        raise ConfigError("init.kind", "must be 'zeros' or 'offset'")
     return task
+
+
+def _network(config: ExperimentConfig, seed: int):
+    topo = config.raw["topology"]
+    return _parse(
+        "topology", topology.build_network,
+        topo["n_clusters"], topo["cluster_size"], topo["field_m"], config.channel,
+        d_c=topo["d_c"], seed=seed, max_attempts=topo["max_attempts"],
+    )
 
 
 def resolve_step_schedule(config: ExperimentConfig, task: TrainTask) -> StepSchedule:
     """Fill 'auto' step parameters from the task's curvature constants."""
+    if config.step is not None:
+        return config.step
     step = config.raw["step"]
-    if step["kind"] == "constant":
-        return StepSchedule(kind="constant", eta_const=step["eta"])
     ctrl = config.raw["control"]
     gamma = step["gamma"]
     if gamma == "auto":
@@ -254,52 +294,28 @@ def _topology_refresh(config: ExperimentConfig, task: TrainTask):
     """Per-interval device re-placement, when the config asks for it."""
     if not config.raw["replace_between_intervals"]:
         return None
-    topo = config.raw["topology"]
-    channel = topology.ChannelParams(**topo["channel"])
-
-    def refresh(k: int):
-        return topology.build_network(
-            topo["n_clusters"], topo["cluster_size"], topo["field_m"], channel,
-            d_c=topo["d_c"], seed=topo["seed"] + 7919 * k, max_attempts=topo["max_attempts"],
-        )
-
-    return refresh
+    return lambda k: _network(config, config.raw["topology"]["seed"] + 7919 * k)
 
 
 def run_single(config: ExperimentConfig, task: TrainTask, seed: int) -> MetricsTrace:
     """One deterministic protocol run for the given seed."""
-    cfg = config.raw
-    cost = CostParams(**cfg["cost"])
-    outage = OutagePolicy(enabled=bool(cfg["outage"]["enabled"]))
     refresh = _topology_refresh(config, task)
-    sched_cfg = cfg["schedule"]
-    if sched_cfg["mode"] == "adaptive":
-        ctrl = cfg["control"]
-        adaptive = control.AdaptiveConfig(
-            **{**ctrl, "xi": None if ctrl["xi"] == "auto" else float(ctrl["xi"])},
-            T=sched_cfg["T"],
-            gamma_max=sched_cfg["gamma"]["max_rounds"],
-        )
+    if config.adaptive is not None:
         trace, _ = control.run_adaptive(
-            task, adaptive, cost=cost, outage=outage, seed=seed, topology_refresh=refresh
+            task, config.adaptive, cost=config.cost, outage=config.outage, seed=seed,
+            topology_refresh=refresh,
         )
     else:
         steps = resolve_step_schedule(config, task)
-        schedule = _training_schedule(sched_cfg)
-        g = sched_cfg["gamma"]
-        plan = GammaPlan(
-            mode=g["mode"], value=g["value"], cadence=g["cadence"], phi=g["phi"],
-            max_rounds=g["max_rounds"],
-        )
-        if cfg["aggregation"]["mode"] == trainer.FULL:
+        if config.raw["aggregation"]["mode"] == trainer.FULL:
             trace = trainer.run_baseline(
-                task, steps, sched_cfg["T"], _first_tau(sched_cfg), outage=outage, cost=cost,
-                seed=seed, topology_refresh=refresh,
+                task, steps, config.schedule.T, config.schedule.taus, outage=config.outage,
+                cost=config.cost, seed=seed, topology_refresh=refresh,
             )
         else:
             trace = trainer.run_tthf(
-                task, steps, schedule, plan, outage=outage, cost=cost, seed=seed,
-                topology_refresh=refresh,
+                task, steps, config.schedule, config.gamma_plan, outage=config.outage,
+                cost=config.cost, seed=seed, topology_refresh=refresh,
             )
     from . import __version__
 
@@ -310,18 +326,6 @@ def run_single(config: ExperimentConfig, task: TrainTask, seed: int) -> MetricsT
         "version": __version__,
     })
     return trace
-
-
-def _training_schedule(sched_cfg) -> TrainingSchedule:
-    tau = sched_cfg["tau"]
-    if isinstance(tau, list):
-        return TrainingSchedule(T=sched_cfg["T"], taus=tau)
-    return TrainingSchedule.uniform(sched_cfg["T"], int(tau))
-
-
-def _first_tau(sched_cfg) -> int:
-    tau = sched_cfg["tau"]
-    return int(tau[0]) if isinstance(tau, list) else int(tau)
 
 
 @dataclass
@@ -388,16 +392,13 @@ def certificate_constants(
     Uses the exact quadratic diversity constants, the longest configured
     interval, the true initial gap and the given SGD noise bound sigma2.
     """
-    cfg = config.raw
     steps = resolve_step_schedule(config, task)
     delta, zeta = bounds.exact_diversity_quadratic(task.model, task.parts)
     omega = zeta / (2.0 * task.beta)
-    tau = cfg["schedule"]["tau"]
-    tau_max = int(max(tau) if isinstance(tau, list) else tau)
     init_gap = task.global_loss(task.w0) - task.f_star
     return bounds.thm2_constants(
-        steps.gamma, steps.alpha, task.mu, task.beta, tau_max, sigma2,
-        cfg["schedule"]["gamma"]["phi"], delta, init_gap, omega,
+        steps.gamma, steps.alpha, task.mu, task.beta, max(config.schedule.taus), sigma2,
+        config.gamma_plan.phi, delta, init_gap, omega,
     )
 
 
@@ -408,13 +409,12 @@ def _bound_check(config, task, traces, mean_gap):
     diminishing step schedule, and full-batch gradients (sigma = 0 is then an
     exact noise bound).
     """
-    cfg = config.raw
     if (
         task.model.kind != losses.LINEAR_REGRESSION
-        or cfg["step"]["kind"] != "diminishing"
+        or config.step is not None
         or task.batch_size is not None
-        or cfg["schedule"]["mode"] != "fixed"
-        or cfg["schedule"]["gamma"]["mode"] != "certified"
+        or config.adaptive is not None
+        or config.gamma_plan.mode != "certified"
     ):
         return None
     try:
@@ -426,27 +426,19 @@ def _bound_check(config, task, traces, mean_gap):
 
 
 def run_experiment(config_source, output_dir: Optional[str] = None, workers: int = 1) -> dict:
-    """Run every seed, write per-seed traces and the summary JSON; returns the summary."""
+    """Run the seeds in turn, then write per-seed traces and the summary JSON; returns the summary.
+
+    `workers` is accepted and ignored: the outputs do not depend on it.
+    """
     config = load_config(config_source)
-    cfg = config.raw
-    out = Path(output_dir or cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     task = build_task(config)
-    seeds = [int(s) for s in cfg["seeds"]]
-
-    def one(seed):
-        return seed, run_single(config, task, seed)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(one, seeds))
-    else:
-        results = dict(one(s) for s in seeds)
-
-    traces = [results[s] for s in seeds]
+    seeds = config.raw["seeds"]
+    traces = [run_single(config, task, seed) for seed in seeds]
     horizons = {seed: len(trace) for seed, trace in zip(seeds, traces)}
     if len(set(horizons.values())) > 1:
         raise HorizonMismatchError(horizons)
+    out = Path(output_dir or config.raw["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
     for seed, trace in zip(seeds, traces):
         trace.to_csv(out / f"trace_seed{seed}.csv")
         if trace.control_rows:
@@ -454,8 +446,7 @@ def run_experiment(config_source, output_dir: Optional[str] = None, workers: int
 
     gap_matrix = np.stack([tr.loss_gap_sampled for tr in traces])
     mean_gap = gap_matrix.mean(axis=0)
-    cost = CostParams(**cfg["cost"])
-    summaries = [accumulate_cost(tr, cost) for tr in traces]
+    summaries = [accumulate_cost(tr, config.cost) for tr in traces]
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": config.hash(),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -451,6 +451,12 @@ def run_protocol(
     )
 
 
+def _interval_provider(taus: Sequence[int]):
+    """Interval k lasts taus[k-1]; past the end of the list the last length repeats."""
+    taus = list(taus)
+    return lambda k, t_km1: taus[min(k, len(taus)) - 1]
+
+
 def run_tthf(
     task: TrainTask,
     steps: StepSchedule,
@@ -463,16 +469,11 @@ def run_tthf(
     topology_refresh=None,
 ) -> MetricsTrace:
     """TT-HF with set control parameters: fixed interval plan, fixed/certified rounds."""
-    taus = list(schedule.taus)
-
-    def tau_provider(k, t_km1):
-        return taus[k - 1] if k - 1 < len(taus) else taus[-1]
-
     return run_protocol(
         task,
         steps,
         schedule.T,
-        tau_provider,
+        _interval_provider(schedule.taus),
         provider_from_plan(gamma_plan),
         aggregation=SAMPLED,
         outage=outage,
@@ -487,18 +488,21 @@ def run_baseline(
     task: TrainTask,
     steps: StepSchedule,
     T: int,
-    tau: int,
+    tau: Union[int, Sequence[int]],
     outage: Optional[OutagePolicy] = None,
     cost: Optional[CostParams] = None,
     seed: int = 0,
     topology_refresh=None,
 ) -> MetricsTrace:
-    """Conventional federated averaging: no D2D rounds, full device participation."""
+    """Conventional federated averaging: no D2D rounds, full device participation.
+
+    tau is one interval length, or the lengths in order (a TrainingSchedule's taus).
+    """
     return run_protocol(
         task,
         steps,
         T,
-        lambda k, t_km1: tau,
+        _interval_provider(tau if isinstance(tau, Sequence) else [tau]),
         no_consensus_provider,
         aggregation=FULL,
         outage=outage,

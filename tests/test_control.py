@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tthf import bounds, control, losses, topology
 from tthf.control import PredictorCoeffs
@@ -290,6 +292,82 @@ class TestSolveP:
                 assert taus[(b, x, y)] >= taus[(a, x, y)]
                 assert taus[(x, b, y)] >= taus[(x, a, y)]
                 assert taus[(x, y, b)] <= taus[(x, y, a)]
+
+
+def oracle_interval_cost(t_km1, tau, coeffs_by_cluster, clusters, sched, phi, cost, gamma_max):
+    """Objective of one interval length, simulating the predictor from t_km1 on its own."""
+    energy = cost.e_glob
+    delay = cost.delta_glob
+    upsilon = [0.0] * len(clusters)
+    last_gamma = [0] * len(clusters)
+    for t in range(t_km1, t_km1 + tau + 1):
+        if t > t_km1:
+            for c, coeffs in enumerate(coeffs_by_cluster):
+                if last_gamma[c] == 0:
+                    upsilon[c] = coeffs.A * upsilon[c] + coeffs.B
+                else:
+                    upsilon[c] = coeffs.a * upsilon[c] + coeffs.b
+                upsilon[c] = max(0.0, upsilon[c])
+        for c, spec in enumerate(clusters):
+            g = control.gamma_rounds(
+                sched.eta(t), phi, spec.size, upsilon[c], spec.lambda_c, gamma_max
+            )
+            last_gamma[c] = g
+            energy += g * spec.size * cost.e_d2d
+            delay += g * cost.delta_d2d
+    return sum(cost.interval_terms(energy, delay, t_km1, tau, sched.alpha))
+
+
+class TestOnePassLineSearch:
+    """The one-pass line search against one predictor simulation per candidate length."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t_km1=st.integers(0, 300),
+        tau_max=st.integers(1, 30),
+        n_clusters=st.integers(1, 5),
+        gamma_max=st.one_of(st.none(), st.integers(1, 40)),
+    )
+    def test_objectives_and_choice_match_per_length_oracle(
+        self, seed, t_km1, tau_max, n_clusters, gamma_max
+    ):
+        rng = np.random.default_rng(seed)
+        clusters = [
+            make_cluster(c, size=int(rng.integers(1, 7)), lam=float(rng.uniform(0.05, 0.95)))
+            for c in range(n_clusters)
+        ]
+        coeffs = [
+            PredictorCoeffs(
+                A=float(rng.uniform(0.5, 1.5)), B=float(rng.uniform(-0.1, 0.4)),
+                a=float(rng.uniform(0.0, 1.0)), b=float(rng.uniform(-0.1, 0.1)),
+            )
+            for _ in range(n_clusters)
+        ]
+        sched = StepSchedule(kind="diminishing", gamma=float(rng.uniform(0.5, 5.0)),
+                             alpha=float(rng.uniform(1.0, 60.0)))
+        phi = float(rng.uniform(0.01, 2.0))
+        cost = CostParams(
+            e_d2d=float(rng.uniform(0.0, 0.2)), delta_d2d=float(rng.uniform(0.0, 0.2)),
+            c1=float(10.0 ** rng.uniform(-3, 2)), c2=float(10.0 ** rng.uniform(-3, 3)),
+            c3=float(10.0 ** rng.uniform(-2, 4)),
+        )
+        T = t_km1 + int(rng.integers(1, 2 * tau_max + 1))
+        hi = min(tau_max, T - t_km1)
+
+        values = control.predict_interval_cost(
+            t_km1, hi, coeffs, clusters, sched, phi, cost, gamma_max
+        )
+        oracle = [
+            oracle_interval_cost(t_km1, tau, coeffs, clusters, sched, phi, cost, gamma_max)
+            for tau in range(1, hi + 1)
+        ]
+        assert values == oracle
+        best_tau, best_val = 1, math.inf
+        for tau, val in enumerate(oracle, start=1):
+            if val < best_val - 1e-15:
+                best_tau, best_val = tau, val
+        chosen = control.solve_P(t_km1, coeffs, clusters, sched, phi, cost, tau_max, T, gamma_max)
+        assert chosen == best_tau
 
 
 class TestRunAdaptive:

@@ -1,12 +1,13 @@
 """Config ingestion, experiment pipeline determinism, cost accounting, CLI."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tthf import cli, experiment, trainer
-from tthf.costs import CostParams
 from tthf.experiment import ConfigError
 
 
@@ -69,6 +70,19 @@ class TestConfig:
         cfg_b = dict(reversed(list(cfg_b.items())))
         assert experiment.load_config(cfg_a).hash() == experiment.load_config(cfg_b).hash()
 
+    def test_readme_schema_block_is_the_merged_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config schema", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+        documented = experiment.load_config(json.loads(re.sub(r"//[^\n]*", "", block)))
+        required = {
+            "schedule": {"T": documented.raw["schedule"]["T"]},
+            "seeds": documented.raw["seeds"],
+            "output_dir": documented.raw["output_dir"],
+        }
+        defaults = experiment.load_config(required)
+        assert documented.raw == defaults.raw
+        assert documented.hash() == defaults.hash()
+
     def test_invalid_mode_reports_field(self, tmp_path):
         cfg = minimal_config(tmp_path, partition={"mode": "bogus", "seed": 1})
         with pytest.raises(ConfigError, match=r"partition\.mode"):
@@ -95,6 +109,17 @@ class TestRunExperiment:
         experiment.run_experiment(cfg)
         for name, blob in first.items():
             assert (tmp_path / "out" / name).read_bytes() == blob, name
+
+    def test_full_aggregation_follows_the_tau_list(self, tmp_path):
+        cfg = minimal_config(
+            tmp_path,
+            aggregation={"mode": "full"},
+            schedule={"T": 10, "tau": [2, 8], "gamma": {"mode": "none"}},
+        )
+        config = experiment.load_config(cfg)
+        trace = experiment.run_single(config, experiment.build_task(config), seed=1)
+        assert trace.boundaries == [2, 10]
+        assert trace.taus == [2, 8]
 
     def test_workers_do_not_change_outputs(self, tmp_path):
         cfg = minimal_config(tmp_path)
@@ -156,22 +181,20 @@ class TestAccumulateCost:
 
     def test_no_consensus_energy_is_uplink_only(self, tmp_path):
         trace, config = self.build_trace(tmp_path, gamma_value=0)
-        cost = CostParams(**config.raw["cost"])
-        summary = experiment.accumulate_cost(trace, cost)
-        assert summary.total_energy == pytest.approx(4 * cost.e_glob)
+        summary = experiment.accumulate_cost(trace, config.cost)
+        assert summary.total_energy == pytest.approx(4 * config.cost.e_glob)
 
     def test_single_consensus_event_arithmetic(self, tmp_path):
         trace, config = self.build_trace(tmp_path, gamma_value=3)
         # 3 clusters x 3 devices x 3 rounds at each cadence step
         per_event = 3 * 3 * 3 * 0.04
         events = int((trace.gamma_by_cluster > 0).any(axis=1).sum())
-        cost = CostParams(**config.raw["cost"])
-        summary = experiment.accumulate_cost(trace, cost)
-        assert summary.total_energy == pytest.approx(4 * cost.e_glob + events * per_event)
+        summary = experiment.accumulate_cost(trace, config.cost)
+        assert summary.total_energy == pytest.approx(4 * config.cost.e_glob + events * per_event)
 
     def test_matches_row_by_row_oracle(self, tmp_path):
         trace, config = self.build_trace(tmp_path, gamma_value=2)
-        cost = CostParams(**config.raw["cost"])
+        cost = config.cost
         summary = experiment.accumulate_cost(trace, cost, alpha=10.0)
         oracle_energy = float(sum(trace.energy))
         oracle_delay = float(sum(trace.delay))
@@ -211,10 +234,9 @@ class TestCompareRuns:
         config2 = experiment.load_config(cfg2)
         b = experiment.run_single(config2, task, seed=1)
         report = experiment.compare_runs(b, a)
-        cost = CostParams(**config.raw["cost"])
         quotient = (
-            experiment.accumulate_cost(b, cost).total_energy
-            / experiment.accumulate_cost(a, cost).total_energy
+            experiment.accumulate_cost(b, config.cost).total_energy
+            / experiment.accumulate_cost(a, config.cost).total_energy
         )
         assert report["energy_ratio"] == pytest.approx(quotient, rel=1e-12)
 
@@ -263,8 +285,33 @@ class TestCli:
             ("schedule.T", {"schedule": {"T": True, "tau": 5}}),
             ("seeds", {"seeds": ["a"]}),
             ("seeds", {"seeds": [1.7]}),
+            ("cost", {"cost": {"e_d2d": -1}}),
+            ("cost", {"cost": {"e_d2d": "x"}}),
+            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "fixed", "cadence": 0}}}),
+            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "certified", "phi": 0}}}),
+            ("schedule.tau", {"schedule": {"T": 10, "tau": [2, 3]}}),
+            ("topology.channel", {"topology": {"n_clusters": 3, "cluster_size": 3,
+                                               "channel": {"bandwidth_hz": 0}}}),
+            ("topology", {"topology": {"n_clusters": 3, "cluster_size": 0}}),
+            ("dataset", {"dataset": {"m": 0}}),
+            ("loss", {"loss": {"reg": -1}}),
+            ("step", {"step": {"kind": "constant", "eta": 0}}),
+            ("step.kind", {"step": {"kind": "bogus"}}),
+            ("outage.enabled", {"outage": {"enabled": "no"}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"tau_max": 0}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"tau1": 0}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"sigma_batch": 0}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10},
+                         "control": {"gamma_over_mu": 0.5}}),
+            ("init.kind", {"init": {"kind": "bogus"}}),
         ],
-        ids=["zero-tau", "boolean-T", "string-seed", "float-seed"],
+        ids=[
+            "zero-tau", "boolean-T", "string-seed", "float-seed", "negative-cost", "string-cost",
+            "zero-cadence", "zero-phi", "short-tau-list", "zero-bandwidth", "empty-clusters",
+            "zero-dim", "negative-reg", "zero-eta", "unknown-step-kind", "string-outage-flag",
+            "zero-tau-max", "zero-tau1", "zero-sigma-batch", "gamma-over-mu-below-1",
+            "unknown-init-kind",
+        ],
     )
     def test_unrunnable_config_exits_2_before_any_output(self, tmp_path, capsys, field, override):
         cfg_path = tmp_path / "cfg.json"
