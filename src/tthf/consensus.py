@@ -8,8 +8,6 @@ from typing import Optional
 
 import numpy as np
 
-from .topology import graph_diameter
-
 
 @dataclass
 class OutagePolicy:
@@ -110,41 +108,18 @@ def divergence_exact(w_tilde: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def divergence_estimate(
-    w_tilde: np.ndarray, adjacency: np.ndarray, rounds: Optional[int] = None
-) -> float:
-    """Norm-gap divergence estimate via scalar max/min flooding.
+def divergence_estimate(w_tilde: np.ndarray):
+    """Norm-gap divergence estimate: the largest minus the smallest device model norm.
 
-    Each device floods |w_tilde_i| to its neighbors. Flooding only copies the
-    extremes it has seen, so after diameter-many rounds on a connected graph
-    every node holds the exact global max and min, and the estimate is their
-    difference (`flooding_extremes` simulates the rounds). Always a lower bound
-    on the exact divergence. Passing `rounds` (the cluster's diameter) vouches
-    that the graph is connected; without it the diameter is computed, which
-    raises on a disconnected graph.
+    Each device floods |w_tilde_i| to its neighbours, and flooding only copies
+    the extremes it has seen, so after s-1 rounds on a connected cluster of s
+    devices every device holds the exact max and min; the estimate is their
+    difference. Always a lower bound on the exact divergence. Axes before the
+    last two are batch axes, as in `divergence_exact`.
     """
-    if rounds is None:
-        graph_diameter(adjacency)  # raises if disconnected
-    norms = np.linalg.norm(w_tilde, axis=1)
-    return float(norms.max() - norms.min())
-
-
-def flooding_extremes(w_tilde: np.ndarray, adjacency: np.ndarray, rounds: int):
-    """Per-node (max, min) knowledge after the given number of flooding rounds."""
-    n = w_tilde.shape[0]
-    norms = np.linalg.norm(w_tilde, axis=1)
-    known_max = norms.copy()
-    known_min = norms.copy()
-    for _ in range(rounds):
-        new_max = known_max.copy()
-        new_min = known_min.copy()
-        for i in range(n):
-            nbrs = np.flatnonzero(adjacency[i])
-            if nbrs.size:
-                new_max[i] = max(known_max[i], known_max[nbrs].max())
-                new_min[i] = min(known_min[i], known_min[nbrs].min())
-        known_max, known_min = new_max, new_min
-    return known_max, known_min
+    norms = np.linalg.norm(w_tilde, axis=-1)
+    out = norms.max(axis=-1) - norms.min(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def lemma1_bound(lambda_c: float, gamma: int, s_c: int, upsilon: float) -> float:

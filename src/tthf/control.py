@@ -241,6 +241,27 @@ def gamma_rounds(
     return int(gamma)
 
 
+def round_rule(
+    clusters: Sequence[ClusterSpec], blocks, divergence, eta_t: float, phi: float,
+    gamma_max: Optional[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster divergences and certified D2D rounds for one step.
+
+    blocks holds (member cluster indices, (members, size, d) intermediate models)
+    pairs, one per cluster size, as run_protocol passes them. `divergence`
+    (divergence_exact or divergence_estimate) is called once per block, then
+    gamma_rounds once per cluster. Returns (upsilon, gammas) in cluster order.
+    """
+    upsilon = np.zeros(len(clusters))
+    for members, block in blocks:
+        upsilon[members] = divergence(block)
+    gammas = np.array([
+        gamma_rounds(eta_t, phi, spec.size, ups, spec.lambda_c, gamma_max)
+        for spec, ups in zip(clusters, upsilon.tolist())
+    ])
+    return upsilon, gammas
+
+
 @dataclass
 class ControlState:
     """Server-side estimates and step-size parameters driving the adaptive run."""
@@ -258,18 +279,6 @@ class ControlState:
 
     def step_schedule(self) -> StepSchedule:
         return StepSchedule(kind="diminishing", gamma=self.gamma_step, alpha=self.alpha)
-
-
-@dataclass
-class _Decisions:
-    """The controller's live decisions; run_protocol reads the step size through eta."""
-
-    sched: StepSchedule
-    phi: float
-    tau_next: int
-
-    def eta(self, t: int) -> float:
-        return self.sched.eta(t)
 
 
 def predict_interval_cost(
@@ -456,31 +465,24 @@ def run_adaptive(
         alpha=alpha, phi=phi, nu_max=feas.nu_max, xi=xi, T=T, tau_max=config.tau_max,
     )
 
-    live = _Decisions(state.step_schedule(), phi, min(config.tau1, config.tau_max))
+    # gamma_step and alpha are fixed at start-up, so one schedule serves the run
+    sched = state.step_schedule()
     n_clusters = len(task.clusters)
-    coeffs = [PredictorCoeffs() for _ in range(n_clusters)]
-    ups_history = [[0.0] for _ in range(n_clusters)]
-    gam_history: list[list[int]] = [[] for _ in range(n_clusters)]
+    # divergences and rounds of the running interval, by local step; row 0 is
+    # the aggregation point, where the divergence is 0 and no rounds ran
+    ups_log = np.zeros((config.tau_max + 1, n_clusters))
+    gam_log = np.zeros((config.tau_max + 1, n_clusters), dtype=int)
+    t_km1 = 0
+    tau_next = min(config.tau1, config.tau_max)
 
     def gamma_provider(t, local_step, clusters, blocks, eta_next):
-        gammas = [0] * len(clusters)
-        for members, block in blocks:
-            for c, w_tilde in zip(members, block):
-                spec = clusters[c]
-                ups = divergence_estimate(w_tilde, spec.adjacency, rounds=spec.diameter)
-                ups_history[c].append(ups)
-                g = gamma_rounds(
-                    live.eta(t), live.phi, spec.size, ups, spec.lambda_c,
-                    gamma_max=config.gamma_max,
-                )
-                gam_history[c].append(g)
-                gammas[c] = g
-        return gammas
-
-    def tau_provider(k, t_km1):
-        return live.tau_next
+        ups_log[local_step], gam_log[local_step] = round_rule(
+            clusters, blocks, divergence_estimate, eta_next, state.phi, config.gamma_max
+        )
+        return gam_log[local_step]
 
     def on_aggregate(k, t_k, w_hat, W, rng, clusters):
+        nonlocal t_km1, tau_next
         # device-side probes at the sampled models, then server-side re-estimation
         state.sigma2, g_list, g_bar_k = _probe(task, W, config.sigma_batch, rng)
         state.delta_prime = bounds.diversity_fit(
@@ -503,17 +505,12 @@ def run_adaptive(
 
         # refit the divergence predictor on the finished interval, then plan tau;
         # the transition ups[i] -> ups[i+1] is governed by the rounds at step i
-        for c in range(n_clusters):
-            if len(ups_history[c]) >= 2:
-                transition_gammas = [0] + gam_history[c][:-1]
-                coeffs[c] = fit_predictor(ups_history[c], transition_gammas)
-            ups_history[c] = [0.0]
-            gam_history[c] = []
-        live.sched = state.step_schedule()
-        live.phi = state.phi
+        tau = t_k - t_km1
+        coeffs = [fit_predictor(ups_log[: tau + 1, c], gam_log[:tau, c]) for c in range(n_clusters)]
+        t_km1 = t_k
         if t_k < state.T:
-            live.tau_next = solve_P(
-                t_k, coeffs, clusters, live.sched, state.phi, cost,
+            tau_next = solve_P(
+                t_k, coeffs, clusters, sched, state.phi, cost,
                 config.tau_max, state.T, gamma_max=config.gamma_max,
             )
         return {
@@ -523,15 +520,15 @@ def run_adaptive(
             "delta_prime": state.delta_prime,
             "sigma2": state.sigma2,
             "nu": nu,
-            "tau_next": live.tau_next,
+            "tau_next": tau_next,
             "note": phi_note,
         }
 
     trace = trainer.run_protocol(
         task,
-        live,
+        sched,
         state.T,
-        tau_provider,
+        lambda k, t: tau_next,
         gamma_provider,
         aggregation=trainer.SAMPLED,
         outage=outage,

@@ -128,7 +128,9 @@ class ExperimentConfig:
     schedule: TrainingSchedule
     outage: OutagePolicy
     adaptive: Optional[control.AdaptiveConfig]  # adaptive mode only
-    step: Optional[StepSchedule]  # constant step only; a diminishing one needs the task
+    # fixed mode only: load_config builds a constant step, build_task resolves a
+    # diminishing one, whose 'auto' parameters need the task's mu and beta
+    step: Optional[StepSchedule]
 
     def hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -180,10 +182,10 @@ def load_config(source) -> ExperimentConfig:
 
 
 def _parse(path: str, factory, *args, **kwargs):
-    """Build one run object; a ValueError or TypeError from its own checks names `path`."""
+    """Build one run object; a ValueError, TypeError or OSError from it names `path`."""
     try:
         return factory(*args, **kwargs)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(path, str(exc)) from None
 
 
@@ -229,7 +231,7 @@ def build_task(config: ExperimentConfig) -> TrainTask:
             ds_cfg["m"], ds_cfg["n_labels"], ds_cfg["per_label"], ds_cfg["separation"], ds_cfg["seed"],
         )
     else:
-        dataset = _parse("dataset", data.load_csv, ds_cfg["path"], has_header=ds_cfg["has_header"])
+        dataset = _parse("dataset.path", data.load_csv, ds_cfg["path"], has_header=ds_cfg["has_header"])
     clusters = _network(config, cfg["topology"]["seed"])
     n_devices = sum(c.size for c in clusters)
     model = _parse(
@@ -261,6 +263,8 @@ def build_task(config: ExperimentConfig) -> TrainTask:
         rng = np.random.default_rng(np.random.SeedSequence([int(init["seed"]), 0x1217]))
         direction = rng.standard_normal(model.dim)
         task.w0 = init["scale"] * direction / np.linalg.norm(direction)
+    if config.adaptive is None and config.step is None:
+        config.step = _parse("step", resolve_step_schedule, config, task)
     return task
 
 
@@ -274,9 +278,7 @@ def _network(config: ExperimentConfig, seed: int):
 
 
 def resolve_step_schedule(config: ExperimentConfig, task: TrainTask) -> StepSchedule:
-    """Fill 'auto' step parameters from the task's curvature constants."""
-    if config.step is not None:
-        return config.step
+    """The diminishing step schedule, with 'auto' parameters from the task's curvature constants."""
     step = config.raw["step"]
     ctrl = config.raw["control"]
     gamma = step["gamma"]
@@ -284,6 +286,9 @@ def resolve_step_schedule(config: ExperimentConfig, task: TrainTask) -> StepSche
         gamma = ctrl["gamma_over_mu"] / task.mu
     alpha = step["alpha"]
     if alpha == "auto":
+        # control.alpha_margin is the adaptive controller's head-room for its
+        # re-estimated diversity; applying it here would change alpha, and so
+        # every trace, of the existing fixed runs that use alpha 'auto'
         alpha = control.select_alpha(
             task.mu, task.beta, gamma, ctrl["zeta_frac"], ctrl["tau_max"], cap=ctrl["alpha_cap"]
         )
@@ -305,18 +310,16 @@ def run_single(config: ExperimentConfig, task: TrainTask, seed: int) -> MetricsT
             task, config.adaptive, cost=config.cost, outage=config.outage, seed=seed,
             topology_refresh=refresh,
         )
+    elif config.raw["aggregation"]["mode"] == trainer.FULL:
+        trace = trainer.run_baseline(
+            task, config.step, config.schedule.T, config.schedule.taus, outage=config.outage,
+            cost=config.cost, seed=seed, topology_refresh=refresh,
+        )
     else:
-        steps = resolve_step_schedule(config, task)
-        if config.raw["aggregation"]["mode"] == trainer.FULL:
-            trace = trainer.run_baseline(
-                task, steps, config.schedule.T, config.schedule.taus, outage=config.outage,
-                cost=config.cost, seed=seed, topology_refresh=refresh,
-            )
-        else:
-            trace = trainer.run_tthf(
-                task, steps, config.schedule, config.gamma_plan, outage=config.outage,
-                cost=config.cost, seed=seed, topology_refresh=refresh,
-            )
+        trace = trainer.run_tthf(
+            task, config.step, config.schedule, config.gamma_plan, outage=config.outage,
+            cost=config.cost, seed=seed, topology_refresh=refresh,
+        )
     from . import __version__
 
     trace.meta.update({
@@ -392,7 +395,9 @@ def certificate_constants(
     Uses the exact quadratic diversity constants, the longest configured
     interval, the true initial gap and the given SGD noise bound sigma2.
     """
-    steps = resolve_step_schedule(config, task)
+    steps = config.step
+    if steps is None:
+        raise ConfigError("schedule.mode", "the rate certificate covers fixed schedules only")
     delta, zeta = bounds.exact_diversity_quadratic(task.model, task.parts)
     omega = zeta / (2.0 * task.beta)
     init_gap = task.global_loss(task.w0) - task.f_star
@@ -411,9 +416,9 @@ def _bound_check(config, task, traces, mean_gap):
     """
     if (
         task.model.kind != losses.LINEAR_REGRESSION
-        or config.step is not None
-        or task.batch_size is not None
         or config.adaptive is not None
+        or config.step.kind != "diminishing"
+        or task.batch_size is not None
         or config.gamma_plan.mode != "certified"
     ):
         return None

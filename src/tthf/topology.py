@@ -115,28 +115,6 @@ def is_connected(adjacency: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def graph_diameter(adjacency: np.ndarray) -> int:
-    """Longest shortest path, by BFS from every node."""
-    n = adjacency.shape[0]
-    if n == 1:
-        return 0
-    if not is_connected(adjacency):
-        raise DisconnectedGraphError("diameter undefined on a disconnected graph")
-    diam = 0
-    for src in range(n):
-        dist = np.full(n, -1)
-        dist[src] = 0
-        queue = [src]
-        while queue:
-            i = queue.pop(0)
-            for j in np.flatnonzero(adjacency[i]):
-                if dist[j] < 0:
-                    dist[j] = dist[i] + 1
-                    queue.append(int(j))
-        diam = max(diam, int(dist.max()))
-    return diam
-
-
 def consensus_matrix(adjacency: np.ndarray, d_c: float) -> np.ndarray:
     """V = I - d_c * L for the common equal-weight construction."""
     adjacency = np.asarray(adjacency, dtype=bool)
@@ -196,7 +174,6 @@ class ClusterSpec:
     V: np.ndarray
     lambda_c: float
     link_outage: np.ndarray
-    diameter: int
 
     @property
     def size(self) -> int:
@@ -228,7 +205,6 @@ def build_cluster(
                 V=V,
                 lambda_c=spectral_radius(V) if cluster_size > 1 else 0.0,
                 link_outage=link_outage_matrix(positions, params),
-                diameter=graph_diameter(adjacency),
             )
     raise DisconnectedGraphError(
         f"cluster {index}: no connected layout after {max_attempts} placements"
@@ -261,7 +237,6 @@ def network_to_json(clusters: list[ClusterSpec], params: ChannelParams, path):
                 "V": c.V.tolist(),
                 "lambda_c": c.lambda_c,
                 "link_outage": c.link_outage.tolist(),
-                "diameter": c.diameter,
             }
             for c in clusters
         ],
@@ -280,17 +255,12 @@ def network_from_json(path) -> tuple[list[ClusterSpec], ChannelParams]:
             V=np.array(entry["V"], dtype=float),
             lambda_c=float(entry["lambda_c"]),
             link_outage=np.array(entry["link_outage"], dtype=float),
-            diameter=int(entry["diameter"]),
         )
         for entry in payload["clusters"]
     ]
-    # consensus code trusts the stored diameter as the flooding round count
+    # the contraction certificate and the norm-gap divergence estimate both
+    # need every stored cluster connected
     for spec in clusters:
         if not is_connected(spec.adjacency):
             raise DisconnectedGraphError(f"cluster {spec.index}: stored graph is disconnected")
-        diameter = graph_diameter(spec.adjacency)
-        if diameter != spec.diameter:
-            raise ValueError(
-                f"cluster {spec.index}: stored diameter {spec.diameter} != graph diameter {diameter}"
-            )
     return clusters, params

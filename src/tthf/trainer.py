@@ -220,17 +220,10 @@ def fixed_gamma_provider(plan: GammaPlan):
 def certified_gamma_provider(plan: GammaPlan):
     """Rounds chosen so the contraction certificate meets the eta_t*phi error target."""
     from .consensus import divergence_exact
-    from .control import gamma_rounds
+    from .control import round_rule
 
     def provider(t, local_step, clusters, blocks, eta_next):
-        gammas = [0] * len(clusters)
-        for members, block in blocks:
-            for c, upsilon in zip(members, divergence_exact(block).tolist()):
-                spec = clusters[c]
-                gammas[c] = gamma_rounds(
-                    eta_next, plan.phi, spec.size, upsilon, spec.lambda_c, gamma_max=plan.max_rounds
-                )
-        return gammas
+        return round_rule(clusters, blocks, divergence_exact, eta_next, plan.phi, plan.max_rounds)[1]
 
     return provider
 
@@ -309,19 +302,22 @@ def run_protocol(
 
     sampled = sample_indices()
 
-    rows = {name: [] for name in ("t", "gap_s", "gap_a", "disp", "eps", "gtot", "energy", "delay")}
+    gap_s, gap_a, disp, eps = np.empty((4, T))
     gamma_log = np.zeros((T, n_clusters), dtype=int)
-    acc_log = [] if task.eval_accuracy else None
+    acc_log = np.empty(T) if task.eval_accuracy else None
     control_rows: list[dict] = []
     boundaries: list[int] = []
     taus: list[int] = []
 
+    def next_interval(k, t_km1):
+        tau = int(tau_provider(k, t_km1))
+        if tau < 1:
+            raise ValueError("tau_provider returned an interval shorter than 1")
+        return tau, min(t_km1 + tau, T)
+
     k = 1
     t_km1 = 0
-    tau_k = int(tau_provider(k, t_km1))
-    if tau_k < 1:
-        raise ValueError("tau_provider returned an interval shorter than 1")
-    t_k = min(t_km1 + tau_k, T)
+    tau_k, t_k = next_interval(k, t_km1)
 
     def outage_policies():
         if outage is None or not outage.enabled:
@@ -377,22 +373,15 @@ def run_protocol(
             w_hat_virtual = global_aggregate(W, varrho, sampled)
         else:
             w_hat_virtual = varrho @ mixed_means
-        rows["t"].append(t)
-        rows["gap_s"].append(task.global_loss(w_hat_virtual) - task.f_star)
-        rows["gap_a"].append(task.global_loss(w_bar) - task.f_star)
-        rows["disp"].append(dispersion_sample(cluster_means, varrho))
-        rows["eps"].append(float(np.sqrt(varrho @ eps2_by_cluster)))
-        g_total = int(gamma_log[t - 1].sum())
-        rows["gtot"].append(g_total)
-        energy = float((gamma_log[t - 1] * sizes).sum() * cost.e_d2d)
-        delay = float(g_total * cost.delta_d2d)
+        gap_s[t - 1] = task.global_loss(w_hat_virtual) - task.f_star
+        gap_a[t - 1] = task.global_loss(w_bar) - task.f_star
+        disp[t - 1] = dispersion_sample(cluster_means, varrho)
+        eps[t - 1] = np.sqrt(varrho @ eps2_by_cluster)
         if acc_log is not None:
-            acc_log.append(task.accuracy(w_hat_virtual))
+            acc_log[t - 1] = task.accuracy(w_hat_virtual)
 
         if t == t_k:
             w_hat = w_hat_virtual
-            energy += cost.e_glob * upload_scale
-            delay += cost.delta_glob * upload_scale
             row = {
                 "k": k,
                 "t_k": t,
@@ -419,29 +408,31 @@ def run_protocol(
             t_km1 = t
             if t < T:
                 k += 1
-                tau_k = int(tau_provider(k, t_km1))
-                if tau_k < 1:
-                    raise ValueError("tau_provider returned an interval shorter than 1")
-                t_k = min(t_km1 + tau_k, T)
+                tau_k, t_k = next_interval(k, t_km1)
 
-        rows["energy"].append(energy)
-        rows["delay"].append(delay)
         if radius_ref is not None:
             max_radius = max(max_radius, float(np.linalg.norm(W - radius_ref, axis=1).max()))
 
+    # per-step costs: D2D rounds, plus the upload charge at each aggregation
+    gamma_total = gamma_log.sum(axis=1)
+    energy = (gamma_log * sizes).sum(axis=1) * cost.e_d2d
+    delay = gamma_total * cost.delta_d2d
+    ends = np.array(boundaries) - 1
+    energy[ends] += cost.e_glob * upload_scale
+    delay[ends] += cost.delta_glob * upload_scale
     return MetricsTrace(
-        t=np.array(rows["t"], dtype=int),
-        loss_gap_sampled=np.array(rows["gap_s"]),
-        loss_gap_avg=np.array(rows["gap_a"]),
-        dispersion=np.array(rows["disp"]),
-        eps_rms=np.array(rows["eps"]),
-        gamma_total=np.array(rows["gtot"], dtype=int),
-        energy=np.array(rows["energy"]),
-        delay=np.array(rows["delay"]),
+        t=np.arange(1, T + 1),
+        loss_gap_sampled=gap_s,
+        loss_gap_avg=gap_a,
+        dispersion=disp,
+        eps_rms=eps,
+        gamma_total=gamma_total,
+        energy=energy,
+        delay=delay,
         gamma_by_cluster=gamma_log,
         boundaries=boundaries,
         taus=taus,
-        accuracy=np.array(acc_log) if acc_log is not None else None,
+        accuracy=acc_log,
         control_rows=control_rows,
         meta={
             "seed": seed,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tthf import bounds, control, losses, topology
+from tthf import bounds, consensus, control, losses, topology
 from tthf.control import PredictorCoeffs
 from tthf.costs import CostParams
 from tthf.losses import LINEAR_REGRESSION, DevicePartition, LossModel
@@ -247,8 +247,39 @@ def make_cluster(index, size=3, lam=0.6):
         V=np.eye(size),
         lambda_c=lam,
         link_outage=np.zeros((size, size)),
-        diameter=1,
     )
+
+
+class TestRoundRule:
+    """round_rule against one divergence and one gamma_rounds call per cluster."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+        gamma_max=st.one_of(st.none(), st.integers(1, 40)),
+        exact=st.booleans(),
+    )
+    def test_equals_per_cluster_loop(self, seed, sizes, gamma_max, exact):
+        rng = np.random.default_rng(seed)
+        divergence = consensus.divergence_exact if exact else consensus.divergence_estimate
+        clusters = [
+            make_cluster(c, size=size, lam=float(rng.uniform(0.05, 0.95)))
+            for c, size in enumerate(sizes)
+        ]
+        dim = int(rng.integers(1, 5))
+        W = rng.standard_normal((sum(sizes), dim)) * 10.0 ** rng.uniform(-3, 1)
+        blocks = [
+            (members, W[rows].reshape(len(members), size, dim))
+            for members, rows, size in losses.size_groups(sizes)
+        ]
+        eta, phi = float(10.0 ** rng.uniform(-3, 0)), float(10.0 ** rng.uniform(-2, 1))
+
+        upsilon, gammas = control.round_rule(clusters, blocks, divergence, eta, phi, gamma_max)
+        ends = np.cumsum(sizes)
+        for c, spec in enumerate(clusters):
+            ups_c = divergence(W[ends[c] - spec.size : ends[c]])
+            assert upsilon[c] == ups_c
+            assert gammas[c] == control.gamma_rounds(eta, phi, spec.size, ups_c, spec.lambda_c, gamma_max)
 
 
 class TestSolveP:

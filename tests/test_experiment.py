@@ -304,13 +304,15 @@ class TestCli:
             ("control", {"schedule": {"mode": "adaptive", "T": 10},
                          "control": {"gamma_over_mu": 0.5}}),
             ("init.kind", {"init": {"kind": "bogus"}}),
+            ("dataset.path", {"dataset": {"kind": "csv", "path": "missing.csv"}}),
+            ("step", {"step": {"gamma": -1, "alpha": 5}}),
         ],
         ids=[
             "zero-tau", "boolean-T", "string-seed", "float-seed", "negative-cost", "string-cost",
             "zero-cadence", "zero-phi", "short-tau-list", "zero-bandwidth", "empty-clusters",
             "zero-dim", "negative-reg", "zero-eta", "unknown-step-kind", "string-outage-flag",
             "zero-tau-max", "zero-tau1", "zero-sigma-batch", "gamma-over-mu-below-1",
-            "unknown-init-kind",
+            "unknown-init-kind", "missing-csv", "negative-step-gamma",
         ],
     )
     def test_unrunnable_config_exits_2_before_any_output(self, tmp_path, capsys, field, override):

@@ -216,16 +216,28 @@ class TestNetworkBuild:
             np.testing.assert_array_equal(a.adjacency, b.adjacency)
             np.testing.assert_array_equal(a.V, b.V)
             assert a.lambda_c == b.lambda_c
-            assert a.diameter == b.diameter
+
+    def test_json_stored_diameter_is_ignored(self, tmp_path):
+        # files written before the field was dropped still load
+        clusters = topology.build_network(2, 4, 50.0, ChannelParams(), seed=4)
+        path = tmp_path / "net.json"
+        topology.network_to_json(clusters, ChannelParams(), path)
+        payload = json.loads(path.read_text())
+        assert all("diameter" not in entry for entry in payload["clusters"])
+        for entry in payload["clusters"]:
+            entry["diameter"] = 99
+        path.write_text(json.dumps(payload))
+        back, _ = topology.network_from_json(path)
+        for a, b in zip(clusters, back):
+            np.testing.assert_array_equal(a.V, b.V)
 
     @pytest.mark.parametrize(
         "edit, error, match",
         [
             (lambda e: e.update(adjacency=[[0] * len(row) for row in e["adjacency"]]),
              DisconnectedGraphError, "cluster 1: stored graph is disconnected"),
-            (lambda e: e.update(diameter=e["diameter"] + 1), ValueError, "cluster 1: stored diameter"),
         ],
-        ids=["disconnected", "wrong-diameter"],
+        ids=["disconnected"],
     )
     def test_json_untrusted_cluster_rejected(self, tmp_path, edit, error, match):
         clusters = topology.build_network(2, 4, 50.0, ChannelParams(), seed=4)

@@ -25,7 +25,6 @@ def singleton_cluster(index, part):
         V=np.ones((1, 1)),
         lambda_c=0.0,
         link_outage=np.zeros((1, 1)),
-        diameter=0,
     )
 
 
