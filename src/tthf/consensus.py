@@ -21,34 +21,33 @@ class OutagePolicy:
     link_outage: Optional[np.ndarray] = None
 
 
-def effective_matrix(V: np.ndarray, lost_edges) -> np.ndarray:
-    """Mixing matrix for one round after removing lost links.
-
-    A lost link's weight folds back onto both endpoint diagonals, so the result
-    stays symmetric and doubly stochastic.
-    """
-    V_eff = V.copy()
-    for i, j in lost_edges:
-        w = V_eff[i, j]
-        V_eff[i, j] = 0.0
-        V_eff[j, i] = 0.0
-        V_eff[i, i] += w
-        V_eff[j, j] += w
-    return V_eff
+# one entry per (cluster matrix, round count) or (cluster matrix, outage matrix)
+# in use; a topology refresh brings new bytes, so stale entries age out instead
+# of being invalidated
+_CACHE_SIZE = 1024
 
 
-# one entry per (cluster matrix, round count) in use; a topology refresh brings
-# new matrix bytes, so stale entries age out instead of being invalidated
-_POWER_CACHE_SIZE = 1024
-
-
-@functools.lru_cache(maxsize=_POWER_CACHE_SIZE)
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _cached_power(V_bytes: bytes, n: int, gamma: int) -> np.ndarray:
     """V^gamma for the n x n matrix with these bytes; read-only, as callers share it."""
     V = np.frombuffer(V_bytes, dtype=float).reshape(n, n)
     power = np.linalg.matrix_power(V, gamma)
     power.flags.writeable = False
     return power
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _cached_edges(V_bytes: bytes, outage_bytes: bytes, n: int) -> tuple:
+    """Edge table of the n x n matrix with these bytes: the (i < j) endpoint pairs
+    of its nonzero entries in row-major order, and each edge's outage probability.
+
+    The pairs are a tuple and the probabilities a read-only array, as callers share them.
+    """
+    V = np.frombuffer(V_bytes, dtype=float).reshape(n, n)
+    rows, cols = np.nonzero(np.triu(V, 1))
+    probs = np.frombuffer(outage_bytes, dtype=float).reshape(n, n)[rows, cols]
+    probs.flags.writeable = False
+    return tuple(zip(rows.tolist(), cols.tolist())), probs
 
 
 def run_consensus(
@@ -61,24 +60,38 @@ def run_consensus(
     """Apply `gamma` rounds of gossip mixing to the rows of w_tilde.
 
     Lossless rounds are one multiply by the cached V^gamma. Lossy rounds draw
-    each round's link losses from rng, one uniform per edge in (i < j) row-major
-    order, and mix with that round's effective matrix.
+    every round's link losses from rng in one block, one uniform per edge in
+    (i < j) row-major order, round after round. A round that lost no link
+    multiplies by V; otherwise each lost link's weight folds back onto both
+    endpoint diagonals, in edge order, which keeps the round's matrix symmetric
+    and doubly stochastic.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if gamma == 0:
         return w_tilde.copy()
+    V = np.ascontiguousarray(V, dtype=float)
+    n = V.shape[0]
     if outage is None or not outage.enabled:
-        V = np.ascontiguousarray(V, dtype=float)
-        return _cached_power(V.tobytes(), V.shape[0], gamma) @ w_tilde
+        return _cached_power(V.tobytes(), n, gamma) @ w_tilde
     if rng is None:
         raise ValueError("outage-enabled consensus needs an rng")
-    edges = np.argwhere(np.triu(V, 1) != 0.0)
-    probs = outage.link_outage[edges[:, 0], edges[:, 1]]
+    link = np.ascontiguousarray(outage.link_outage, dtype=float)
+    edges, probs = _cached_edges(V.tobytes(), link.tobytes(), n)
     z = w_tilde
-    for _ in range(gamma):
-        lost = rng.random(len(edges)) < probs
-        z = effective_matrix(V, edges[lost].tolist()) @ z
+    for lost in (rng.random((gamma, len(edges))) < probs).tolist():
+        if True not in lost:
+            z = V @ z
+            continue
+        V_round = V.copy()
+        for (i, j), lost_link in zip(edges, lost):
+            if lost_link:
+                w = V_round[i, j]
+                V_round[i, j] = 0.0
+                V_round[j, i] = 0.0
+                V_round[i, i] += w
+                V_round[j, j] += w
+        z = V_round @ z
     return z
 
 

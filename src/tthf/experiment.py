@@ -398,6 +398,8 @@ def certificate_constants(
     steps = config.step
     if steps is None:
         raise ConfigError("schedule.mode", "the rate certificate covers fixed schedules only")
+    if steps.kind != "diminishing":
+        raise ConfigError("step.kind", "the rate certificate needs a diminishing step schedule")
     delta, zeta = bounds.exact_diversity_quadratic(task.model, task.parts)
     omega = zeta / (2.0 * task.beta)
     init_gap = task.global_loss(task.w0) - task.f_star

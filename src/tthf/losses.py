@@ -229,10 +229,11 @@ def grad_sgd(model: LossModel, w: np.ndarray, data, batch_size: int, rng) -> np.
     w, data = _check_dims(model, w, data)[None] if one else w, device_data(model, data)
     if not 1 <= batch_size <= data.n_points.min():
         raise ValueError(f"batch_size {batch_size} out of range [1, {data.n_points.min()}]")
-    rows = np.stack([
-        start + (np.arange(n) if n == batch_size else gen.choice(n, size=batch_size, replace=False))
-        for start, n, gen in zip(data.starts, data.n_points, [rng] if one else rng)
+    picks = np.array([
+        np.arange(n) if n == batch_size else gen.choice(n, size=batch_size, replace=False)
+        for n, gen in zip(data.n_points.tolist(), [rng] if one else rng)
     ])
+    rows = data.starts[:, None] + picks
     g = _grad_batch(model, w, data.X[rows], data.y[rows])
     full = data.n_points == batch_size
     if model.kind == LINEAR_REGRESSION and full.any():

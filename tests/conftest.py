@@ -42,6 +42,22 @@ def random_mixing_matrix(rng: np.random.Generator, n: int):
     return V, adj, topology.spectral_radius(V)
 
 
+def effective_matrix(V: np.ndarray, lost_edges) -> np.ndarray:
+    """Lossy-gossip oracle: the mixing matrix for one round after removing lost links.
+
+    A lost link's weight folds back onto both endpoint diagonals, so the result
+    stays symmetric and doubly stochastic.
+    """
+    V_eff = V.copy()
+    for i, j in lost_edges:
+        w = V_eff[i, j]
+        V_eff[i, j] = 0.0
+        V_eff[j, i] = 0.0
+        V_eff[i, i] += w
+        V_eff[j, j] += w
+    return V_eff
+
+
 def build_small_task(
     mode="extreme",
     n_clusters=4,

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from tthf import consensus, topology
 from tthf.consensus import OutagePolicy
 
-from conftest import random_connected_adjacency, random_mixing_matrix
+from conftest import effective_matrix, random_connected_adjacency, random_mixing_matrix
 
 
 class TestRunConsensus:
@@ -169,7 +169,7 @@ class TestOutages:
     def test_effective_matrix_stays_doubly_stochastic(self):
         rng = np.random.default_rng(11)
         V, _, _ = random_mixing_matrix(rng, 6)
-        V_eff = consensus.effective_matrix(V, [(0, 1), (2, 3)])
+        V_eff = effective_matrix(V, [(0, 1), (2, 3)])
         np.testing.assert_allclose(V_eff.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(V_eff.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_array_equal(V_eff, V_eff.T)
@@ -209,7 +209,7 @@ def iterated_consensus(w, V, gamma, outage=None, rng=None):
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if V[i, j] != 0.0]
             probs = np.array([outage.link_outage[i, j] for i, j in edges])
             lost_mask = rng.random(len(edges)) < probs
-            z = consensus.effective_matrix(V, [e for e, m in zip(edges, lost_mask) if m]) @ z
+            z = effective_matrix(V, [e for e, m in zip(edges, lost_mask) if m]) @ z
     return z
 
 
@@ -281,3 +281,78 @@ class TestBatchedProperties:
         np.testing.assert_allclose(out.mean(axis=0), w.mean(axis=0), rtol=0, atol=1e-10)
         oracle = iterated_consensus(w, V, gamma, outage=policy, rng=np.random.default_rng(seed))
         np.testing.assert_array_equal(out, oracle)
+
+
+class TestLossyCachedPath:
+    """The cached-edge-table lossy path against the per-round oracle, call by call."""
+
+    @given(
+        sizes=st.tuples(st.integers(2, 7), st.integers(2, 7)),
+        calls=st.integers(2, 5),
+        gamma=st.integers(1, 8),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_interleaved_clusters_hit_the_cache_and_match_the_oracle(self, sizes, calls, gamma, p, seed):
+        rng = np.random.default_rng(seed)
+        clusters, models = [], []
+        for n in sizes:
+            V, adj, _ = random_mixing_matrix(rng, n)
+            u = rng.uniform(0.0, p, (n, n))
+            link = np.where(adj, np.maximum(u, u.T), 0.0)
+            clusters.append((V, OutagePolicy(enabled=True, link_outage=link)))
+            models.append(rng.standard_normal((n, 3)))
+        gen, oracle_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        for call in range(calls):
+            for c, (V, policy) in enumerate(clusters):
+                before = consensus._cached_edges.cache_info()
+                out = consensus.run_consensus(models[c], V, gamma, outage=policy, rng=gen)
+                after = consensus._cached_edges.cache_info()
+                oracle = iterated_consensus(models[c], V, gamma, outage=policy, rng=oracle_gen)
+                np.testing.assert_array_equal(out, oracle)
+                assert gen.bit_generator.state == oracle_gen.bit_generator.state
+                if call:
+                    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+                models[c] = out
+
+    @given(n=st.integers(1, 6), gamma=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_cluster_without_edges_mixes_nothing_and_draws_nothing(self, n, gamma, seed):
+        V = np.eye(n)
+        policy = OutagePolicy(enabled=True, link_outage=np.full((n, n), 0.5))
+        w = np.random.default_rng(seed).standard_normal((n, 3))
+        gen = np.random.default_rng(seed)
+        start = gen.bit_generator.state
+        out = consensus.run_consensus(w, V, gamma, outage=policy, rng=gen)
+        oracle = iterated_consensus(w, V, gamma, outage=policy, rng=np.random.default_rng(seed))
+        np.testing.assert_array_equal(out, oracle)
+        np.testing.assert_array_equal(out, w)
+        assert out is not w
+        assert gen.bit_generator.state == start
+
+    @given(n=st.integers(3, 8), gamma=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_links_lost_together_fold_in_edge_order(self, n, gamma, seed):
+        # Metropolis weights differ from edge to edge (a uniform-step V does
+        # not), so the order in which a node's lost links fold onto its
+        # diagonal shows in the bits; every link is lost in every round
+        rng = np.random.default_rng(seed)
+        adj = random_connected_adjacency(rng, n)
+        deg = adj.sum(axis=1)
+        V = np.where(adj, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
+        V[np.diag_indices(n)] = 1.0 - V.sum(axis=1)
+        policy = OutagePolicy(enabled=True, link_outage=np.where(adj, 1.0, 0.0))
+        w = rng.standard_normal((n, 3))
+        out = consensus.run_consensus(w, V, gamma, outage=policy, rng=np.random.default_rng(seed))
+        oracle = iterated_consensus(w, V, gamma, outage=policy, rng=np.random.default_rng(seed))
+        np.testing.assert_array_equal(out, oracle)
+
+    def test_cached_edge_table_is_read_only(self):
+        rng = np.random.default_rng(21)
+        V, adj, _ = random_mixing_matrix(rng, 6)
+        link = np.where(adj, rng.uniform(0.0, 0.5, (6, 6)), 0.0)
+        edges, probs = consensus._cached_edges(V.tobytes(), link.tobytes(), 6)
+        assert edges == tuple((i, j) for i in range(6) for j in range(i + 1, 6) if V[i, j] != 0.0)
+        np.testing.assert_array_equal(probs, [link[i, j] for i, j in edges])
+        assert not probs.flags.writeable
+        with pytest.raises(ValueError):
+            probs[0] = 1.0
+        assert consensus._cached_edges(V.tobytes(), link.tobytes(), 6)[1] is probs

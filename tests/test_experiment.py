@@ -1,5 +1,6 @@
 """Config ingestion, experiment pipeline determinism, cost accounting, CLI."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -128,6 +129,35 @@ class TestRunExperiment:
         experiment.run_experiment(cfg, workers=8)
         for name, blob in serial.items():
             assert (tmp_path / "out" / name).read_bytes() == blob, name
+
+    def test_lossy_minibatch_trace_bytes_are_pinned(self, tmp_path):
+        # a 4x4 network whose channel keeps links up to 40% outage, so most
+        # steps lose links and some rounds lose several; a change to which
+        # links a round loses, to how a round mixes, or to the mini-batch
+        # draws changes these bytes
+        cfg = {
+            "dataset": {"m": 4, "n_labels": 4, "per_label": 60, "separation": 1.0, "seed": 7},
+            "topology": {
+                "n_clusters": 4, "cluster_size": 4, "field_m": 80.0, "seed": 11,
+                "channel": {"outage_threshold": 0.4},
+            },
+            "loss": {"kind": "linear_regression", "reg": 2.0},
+            "sgd": {"batch_size": 3},
+            "schedule": {"T": 40, "tau": 10, "gamma": {"mode": "fixed", "value": 3, "cadence": 1}},
+            "outage": {"enabled": True},
+            "eval_accuracy": False,
+            "seeds": [3],
+            "output_dir": str(tmp_path / "out"),
+        }
+        experiment.run_experiment(cfg)
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((tmp_path / "out").glob("*.csv"))
+        }
+        assert digests == {
+            "trace_seed3.csv": "4450878e984abe974a98d30598bddd33746629cfbff1b704b84d3f5d6ccc269b",
+            "trace_seed3_control.csv": "c3fe03392efd184aa736b8513044227a7965c0c7b4ac38458bd21fafd7fdde07",
+        }
 
 
 def relaxing_config(tmp_path, seeds):
@@ -436,3 +466,13 @@ class TestCliBoundsReport:
         assert payload["holds"] is True
         assert len(payload["per_t"]) == 120
         assert all(row["measured"] <= row["bound"] for row in payload["per_t"])
+
+    def test_constant_step_is_a_config_error(self, tmp_path, capsys):
+        cfg = TestSummaryBoundCheck().certified_config(tmp_path)
+        cfg["step"] = {"kind": "constant", "eta": 0.01}
+        cfg_path = tmp_path / "constant.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "report.json"
+        assert cli.main(["bounds-report", str(cfg_path), "--out", str(out)]) == 2
+        assert "step.kind" in capsys.readouterr().err
+        assert not out.exists()

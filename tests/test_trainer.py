@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from tthf import data, losses, topology, trainer
 from tthf.bounds import dispersion_sample
-from tthf.consensus import OutagePolicy, consensus_error, divergence_exact, effective_matrix
+from tthf.consensus import OutagePolicy, consensus_error, divergence_exact
 from tthf.control import gamma_rounds
 from tthf.costs import CostParams
 from tthf.losses import LINEAR_REGRESSION, DevicePartition, LossModel
 from tthf.schedules import GammaPlan, StepSchedule, TrainingSchedule
 from tthf.topology import ClusterSpec
 
-from conftest import build_small_task
+from conftest import build_small_task, effective_matrix
 
 
 def singleton_cluster(index, part):
