@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .losses import (
-    LINEAR_REGRESSION, LossModel, device_data, grad_full, grad_point, quadratic_stats, solve_optimum,
+    LINEAR_REGRESSION, LossModel, device_data, grad_full, grad_point, solve_optimum,
 )
 from .schedules import StepSchedule
 
@@ -290,7 +290,7 @@ def sgd_variance_bound(
     n = part.n_points
     if batch_size >= n:
         return 0.0
-    h_i = quadratic_stats([part])[0][0]
+    h_i = device_data(model, part).H[0]
     g_center = grad_full(model, center, part)
     total = 0.0
     for x, y in zip(part.X, part.y):

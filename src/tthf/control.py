@@ -381,7 +381,7 @@ def _probe(task, models, batch, rng):
     for c, spec in enumerate(task.clusters):
         dev = int(rng.integers(0, spec.size))
         part = task.parts[c][dev]
-        w = models[task.cluster_slices[c].start + dev]
+        w = models[task.data.cluster_slices[c].start + dev]
         if batch >= part.n_points:
             sigma_locals.append(0.0)
             grads.append(losses.grad_full(task.model, w, part))
@@ -389,7 +389,7 @@ def _probe(task, models, batch, rng):
             s2, g = estimate_sigma(task.model, part, w, batch, rng)
             sigma_locals.append(s2)
             grads.append(g)
-    g_bar = sum(task.varrho[c] * g for c, g in enumerate(grads))
+    g_bar = sum(task.data.varrho[c] * g for c, g in enumerate(grads))
     return server_sigma(sigma_locals), grads, g_bar
 
 

@@ -270,11 +270,16 @@ def build_task(config: ExperimentConfig) -> TrainTask:
 
 def _network(config: ExperimentConfig, seed: int):
     topo = config.raw["topology"]
-    return _parse(
-        "topology", topology.build_network,
-        topo["n_clusters"], topo["cluster_size"], topo["field_m"], config.channel,
-        d_c=topo["d_c"], seed=seed, max_attempts=topo["max_attempts"],
-    )
+    try:
+        return _parse(
+            "topology", topology.build_network,
+            topo["n_clusters"], topo["cluster_size"], topo["field_m"], config.channel,
+            d_c=topo["d_c"], seed=seed, max_attempts=topo["max_attempts"],
+        )
+    except topology.DisconnectedGraphError as exc:
+        # the placement budget and the field size are config values: no run can
+        # start on a network that they cannot connect
+        raise ConfigError("topology", str(exc)) from None
 
 
 def resolve_step_schedule(config: ExperimentConfig, task: TrainTask) -> StepSchedule:
@@ -400,7 +405,7 @@ def certificate_constants(
         raise ConfigError("schedule.mode", "the rate certificate covers fixed schedules only")
     if steps.kind != "diminishing":
         raise ConfigError("step.kind", "the rate certificate needs a diminishing step schedule")
-    delta, zeta = bounds.exact_diversity_quadratic(task.model, task.parts)
+    delta, zeta = bounds.exact_diversity_quadratic(task.model, task.data)
     omega = zeta / (2.0 * task.beta)
     init_gap = task.global_loss(task.w0) - task.f_star
     return bounds.thm2_constants(

@@ -9,6 +9,7 @@ Two strongly convex model families are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,14 +98,21 @@ def size_groups(sizes: Sequence[int]) -> list[tuple[list[int], slice | np.ndarra
     return groups
 
 
-def quadratic_stats(parts: Sequence[DevicePartition]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def quadratic_stats(blocks, n_devices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked per-device data Hessians H_i = X_i'X_i/D_i, b_i = X_i'y_i/D_i and c_i = y_i'y_i/(2D_i).
 
-    A regression device loss is F_i(w) = 0.5 w'(H_i + reg*I)w - b_i'w + c_i.
+    `blocks` are DeviceData.blocks, (members, X, y) per point count; each
+    block takes one batched product per statistic. A regression device loss
+    is F_i(w) = 0.5 w'(H_i + reg*I)w - b_i'w + c_i.
     """
-    H = np.stack([p.X.T @ p.X / p.n_points for p in parts])
-    b = np.stack([p.X.T @ p.y / p.n_points for p in parts])
-    c = np.array([0.5 * np.mean(p.y**2) for p in parts])
+    dim = blocks[0][1].shape[-1]
+    H, b, c = np.empty((n_devices, dim, dim)), np.empty((n_devices, dim)), np.empty(n_devices)
+    for members, X, y in blocks:
+        n = X.shape[-2]
+        Xt = np.swapaxes(X, -1, -2)
+        H[members] = np.matmul(Xt, X) / n
+        b[members] = np.matmul(Xt, y[..., None])[..., 0] / n
+        c[members] = 0.5 * np.mean(y**2, axis=-1)
     return H, b, c
 
 
@@ -136,9 +144,18 @@ class DeviceData:
         self.cluster_slices = [slice(int(end) - size, int(end)) for size, end in zip(sizes, ends)]
         self.varrho = np.array(sizes, dtype=float) / ends[-1]
         if model.kind == LINEAR_REGRESSION:
-            H, self.b, c = quadratic_stats(self.parts)
-            self.A = H + model.reg * np.eye(model.dim)
+            self.H, self.b, c = quadratic_stats(self.blocks, self.n_devices)
+            self.A = self.H + model.reg * np.eye(model.dim)
             self.mean_quad = (self.A.mean(axis=0), self.b.mean(axis=0), float(c.mean()))
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """Every device's data Hessian H_i = X_i'X_i/D_i.
+
+        Regression data computes it with A; other data on first use, which the
+        one-device gradient estimates of the adaptive controller never make.
+        """
+        return quadratic_stats(self.blocks, self.n_devices)[0]
 
 
 def device_data(model: LossModel, data) -> DeviceData:
@@ -250,11 +267,10 @@ def smoothness_constants(model: LossModel, data) -> tuple[float, float]:
     the per-device curvature bound lambda_max(H_i) + reg in both cases.
     """
     data = device_data(model, data)
-    hessians, _, _ = quadratic_stats(data.parts)
-    beta = max(float(np.linalg.eigvalsh(h)[-1]) for h in hessians) + model.reg
+    beta = float(np.linalg.eigvalsh(data.H)[:, -1].max()) + model.reg
     if model.kind == LINEAR_REGRESSION:
         # rho_i = varrho_c * rho_{i,c} = 1/I for every device
-        h_global = (hessians * (1.0 / data.n_devices)).sum(axis=0)
+        h_global = (data.H * (1.0 / data.n_devices)).sum(axis=0)
         mu = float(np.linalg.eigvalsh(h_global)[0]) + model.reg
         if mu <= 1e-12:
             raise StrongConvexityError("strong convexity not certified: rank-deficient data and reg=0")

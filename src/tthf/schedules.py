@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Sequence
 
 
@@ -47,6 +48,12 @@ class GammaPlan:
     def __post_init__(self):
         if self.mode not in ("none", "fixed", "certified"):
             raise ValueError(f"unknown gamma plan mode {self.mode!r}")
+        for name in ("value", "cadence", "max_rounds"):
+            # a fractional count would be truncated or skip steps silently; JSON
+            # true/false load as bool, a subclass of int
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mode == "fixed" and (self.value < 0 or self.cadence < 1):
             raise ValueError("fixed gamma plan needs value >= 0 and cadence >= 1")
         if self.mode == "certified" and self.phi <= 0:

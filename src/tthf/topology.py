@@ -41,32 +41,48 @@ class ChannelParams:
             raise ValueError("outage threshold must lie in (0, 1)")
         if self.ref_dist_m <= 0:
             raise ValueError("reference distance must be positive")
+        if self.rate_bps < 0:
+            raise ValueError("rate must be >= 0")
 
 
-def expected_snr(params: ChannelParams, distance_m: float) -> float:
-    """Linear expected SNR at the given distance (Rayleigh power averaged to 1)."""
-    if distance_m <= 0:
+def expected_snr(params: ChannelParams, distance_m):
+    """Linear expected SNR at the given distance (Rayleigh power averaged to 1).
+
+    Elementwise on an array of distances; a scalar distance gives a float.
+    """
+    distance_m = np.asarray(distance_m, dtype=float)
+    if np.any(distance_m <= 0):
         raise ValueError("distance must be positive")
-    if distance_m < params.ref_dist_m:
+    if np.any(distance_m < params.ref_dist_m):
         warnings.warn(
-            f"distance {distance_m} m below reference {params.ref_dist_m} m; clamping",
+            f"distance {distance_m.min()} m below reference {params.ref_dist_m} m; clamping",
             stacklevel=2,
         )
-        distance_m = params.ref_dist_m
+        distance_m = np.maximum(distance_m, params.ref_dist_m)
     pathloss_db = params.pathloss_ref_db - 10.0 * params.pathloss_exp * np.log10(
         distance_m / params.ref_dist_m
     )
     noise_dbm = params.noise_psd_dbm_hz + 10.0 * np.log10(params.bandwidth_hz)
     snr_db = params.tx_power_dbm + pathloss_db - noise_dbm
-    return float(10.0 ** (snr_db / 10.0))
+    return _scalar_or_array(10.0 ** (snr_db / 10.0))
 
 
-def outage_prob(params: ChannelParams, snr_linear: float) -> float:
-    """Probability that the instantaneous Rayleigh capacity falls below the rate."""
-    if snr_linear <= 0:
+def outage_prob(params: ChannelParams, snr_linear):
+    """Probability that the instantaneous Rayleigh capacity falls below the rate.
+
+    Elementwise on an array of SNRs; a scalar SNR gives a float.
+    """
+    snr_linear = np.asarray(snr_linear, dtype=float)
+    if np.any(snr_linear <= 0):
         raise ValueError("snr must be positive")
     spectral_eff = params.rate_bps / params.bandwidth_hz
-    return float(1.0 - np.exp(-(2.0**spectral_eff - 1.0) / snr_linear))
+    return _scalar_or_array(1.0 - np.exp(-(2.0**spectral_eff - 1.0) / snr_linear))
+
+
+def _scalar_or_array(x):
+    # numpy arithmetic on 0-d arrays yields numpy scalars, so a scalar input
+    # takes scalar arithmetic throughout and ends here as a float
+    return x if np.ndim(x) else float(x)
 
 
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
@@ -78,41 +94,30 @@ def link_outage_matrix(positions: np.ndarray, params: ChannelParams) -> np.ndarr
     """Per-pair outage probability from the expected SNR at the pair distance.
 
     Pairs closer than the pathloss reference distance (including co-located
-    devices) are evaluated at the reference distance.
+    devices) are evaluated at the reference distance. The diagonal is zero.
     """
-    n = positions.shape[0]
-    dists = pairwise_distances(positions)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = max(float(dists[i, j]), params.ref_dist_m)
-            p = outage_prob(params, expected_snr(params, d))
-            out[i, j] = out[j, i] = p
+    dists = np.maximum(pairwise_distances(positions), params.ref_dist_m)
+    out = outage_prob(params, expected_snr(params, dists))
+    np.fill_diagonal(out, 0.0)
     return out
 
 
-def build_graph(positions: np.ndarray, params: ChannelParams) -> np.ndarray:
+def build_graph(link_outage: np.ndarray, params: ChannelParams) -> np.ndarray:
     """Adjacency with an edge iff the pair's outage probability meets the threshold."""
-    if positions.shape[0] < 1:
-        raise ValueError("need at least one device")
-    p_out = link_outage_matrix(positions, params)
-    adj = p_out <= params.outage_threshold
+    adj = link_outage <= params.outage_threshold
     np.fill_diagonal(adj, False)
     return adj
 
 
 def is_connected(adjacency: np.ndarray) -> bool:
+    """Whether every node is reachable from node 0, by squaring the reachability matrix."""
     n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(adjacency[i]):
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+    reach = np.asarray(adjacency, dtype=bool) | np.eye(n, dtype=bool)
+    # k squarings cover every walk of length <= 2**k; walks of n - 1 steps reach
+    # every node that any walk reaches
+    for _ in range(max(n - 2, 0).bit_length()):
+        reach = reach @ reach
+    return bool(reach[0].all())
 
 
 def consensus_matrix(adjacency: np.ndarray, d_c: float) -> np.ndarray:
@@ -190,11 +195,14 @@ def build_cluster(
     max_attempts: int = 100,
 ) -> ClusterSpec:
     """Place devices and derive the graph, re-seeding until the graph is connected."""
+    if cluster_size < 1:
+        raise ValueError("need at least one device")
     for attempt in range(max_attempts):
         rng_seed = [seed, index, attempt]
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed + [0x70B0]))
         positions = rng.uniform(0.0, field_m, size=(cluster_size, 2))
-        adjacency = build_graph(positions, params)
+        link_outage = link_outage_matrix(positions, params)
+        adjacency = build_graph(link_outage, params)
         if cluster_size == 1 or is_connected(adjacency):
             step = mixing_step(adjacency, d_c)
             V = consensus_matrix(adjacency, step)
@@ -204,7 +212,7 @@ def build_cluster(
                 adjacency=adjacency,
                 V=V,
                 lambda_c=spectral_radius(V) if cluster_size > 1 else 0.0,
-                link_outage=link_outage_matrix(positions, params),
+                link_outage=link_outage,
             )
     raise DisconnectedGraphError(
         f"cluster {index}: no connected layout after {max_attempts} placements"

@@ -73,10 +73,8 @@ class TrainTask:
         for spec, cluster_parts in zip(self.clusters, self.parts):
             if spec.size != len(cluster_parts):
                 raise ValueError(f"cluster {spec.index}: spec size != number of partitions")
-        self.varrho = self.data.varrho
         self.flat_parts = self.data.parts
         self.n_devices = self.data.n_devices
-        self.cluster_slices = self.data.cluster_slices
         self.all_labels = np.concatenate([p.labels for p in self.flat_parts])
 
     def global_loss(self, w: np.ndarray) -> float:
@@ -289,14 +287,14 @@ def run_protocol(
     dev_rngs = device_rngs(seed, n_dev)
 
     W = np.tile(task.w0, (n_dev, 1)).astype(float)
-    varrho = task.varrho
+    varrho = task.data.varrho
     max_radius = 0.0
     if radius_ref is not None:
         max_radius = float(np.linalg.norm(W - radius_ref, axis=1).max())
 
     def sample_indices():
         return [
-            int(rng_sampling.integers(0, clusters[c].size)) + task.cluster_slices[c].start
+            int(rng_sampling.integers(0, clusters[c].size)) + task.data.cluster_slices[c].start
             for c in range(n_clusters)
         ]
 
@@ -351,7 +349,7 @@ def run_protocol(
         W_new = np.empty_like(W_tilde)
         gammas = gamma_log[t - 1].tolist()
         for spec, sl, gamma, policy, rng in zip(
-            clusters, task.cluster_slices, gammas, per_cluster_outage, outage_rngs
+            clusters, task.data.cluster_slices, gammas, per_cluster_outage, outage_rngs
         ):
             W_new[sl] = run_consensus(W_tilde[sl], spec.V, gamma, outage=policy, rng=rng)
         W = W_new

@@ -336,13 +336,25 @@ class TestCli:
             ("init.kind", {"init": {"kind": "bogus"}}),
             ("dataset.path", {"dataset": {"kind": "csv", "path": "missing.csv"}}),
             ("step", {"step": {"gamma": -1, "alpha": 5}}),
+            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "fixed", "value": 1.5}}}),
+            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "fixed", "value": True}}}),
+            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "fixed", "value": 1,
+                                                                "cadence": 1.5}}}),
+            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "certified",
+                                                                "max_rounds": 2.5}}}),
+            ("topology.channel", {"topology": {"n_clusters": 3, "cluster_size": 3,
+                                               "channel": {"rate_bps": -1}}}),
+            ("topology", {"topology": {"n_clusters": 3, "cluster_size": 3, "max_attempts": 0}}),
+            ("topology", {"topology": {"n_clusters": 3, "cluster_size": 3, "field_m": 1e4}}),
         ],
         ids=[
             "zero-tau", "boolean-T", "string-seed", "float-seed", "negative-cost", "string-cost",
             "zero-cadence", "zero-phi", "short-tau-list", "zero-bandwidth", "empty-clusters",
             "zero-dim", "negative-reg", "zero-eta", "unknown-step-kind", "string-outage-flag",
             "zero-tau-max", "zero-tau1", "zero-sigma-batch", "gamma-over-mu-below-1",
-            "unknown-init-kind", "missing-csv", "negative-step-gamma",
+            "unknown-init-kind", "missing-csv", "negative-step-gamma", "fractional-rounds",
+            "boolean-rounds", "fractional-cadence", "fractional-max-rounds", "negative-rate",
+            "no-placements", "unconnectable-field",
         ],
     )
     def test_unrunnable_config_exits_2_before_any_output(self, tmp_path, capsys, field, override):

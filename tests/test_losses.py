@@ -305,6 +305,19 @@ class TestBatchedLayer:
         # every device drew exactly what its own call draws
         assert [g.random() for g in gens_batched] == [g.random() for g in gens_single]
 
+    @given(kind=KINDS, counts=COUNTS, dim=st.integers(1, 5), seed=st.integers(0, 2**16))
+    def test_stats_and_beta_equal_per_device_formulas(self, kind, counts, dim, seed):
+        model, clusters, parts, _ = stacked_devices(kind, counts, dim, seed)
+        data = losses.DeviceData(model, clusters)
+        H, b, c = losses.quadratic_stats(data.blocks, data.n_devices)
+        np.testing.assert_array_equal(H, np.stack([p.X.T @ p.X / p.n_points for p in parts]))
+        np.testing.assert_array_equal(b, np.stack([p.X.T @ p.y / p.n_points for p in parts]))
+        np.testing.assert_array_equal(c, [0.5 * np.mean(p.y**2) for p in parts])
+        np.testing.assert_array_equal(data.H, H)
+        mu, beta = losses.smoothness_constants(model, data)
+        per_device = max(float(np.linalg.eigvalsh(h)[-1]) for h in H) + model.reg
+        assert beta == max(per_device, mu)
+
     @pytest.mark.parametrize("kind", [LINEAR_REGRESSION, SQUARED_HINGE_SVM])
     @given(counts=COUNTS, dim=st.integers(1, 5), seed=st.integers(0, 2**16))
     def test_global_loss_is_mean_device_loss(self, kind, counts, dim, seed):

@@ -1,14 +1,18 @@
 """Channel arithmetic, graph construction, and mixing-matrix certificates."""
 
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tthf import topology
 from tthf.topology import ChannelParams, DisconnectedGraphError
 
-from conftest import random_mixing_matrix
+from conftest import random_connected_adjacency, random_mixing_matrix
 
 
 class TestExpectedSnr:
@@ -27,6 +31,15 @@ class TestExpectedSnr:
         assert topology.expected_snr(params, 2.0) == pytest.approx(
             topology.expected_snr(params, 37.0)
         )
+
+    def test_scalar_gives_float_and_rejects_non_positive(self):
+        params = ChannelParams()
+        assert type(topology.expected_snr(params, 3.0)) is float
+        assert type(topology.outage_prob(params, 1e6)) is float
+        with pytest.raises(ValueError, match="distance must be positive"):
+            topology.expected_snr(params, 0.0)
+        with pytest.raises(ValueError, match="snr must be positive"):
+            topology.outage_prob(params, np.array([1.0, -1.0]))
 
     def test_below_reference_clamps_with_warning(self):
         params = ChannelParams()
@@ -58,6 +71,81 @@ class TestOutageProb:
         assert np.all(np.diff(table, axis=1) < 0)  # decreasing in snr
 
 
+def per_pair_outage(positions, params):
+    """Scalar channel formulas one pair at a time: the oracle of link_outage_matrix."""
+    n = positions.shape[0]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = max(float(np.hypot(*(positions[i] - positions[j]))), params.ref_dist_m)
+            out[i, j] = out[j, i] = topology.outage_prob(params, topology.expected_snr(params, d))
+    return out
+
+
+coords = st.floats(0.0, 80.0, allow_nan=False)
+
+
+class TestLinkOutageMatrix:
+    @given(
+        points=st.lists(st.tuples(coords, coords), min_size=1, max_size=9),
+        # (device, gap): move the device this close to the one before it, so
+        # that co-located and sub-reference pairs occur
+        near=st.lists(st.tuples(st.integers(1, 8), st.floats(0.0, 2.0)), max_size=4),
+        ref_dist_m=st.floats(0.5, 3.0),
+        rate_bps=st.sampled_from([0.0, 1e6, 14e6, 3e7]),
+        pathloss_exp=st.floats(2.0, 4.0),
+    )
+    def test_matches_per_pair_scalar_composition(self, points, near, ref_dist_m, rate_bps, pathloss_exp):
+        positions = np.array(points, dtype=float)
+        for k, gap in near:
+            if k < len(positions):
+                positions[k] = positions[k - 1] + [gap, 0.0]
+        params = ChannelParams(ref_dist_m=ref_dist_m, rate_bps=rate_bps, pathloss_exp=pathloss_exp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # clamping happens before the channel formulas
+            got = topology.link_outage_matrix(positions, params)
+        # the array power may differ from the scalar one in the last bits; 1 - exp(-x)
+        # turns that into an absolute error of a few ulp of 1
+        np.testing.assert_allclose(got, per_pair_outage(positions, params), rtol=1e-13, atol=4e-16)
+        np.testing.assert_array_equal(got, got.T)
+        np.testing.assert_array_equal(np.diag(got), 0.0)
+
+
+def reachable_by_search(adjacency):
+    """Depth-first search from node 0: the oracle of is_connected."""
+    n = adjacency.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        i = stack.pop()
+        for j in np.flatnonzero(adjacency[i]):
+            if not seen[j]:
+                seen[j] = True
+                stack.append(int(j))
+    return bool(seen.all())
+
+
+class TestIsConnected:
+    @given(n=st.integers(1, 12), density=st.floats(0.0, 0.6), symmetric=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_search_oracle(self, n, density, symmetric, seed):
+        adj = np.random.default_rng(seed).random((n, n)) < density
+        if symmetric:
+            adj |= adj.T
+        assert topology.is_connected(adj) == reachable_by_search(adj)
+
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_spanning_trees_are_connected(self, n, seed):
+        rng = np.random.default_rng(seed)
+        adj = random_connected_adjacency(rng, n)
+        assert topology.is_connected(adj)
+        if n > 1:  # cutting every edge of one node disconnects it
+            cut = int(rng.integers(0, n))
+            adj[cut, :] = adj[:, cut] = False
+            assert not topology.is_connected(adj)
+
+
 class TestPlacement:
     def test_default_network_size(self):
         clusters = topology.build_network(25, 5, 50.0, ChannelParams(), seed=0)
@@ -77,23 +165,25 @@ class TestPlacement:
 
 class TestBuildGraph:
     def test_colocated_devices_complete_graph(self):
+        params = ChannelParams()
         positions = np.ones((5, 2)) * 10.0
-        adj = topology.build_graph(positions, ChannelParams())
+        adj = topology.build_graph(topology.link_outage_matrix(positions, params), params)
         assert np.all(adj == ~np.eye(5, dtype=bool))
 
     def test_zero_threshold_empty_graph(self):
         params = ChannelParams(outage_threshold=1e-300)
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        adj = topology.build_graph(positions, params)
+        adj = topology.build_graph(topology.link_outage_matrix(positions, params), params)
         assert not adj.any()
 
     def test_mean_degree_near_two_on_default_config(self):
+        params = ChannelParams()
         degrees = []
         for seed in range(100):
             # raw uniform layouts: build_cluster's connectivity retries would bias the degree
             rng = np.random.default_rng(np.random.SeedSequence([seed, 0x70B0]))
             positions = rng.uniform(0.0, 50.0, size=(5, 2))
-            adj = topology.build_graph(positions, ChannelParams())
+            adj = topology.build_graph(topology.link_outage_matrix(positions, params), params)
             degrees.extend(adj.sum(axis=1).tolist())
         assert 1.0 <= np.mean(degrees) <= 3.0
 
@@ -204,6 +294,15 @@ class TestNetworkBuild:
             assert topology.is_connected(spec.adjacency)
             assert 0 <= spec.lambda_c < 1
             topology.check_mixing_assumptions(spec.V, spec.adjacency)
+
+    def test_benchmark_network_bytes_are_pinned(self):
+        # the 25x5 seed-11 network of the benchmark workloads; digest recorded
+        # with the per-pair channel loop and the per-node search
+        digest = hashlib.sha256()
+        for spec in topology.build_network(25, 5, 50.0, ChannelParams(), seed=11):
+            digest.update(spec.adjacency.tobytes())
+            digest.update(spec.V.tobytes())
+        assert digest.hexdigest() == "ec7d57d825e16c6b5c338a6e0331c8369a30343ff3cdfdb2c9981176a010bfda"
 
     def test_json_round_trip(self, tmp_path):
         clusters = topology.build_network(3, 4, 50.0, ChannelParams(), seed=4)

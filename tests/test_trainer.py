@@ -76,16 +76,16 @@ class TestGlobalAggregate:
         rng = np.random.default_rng(4)
         W = rng.standard_normal((task.n_devices, task.model.dim))
         cluster_means = np.stack(
-            [W[task.cluster_slices[c]].mean(axis=0) for c in range(len(task.clusters))]
+            [W[task.data.cluster_slices[c]].mean(axis=0) for c in range(len(task.clusters))]
         )
-        expected = task.varrho @ cluster_means
+        expected = task.data.varrho @ cluster_means
         draws = []
         for _ in range(10_000):
             sampled = [
-                int(rng.integers(0, spec.size)) + task.cluster_slices[c].start
+                int(rng.integers(0, spec.size)) + task.data.cluster_slices[c].start
                 for c, spec in enumerate(task.clusters)
             ]
-            draws.append(trainer.global_aggregate(W, task.varrho, sampled))
+            draws.append(trainer.global_aggregate(W, task.data.varrho, sampled))
         draws = np.stack(draws)
         sem = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - expected) < 4 * sem + 1e-12)
@@ -264,7 +264,7 @@ def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
     Returns the trace columns and the per-cluster rounds.
     """
     cost = CostParams()
-    clusters, slices, varrho = task.clusters, task.cluster_slices, task.varrho
+    clusters, slices, varrho = task.clusters, task.data.cluster_slices, task.data.varrho
     T, taus = schedule.T, list(schedule.taus)
     rng_sampling = np.random.default_rng(np.random.SeedSequence([seed, trainer._STREAM_SAMPLING]))
     outage_rngs = [
