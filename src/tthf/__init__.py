@@ -4,7 +4,6 @@ from .bounds import (
     Prop1Params,
     Thm2Constants,
     diversity_fit,
-    dispersion_mc,
     dispersion_sample,
     lambda_plus,
     prop1_bound,
@@ -65,8 +64,6 @@ from .topology import (
     build_network,
     consensus_matrix,
     expected_snr,
-    network_from_json,
-    network_to_json,
     outage_prob,
     spectral_radius,
 )

@@ -83,12 +83,6 @@ def dispersion_sample(cluster_means: Sequence[np.ndarray], weights: Sequence[flo
     return float(np.sum(w * np.sum((means - center) ** 2, axis=1)))
 
 
-def dispersion_mc(dispersion_traces: Sequence[np.ndarray]) -> np.ndarray:
-    """Monte-Carlo dispersion estimate: per-t mean across seed traces."""
-    stacked = np.stack([np.asarray(tr, dtype=float) for tr in dispersion_traces])
-    return stacked.mean(axis=0)
-
-
 @dataclass(frozen=True)
 class Prop1Params:
     mu: float
@@ -104,16 +98,11 @@ class Prop1Params:
         return lambda_plus(self.mu, self.beta, self.omega)
 
 
-def _prop1_alpha_floor(mu: float, beta: float, omega: float, gamma: float) -> float:
-    lam = lambda_plus(mu, beta, omega)
-    return gamma * beta * max(lam - 2.0 + mu / (2.0 * beta), beta / mu)
-
-
 def prop1_bound(params: Prop1Params, t: int, t_km1: int, loss_gap_at_km1: float) -> float:
     """Dispersion certificate within one interval, given the loss gap at its start."""
     sched = params.sched
     if sched.kind == "diminishing":
-        floor = _prop1_alpha_floor(params.mu, params.beta, params.omega, sched.gamma)
+        floor = alpha_min_value(sched.gamma, params.mu, params.beta, params.omega)
         if sched.alpha < floor - 1e-12:
             raise ValueError(
                 f"hypothesis violated: alpha={sched.alpha} < gamma*beta*max(lambda_plus-2+mu/(2beta), beta/mu)={floor}"

@@ -67,9 +67,9 @@ def _cmd_bounds_report(args) -> int:
     if task.batch_size is not None:
         rng = np.random.default_rng(0)
         sigma2 = max(
-            control.estimate_sigma(task.model, p, task.w0, min(task.batch_size, p.n_points - 1), rng)[0]
-            for p in task.flat_parts
-            if p.n_points > 1
+            control.estimate_sigma(task.model, task.data, i, task.w0, min(task.batch_size, n - 1), rng)[0]
+            for i, n in enumerate(task.data.n_points.tolist())
+            if n > 1
         )
     constants = experiment.certificate_constants(config, task, sigma2)
     traces = [experiment.run_single(config, task, int(s)) for s in config.raw["seeds"]]

@@ -140,18 +140,23 @@ def phi_max(
 
 def estimate_sigma(
     model: LossModel,
-    part,
+    data: losses.DeviceData,
+    device: int,
     w: np.ndarray,
     batch_size: int,
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
-    """Device-side SGD noise probe from two independent mini-batches.
+    """Device-side SGD noise probe from two independent mini-batches of one device.
 
+    `device` indexes the stacked data; both batches are drawn from rng in turn.
     Returns (sigma2_local, g_hat) with g_hat the averaged gradient the device
     reports to the server.
     """
-    g1 = losses.grad_sgd(model, w, part, batch_size, rng)
-    g2 = losses.grad_sgd(model, w, part, batch_size, rng)
+    if not 1 <= batch_size <= data.n_points[device]:
+        raise ValueError(f"batch_size {batch_size} out of range [1, {data.n_points[device]}]")
+    g1, g2 = losses.grad_batches(
+        model, np.stack([w, w]), data, np.array([device, device]), batch_size, [rng, rng]
+    )
     diff = g1 - g2
     return float(diff @ diff / 2.0), (g1 + g2) / 2.0
 
@@ -359,8 +364,6 @@ class AdaptiveConfig:
     alpha_cap: float = 1e9
     alpha_margin: float = 2.0
     use_pl_surrogate: bool = True
-    max_T_doublings: int = 3
-    max_xi_relaxations: int = 3
 
     def __post_init__(self):
         for name in ("tau_max", "tau1", "sigma_batch"):
@@ -372,24 +375,29 @@ class AdaptiveConfig:
             raise ValueError("zeta_frac must lie in [0, 1)")
 
 
+# feasibility relaxation caps: T doubles up to this often, then xi loosens
+_MAX_T_DOUBLINGS = 3
+_MAX_XI_RELAXATIONS = 3
+
+
 def _probe(task, models, batch, rng):
     """One sampled device per cluster probes its gradient at its own row of models.
 
+    A device with at most `batch` points reports its exact gradient and no noise.
     Returns the server's sigma2, the per-cluster gradients and their weighted mean.
     """
-    sigma_locals, grads = [], []
-    for c, spec in enumerate(task.clusters):
-        dev = int(rng.integers(0, spec.size))
-        part = task.parts[c][dev]
-        w = models[task.data.cluster_slices[c].start + dev]
-        if batch >= part.n_points:
-            sigma_locals.append(0.0)
-            grads.append(losses.grad_full(task.model, w, part))
-        else:
-            s2, g = estimate_sigma(task.model, part, w, batch, rng)
-            sigma_locals.append(s2)
-            grads.append(g)
-    g_bar = sum(task.data.varrho[c] * g for c, g in enumerate(grads))
+    data = task.data
+    devices = np.empty(len(task.clusters), dtype=int)
+    sigma_locals = np.zeros(len(task.clusters))
+    grads = np.empty((len(task.clusters), task.model.dim))
+    for c, (spec, sl) in enumerate(zip(task.clusters, data.cluster_slices)):
+        dev = devices[c] = sl.start + int(rng.integers(0, spec.size))
+        if batch < data.n_points[dev]:
+            sigma_locals[c], grads[c] = estimate_sigma(task.model, data, dev, models[dev], batch, rng)
+    full = data.n_points[devices] <= batch
+    if full.any():
+        grads[full] = losses.grad_full(task.model, models, data)[devices[full]]
+    g_bar = sum(data.varrho[c] * g for c, g in enumerate(grads))
     return server_sigma(sigma_locals), grads, g_bar
 
 
@@ -440,14 +448,14 @@ def run_adaptive(
     else:
         xi = config.xi
     feas = None
-    for attempt in range(config.max_T_doublings + config.max_xi_relaxations + 1):
+    for attempt in range(_MAX_T_DOUBLINGS + _MAX_XI_RELAXATIONS + 1):
         feas = feasibility_check(
             T, xi, config.tau_max, task.mu, task.beta, gamma_step, alpha, omega,
             sigma2, delta_prime, grad0_sq,
         )
         if feas.passed:
             break
-        if attempt < config.max_T_doublings:
+        if attempt < _MAX_T_DOUBLINGS:
             T *= 2
         else:
             xi *= 1.25
@@ -475,13 +483,13 @@ def run_adaptive(
     t_km1 = 0
     tau_next = min(config.tau1, config.tau_max)
 
-    def gamma_provider(t, local_step, clusters, blocks, eta_next):
+    def gamma_provider(local_step, clusters, blocks, eta_next):
         ups_log[local_step], gam_log[local_step] = round_rule(
             clusters, blocks, divergence_estimate, eta_next, state.phi, config.gamma_max
         )
         return gam_log[local_step]
 
-    def on_aggregate(k, t_k, w_hat, W, rng, clusters):
+    def on_aggregate(t_k, w_hat, W, rng, clusters):
         nonlocal t_km1, tau_next
         # device-side probes at the sampled models, then server-side re-estimation
         state.sigma2, g_list, g_bar_k = _probe(task, W, config.sigma_batch, rng)
@@ -528,7 +536,7 @@ def run_adaptive(
         task,
         sched,
         state.T,
-        lambda k, t: tau_next,
+        lambda k: tau_next,
         gamma_provider,
         aggregation=trainer.SAMPLED,
         outage=outage,

@@ -41,9 +41,9 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{path}': {message}")
 
 
-# AdaptiveConfig fields the control block does not carry: T and gamma_max come
-# from the schedule block, and the relaxation caps are not configurable
-_NOT_IN_CONTROL_BLOCK = ("T", "gamma_max", "max_T_doublings", "max_xi_relaxations")
+# AdaptiveConfig fields the control block does not carry: they come from the
+# schedule block
+_NOT_IN_CONTROL_BLOCK = ("T", "gamma_max")
 
 _DEFAULTS = {
     "dataset": {
@@ -168,7 +168,7 @@ def load_config(source) -> ExperimentConfig:
     if merged["step"]["kind"] == "constant":
         step = _parse("step", StepSchedule, kind="constant", eta_const=merged["step"]["eta"])
     make_schedule = TrainingSchedule if isinstance(sched["tau"], list) else TrainingSchedule.uniform
-    return ExperimentConfig(
+    config = ExperimentConfig(
         raw=merged,
         channel=_parse("topology.channel", topology.ChannelParams, **merged["topology"]["channel"]),
         cost=_parse("cost", CostParams, **merged["cost"]),
@@ -179,6 +179,16 @@ def load_config(source) -> ExperimentConfig:
         adaptive=adaptive,
         step=step,
     )
+    plan = config.gamma_plan
+    runs_rounds = plan.mode == "certified" or (plan.mode == "fixed" and plan.value > 0)
+    if merged["aggregation"]["mode"] == trainer.FULL and (adaptive is not None or runs_rounds):
+        # the full-participation baseline runs neither D2D rounds nor the controller
+        raise ConfigError(
+            "aggregation.mode",
+            "'full' needs a fixed schedule with no D2D rounds "
+            "(schedule.gamma mode 'none', or 'fixed' with value 0)",
+        )
+    return config
 
 
 def _parse(path: str, factory, *args, **kwargs):
@@ -300,7 +310,7 @@ def resolve_step_schedule(config: ExperimentConfig, task: TrainTask) -> StepSche
     return StepSchedule(kind="diminishing", gamma=float(gamma), alpha=float(alpha))
 
 
-def _topology_refresh(config: ExperimentConfig, task: TrainTask):
+def _topology_refresh(config: ExperimentConfig):
     """Per-interval device re-placement, when the config asks for it."""
     if not config.raw["replace_between_intervals"]:
         return None
@@ -309,7 +319,7 @@ def _topology_refresh(config: ExperimentConfig, task: TrainTask):
 
 def run_single(config: ExperimentConfig, task: TrainTask, seed: int) -> MetricsTrace:
     """One deterministic protocol run for the given seed."""
-    refresh = _topology_refresh(config, task)
+    refresh = _topology_refresh(config)
     if config.adaptive is not None:
         trace, _ = control.run_adaptive(
             task, config.adaptive, cost=config.cost, outage=config.outage, seed=seed,

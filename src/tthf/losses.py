@@ -9,7 +9,6 @@ Two strongly convex model families are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -119,8 +118,9 @@ def quadratic_stats(blocks, n_devices: int) -> tuple[np.ndarray, np.ndarray, np.
 class DeviceData:
     """Every device's data, stacked once in cluster order for batched losses and gradients.
 
-    Devices with equal point counts share one (devices, points, d) block. For
-    regression it holds A_i = H_i + reg*I, b_i and their device means too.
+    Devices with equal point counts share one (devices, points, d) block. It
+    holds every device's data Hessian H_i and b_i; for regression also
+    A_i = H_i + reg*I and the device means.
     """
 
     def __init__(self, model: LossModel, clusters: Sequence[Sequence[DevicePartition]]):
@@ -143,19 +143,10 @@ class DeviceData:
         ends = np.cumsum(sizes)
         self.cluster_slices = [slice(int(end) - size, int(end)) for size, end in zip(sizes, ends)]
         self.varrho = np.array(sizes, dtype=float) / ends[-1]
+        self.H, self.b, c = quadratic_stats(self.blocks, self.n_devices)
         if model.kind == LINEAR_REGRESSION:
-            self.H, self.b, c = quadratic_stats(self.blocks, self.n_devices)
             self.A = self.H + model.reg * np.eye(model.dim)
             self.mean_quad = (self.A.mean(axis=0), self.b.mean(axis=0), float(c.mean()))
-
-    @cached_property
-    def H(self) -> np.ndarray:
-        """Every device's data Hessian H_i = X_i'X_i/D_i.
-
-        Regression data computes it with A; other data on first use, which the
-        one-device gradient estimates of the adaptive controller never make.
-        """
-        return quadratic_stats(self.blocks, self.n_devices)[0]
 
 
 def device_data(model: LossModel, data) -> DeviceData:
@@ -228,12 +219,17 @@ def grad_full(model: LossModel, w: np.ndarray, data) -> np.ndarray:
     one = isinstance(data, DevicePartition)
     w, data = _check_dims(model, w, data)[None] if one else w, device_data(model, data)
     if model.kind == LINEAR_REGRESSION:
-        g = np.einsum("dij,dj->di", data.A, w) - data.b
+        g = _quadratic_grad(data.A, data.b, w)
     else:
         g = np.empty((data.n_devices, model.dim))
         for members, X, y in data.blocks:
             g[members] = _grad_batch(model, w[members], X, y)
     return g[0] if one else g
+
+
+def _quadratic_grad(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Closed-form regression gradients A_i w_i - b_i; leading axes are devices."""
+    return np.einsum("dij,dj->di", A, w) - b
 
 
 def grad_sgd(model: LossModel, w: np.ndarray, data, batch_size: int, rng) -> np.ndarray:
@@ -246,17 +242,31 @@ def grad_sgd(model: LossModel, w: np.ndarray, data, batch_size: int, rng) -> np.
     w, data = _check_dims(model, w, data)[None] if one else w, device_data(model, data)
     if not 1 <= batch_size <= data.n_points.min():
         raise ValueError(f"batch_size {batch_size} out of range [1, {data.n_points.min()}]")
+    g = grad_batches(model, w, data, np.arange(data.n_devices), batch_size, [rng] if one else rng)
+    return g[0] if one else g
+
+
+def grad_batches(
+    model: LossModel, w: np.ndarray, data: DeviceData, devices: np.ndarray, batch_size: int, rngs
+) -> np.ndarray:
+    """Mini-batch gradients of the listed devices of stacked data, one row per entry.
+
+    Entry j draws batch_size of device devices[j]'s points, uniformly without
+    replacement, from rngs[j], in entry order, and takes the gradient at w[j];
+    a device may be listed more than once. A batch of every point is drawn
+    without the generator and, for regression, takes grad_full's closed form.
+    """
+    n_points = data.n_points[devices]
     picks = np.array([
         np.arange(n) if n == batch_size else gen.choice(n, size=batch_size, replace=False)
-        for n, gen in zip(data.n_points.tolist(), [rng] if one else rng)
+        for n, gen in zip(n_points.tolist(), rngs)
     ])
-    rows = data.starts[:, None] + picks
+    rows = data.starts[devices][:, None] + picks
     g = _grad_batch(model, w, data.X[rows], data.y[rows])
-    full = data.n_points == batch_size
+    full = n_points == batch_size
     if model.kind == LINEAR_REGRESSION and full.any():
-        # a batch of every point is the full batch, so it takes grad_full's closed form
-        g[full] = grad_full(model, w, data)[full]
-    return g[0] if one else g
+        g[full] = _quadratic_grad(data.A[devices[full]], data.b[devices[full]], w[full])
+    return g
 
 
 def smoothness_constants(model: LossModel, data) -> tuple[float, float]:

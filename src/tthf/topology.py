@@ -7,10 +7,8 @@ probability, link by link.
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,19 +154,6 @@ def spectral_radius(V: np.ndarray) -> float:
     return lam
 
 
-def check_mixing_assumptions(V: np.ndarray, adjacency: np.ndarray, atol: float = 1e-12):
-    """Raise unless V satisfies sparsity, row stochasticity, symmetry, and contraction."""
-    n = V.shape[0]
-    off_graph = ~np.asarray(adjacency, dtype=bool) & ~np.eye(n, dtype=bool)
-    if np.any(np.abs(V[off_graph]) > atol):
-        raise ValueError("V has nonzero weight on a non-edge")
-    if np.max(np.abs(V @ np.ones(n) - 1.0)) > atol:
-        raise ValueError("V is not row stochastic")
-    if np.max(np.abs(V - V.T)) > atol:
-        raise ValueError("V is not symmetric")
-    spectral_radius(V)  # raises if >= 1
-
-
 @dataclass
 class ClusterSpec:
     """One cluster's geometry, D2D graph, and certified consensus operator."""
@@ -232,43 +217,3 @@ def build_network(
         build_cluster(c, cluster_size, field_m, params, d_c, seed, max_attempts)
         for c in range(n_clusters)
     ]
-
-
-def network_to_json(clusters: list[ClusterSpec], params: ChannelParams, path):
-    payload = {
-        "channel": asdict(params),
-        "clusters": [
-            {
-                "index": c.index,
-                "positions": c.positions.tolist(),
-                "adjacency": c.adjacency.astype(int).tolist(),
-                "V": c.V.tolist(),
-                "lambda_c": c.lambda_c,
-                "link_outage": c.link_outage.tolist(),
-            }
-            for c in clusters
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
-def network_from_json(path) -> tuple[list[ClusterSpec], ChannelParams]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    params = ChannelParams(**payload["channel"])
-    clusters = [
-        ClusterSpec(
-            index=entry["index"],
-            positions=np.array(entry["positions"], dtype=float),
-            adjacency=np.array(entry["adjacency"], dtype=bool),
-            V=np.array(entry["V"], dtype=float),
-            lambda_c=float(entry["lambda_c"]),
-            link_outage=np.array(entry["link_outage"], dtype=float),
-        )
-        for entry in payload["clusters"]
-    ]
-    # the contraction certificate and the norm-gap divergence estimate both
-    # need every stored cluster connected
-    for spec in clusters:
-        if not is_connected(spec.adjacency):
-            raise DisconnectedGraphError(f"cluster {spec.index}: stored graph is disconnected")
-    return clusters, params

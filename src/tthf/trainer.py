@@ -199,39 +199,31 @@ class MetricsTrace:
         )
 
 
-# gamma providers ------------------------------------------------------------
-
-
-def no_consensus_provider(t, local_step, clusters, blocks, eta_next):
-    return [0] * len(clusters)
-
-
-def fixed_gamma_provider(plan: GammaPlan):
-    def provider(t, local_step, clusters, blocks, eta_next):
-        if plan.mode == "none" or plan.value == 0 or local_step % plan.cadence != 0:
-            return [0] * len(clusters)
-        return [plan.value] * len(clusters)
-
-    return provider
-
-
-def certified_gamma_provider(plan: GammaPlan):
-    """Rounds chosen so the contraction certificate meets the eta_t*phi error target."""
-    from .consensus import divergence_exact
-    from .control import round_rule
-
-    def provider(t, local_step, clusters, blocks, eta_next):
-        return round_rule(clusters, blocks, divergence_exact, eta_next, plan.phi, plan.max_rounds)[1]
-
-    return provider
+# round provider ---------------------------------------------------------------
 
 
 def provider_from_plan(plan: GammaPlan):
+    """The D2D rounds of a fixed-parameter run, one int per cluster for each step.
+
+    Certified plans meet the contraction certificate's eta_t*phi error target;
+    fixed plans run plan.value rounds at every plan.cadence-th local step, and
+    "none" plans run none.
+    """
     if plan.mode == "certified":
-        return certified_gamma_provider(plan)
-    if plan.mode == "fixed":
-        return fixed_gamma_provider(plan)
-    return no_consensus_provider
+        from .consensus import divergence_exact
+        from .control import round_rule
+
+        def certified(local_step, clusters, blocks, eta_next):
+            return round_rule(clusters, blocks, divergence_exact, eta_next, plan.phi, plan.max_rounds)[1]
+
+        return certified
+    # a "none" plan's cadence is not validated, so it is not read
+    rounds, cadence = (plan.value, plan.cadence) if plan.mode == "fixed" else (0, 1)
+
+    def fixed(local_step, clusters, blocks, eta_next):
+        return [rounds if local_step % cadence == 0 else 0] * len(clusters)
+
+    return fixed
 
 
 # engine ----------------------------------------------------------------------
@@ -241,7 +233,7 @@ def run_protocol(
     task: TrainTask,
     steps: StepSchedule,
     T: int,
-    tau_provider: Callable[[int, int], int],
+    tau_provider: Callable[[int], int],
     gamma_provider: Callable,
     aggregation: str = SAMPLED,
     outage: Optional[OutagePolicy] = None,
@@ -253,12 +245,12 @@ def run_protocol(
 ) -> MetricsTrace:
     """Run the full two-timescale protocol for T timesteps.
 
-    tau_provider(k, t_km1) -> length of interval k (1-based k).
-    gamma_provider(t, local_step, clusters, blocks, eta_t) -> D2D rounds for this
+    tau_provider(k) -> length of interval k (1-based k).
+    gamma_provider(local_step, clusters, blocks, eta_t) -> D2D rounds for this
     step, one int per cluster in `clusters` order. blocks holds one
     (member cluster indices, intermediate models of shape (members, size, d))
     pair per cluster size, so a provider can batch its per-cluster rule.
-    on_aggregate(k, t_k, w_hat, W, estimate_rng, clusters) -> optional dict merged into
+    on_aggregate(t_k, w_hat, W, estimate_rng, clusters) -> optional dict merged into
     the control row (the adaptive controller hooks its re-estimation logic here);
     clusters are the specs of interval k+1, already refreshed.
     radius_ref, when given, tracks the largest device-model distance from that
@@ -308,7 +300,7 @@ def run_protocol(
     taus: list[int] = []
 
     def next_interval(k, t_km1):
-        tau = int(tau_provider(k, t_km1))
+        tau = int(tau_provider(k))
         if tau < 1:
             raise ValueError("tau_provider returned an interval shorter than 1")
         return tau, min(t_km1 + tau, T)
@@ -345,7 +337,7 @@ def run_protocol(
             (members, W_tilde[dev_rows].reshape(len(members), size, dim))
             for members, dev_rows, size in groups
         ]
-        gamma_log[t - 1] = gamma_provider(t, local_step, clusters, blocks, eta_next)
+        gamma_log[t - 1] = gamma_provider(local_step, clusters, blocks, eta_next)
         W_new = np.empty_like(W_tilde)
         gammas = gamma_log[t - 1].tolist()
         for spec, sl, gamma, policy, rng in zip(
@@ -395,7 +387,7 @@ def run_protocol(
                     clusters = list(fresh)
                     per_cluster_outage = outage_policies()
             if on_aggregate is not None:
-                extra = on_aggregate(k, t, w_hat, W, rng_estimate, clusters)
+                extra = on_aggregate(t, w_hat, W, rng_estimate, clusters)
                 if extra:
                     row.update(extra)
             control_rows.append(row)
@@ -443,7 +435,7 @@ def run_protocol(
 def _interval_provider(taus: Sequence[int]):
     """Interval k lasts taus[k-1]; past the end of the list the last length repeats."""
     taus = list(taus)
-    return lambda k, t_km1: taus[min(k, len(taus)) - 1]
+    return lambda k: taus[min(k, len(taus)) - 1]
 
 
 def run_tthf(
@@ -492,7 +484,7 @@ def run_baseline(
         steps,
         T,
         _interval_provider(tau if isinstance(tau, Sequence) else [tau]),
-        no_consensus_provider,
+        provider_from_plan(GammaPlan()),
         aggregation=FULL,
         outage=outage,
         cost=cost,

@@ -93,10 +93,6 @@ class TestDispersion:
         oracle = sum(wi * np.sum((m - center) ** 2) for wi, m in zip(w, means))
         assert bounds.dispersion_sample(means, w) == pytest.approx(oracle, rel=1e-12)
 
-    def test_mc_average(self):
-        traces = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-        np.testing.assert_allclose(bounds.dispersion_mc(traces), [2.0, 3.0])
-
 
 class TestProp1Bound:
     def make_params(self, omega=0.2, alpha=None):

@@ -1,6 +1,7 @@
 """Adaptive machinery: alpha selection, feasibility, phi cap, estimators,
 the divergence predictor, the round rule, and the interval line search."""
 
+import hashlib
 import itertools
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from tthf import bounds, consensus, control, losses, topology
 from tthf.control import PredictorCoeffs
 from tthf.costs import CostParams
-from tthf.losses import LINEAR_REGRESSION, DevicePartition, LossModel
+from tthf.losses import LINEAR_REGRESSION, SQUARED_HINGE_SVM, DevicePartition, LossModel
 from tthf.schedules import StepSchedule
 from tthf.topology import ClusterSpec
 
@@ -135,7 +136,7 @@ class TestEstimateSigma:
         rng = np.random.default_rng(1)
         part = self.make_part(rng)
         model = LossModel(LINEAR_REGRESSION, reg=0.1, dim=3)
-        s2, g = control.estimate_sigma(model, part, np.zeros(3), 6, rng)
+        s2, g = control.estimate_sigma(model, losses.DeviceData(model, [[part]]), 0, np.zeros(3), 6, rng)
         assert s2 == 0.0
         np.testing.assert_allclose(g, losses.grad_full(model, np.zeros(3), part))
 
@@ -143,7 +144,9 @@ class TestEstimateSigma:
         X = np.tile([1.0, 2.0], (5, 1))
         part = DevicePartition(0, X, np.full(5, 3.0))
         model = LossModel(LINEAR_REGRESSION, reg=0.0, dim=2)
-        s2, _ = control.estimate_sigma(model, part, np.ones(2), 2, np.random.default_rng(2))
+        s2, _ = control.estimate_sigma(
+            model, losses.DeviceData(model, [[part]]), 0, np.ones(2), 2, np.random.default_rng(2)
+        )
         assert s2 == pytest.approx(0.0, abs=1e-20)
 
     def test_mean_matches_enumeration_oracle(self):
@@ -162,11 +165,40 @@ class TestEstimateSigma:
             )
             sq.append(np.sum((g - exact) ** 2))
         enum_var = float(np.mean(sq))
-        draws = [control.estimate_sigma(model, part, w, 2, rng)[0] for _ in range(10_000)]
+        stacked = losses.DeviceData(model, [[part]])
+        draws = [control.estimate_sigma(model, stacked, 0, w, 2, rng)[0] for _ in range(10_000)]
         mean = float(np.mean(draws))
         sem = float(np.std(draws, ddof=1) / np.sqrt(len(draws)))
         assert mean <= enum_var + 4 * sem
         assert abs(mean - enum_var) <= 4 * sem
+
+    @given(kind=st.sampled_from([LINEAR_REGRESSION, SQUARED_HINGE_SVM]),
+           counts=st.lists(st.integers(1, 7), min_size=1, max_size=7),
+           dim=st.integers(1, 4), seed=st.integers(0, 2**16), data=st.data())
+    def test_stacked_probe_equals_partition_pair(self, kind, counts, dim, seed, data):
+        rng = np.random.default_rng(seed)
+        parts = [
+            DevicePartition(i, rng.standard_normal((n, dim)), rng.standard_normal(n))
+            for i, n in enumerate(counts)
+        ]
+        if kind == SQUARED_HINGE_SVM:
+            for p in parts:
+                p.y = np.sign(p.y) + (p.y == 0)
+        model = LossModel(kind, reg=0.3, dim=dim)
+        stacked = losses.DeviceData(model, [parts[i : i + 2] for i in range(0, len(parts), 2)])
+        device = data.draw(st.integers(0, len(parts) - 1), label="device")
+        # batch_size == n_points takes every point, undrawn
+        batch = data.draw(st.integers(1, counts[device]), label="batch_size")
+        w = rng.standard_normal(dim)
+        gen_stacked, gen_pair = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        s2, g = control.estimate_sigma(model, stacked, device, w, batch, gen_stacked)
+        # oracle: two grad_sgd calls on the device's own partition
+        g1 = losses.grad_sgd(model, w, parts[device], batch, gen_pair)
+        g2 = losses.grad_sgd(model, w, parts[device], batch, gen_pair)
+        diff = g1 - g2
+        assert s2 == float(diff @ diff / 2.0)
+        np.testing.assert_array_equal(g, (g1 + g2) / 2.0)
+        assert gen_stacked.random() == gen_pair.random()
 
     def test_server_takes_max(self):
         assert control.server_sigma([0.1, 0.7, 0.3]) == 0.7
@@ -402,6 +434,52 @@ class TestOnePassLineSearch:
 
 
 class TestRunAdaptive:
+    # 9 SVM devices of 4 or 5 points: at sigma_batch 4 a probed 4-point device
+    # reports its exact gradient, a 5-point one the mean of two mini-batches
+    PROBE_MIX = control.AdaptiveConfig(T=30, tau_max=6, tau1=3, zeta_frac=0.02, sigma_batch=4)
+
+    @staticmethod
+    def probe_mix_task():
+        return build_small_task(
+            mode="iid", n_clusters=3, cluster_size=3, m=3, n_labels=2, per_label=20, reg=2.0,
+            kind=SQUARED_HINGE_SVM, batch_size=2,
+        )
+
+    def test_probe_mix_trace_bytes_are_pinned(self, tmp_path):
+        trace, _ = control.run_adaptive(self.probe_mix_task(), self.PROBE_MIX, seed=5)
+        trace.to_csv(tmp_path / "trace.csv")
+        trace.control_to_csv(tmp_path / "control.csv")
+        # recorded when each probe stacked its device's partition anew
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("trace.csv", "control.csv")
+        }
+        assert digests == {
+            "trace.csv": "5f15ce70fe275156b282e7abad7941a7fb5f423fa7dac587a690aaa4b774b10c",
+            "control.csv": "866a762b1d20f71dd5cebf51ac7cdc8dbec87f0a65a6ccc10da8b27b3b10d8c8",
+        }
+
+    def test_probes_read_the_task_data(self, monkeypatch):
+        task = self.probe_mix_task()
+        calls = {"DeviceData": 0, "estimate_sigma": 0, "grad_full": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name if name != "__init__" else "DeviceData"] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(losses.DeviceData, "__init__")
+        counting(control, "estimate_sigma")
+        counting(losses, "grad_full")
+        control.run_adaptive(task, self.PROBE_MIX, seed=5)
+        # both probe branches ran, and neither stacked any data of its own
+        assert calls["estimate_sigma"] > 0 and calls["grad_full"] > 0
+        assert calls["DeviceData"] == 0
+
     def test_homogeneous_data_keeps_consensus_idle(self):
         task = build_small_task(mode="iid", per_label=200, reg=2.0)
         cfg = control.AdaptiveConfig(T=40, tau_max=8, tau1=4, zeta_frac=0.02, sigma_batch=16)

@@ -346,6 +346,11 @@ class TestCli:
                                                "channel": {"rate_bps": -1}}}),
             ("topology", {"topology": {"n_clusters": 3, "cluster_size": 3, "max_attempts": 0}}),
             ("topology", {"topology": {"n_clusters": 3, "cluster_size": 3, "field_m": 1e4}}),
+            ("aggregation.mode", {"aggregation": {"mode": "full"},
+                                  "schedule": {"T": 10, "gamma": {"mode": "certified", "phi": 1.0}}}),
+            ("aggregation.mode", {"aggregation": {"mode": "full"}}),
+            ("aggregation.mode", {"aggregation": {"mode": "full"},
+                                  "schedule": {"mode": "adaptive", "T": 10}}),
         ],
         ids=[
             "zero-tau", "boolean-T", "string-seed", "float-seed", "negative-cost", "string-cost",
@@ -354,7 +359,8 @@ class TestCli:
             "zero-tau-max", "zero-tau1", "zero-sigma-batch", "gamma-over-mu-below-1",
             "unknown-init-kind", "missing-csv", "negative-step-gamma", "fractional-rounds",
             "boolean-rounds", "fractional-cadence", "fractional-max-rounds", "negative-rate",
-            "no-placements", "unconnectable-field",
+            "no-placements", "unconnectable-field", "full-certified", "full-fixed-rounds",
+            "full-adaptive",
         ],
     )
     def test_unrunnable_config_exits_2_before_any_output(self, tmp_path, capsys, field, override):
@@ -383,8 +389,7 @@ class TestTopologyRefresh:
     def test_replacement_changes_graphs_between_intervals(self, tmp_path):
         cfg = minimal_config(tmp_path, replace_between_intervals=True)
         config = experiment.load_config(cfg)
-        task = experiment.build_task(config)
-        refresh = experiment._topology_refresh(config, task)
+        refresh = experiment._topology_refresh(config)
         assert refresh is not None
         first = refresh(2)
         again = refresh(2)

@@ -1,7 +1,6 @@
 """Channel arithmetic, graph construction, and mixing-matrix certificates."""
 
 import hashlib
-import json
 import warnings
 
 import numpy as np
@@ -250,12 +249,25 @@ class TestSpectralRadius:
             topology.spectral_radius(V)
 
 
+def check_mixing_assumptions(V: np.ndarray, adjacency: np.ndarray, atol: float = 1e-12):
+    """Oracle: raise unless V satisfies sparsity, row stochasticity, symmetry, and contraction."""
+    n = V.shape[0]
+    off_graph = ~np.asarray(adjacency, dtype=bool) & ~np.eye(n, dtype=bool)
+    if np.any(np.abs(V[off_graph]) > atol):
+        raise ValueError("V has nonzero weight on a non-edge")
+    if np.max(np.abs(V @ np.ones(n) - 1.0)) > atol:
+        raise ValueError("V is not row stochastic")
+    if np.max(np.abs(V - V.T)) > atol:
+        raise ValueError("V is not symmetric")
+    topology.spectral_radius(V)  # raises if >= 1
+
+
 class TestMixingAssumptions:
     def test_generated_matrices_pass_all_conditions(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             V, adj, lam = random_mixing_matrix(rng, int(rng.integers(2, 9)))
-            topology.check_mixing_assumptions(V, adj)
+            check_mixing_assumptions(V, adj)
             assert lam < 1.0
 
     def test_contraction_inequality(self):
@@ -293,7 +305,7 @@ class TestNetworkBuild:
         for spec in clusters:
             assert topology.is_connected(spec.adjacency)
             assert 0 <= spec.lambda_c < 1
-            topology.check_mixing_assumptions(spec.V, spec.adjacency)
+            check_mixing_assumptions(spec.V, spec.adjacency)
 
     def test_benchmark_network_bytes_are_pinned(self):
         # the 25x5 seed-11 network of the benchmark workloads; digest recorded
@@ -303,47 +315,3 @@ class TestNetworkBuild:
             digest.update(spec.adjacency.tobytes())
             digest.update(spec.V.tobytes())
         assert digest.hexdigest() == "ec7d57d825e16c6b5c338a6e0331c8369a30343ff3cdfdb2c9981176a010bfda"
-
-    def test_json_round_trip(self, tmp_path):
-        clusters = topology.build_network(3, 4, 50.0, ChannelParams(), seed=4)
-        path = tmp_path / "net.json"
-        topology.network_to_json(clusters, ChannelParams(), path)
-        back, params = topology.network_from_json(path)
-        assert params == ChannelParams()
-        for a, b in zip(clusters, back):
-            np.testing.assert_array_equal(a.positions, b.positions)
-            np.testing.assert_array_equal(a.adjacency, b.adjacency)
-            np.testing.assert_array_equal(a.V, b.V)
-            assert a.lambda_c == b.lambda_c
-
-    def test_json_stored_diameter_is_ignored(self, tmp_path):
-        # files written before the field was dropped still load
-        clusters = topology.build_network(2, 4, 50.0, ChannelParams(), seed=4)
-        path = tmp_path / "net.json"
-        topology.network_to_json(clusters, ChannelParams(), path)
-        payload = json.loads(path.read_text())
-        assert all("diameter" not in entry for entry in payload["clusters"])
-        for entry in payload["clusters"]:
-            entry["diameter"] = 99
-        path.write_text(json.dumps(payload))
-        back, _ = topology.network_from_json(path)
-        for a, b in zip(clusters, back):
-            np.testing.assert_array_equal(a.V, b.V)
-
-    @pytest.mark.parametrize(
-        "edit, error, match",
-        [
-            (lambda e: e.update(adjacency=[[0] * len(row) for row in e["adjacency"]]),
-             DisconnectedGraphError, "cluster 1: stored graph is disconnected"),
-        ],
-        ids=["disconnected"],
-    )
-    def test_json_untrusted_cluster_rejected(self, tmp_path, edit, error, match):
-        clusters = topology.build_network(2, 4, 50.0, ChannelParams(), seed=4)
-        path = tmp_path / "net.json"
-        topology.network_to_json(clusters, ChannelParams(), path)
-        payload = json.loads(path.read_text())
-        edit(payload["clusters"][1])
-        path.write_text(json.dumps(payload))
-        with pytest.raises(error, match=match):
-            topology.network_from_json(path)
