@@ -46,6 +46,7 @@ from .experiment import (
     run_single,
 )
 from .losses import (
+    BatchSampler,
     DeviceData,
     DevicePartition,
     LossModel,

@@ -140,6 +140,10 @@ def _interval_power(tau: float, alpha: float, exponent: float) -> float:
         return math.inf
 
 
+class DiversityError(ValueError):
+    """The gradient diversity omega is not below omega_max, so Theorem 2 gives no rate."""
+
+
 @dataclass(frozen=True)
 class Thm2Constants:
     alpha_min: float
@@ -228,7 +232,7 @@ def thm2_constants(
     omega_max = omega_max_value(gamma, alpha, mu, beta, tau)
     first, second = nu_terms(gamma, alpha, mu, beta, z1, z2, omega)
     if second == math.inf:
-        raise ValueError(f"omega={omega} is not below omega_max={omega_max}")
+        raise DiversityError(f"omega={omega:.4g} is not below omega_max={omega_max:.4g}")
     nu = max(first, second, alpha * init_gap)
     return Thm2Constants(
         alpha_min=alpha_min_value(gamma, mu, beta, omega),

@@ -418,10 +418,18 @@ def certificate_constants(
     delta, zeta = bounds.exact_diversity_quadratic(task.model, task.data)
     omega = zeta / (2.0 * task.beta)
     init_gap = task.global_loss(task.w0) - task.f_star
-    return bounds.thm2_constants(
-        steps.gamma, steps.alpha, task.mu, task.beta, max(config.schedule.taus), sigma2,
-        config.gamma_plan.phi, delta, init_gap, omega,
-    )
+    try:
+        return bounds.thm2_constants(
+            steps.gamma, steps.alpha, task.mu, task.beta, max(config.schedule.taus), sigma2,
+            config.gamma_plan.phi, delta, init_gap, omega,
+        )
+    except bounds.DiversityError as exc:
+        # an 'auto' alpha is chosen for control.zeta_frac as omega, not for the data's omega
+        raise ConfigError(
+            "step.alpha",
+            f"{exc} at alpha={steps.alpha:.4g}: set control.zeta_frac to at least {omega:.4g} "
+            "for an 'auto' alpha, or set a larger step.alpha",
+        ) from exc
 
 
 def _bound_check(config, task, traces, mean_gap):

@@ -235,15 +235,19 @@ def _quadratic_grad(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
 def grad_sgd(model: LossModel, w: np.ndarray, data, batch_size: int, rng) -> np.ndarray:
     """Gradient over a uniform without-replacement mini-batch of exactly batch_size points.
 
-    For stacked data, w and rng hold one model and one generator per device; each
-    device draws its own batch, in device order, and all run as one block.
+    For one partition rng is a Generator. For stacked data w holds one model
+    per device and rng is a BatchSampler over the devices' generators, which
+    draws every device's batch; all run as one block.
     """
     one = isinstance(data, DevicePartition)
     w, data = _check_dims(model, w, data)[None] if one else w, device_data(model, data)
     if not 1 <= batch_size <= data.n_points.min():
         raise ValueError(f"batch_size {batch_size} out of range [1, {data.n_points.min()}]")
-    g = grad_batches(model, w, data, np.arange(data.n_devices), batch_size, [rng] if one else rng)
-    return g[0] if one else g
+    if one:
+        return grad_batches(model, w, data, np.arange(1), batch_size, [rng])[0]
+    if rng.batch_size != batch_size or not np.array_equal(rng.n_points, data.n_points):
+        raise ValueError("the sampler was built for another batch size or other devices")
+    return _grad_rows(model, w, data, np.arange(data.n_devices), rng.draw())
 
 
 def grad_batches(
@@ -252,21 +256,163 @@ def grad_batches(
     """Mini-batch gradients of the listed devices of stacked data, one row per entry.
 
     Entry j draws batch_size of device devices[j]'s points, uniformly without
-    replacement, from rngs[j], in entry order, and takes the gradient at w[j];
-    a device may be listed more than once. A batch of every point is drawn
-    without the generator and, for regression, takes grad_full's closed form.
+    replacement, with rngs[j].choice, in entry order, and takes the gradient at
+    w[j]; a device may be listed more than once. A batch of every point is
+    drawn without the generator.
     """
-    n_points = data.n_points[devices]
     picks = np.array([
         np.arange(n) if n == batch_size else gen.choice(n, size=batch_size, replace=False)
-        for n, gen in zip(n_points.tolist(), rngs)
+        for n, gen in zip(data.n_points[devices].tolist(), rngs)
     ])
+    return _grad_rows(model, w, data, devices, picks)
+
+
+def _grad_rows(model: LossModel, w: np.ndarray, data: DeviceData, devices: np.ndarray, picks: np.ndarray):
+    """Gradient at w[j] over the points picks[j] of device devices[j]; a batch of
+    every point takes grad_full's closed form for regression."""
     rows = data.starts[devices][:, None] + picks
     g = _grad_batch(model, w, data.X[rows], data.y[rows])
-    full = n_points == batch_size
+    full = data.n_points[devices] == picks.shape[1]
     if model.kind == LINEAR_REGRESSION and full.any():
         g[full] = _quadratic_grad(data.A[devices[full]], data.b[devices[full]], w[full])
     return g
+
+
+# Generator.choice(n, b, replace=False) runs Floyd's algorithm unless n exceeds
+# this and b exceeds n // 50, when it shuffles a tail of arange(n) instead
+_FLOYD_MAX_N = 10000
+# 64-bit generator outputs a BatchSampler fetches per device at a time
+_PREFETCH = 32
+_WORD = 0xFFFFFFFF
+
+
+class BatchSampler:
+    """Every device's mini-batch of a step in one array pass, equal bit for bit to
+    `gens[i].choice(n_points[i], batch_size, replace=False)` for each device i.
+
+    For PCG64 and these sizes `choice` is Floyd's algorithm, then a Fisher-Yates
+    shuffle of the picks; every draw is a Lemire bounded integer on the
+    generator's 32-bit words, the low then the high half of each 64-bit output.
+    The sampler replays both on words it prefetches with `random_raw`, so it
+    must be the only user of its generators. A device with batch_size points
+    takes them all without a draw; one outside Floyd's regime, or whose
+    generator is not a PCG64 with an empty 32-bit buffer, calls `choice`.
+    """
+
+    def __init__(self, n_points, batch_size: int, gens):
+        self.n_points = np.asarray(n_points)
+        self.batch_size = b = batch_size
+        self.gens = list(gens)
+        if len(self.gens) != len(self.n_points) or not 1 <= b <= self.n_points.min():
+            raise ValueError("need one generator per device and 1 <= batch_size <= min(n_points)")
+        replay = np.array([
+            isinstance(g.bit_generator, np.random.PCG64) and not g.bit_generator.state["has_uint32"]
+            for g in self.gens
+        ])
+        drawn = self.n_points > b
+        floyd = (self.n_points <= _FLOYD_MAX_N) | (b <= self.n_points // 50)
+        self.replayed = np.flatnonzero(drawn & floyd & replay)
+        self.chosen = np.flatnonzero(drawn & ~(floyd & replay))
+        # arrays over the replayed devices hold one column per device and one row
+        # per draw: Floyd's j = n-b .. n-1 (bound j+1), then the shuffle's i = b-1 .. 1
+        n = self.n_points[self.replayed]
+        self.tops = n - b + np.arange(b)[:, None]
+        shuffle_bounds = np.broadcast_to(np.arange(b, 1, -1)[:, None], (b - 1, len(n)))
+        self.bounds = np.concatenate([self.tops + 1, shuffle_bounds]).astype(np.uint64)
+        # Lemire rejects a draw whose low product word is below this
+        self.threshold = (np.uint64(2**32) - self.bounds) % self.bounds
+        self.columns = np.arange(len(n))
+        # each device's unread words start at row `cursor` and end before its `end`
+        self.words = np.empty((0, len(n)), dtype=np.uint32)
+        self.cursor = 0
+        self.end = np.zeros(len(n), dtype=np.int64)
+
+    def draw(self) -> np.ndarray:
+        """The (devices, batch_size) point indices of the next step, in each device's draw order."""
+        picks = np.broadcast_to(np.arange(self.batch_size), (len(self.n_points), self.batch_size)).copy()
+        if len(self.replayed):
+            picks[self.replayed] = self._replay().T
+        for d in self.chosen.tolist():
+            picks[d] = self.gens[d].choice(int(self.n_points[d]), size=self.batch_size, replace=False)
+        return picks
+
+    def _replay(self) -> np.ndarray:
+        b = self.batch_size
+        need = 2 * b - 1
+        if self.cursor + need > self.end.min():
+            self._refill(need)
+        step = self.cursor
+        self.cursor += need
+        m = self.words[step:step + need] * self.bounds
+        vals = (m >> 32).astype(np.int64)
+        # Floyd: the draw for j stands for j itself when it was picked before
+        picks = np.empty((b, len(self.columns)), dtype=np.int64)
+        for t in range(b):
+            seen = (picks[:t] == vals[t]).any(axis=0)
+            picks[t] = np.where(seen, self.tops[t], vals[t])
+        flat = picks.reshape(-1)
+        for t, i in enumerate(range(b - 1, 0, -1)):
+            at = vals[b + t] * len(self.columns) + self.columns
+            held = flat[at]
+            flat[at] = picks[i]
+            picks[i] = held
+        # a rejected draw consumes further words: redo those devices one draw at a time
+        rejected = np.flatnonzero(((m & _WORD) < self.threshold).any(axis=0))
+        if len(rejected):
+            self.cursor = step
+            for r in rejected.tolist():
+                picks[:, r] = self._replay_one(r)
+            self.cursor += need
+        return picks
+
+    def _replay_one(self, r: int) -> list[int]:
+        """Device column r's picks from the step's first word on, one scalar draw at a
+        time; its further words are then moved up so that its next step starts with
+        every other device's."""
+        n, b = int(self.n_points[self.replayed[r]]), self.batch_size
+        at = self.cursor
+
+        def bounded(bound: int) -> int:
+            nonlocal at
+            while True:
+                if at == self.end[r]:
+                    at -= self.cursor
+                    self._refill(1)
+                    at += self.cursor
+                m = int(self.words[at, r]) * bound
+                at += 1
+                if m & _WORD >= (2**32 - bound) % bound:
+                    return m >> 32
+
+        picks: list[int] = []
+        for j in range(n - b, n):
+            v = bounded(j + 1)
+            picks.append(j if v in picks else v)
+        for i in range(b - 1, 0, -1):
+            k = bounded(i + 1)
+            picks[i], picks[k] = picks[k], picks[i]
+        extra = at - (self.cursor + 2 * b - 1)
+        self.words[at - extra:self.end[r] - extra, r] = self.words[at:self.end[r], r]
+        self.end[r] -= extra
+        return picks
+
+    def _refill(self, need: int):
+        """Keep every device's unread words and append at least `need` more."""
+        left = self.end - self.cursor
+        raw = np.stack(
+            [self.gens[d].bit_generator.random_raw(max(_PREFETCH, need)) for d in self.replayed], axis=1
+        )
+        fresh = np.empty((2 * len(raw), raw.shape[1]), dtype=np.uint32)
+        fresh[0::2] = raw & _WORD
+        fresh[1::2] = raw >> 32
+        keep = int(left.max())
+        words = np.empty((keep + len(fresh), len(left)), dtype=np.uint32)
+        words[:keep] = self.words[self.cursor:self.cursor + keep]
+        words[keep:] = fresh
+        # a device that had rejected draws has fewer unread words than the others
+        for r in np.flatnonzero(left < keep).tolist():
+            words[left[r]:left[r] + len(fresh), r] = fresh[:, r]
+        self.words, self.cursor, self.end = words, 0, left + len(fresh)
 
 
 def smoothness_constants(model: LossModel, data) -> tuple[float, float]:

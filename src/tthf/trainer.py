@@ -276,7 +276,9 @@ def run_protocol(
         np.random.default_rng(np.random.SeedSequence([seed, _STREAM_OUTAGE, c]))
         for c in range(n_clusters)
     ]
-    dev_rngs = device_rngs(seed, n_dev)
+    sampler = None
+    if task.batch_size is not None:
+        sampler = losses.BatchSampler(task.data.n_points, task.batch_size, device_rngs(seed, n_dev))
 
     W = np.tile(task.w0, (n_dev, 1)).astype(float)
     varrho = task.data.varrho
@@ -284,11 +286,11 @@ def run_protocol(
     if radius_ref is not None:
         max_radius = float(np.linalg.norm(W - radius_ref, axis=1).max())
 
+    cluster_starts = np.array([sl.start for sl in task.data.cluster_slices])
+
     def sample_indices():
-        return [
-            int(rng_sampling.integers(0, clusters[c].size)) + task.data.cluster_slices[c].start
-            for c in range(n_clusters)
-        ]
+        # one draw per cluster, in cluster order, as separate scalar calls would give
+        return (cluster_starts + rng_sampling.integers(0, sizes)).tolist()
 
     sampled = sample_indices()
 
@@ -321,10 +323,10 @@ def run_protocol(
         eta_next = steps.eta(t)
 
         # local SGD step for every device
-        if task.batch_size is None:
+        if sampler is None:
             grads = losses.grad_full(task.model, W, task.data)
         else:
-            grads = losses.grad_sgd(task.model, W, task.data, task.batch_size, dev_rngs)
+            grads = losses.grad_sgd(task.model, W, task.data, task.batch_size, sampler)
         W_tilde = W - eta_prev * grads
         if np.isnan(W_tilde).any():
             bad = int(np.flatnonzero(np.isnan(W_tilde).any(axis=1))[0])

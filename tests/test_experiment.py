@@ -493,3 +493,15 @@ class TestCliBoundsReport:
         assert cli.main(["bounds-report", str(cfg_path), "--out", str(out)]) == 2
         assert "step.kind" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_uncertifiable_diversity_is_a_config_error(self, tmp_path, capsys):
+        # the 'auto' alpha admits zeta_frac as omega, but this data's omega is larger
+        cfg = TestSummaryBoundCheck().certified_config(tmp_path)
+        cfg["dataset"].update(separation=2.0, seed=1)
+        cfg_path = tmp_path / "diverse.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "report.json"
+        assert cli.main(["bounds-report", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "step.alpha" in err and "omega_max=" in err and "control.zeta_frac" in err
+        assert not out.exists()

@@ -4,7 +4,7 @@ import typing
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tthf import losses
@@ -273,6 +273,10 @@ def stacked_devices(kind, counts, dim, seed):
     return LossModel(kind, reg=0.3, dim=dim), clusters, parts, rng
 
 
+def seeded_gens(seed, n):
+    return [np.random.default_rng([seed, i]) for i in range(n)]
+
+
 KINDS = st.sampled_from([LINEAR_REGRESSION, SQUARED_HINGE_SVM])
 COUNTS = st.lists(st.integers(1, 7), min_size=1, max_size=7)
 
@@ -294,16 +298,23 @@ class TestBatchedLayer:
         model, clusters, parts, rng = stacked_devices(kind, counts, dim, seed)
         # batch_size == min(counts) makes the smallest devices use every point, undrawn
         batch = data.draw(st.integers(1, min(counts)), label="batch_size")
-        W = rng.standard_normal((len(parts), dim))
-        gens_batched = [np.random.default_rng([seed, i]) for i in range(len(parts))]
-        gens_single = [np.random.default_rng([seed, i]) for i in range(len(parts))]
-        batched = losses.grad_sgd(model, W, losses.DeviceData(model, clusters), batch, gens_batched)
-        per_device = np.stack([
-            losses.grad_sgd(model, w, p, batch, g) for w, p, g in zip(W, parts, gens_single)
-        ])
-        np.testing.assert_array_equal(batched, per_device)
-        # every device drew exactly what its own call draws
-        assert [g.random() for g in gens_batched] == [g.random() for g in gens_single]
+        data_stacked = losses.DeviceData(model, clusters)
+        sampler = losses.BatchSampler(data_stacked.n_points, batch, seeded_gens(seed, len(parts)))
+        gens_single = seeded_gens(seed, len(parts))
+        # two steps: the second reads each device's stream where the first left it
+        for _ in range(2):
+            W = rng.standard_normal((len(parts), dim))
+            batched = losses.grad_sgd(model, W, data_stacked, batch, sampler)
+            per_device = np.stack([
+                losses.grad_sgd(model, w, p, batch, g) for w, p, g in zip(W, parts, gens_single)
+            ])
+            np.testing.assert_array_equal(batched, per_device)
+
+    def test_grad_sgd_rejects_a_sampler_for_another_batch_size(self):
+        model, clusters, parts, _ = stacked_devices(LINEAR_REGRESSION, [5, 6, 7], 2, 0)
+        sampler = losses.BatchSampler([5, 6, 7], 2, seeded_gens(0, 3))
+        with pytest.raises(ValueError, match="another batch size"):
+            losses.grad_sgd(model, np.zeros((3, 2)), losses.DeviceData(model, clusters), 3, sampler)
 
     @given(kind=KINDS, counts=COUNTS, dim=st.integers(1, 5), seed=st.integers(0, 2**16))
     def test_stats_and_beta_equal_per_device_formulas(self, kind, counts, dim, seed):
@@ -327,6 +338,129 @@ class TestBatchedLayer:
         for data in (clusters, losses.DeviceData(model, clusters)):
             assert losses.global_loss(model, w, data) == pytest.approx(mean_loss, rel=1e-12, abs=1e-12)
             assert losses.device_mean_loss(model, w, data) == pytest.approx(mean_loss, rel=1e-12, abs=1e-12)
+
+
+def choice_reference(words, n, b):
+    """Generator.choice(n, b, replace=False) in Floyd's regime, on an iterator over a
+    PCG64's 32-bit words: Floyd's algorithm, then a Fisher-Yates shuffle of the picks,
+    every draw a Lemire bounded integer. Returns the picks and the rejections seen."""
+    rejections = 0
+
+    def bounded(bound):
+        nonlocal rejections
+        while True:
+            m = next(words) * bound
+            if m % 2**32 >= (2**32 - bound) % bound:
+                return m // 2**32
+            rejections += 1
+
+    picks = []
+    for j in range(n - b, n):
+        v = bounded(j + 1)
+        picks.append(j if v in picks else v)
+    for i in range(b - 1, 0, -1):
+        k = bounded(i + 1)
+        picks[i], picks[k] = picks[k], picks[i]
+    return picks, rejections
+
+
+def words_of(outputs):
+    """The 32-bit words of 64-bit PCG64 outputs, as next_uint32 returns them: low half first."""
+    for out in outputs:
+        yield int(out) % 2**32
+        yield int(out) // 2**32
+
+
+class ScriptedPCG64(np.random.PCG64):
+    """A PCG64 whose random_raw returns the given 64-bit outputs in turn."""
+
+    def __init__(self, outputs):
+        super().__init__(0)
+        self.outputs = list(outputs)
+
+    def random_raw(self, size=None, output=True):
+        out, self.outputs = self.outputs[:size], self.outputs[size:]
+        assert len(out) == size, "script ran out of outputs"
+        return np.array(out, dtype=np.uint64)
+
+
+class TestBatchSampler:
+    """The array sampler against one Generator.choice call per device, bit for bit."""
+
+    @staticmethod
+    def choice_picks(n_points, b, gens):
+        return np.array([
+            np.arange(n) if n == b else g.choice(n, size=b, replace=False)
+            for n, g in zip(n_points, gens)
+        ])
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(1, 30), min_size=1, max_size=9), seed=st.integers(0, 2**16),
+           outside=st.booleans(), data=st.data())
+    def test_equals_choice_over_many_steps(self, counts, seed, outside, data):
+        if outside:
+            # choice leaves Floyd's algorithm for n > 10000 and b > n // 50, which needs b > 200
+            b = data.draw(st.integers(201, 210), label="batch_size")
+            counts = [b + c - 1 for c in counts] + [data.draw(st.integers(10001, 50 * b - 1)), 20000]
+            steps = data.draw(st.integers(1, 3), label="steps")
+        else:
+            b = data.draw(st.integers(1, min(counts)), label="batch_size")
+            # up to 150 steps, enough to refill even a one-word-a-step buffer twice
+            steps = data.draw(st.integers(1, 150), label="steps")
+        sampler = losses.BatchSampler(counts, b, seeded_gens(seed, len(counts)))
+        gens = seeded_gens(seed, len(counts))
+        assert (len(sampler.chosen) == 1) is outside
+        for _ in range(steps):
+            np.testing.assert_array_equal(sampler.draw(), self.choice_picks(counts, b, gens))
+
+    def test_generators_it_cannot_replay_call_choice(self):
+        # an MT19937 has another word stream; a PCG64 holding the high half of
+        # an output would hand it out before the next random_raw output
+        counts, b = [9, 12, 15], 3
+        pending = np.random.default_rng(4)
+        pending.integers(0, 2**32, dtype=np.uint32)
+        gens = [np.random.Generator(np.random.MT19937(1)), pending, np.random.default_rng(5)]
+        twins = [
+            np.random.Generator(np.random.MT19937(1)), np.random.default_rng(4), np.random.default_rng(5)
+        ]
+        twins[1].integers(0, 2**32, dtype=np.uint32)
+        sampler = losses.BatchSampler(counts, b, gens)
+        assert sampler.chosen.tolist() == [0, 1]
+        for _ in range(30):
+            np.testing.assert_array_equal(sampler.draw(), self.choice_picks(counts, b, twins))
+
+    def test_reference_equals_choice(self):
+        for seed in range(50):
+            n, b = 20 + seed, 1 + seed % 9
+            raw = np.random.default_rng(seed).bit_generator.random_raw(64)
+            picks, _ = choice_reference(words_of(raw), n, b)
+            assert picks == np.random.default_rng(seed).choice(n, size=b, replace=False).tolist()
+
+    def test_rejected_draws_follow_the_reference(self):
+        n_points, b, steps = [20, 20, 9, 13], 4, 40
+        rng = np.random.default_rng(5)
+        scripts = []
+        for d, n in enumerate(n_points):
+            words = rng.integers(1, 2**32, size=1200, dtype=np.uint64)
+            # a zero word is rejected wherever the draw's bound is not a power of two
+            words[rng.choice(np.arange(d, 250), size=12, replace=False)] = 0
+            if d == 0:
+                # a run of rejections longer than the sampler's prefetch
+                words[100:400] = 0
+            scripts.append((words[0::2] | (words[1::2] << np.uint64(32))).tolist())
+        sampler = losses.BatchSampler(
+            n_points, b, [np.random.Generator(ScriptedPCG64(out)) for out in scripts]
+        )
+        streams = [words_of(out) for out in scripts]
+        rejections = 0
+        for _ in range(steps):
+            expected = []
+            for n, words in zip(n_points, streams):
+                picks, rejected = choice_reference(words, n, b)
+                expected.append(picks)
+                rejections += rejected
+            np.testing.assert_array_equal(sampler.draw(), expected)
+        assert rejections >= 300
 
 
 class TestPredictLabels:

@@ -34,9 +34,10 @@ def one_step(task, eta):
     if task.batch_size is None:
         grads = losses.grad_full(task.model, W, task.data)
     else:
-        grads = losses.grad_sgd(
-            task.model, W, task.data, task.batch_size, trainer.device_rngs(0, task.n_devices)
+        sampler = losses.BatchSampler(
+            task.data.n_points, task.batch_size, trainer.device_rngs(0, task.n_devices)
         )
+        grads = losses.grad_sgd(task.model, W, task.data, task.batch_size, sampler)
     return W - eta * grads
 
 
