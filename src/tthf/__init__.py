@@ -53,7 +53,6 @@ from .losses import (
     global_loss,
     grad_full,
     grad_sgd,
-    local_loss,
     smoothness_constants,
     solve_optimum,
 )

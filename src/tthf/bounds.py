@@ -283,8 +283,9 @@ def sgd_variance_bound(
     n = part.n_points
     if batch_size >= n:
         return 0.0
-    h_i = device_data(model, part).H[0]
-    g_center = grad_full(model, center, part)
+    data = device_data(model, [[part]])
+    h_i = data.H[0]
+    g_center = grad_full(model, center[None], data)[0]
     total = 0.0
     for x, y in zip(part.X, part.y):
         c_b = float(np.linalg.norm(grad_point(model, center, x, y) - g_center))

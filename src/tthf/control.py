@@ -133,7 +133,7 @@ def phi_max(
     if tau == 1:
         denom = 1.0
     else:
-        growth = math.exp(6.0 * beta * gamma * math.log1p((tau - 1.0) / (alpha - 1.0)))
+        growth = bounds._interval_power(tau, alpha, 6.0 * beta * gamma)
         denom = 1.0 + 50.0 * beta * gamma * (tau - 1.0) * (1.0 + (tau - 2.0) / (alpha + 1.0)) * growth
     return float(math.sqrt(beta) * math.sqrt(radicand_num / denom))
 
@@ -373,6 +373,15 @@ class AdaptiveConfig:
             raise ValueError("gamma_over_mu must exceed 1 (the step size needs gamma > 1/mu)")
         if not 0.0 <= self.zeta_frac < 1.0:
             raise ValueError("zeta_frac must lie in [0, 1)")
+        if self.gamma_max < 0:
+            raise ValueError("gamma_max must be >= 0")
+        if self.xi is not None and self.xi <= 0:
+            raise ValueError("xi must be > 0")
+        for name in ("xi_boost", "alpha_cap"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        if self.alpha_margin < 1:
+            raise ValueError("alpha_margin must be >= 1")
 
 
 # feasibility relaxation caps: T doubles up to this often, then xi loosens

@@ -73,7 +73,7 @@ _DEFAULTS = {
         "mode": "fixed",
         "T": None,
         "tau": 20,
-        "gamma": {**asdict(GammaPlan()), "mode": "fixed"},
+        "gamma": asdict(GammaPlan()),
     },
     "aggregation": {"mode": "sampled"},
     "control": {
@@ -156,6 +156,8 @@ def load_config(source) -> ExperimentConfig:
             raise ConfigError(".".join(keys), "missing required field")
     _validate(merged)
     sched = merged["schedule"]
+    # before the control block, which reads max_rounds as gamma_max
+    gamma_plan = _parse("schedule.gamma", GammaPlan, **sched["gamma"])
     adaptive = None
     if sched["mode"] == "adaptive":
         ctrl = merged["control"]
@@ -173,7 +175,7 @@ def load_config(source) -> ExperimentConfig:
         channel=_parse("topology.channel", topology.ChannelParams, **merged["topology"]["channel"]),
         cost=_parse("cost", CostParams, **merged["cost"]),
         partition=_parse("partition.mode", data.PartitionPlan, **merged["partition"]),
-        gamma_plan=_parse("schedule.gamma", GammaPlan, **sched["gamma"]),
+        gamma_plan=gamma_plan,
         schedule=_parse("schedule.tau", make_schedule, sched["T"], sched["tau"]),
         outage=OutagePolicy(enabled=merged["outage"]["enabled"]),
         adaptive=adaptive,

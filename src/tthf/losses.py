@@ -65,17 +65,6 @@ class DevicePartition:
         return self.X.shape[0]
 
 
-def _check_dims(model: LossModel, w: np.ndarray, part: DevicePartition):
-    w = np.asarray(w, dtype=float)
-    if w.shape != (model.dim,):
-        raise ValueError(f"model vector has shape {w.shape}, expected ({model.dim},)")
-    if part.X.shape[1] != model.dim:
-        raise ValueError(
-            f"feature dimension {part.X.shape[1]} does not match model dim {model.dim}"
-        )
-    return w
-
-
 def size_groups(sizes: Sequence[int]) -> list[tuple[list[int], slice | np.ndarray, int]]:
     """Consecutive row ranges of the given sizes, grouped by size: (members, rows, size).
 
@@ -150,10 +139,8 @@ class DeviceData:
 
 
 def device_data(model: LossModel, data) -> DeviceData:
-    """`data` as a DeviceData: stacked data as is; clusters of partitions, or one partition, stacked."""
-    if isinstance(data, DeviceData):
-        return data
-    return DeviceData(model, [[data]] if isinstance(data, DevicePartition) else data)
+    """`data` as a DeviceData: stacked data as is, clusters of partitions stacked."""
+    return data if isinstance(data, DeviceData) else DeviceData(model, data)
 
 
 def _loss_batch(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray):
@@ -167,23 +154,16 @@ def _loss_batch(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray):
     return data_term + 0.5 * model.reg * (w @ w)
 
 
-def local_loss(model: LossModel, w: np.ndarray, part: DevicePartition) -> float:
-    """Average per-point loss over the device's dataset, L2 term included."""
-    return float(_loss_batch(model, _check_dims(model, w, part), part.X, part.y))
-
-
-def global_loss(model: LossModel, w: np.ndarray, data) -> float:
+def global_loss(model: LossModel, w: np.ndarray, data: DeviceData) -> float:
     """F(w) = (1/I) sum_i F_i(w): closed form 0.5 w'Aw - b'w + c for regression, else device_mean_loss."""
-    data = device_data(model, data)
     if model.kind == LINEAR_REGRESSION:
         A, b, c = data.mean_quad
         return float(0.5 * w @ (A @ w) - b @ w + c)
     return device_mean_loss(model, w, data)
 
 
-def device_mean_loss(model: LossModel, w: np.ndarray, data) -> float:
+def device_mean_loss(model: LossModel, w: np.ndarray, data: DeviceData) -> float:
     """sum_c varrho_c F_c(w), F_c the mean device loss of cluster c; equals (1/I) sum_i F_i(w)."""
-    data = device_data(model, data)
     losses = np.empty(data.n_devices)
     for members, X, y in data.blocks:
         losses[members] = _loss_batch(model, w, X, y)
@@ -213,18 +193,14 @@ def _grad_batch(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray) -
     return g + model.reg * w
 
 
-def grad_full(model: LossModel, w: np.ndarray, data) -> np.ndarray:
-    """Exact gradient of the local loss: at one model w for a DevicePartition, else at
-    one model per device, w of shape (n_devices, d), for every device."""
-    one = isinstance(data, DevicePartition)
-    w, data = _check_dims(model, w, data)[None] if one else w, device_data(model, data)
+def grad_full(model: LossModel, w: np.ndarray, data: DeviceData) -> np.ndarray:
+    """Exact gradient of every device's local loss at its own model, w of shape (n_devices, d)."""
     if model.kind == LINEAR_REGRESSION:
-        g = _quadratic_grad(data.A, data.b, w)
-    else:
-        g = np.empty((data.n_devices, model.dim))
-        for members, X, y in data.blocks:
-            g[members] = _grad_batch(model, w[members], X, y)
-    return g[0] if one else g
+        return _quadratic_grad(data.A, data.b, w)
+    g = np.empty((data.n_devices, model.dim))
+    for members, X, y in data.blocks:
+        g[members] = _grad_batch(model, w[members], X, y)
+    return g
 
 
 def _quadratic_grad(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -232,19 +208,17 @@ def _quadratic_grad(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("dij,dj->di", A, w) - b
 
 
-def grad_sgd(model: LossModel, w: np.ndarray, data, batch_size: int, rng) -> np.ndarray:
-    """Gradient over a uniform without-replacement mini-batch of exactly batch_size points.
+def grad_sgd(
+    model: LossModel, w: np.ndarray, data: DeviceData, batch_size: int, rng: BatchSampler
+) -> np.ndarray:
+    """Every device's gradient at its own model, w of shape (n_devices, d), over a
+    uniform without-replacement mini-batch of exactly batch_size of its points.
 
-    For one partition rng is a Generator. For stacked data w holds one model
-    per device and rng is a BatchSampler over the devices' generators, which
-    draws every device's batch; all run as one block.
+    rng is a BatchSampler over the devices' generators, which draws every
+    device's batch; all run as one block.
     """
-    one = isinstance(data, DevicePartition)
-    w, data = _check_dims(model, w, data)[None] if one else w, device_data(model, data)
     if not 1 <= batch_size <= data.n_points.min():
         raise ValueError(f"batch_size {batch_size} out of range [1, {data.n_points.min()}]")
-    if one:
-        return grad_batches(model, w, data, np.arange(1), batch_size, [rng])[0]
     if rng.batch_size != batch_size or not np.array_equal(rng.n_points, data.n_points):
         raise ValueError("the sampler was built for another batch size or other devices")
     return _grad_rows(model, w, data, np.arange(data.n_devices), rng.draw())
@@ -415,14 +389,13 @@ class BatchSampler:
         self.words, self.cursor, self.end = words, 0, left + len(fresh)
 
 
-def smoothness_constants(model: LossModel, data) -> tuple[float, float]:
+def smoothness_constants(model: LossModel, data: DeviceData) -> tuple[float, float]:
     """(mu, beta): strong convexity of the global loss and the worst per-device smoothness.
 
     For quadratics mu = lambda_min(global data Hessian) + reg; for the squared hinge
     only the regularizer certifies strong convexity. beta is the max over devices of
     the per-device curvature bound lambda_max(H_i) + reg in both cases.
     """
-    data = device_data(model, data)
     beta = float(np.linalg.eigvalsh(data.H)[:, -1].max()) + model.reg
     if model.kind == LINEAR_REGRESSION:
         # rho_i = varrho_c * rho_{i,c} = 1/I for every device
@@ -439,12 +412,11 @@ def smoothness_constants(model: LossModel, data) -> tuple[float, float]:
 
 def solve_optimum(
     model: LossModel,
-    data,
+    data: DeviceData,
     tol: float = 1e-10,
     max_iter: int = 2_000_000,
 ) -> np.ndarray:
     """Global minimizer: normal equations for quadratics, full-batch GD for the SVM."""
-    data = device_data(model, data)
     rho = 1.0 / data.n_devices
     if model.kind == LINEAR_REGRESSION:
         return np.linalg.solve((data.A * rho).sum(axis=0), (data.b * rho).sum(axis=0))

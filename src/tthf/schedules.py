@@ -37,9 +37,10 @@ class GammaPlan:
     mode "none": no consensus; "fixed": `value` rounds at every `cadence`-th local
     step of each interval; "certified": rounds chosen per cluster each step so the
     contraction certificate meets the eta_t*phi error target (exact divergence).
+    The default, a fixed plan of 0 rounds, runs no consensus.
     """
 
-    mode: str = "none"
+    mode: str = "fixed"
     value: int = 0
     cadence: int = 5
     phi: float = 1.0
@@ -54,6 +55,9 @@ class GammaPlan:
             value = getattr(self, name)
             if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        # adaptive runs read max_rounds as their round cap, whatever the mode
+        if self.max_rounds < 0:
+            raise ValueError("max_rounds must be >= 0")
         if self.mode == "fixed" and (self.value < 0 or self.cadence < 1):
             raise ValueError("fixed gamma plan needs value >= 0 and cadence >= 1")
         if self.mode == "certified" and self.phi <= 0:

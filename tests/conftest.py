@@ -18,6 +18,26 @@ settings.register_profile("tthf", derandomize=True, deadline=None, max_examples=
 settings.load_profile("tthf")
 
 
+def one_device(model, part):
+    """A network of one device that holds `part`."""
+    return losses.DeviceData(model, [[part]])
+
+
+def local_loss(model, w, part):
+    """The device's own loss F_i(w): the device mean of a one-device network."""
+    return losses.device_mean_loss(model, w, one_device(model, part))
+
+
+def local_grad(model, w, part):
+    """The exact gradient of the device's own loss at the one model w."""
+    return losses.grad_full(model, w[None], one_device(model, part))[0]
+
+
+def local_sgd(model, w, data, batch_size, rng):
+    """The mini-batch gradient at w of a one-device network `data`, drawn with rng.choice."""
+    return losses.grad_batches(model, w[None], data, np.arange(1), batch_size, [rng])[0]
+
+
 def random_connected_adjacency(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random spanning tree plus extra edges; always connected."""
     adj = np.zeros((n, n), dtype=bool)

@@ -9,6 +9,8 @@ from tthf import bounds
 from tthf.bounds import Prop1Params
 from tthf.schedules import StepSchedule
 
+from conftest import local_grad
+
 
 class TestDiversityFit:
     def test_identical_gradients_zero(self):
@@ -223,7 +225,7 @@ class TestSgdVarianceBound:
         for _ in range(40):
             delta = rng.standard_normal(3)
             w = center + radius * delta / np.linalg.norm(delta) * rng.uniform(0, 1)
-            exact = losses.grad_full(model, w, part)
+            exact = local_grad(model, w, part)
             per_point = [
                 np.sum((losses.grad_point(model, w, x, y) - exact) ** 2)
                 for x, y in zip(part.X, part.y)

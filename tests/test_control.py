@@ -17,7 +17,7 @@ from tthf.losses import LINEAR_REGRESSION, SQUARED_HINGE_SVM, DevicePartition, L
 from tthf.schedules import StepSchedule
 from tthf.topology import ClusterSpec
 
-from conftest import build_small_task
+from conftest import build_small_task, local_grad, local_sgd, one_device
 
 MU, BETA = 1.0, 2.0
 GAMMA = 2.0 / MU
@@ -138,7 +138,7 @@ class TestEstimateSigma:
         model = LossModel(LINEAR_REGRESSION, reg=0.1, dim=3)
         s2, g = control.estimate_sigma(model, losses.DeviceData(model, [[part]]), 0, np.zeros(3), 6, rng)
         assert s2 == 0.0
-        np.testing.assert_allclose(g, losses.grad_full(model, np.zeros(3), part))
+        np.testing.assert_allclose(g, local_grad(model, np.zeros(3), part))
 
     def test_constant_dataset_zero_variance(self):
         X = np.tile([1.0, 2.0], (5, 1))
@@ -154,7 +154,7 @@ class TestEstimateSigma:
         part = self.make_part(rng, n=6)
         model = LossModel(LINEAR_REGRESSION, reg=0.2, dim=3)
         w = rng.standard_normal(3)
-        exact = losses.grad_full(model, w, part)
+        exact = local_grad(model, w, part)
         # exact E|g_batch - grad|^2 by enumerating all C(6,2) batches
         from itertools import combinations
 
@@ -192,9 +192,10 @@ class TestEstimateSigma:
         w = rng.standard_normal(dim)
         gen_stacked, gen_pair = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
         s2, g = control.estimate_sigma(model, stacked, device, w, batch, gen_stacked)
-        # oracle: two grad_sgd calls on the device's own partition
-        g1 = losses.grad_sgd(model, w, parts[device], batch, gen_pair)
-        g2 = losses.grad_sgd(model, w, parts[device], batch, gen_pair)
+        # oracle: two mini-batch gradients on the device's own partition
+        own = one_device(model, parts[device])
+        g1 = local_sgd(model, w, own, batch, gen_pair)
+        g2 = local_sgd(model, w, own, batch, gen_pair)
         diff = g1 - g2
         assert s2 == float(diff @ diff / 2.0)
         np.testing.assert_array_equal(g, (g1 + g2) / 2.0)
@@ -449,14 +450,15 @@ class TestRunAdaptive:
         trace, _ = control.run_adaptive(self.probe_mix_task(), self.PROBE_MIX, seed=5)
         trace.to_csv(tmp_path / "trace.csv")
         trace.control_to_csv(tmp_path / "control.csv")
-        # recorded when each probe stacked its device's partition anew
+        # a change to the probes' draws or to the controller's arithmetic,
+        # down to the last bit of phi, changes these bytes
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("trace.csv", "control.csv")
         }
         assert digests == {
             "trace.csv": "5f15ce70fe275156b282e7abad7941a7fb5f423fa7dac587a690aaa4b774b10c",
-            "control.csv": "866a762b1d20f71dd5cebf51ac7cdc8dbec87f0a65a6ccc10da8b27b3b10d8c8",
+            "control.csv": "4481411631c77dcc6a3c2fc06f5af6fa91c51a55f62267e9ba1914d24ac61f12",
         }
 
     def test_probes_read_the_task_data(self, monkeypatch):

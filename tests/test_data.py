@@ -6,6 +6,8 @@ import pytest
 from tthf import bounds, data, losses
 from tthf.data import CsvFormatError, PartitionPlan
 
+from conftest import local_grad
+
 
 class TestGenSynthetic:
     def test_deterministic_under_seed(self):
@@ -18,7 +20,7 @@ class TestGenSynthetic:
         ds = data.gen_synthetic(6, 2, 300, 0.0, seed=1)
         model = losses.LossModel(losses.LINEAR_REGRESSION, reg=0.01, dim=6)
         parts = data.partition(ds, 1, PartitionPlan("iid", seed=2), kind=model.kind)
-        w_star = losses.solve_optimum(model, [parts])
+        w_star = losses.solve_optimum(model, losses.DeviceData(model, [parts]))
         acc = losses.accuracy(model, w_star, ds.X, ds.labels, ds.n_labels)
         assert abs(acc - 0.5) < 0.05
 
@@ -26,7 +28,7 @@ class TestGenSynthetic:
         ds = data.gen_synthetic(10, 2, 200, 10.0, seed=2)
         model = losses.LossModel(losses.LINEAR_REGRESSION, reg=0.01, dim=10)
         parts = data.partition(ds, 1, PartitionPlan("iid", seed=3), kind=model.kind)
-        w_star = losses.solve_optimum(model, [parts])
+        w_star = losses.solve_optimum(model, losses.DeviceData(model, [parts]))
         assert losses.accuracy(model, w_star, ds.X, ds.labels, ds.n_labels) >= 0.99
 
     def test_parameter_validation(self):
@@ -90,9 +92,7 @@ class TestHeterogeneityOrdering:
                 flat = data.partition(ds, 20, PartitionPlan(mode, seed=seed + 100), kind=model.kind)
                 clusters = [flat[i * 2 : (i + 1) * 2] for i in range(10)]
                 w = np.zeros(4)
-                grads = [
-                    sum(losses.grad_full(model, w, p) for p in c) / len(c) for c in clusters
-                ]
+                grads = [sum(local_grad(model, w, p) for p in c) / len(c) for c in clusters]
                 g_bar = sum(grads) / len(grads)
                 deltas[mode] = bounds.diversity_fit(grads, g_bar, 0.0, zeta=0.0)
             assert deltas["extreme"] >= deltas["moderate"] >= deltas["iid"], (seed, deltas)

@@ -130,11 +130,32 @@ class TestRunExperiment:
         for name, blob in serial.items():
             assert (tmp_path / "out" / name).read_bytes() == blob, name
 
-    def test_lossy_minibatch_trace_bytes_are_pinned(self, tmp_path):
+    @pytest.mark.parametrize(
+        "override, expected",
+        [
+            (
+                {},
+                {
+                    "trace_seed3.csv": "4450878e984abe974a98d30598bddd33746629cfbff1b704b84d3f5d6ccc269b",
+                    "trace_seed3_control.csv": "c3fe03392efd184aa736b8513044227a7965c0c7b4ac38458bd21fafd7fdde07",
+                },
+            ),
+            (
+                {"aggregation": {"mode": "full"}, "schedule": {"T": 40, "tau": 10}},
+                {
+                    "trace_seed3.csv": "4fe305cd2f238e577319f04a4d89297c64093edef3aaee9ff3862a0fc8dfeb23",
+                    "trace_seed3_control.csv": "856cdedc04941c34423deda177cc41dad4eb451648ffb4326d126cab5a21d843",
+                },
+            ),
+        ],
+        ids=["lossy-gossip", "full-participation"],
+    )
+    def test_lossy_minibatch_trace_bytes_are_pinned(self, tmp_path, override, expected):
         # a 4x4 network whose channel keeps links up to 40% outage, so most
         # steps lose links and some rounds lose several; a change to which
         # links a round loses, to how a round mixes, or to the mini-batch
-        # draws changes these bytes
+        # draws changes these bytes. The full-participation baseline runs the
+        # default D2D plan, so a change to that default's rounds changes its bytes
         cfg = {
             "dataset": {"m": 4, "n_labels": 4, "per_label": 60, "separation": 1.0, "seed": 7},
             "topology": {
@@ -148,16 +169,14 @@ class TestRunExperiment:
             "eval_accuracy": False,
             "seeds": [3],
             "output_dir": str(tmp_path / "out"),
+            **override,
         }
         experiment.run_experiment(cfg)
         digests = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted((tmp_path / "out").glob("*.csv"))
         }
-        assert digests == {
-            "trace_seed3.csv": "4450878e984abe974a98d30598bddd33746629cfbff1b704b84d3f5d6ccc269b",
-            "trace_seed3_control.csv": "c3fe03392efd184aa736b8513044227a7965c0c7b4ac38458bd21fafd7fdde07",
-        }
+        assert digests == expected
 
 
 def relaxing_config(tmp_path, seeds):
@@ -351,6 +370,17 @@ class TestCli:
             ("aggregation.mode", {"aggregation": {"mode": "full"}}),
             ("aggregation.mode", {"aggregation": {"mode": "full"},
                                   "schedule": {"mode": "adaptive", "T": 10}}),
+            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "certified",
+                                                                "max_rounds": -1}}}),
+            ("schedule.gamma", {"schedule": {"mode": "adaptive", "T": 10,
+                                             "gamma": {"max_rounds": -1}}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"xi": 0}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"xi": -1}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"xi_boost": 0}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"xi_boost": -1}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"alpha_cap": -1}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10},
+                         "control": {"alpha_margin": 0.5}}),
         ],
         ids=[
             "zero-tau", "boolean-T", "string-seed", "float-seed", "negative-cost", "string-cost",
@@ -360,7 +390,9 @@ class TestCli:
             "unknown-init-kind", "missing-csv", "negative-step-gamma", "fractional-rounds",
             "boolean-rounds", "fractional-cadence", "fractional-max-rounds", "negative-rate",
             "no-placements", "unconnectable-field", "full-certified", "full-fixed-rounds",
-            "full-adaptive",
+            "full-adaptive", "negative-max-rounds", "negative-adaptive-max-rounds", "zero-xi",
+            "negative-xi", "zero-xi-boost", "negative-xi-boost", "negative-alpha-cap",
+            "alpha-margin-below-1",
         ],
     )
     def test_unrunnable_config_exits_2_before_any_output(self, tmp_path, capsys, field, override):

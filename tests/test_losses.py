@@ -16,6 +16,8 @@ from tthf.losses import (
     StrongConvexityError,
 )
 
+from conftest import local_grad, local_loss, local_sgd, one_device
+
 
 def one_point_part(x, y):
     return DevicePartition(device_id=0, X=np.array([x], dtype=float), y=np.array([y], dtype=float))
@@ -31,17 +33,17 @@ class TestLocalLoss:
     def test_single_point_regression(self):
         model = LossModel(LINEAR_REGRESSION, reg=0.0, dim=1)
         part = one_point_part([1.0], 0.0)
-        assert losses.local_loss(model, np.array([2.0]), part) == pytest.approx(2.0)
+        assert local_loss(model, np.array([2.0]), part) == pytest.approx(2.0)
 
     def test_optimum_beats_perturbations(self):
         rng = np.random.default_rng(0)
         model = LossModel(LINEAR_REGRESSION, reg=0.3, dim=3)
         part = random_part(rng, 20, 3)
-        w_star = losses.solve_optimum(model, [[part]])
-        base = losses.local_loss(model, w_star, part)
+        w_star = losses.solve_optimum(model, one_device(model, part))
+        base = local_loss(model, w_star, part)
         for _ in range(100):
             delta = rng.standard_normal(3) * 0.1
-            assert base <= losses.local_loss(model, w_star + delta, part) + 1e-12
+            assert base <= local_loss(model, w_star + delta, part) + 1e-12
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(1)
@@ -50,15 +52,13 @@ class TestLocalLoss:
         w = rng.standard_normal(4)
         direct = sum(0.5 * (y - w @ x) ** 2 for x, y in zip(part.X, part.y)) / 10
         direct += 0.5 * model.reg * w @ w
-        assert losses.local_loss(model, w, part) == pytest.approx(direct, rel=1e-12)
+        assert local_loss(model, w, part) == pytest.approx(direct, rel=1e-12)
 
     def test_dimension_mismatch_raises(self):
         model = LossModel(LINEAR_REGRESSION, reg=0.0, dim=3)
         part = one_point_part([1.0, 2.0], 0.0)
         with pytest.raises(ValueError, match="dimension"):
-            losses.local_loss(model, np.zeros(3), part)
-        with pytest.raises(ValueError):
-            losses.local_loss(model, np.zeros(2), one_point_part([1.0, 2.0, 3.0], 0.0))
+            one_device(model, part)
 
 
 class TestClusterGlobalLoss:
@@ -68,8 +68,8 @@ class TestClusterGlobalLoss:
         part = random_part(rng, 8, 3)
         clusters = [[part, part], [part]]
         w = rng.standard_normal(3)
-        assert losses.global_loss(model, w, clusters) == pytest.approx(
-            losses.local_loss(model, w, part)
+        assert losses.global_loss(model, w, losses.DeviceData(model, clusters)) == pytest.approx(
+            local_loss(model, w, part)
         )
 
     def test_cluster_weights_by_size(self):
@@ -78,10 +78,11 @@ class TestClusterGlobalLoss:
         big = [random_part(rng, 5, 2, i) for i in range(3)]
         small = [random_part(rng, 5, 2, 3)]
         w = rng.standard_normal(2)
-        expected = 0.75 * np.mean([losses.local_loss(model, w, p) for p in big]) + 0.25 * (
-            losses.local_loss(model, w, small[0])
+        expected = 0.75 * np.mean([local_loss(model, w, p) for p in big]) + 0.25 * (
+            local_loss(model, w, small[0])
         )
-        assert losses.global_loss(model, w, [big, small]) == pytest.approx(expected, rel=1e-12)
+        data = losses.DeviceData(model, [big, small])
+        assert losses.global_loss(model, w, data) == pytest.approx(expected, rel=1e-12)
 
     def test_global_equals_flat_device_mean(self):
         rng = np.random.default_rng(4)
@@ -92,20 +93,21 @@ class TestClusterGlobalLoss:
         ]
         w = rng.standard_normal(3)
         flat = [p for c in clusters for p in c]
-        mean_loss = np.mean([losses.local_loss(model, w, p) for p in flat])
-        assert losses.global_loss(model, w, clusters) == pytest.approx(mean_loss, rel=1e-12)
+        mean_loss = np.mean([local_loss(model, w, p) for p in flat])
+        data = losses.DeviceData(model, clusters)
+        assert losses.global_loss(model, w, data) == pytest.approx(mean_loss, rel=1e-12)
 
     def test_empty_cluster_raises(self):
         model = LossModel(LINEAR_REGRESSION, reg=0.0, dim=2)
         with pytest.raises(ValueError, match="empty"):
-            losses.global_loss(model, np.zeros(2), [[], [one_point_part([1.0, 1.0], 0.0)]])
+            losses.DeviceData(model, [[], [one_point_part([1.0, 1.0], 0.0)]])
 
 
 class TestGradients:
     def test_single_point_gradient(self):
         model = LossModel(LINEAR_REGRESSION, reg=0.0, dim=1)
         part = one_point_part([1.0], 0.0)
-        np.testing.assert_allclose(losses.grad_full(model, np.array([2.0]), part), [2.0])
+        np.testing.assert_allclose(local_grad(model, np.array([2.0]), part), [2.0])
 
     @pytest.mark.parametrize("kind", [LINEAR_REGRESSION, SQUARED_HINGE_SVM])
     def test_finite_difference_check(self, kind):
@@ -118,19 +120,19 @@ class TestGradients:
             if kind == SQUARED_HINGE_SVM:
                 part.y = np.sign(part.y) + (part.y == 0)
             w = rng.standard_normal(5)
-            g = losses.grad_full(model, w, part)
+            g = local_grad(model, w, part)
             for i in range(5):
                 e = np.zeros(5)
                 e[i] = h
-                fd = (losses.local_loss(model, w + e, part) - losses.local_loss(model, w - e, part)) / (2 * h)
+                fd = (local_loss(model, w + e, part) - local_loss(model, w - e, part)) / (2 * h)
                 assert abs(g[i] - fd) < 1e-6
 
     def test_gradient_vanishes_at_optimum(self):
         rng = np.random.default_rng(6)
         model = LossModel(LINEAR_REGRESSION, reg=0.5, dim=4)
         part = random_part(rng, 15, 4)
-        w_star = losses.solve_optimum(model, [[part]])
-        assert np.linalg.norm(losses.grad_full(model, w_star, part)) < 1e-10
+        w_star = losses.solve_optimum(model, one_device(model, part))
+        assert np.linalg.norm(local_grad(model, w_star, part)) < 1e-10
 
 
 class TestSgdGradient:
@@ -139,16 +141,17 @@ class TestSgdGradient:
         model = LossModel(LINEAR_REGRESSION, reg=0.1, dim=3)
         part = random_part(rng, 9, 3)
         w = rng.standard_normal(3)
-        g = losses.grad_sgd(model, w, part, batch_size=9, rng=rng)
-        np.testing.assert_array_equal(g, losses.grad_full(model, w, part))
+        g = local_sgd(model, w, one_device(model, part), batch_size=9, rng=rng)
+        np.testing.assert_array_equal(g, local_grad(model, w, part))
 
     def test_unbiased_over_many_draws(self):
         rng = np.random.default_rng(8)
         model = LossModel(LINEAR_REGRESSION, reg=0.0, dim=3)
         part = random_part(rng, 12, 3)
         w = rng.standard_normal(3)
-        exact = losses.grad_full(model, w, part)
-        draws = np.stack([losses.grad_sgd(model, w, part, 4, rng) for _ in range(10_000)])
+        exact = local_grad(model, w, part)
+        data = one_device(model, part)
+        draws = np.stack([local_sgd(model, w, data, 4, rng) for _ in range(10_000)])
         sem = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - exact) < 3 * sem + 1e-12)
 
@@ -156,35 +159,37 @@ class TestSgdGradient:
         model = LossModel(LINEAR_REGRESSION, reg=0.0, dim=3)
         part = random_part(np.random.default_rng(9), 10, 3)
         w = np.ones(3)
-        a = losses.grad_sgd(model, w, part, 3, np.random.default_rng(42))
-        b = losses.grad_sgd(model, w, part, 3, np.random.default_rng(42))
+        data = one_device(model, part)
+        a = local_sgd(model, w, data, 3, np.random.default_rng(42))
+        b = local_sgd(model, w, data, 3, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     def test_batch_size_out_of_range(self):
         model = LossModel(LINEAR_REGRESSION, reg=0.0, dim=3)
         part = random_part(np.random.default_rng(10), 5, 3)
+        sampler = losses.BatchSampler([5], 3, [np.random.default_rng(0)])
         for bad in (0, 6, -1):
             with pytest.raises(ValueError, match="batch_size"):
-                losses.grad_sgd(model, np.zeros(3), part, bad, np.random.default_rng(0))
+                losses.grad_sgd(model, np.zeros((1, 3)), one_device(model, part), bad, sampler)
 
 
 class TestSmoothnessConstants:
     def test_unit_point(self):
         model = LossModel(LINEAR_REGRESSION, reg=0.0, dim=1)
-        mu, beta = losses.smoothness_constants(model, [[one_point_part([1.0], 0.0)]])
+        mu, beta = losses.smoothness_constants(model, one_device(model, one_point_part([1.0], 0.0)))
         assert mu == pytest.approx(1.0)
         assert beta == pytest.approx(1.0)
 
     def test_reg_shifts_both(self):
         model = LossModel(LINEAR_REGRESSION, reg=0.1, dim=1)
-        mu, beta = losses.smoothness_constants(model, [[one_point_part([1.0], 0.0)]])
+        mu, beta = losses.smoothness_constants(model, one_device(model, one_point_part([1.0], 0.0)))
         assert (mu, beta) == (pytest.approx(1.1), pytest.approx(1.1))
 
     def test_matches_dense_eigensolver_oracle(self):
         rng = np.random.default_rng(11)
         model = LossModel(LINEAR_REGRESSION, reg=0.25, dim=5)
         parts = [random_part(rng, 10, 5, i) for i in range(5)]
-        mu, beta = losses.smoothness_constants(model, [parts])
+        mu, beta = losses.smoothness_constants(model, losses.DeviceData(model, [parts]))
         hessians = [p.X.T @ p.X / p.n_points for p in parts]
         mu_oracle = np.linalg.eigvalsh(sum(hessians) / 5)[0] + 0.25
         beta_oracle = max(np.linalg.eigvalsh(h)[-1] for h in hessians) + 0.25
@@ -195,13 +200,13 @@ class TestSmoothnessConstants:
         model = LossModel(LINEAR_REGRESSION, reg=0.0, dim=3)
         part = DevicePartition(0, X=np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), y=np.zeros(2))
         with pytest.raises(StrongConvexityError):
-            losses.smoothness_constants(model, [[part]])
+            losses.smoothness_constants(model, one_device(model, part))
 
     def test_svm_requires_reg(self):
         model = LossModel(SQUARED_HINGE_SVM, reg=0.0, dim=2)
         part = DevicePartition(0, X=np.eye(2), y=np.array([1.0, -1.0]))
         with pytest.raises(StrongConvexityError):
-            losses.smoothness_constants(model, [[part]])
+            losses.smoothness_constants(model, one_device(model, part))
 
 
 class TestConvexityInvariants:
@@ -209,12 +214,13 @@ class TestConvexityInvariants:
         rng = np.random.default_rng(12)
         model = LossModel(LINEAR_REGRESSION, reg=0.3, dim=4)
         clusters = [[random_part(rng, 10, 4, i) for i in range(3)]]
-        mu, _ = losses.smoothness_constants(model, clusters)
+        data = losses.DeviceData(model, clusters)
+        mu, _ = losses.smoothness_constants(model, data)
         for _ in range(50):
             w1, w2 = rng.standard_normal(4), rng.standard_normal(4)
-            f1 = losses.global_loss(model, w1, clusters)
-            f2 = losses.global_loss(model, w2, clusters)
-            g2 = sum(losses.grad_full(model, w2, p) for p in clusters[0]) / 3
+            f1 = losses.global_loss(model, w1, data)
+            f2 = losses.global_loss(model, w2, data)
+            g2 = sum(local_grad(model, w2, p) for p in clusters[0]) / 3
             lower = f2 + g2 @ (w1 - w2) + 0.5 * mu * np.sum((w1 - w2) ** 2)
             assert f1 >= lower - 1e-9
 
@@ -226,12 +232,12 @@ class TestConvexityInvariants:
         if kind == SQUARED_HINGE_SVM:
             for p in parts:
                 p.y = np.sign(p.y) + (p.y == 0)
-        _, beta = losses.smoothness_constants(model, [parts])
+        _, beta = losses.smoothness_constants(model, losses.DeviceData(model, [parts]))
         for _ in range(50):
             w1, w2 = rng.standard_normal(4), rng.standard_normal(4)
             for p in parts:
                 lhs = np.linalg.norm(
-                    losses.grad_full(model, w1, p) - losses.grad_full(model, w2, p)
+                    local_grad(model, w1, p) - local_grad(model, w2, p)
                 )
                 assert lhs <= beta * np.linalg.norm(w1 - w2) + 1e-9
 
@@ -240,10 +246,9 @@ class TestConvexityInvariants:
         model = LossModel(LINEAR_REGRESSION, reg=0.0, dim=3)
         part = random_part(rng, 10, 3)
         w = rng.standard_normal(3)
-        exact = losses.grad_full(model, w, part)
-        sq_norms = [
-            np.sum((losses.grad_sgd(model, w, part, 3, rng) - exact) ** 2) for _ in range(10_000)
-        ]
+        exact = local_grad(model, w, part)
+        data = one_device(model, part)
+        sq_norms = [np.sum((local_sgd(model, w, data, 3, rng) - exact) ** 2) for _ in range(10_000)]
         worst_point = max(
             np.sum((losses.grad_point(model, w, x, y) - exact) ** 2) for x, y in zip(part.X, part.y)
         )
@@ -257,8 +262,8 @@ class TestOptimumSolver:
         parts = [random_part(rng, 10, 3, i) for i in range(2)]
         for p in parts:
             p.y = np.sign(p.y) + (p.y == 0)
-        w_star = losses.solve_optimum(model, [parts])
-        g = sum(losses.grad_full(model, w_star, p) for p in parts) / 2
+        w_star = losses.solve_optimum(model, losses.DeviceData(model, [parts]))
+        g = sum(local_grad(model, w_star, p) for p in parts) / 2
         assert np.linalg.norm(g) < 1e-10
 
 
@@ -289,7 +294,7 @@ class TestBatchedLayer:
         model, clusters, parts, rng = stacked_devices(kind, counts, dim, seed)
         W = rng.standard_normal((len(parts), dim))
         batched = losses.grad_full(model, W, losses.DeviceData(model, clusters))
-        per_device = np.stack([losses.grad_full(model, w, p) for w, p in zip(W, parts)])
+        per_device = np.stack([local_grad(model, w, p) for w, p in zip(W, parts)])
         np.testing.assert_array_equal(batched, per_device)
 
     @given(kind=KINDS, counts=COUNTS, dim=st.integers(1, 5), seed=st.integers(0, 2**16),
@@ -306,7 +311,8 @@ class TestBatchedLayer:
             W = rng.standard_normal((len(parts), dim))
             batched = losses.grad_sgd(model, W, data_stacked, batch, sampler)
             per_device = np.stack([
-                losses.grad_sgd(model, w, p, batch, g) for w, p, g in zip(W, parts, gens_single)
+                local_sgd(model, w, one_device(model, p), batch, g)
+                for w, p, g in zip(W, parts, gens_single)
             ])
             np.testing.assert_array_equal(batched, per_device)
 
@@ -334,10 +340,10 @@ class TestBatchedLayer:
     def test_global_loss_is_mean_device_loss(self, kind, counts, dim, seed):
         model, clusters, parts, rng = stacked_devices(kind, counts, dim, seed)
         w = rng.standard_normal(dim)
-        mean_loss = np.mean([losses.local_loss(model, w, p) for p in parts])
-        for data in (clusters, losses.DeviceData(model, clusters)):
-            assert losses.global_loss(model, w, data) == pytest.approx(mean_loss, rel=1e-12, abs=1e-12)
-            assert losses.device_mean_loss(model, w, data) == pytest.approx(mean_loss, rel=1e-12, abs=1e-12)
+        mean_loss = np.mean([local_loss(model, w, p) for p in parts])
+        data = losses.DeviceData(model, clusters)
+        assert losses.global_loss(model, w, data) == pytest.approx(mean_loss, rel=1e-12, abs=1e-12)
+        assert losses.device_mean_loss(model, w, data) == pytest.approx(mean_loss, rel=1e-12, abs=1e-12)
 
 
 def choice_reference(words, n, b):

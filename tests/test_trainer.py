@@ -14,7 +14,7 @@ from tthf.losses import LINEAR_REGRESSION, DevicePartition, LossModel
 from tthf.schedules import GammaPlan, StepSchedule, TrainingSchedule
 from tthf.topology import ClusterSpec
 
-from conftest import build_small_task, effective_matrix
+from conftest import build_small_task, effective_matrix, local_grad, local_loss, local_sgd, one_device
 
 
 def singleton_cluster(index, part):
@@ -52,14 +52,14 @@ class TestLocalSgdStep:
         task.w0 = np.random.default_rng(1).standard_normal(task.model.dim)
         W_next = one_step(task, 1.0 / task.beta)
         for w_next, part in zip(W_next, task.flat_parts):
-            assert losses.local_loss(task.model, w_next, part) <= losses.local_loss(task.model, task.w0, part)
+            assert local_loss(task.model, w_next, part) <= local_loss(task.model, task.w0, part)
 
     def test_matches_axpy_composition(self):
         task = build_small_task(batch_size=3)
         task.w0 = np.random.default_rng(2).standard_normal(task.model.dim)
         rngs = trainer.device_rngs(0, task.n_devices)
         composed = np.stack([
-            task.w0 - 0.05 * losses.grad_sgd(task.model, task.w0, part, 3, rng)
+            task.w0 - 0.05 * local_sgd(task.model, task.w0, one_device(task.model, part), 3, rng)
             for part, rng in zip(task.flat_parts, rngs)
         ])
         np.testing.assert_array_equal(one_step(task, 0.05), composed)
@@ -110,7 +110,7 @@ class TestDegenerateCentralizedEquivalence:
         w = task.w0.copy()
         gaps = []
         for _ in range(30):
-            g = sum(losses.grad_full(model, w, p) for p in parts_flat) / 4
+            g = sum(local_grad(model, w, p) for p in parts_flat) / 4
             w = w - 0.05 * g
             gaps.append(task.global_loss(w) - task.f_star)
         np.testing.assert_allclose(trace.loss_gap_sampled, gaps, atol=1e-10)
@@ -289,11 +289,11 @@ def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
     for t in range(1, T + 1):
         if task.batch_size is None:
             grads = np.stack([
-                losses.grad_full(task.model, W[d], part) for d, part in enumerate(task.flat_parts)
+                local_grad(task.model, W[d], part) for d, part in enumerate(task.flat_parts)
             ])
         else:
             grads = np.stack([
-                losses.grad_sgd(task.model, W[d], part, task.batch_size, dev_rngs[d])
+                local_sgd(task.model, W[d], one_device(task.model, part), task.batch_size, dev_rngs[d])
                 for d, part in enumerate(task.flat_parts)
             ])
         W_tilde = W - steps.eta(t - 1) * grads
