@@ -73,14 +73,19 @@ def sigma_plus(t: int, t_km1: int, sched: StepSchedule, beta: float, lam_plus: f
     return float(np.sum(left * beta * etas * right))
 
 
-def dispersion_sample(cluster_means: Sequence[np.ndarray], weights: Sequence[float]) -> float:
-    """Weighted squared spread of cluster-average models around the network average."""
+def dispersion_sample(cluster_means: Sequence[np.ndarray], weights: Sequence[float]):
+    """Weighted squared spread of cluster-average models around the network average.
+
+    Axes before the last two stack sets of cluster means, one spread each; one
+    set of (clusters, d) means gives a float.
+    """
     means = np.asarray(cluster_means, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if means.shape[0] != w.shape[0]:
+    if means.shape[-2] != w.shape[0]:
         raise ValueError("one weight per cluster mean required")
     center = w @ means
-    return float(np.sum(w * np.sum((means - center) ** 2, axis=1)))
+    out = np.sum(w * np.sum((means - center[..., None, :]) ** 2, axis=-1), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

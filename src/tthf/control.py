@@ -4,6 +4,7 @@ interval-length line search."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -210,40 +211,90 @@ def fit_predictor(
     return coeffs
 
 
+# The rule's guards compare lam ** k * scale with the target exactly, so at a
+# regime boundary one ulp decides the count. They read the powers from a
+# table of Python's float ** (the C library's pow), which np.power does not
+# reproduce bit for bit; a count past the table takes each power on its own.
+_TABLE_WIDTH = 128
+
+
+# one entry per set of cluster lambdas in use; a topology refresh brings new
+# bytes, so stale entries age out
+@functools.lru_cache(maxsize=8)
+def _lambda_table(lams_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log lambda, flat power table, row starts) of the lambdas with these bytes:
+    entry starts[c] + k of the table is lam_c ** k. Read-only, as callers share them."""
+    lams = np.frombuffer(lams_bytes)
+    valid = (lams > 0.0) & (lams < 1.0)
+    if not valid.all():
+        raise ValueError(f"lambda_c={lams[~valid][0]} must lie in (0, 1)")
+    table = np.array([[lam**k for k in range(_TABLE_WIDTH)] for lam in lams.tolist()]).ravel()
+    logs = np.log(lams)
+    starts = np.arange(len(lams)) * _TABLE_WIDTH
+    table.flags.writeable = logs.flags.writeable = starts.flags.writeable = False
+    return logs, table, starts
+
+
 def gamma_rounds(
     eta_t: float,
     phi: float,
-    s_c: int,
-    upsilon: float,
-    lambda_c: float,
+    s_c,
+    upsilon,
+    lambda_c,
     gamma_max: Optional[int] = None,
-) -> int:
+):
     """Fewest D2D rounds whose contraction certificate meets the eta_t*phi target.
 
     Returns 0 whenever the divergence is already below the trigger threshold.
+    s_c, upsilon and lambda_c may be arrays, one entry per cluster: the result
+    is then one round count per entry, an int array of their broadcast shape;
+    for scalars it is an int.
     """
-    if not 0.0 < lambda_c < 1.0:
-        raise ValueError(f"lambda_c={lambda_c} must lie in (0, 1)")
-    if upsilon < 0:
+    sizes = np.asarray(s_c, dtype=float)
+    ups = np.asarray(upsilon, dtype=float)
+    lams = np.asarray(lambda_c, dtype=float)
+    shape = ups.shape
+    if not (ups.ndim == 1 and sizes.shape == shape == lams.shape):
+        sizes, ups, lams = np.broadcast_arrays(sizes, ups, lams)
+        shape = ups.shape
+        sizes, ups, lams = sizes.ravel(), ups.ravel(), lams.ravel()
+    log_lams, table, starts = _lambda_table(lams.tobytes())
+    if not ups.min() >= 0.0:
         raise ValueError("upsilon must be non-negative")
     target = eta_t * phi
-    scale = math.sqrt(s_c) * upsilon
-    if upsilon == 0.0 or scale <= target:
-        return 0
-    if target <= 0.0:
+    scale = np.sqrt(sizes) * ups
+    active = scale > target
+    if target < 0.0:
+        active &= ups != 0.0
+    gammas = np.zeros(len(ups), dtype=int)
+    n_active = np.count_nonzero(active)
+    if n_active and target <= 0.0:
         # no finite round count certifies a zero error target
         if gamma_max is None:
             raise ValueError("consensus error target must be positive")
-        return gamma_max
-    gamma = max(math.ceil(math.log(target / scale) / math.log(lambda_c)), 0)
-    # guard the ceiling against log/exp rounding at regime boundaries
-    while lambda_c**gamma * scale > target:
-        gamma += 1
-    while gamma > 0 and lambda_c ** (gamma - 1) * scale <= target:
-        gamma -= 1
-    if gamma_max is not None:
-        gamma = min(gamma, gamma_max)
-    return int(gamma)
+        gammas[active] = gamma_max
+    elif n_active:
+        rows = slice(None) if n_active == len(ups) else active.nonzero()[0]
+        scale = scale[rows]
+        g = np.ceil(np.log(target / scale) / log_lams[rows]).astype(int)
+        k_max = max(g.tolist())  # bounds every count the guards test
+        base = starts[rows]
+
+        def times_scale(ks):
+            if k_max < _TABLE_WIDTH:
+                return table[base + ks] * scale
+            return np.array([lam**k for lam, k in zip(lams[rows].tolist(), ks.tolist())]) * scale
+
+        # guard the ceiling against log/exp rounding at regime boundaries. A
+        # count that has stopped keeps its test result, so each pass tests all
+        # counts; lam ** 0 * scale = scale misses the target, so all end >= 1.
+        while np.count_nonzero(miss := times_scale(g) > target):
+            g += miss
+            k_max += 1
+        while np.count_nonzero(meet := times_scale(g - 1) <= target):
+            g -= meet
+        gammas[rows] = g if gamma_max is None else np.minimum(g, gamma_max)
+    return int(gammas[0]) if shape == () else gammas.reshape(shape)
 
 
 def round_rule(
@@ -255,16 +306,15 @@ def round_rule(
     blocks holds (member cluster indices, (members, size, d) intermediate models)
     pairs, one per cluster size, as run_protocol passes them. `divergence`
     (divergence_exact or divergence_estimate) is called once per block, then
-    gamma_rounds once per cluster. Returns (upsilon, gammas) in cluster order.
+    gamma_rounds once for all clusters, with the lambdas of the current specs.
+    Returns (upsilon, gammas) in cluster order.
     """
-    upsilon = np.zeros(len(clusters))
+    upsilon, sizes = np.zeros((2, len(clusters)))
     for members, block in blocks:
         upsilon[members] = divergence(block)
-    gammas = np.array([
-        gamma_rounds(eta_t, phi, spec.size, ups, spec.lambda_c, gamma_max)
-        for spec, ups in zip(clusters, upsilon.tolist())
-    ])
-    return upsilon, gammas
+        sizes[members] = block.shape[1]
+    lams = np.array([spec.lambda_c for spec in clusters])
+    return upsilon, gamma_rounds(eta_t, phi, sizes, upsilon, lams, gamma_max)
 
 
 @dataclass
@@ -301,21 +351,27 @@ def predict_interval_cost(
     The predicted divergence and rounds do not depend on the length, so one
     simulation to t_km1+hi yields every length's energy and delay as running sums.
     """
-    energy = cost.e_glob
-    delay = cost.delta_glob
-    upsilon = [0.0] * len(clusters)
-    values = []
-    for t in range(t_km1, t_km1 + hi + 1):
-        for c, (spec, coeffs) in enumerate(zip(clusters, coeffs_by_cluster)):
-            g = gamma_rounds(sched.eta(t), phi, spec.size, upsilon[c], spec.lambda_c, gamma_max)
-            energy += g * spec.size * cost.e_d2d
-            delay += g * cost.delta_d2d
-            # the rounds run at t pick the predictor branch of the divergence at t+1
-            slope, offset = (coeffs.A, coeffs.B) if g == 0 else (coeffs.a, coeffs.b)
-            upsilon[c] = max(0.0, slope * upsilon[c] + offset)
-        if t > t_km1:
-            values.append(sum(cost.interval_terms(energy, delay, t_km1, t - t_km1, sched.alpha)))
-    return values
+    sizes = np.array([spec.size for spec in clusters])
+    lams = np.array([spec.lambda_c for spec in clusters])
+    idle = np.array([(c.A, c.B) for c in coeffs_by_cluster]).T
+    active = np.array([(c.a, c.b) for c in coeffs_by_cluster]).T
+    upsilon = np.zeros(len(clusters))
+    gammas = np.empty((hi + 1, len(clusters)), dtype=int)
+    for i, t in enumerate(range(t_km1, t_km1 + hi + 1)):
+        g = gammas[i] = gamma_rounds(sched.eta(t), phi, sizes, upsilon, lams, gamma_max)
+        # the rounds run at t pick the predictor branch of the divergence at t+1
+        slope, offset = np.where(g == 0, idle, active)
+        upsilon = slope * upsilon + offset
+        upsilon = np.where(upsilon > 0.0, upsilon, 0.0)
+    # running sums, cluster after cluster and step after step; cumsum adds in
+    # that order, where a sum would add pairwise
+    energy = np.cumsum(np.append(cost.e_glob, gammas * sizes * cost.e_d2d))
+    delay = np.cumsum(np.append(cost.delta_glob, gammas * cost.delta_d2d))
+    n = len(clusters)
+    return [
+        sum(cost.interval_terms(e, d, t_km1, tau, sched.alpha))
+        for tau, (e, d) in enumerate(zip(energy[2 * n :: n].tolist(), delay[2 * n :: n].tolist()), start=1)
+    ]
 
 
 def solve_P(

@@ -106,6 +106,9 @@ def _merge(defaults, user, path=""):
             # a truthy non-boolean, say the string "no", would silently switch a flag on
             if isinstance(default, bool) and not isinstance(user[key], bool):
                 raise ConfigError(sub_path, "must be true or false")
+            # JSON true/false load as bool, a subclass of int, and would pass as 1.0 or 0.0
+            if isinstance(user[key], bool) and (isinstance(default, float) or sub_path == "control.xi"):
+                raise ConfigError(sub_path, "must be a number, not true or false")
             out[key] = _merge(default, user[key], sub_path) if isinstance(default, dict) else user[key]
         else:
             out[key] = json.loads(json.dumps(default)) if isinstance(default, dict) else default

@@ -144,33 +144,55 @@ def device_data(model: LossModel, data) -> DeviceData:
 
 
 def _loss_batch(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray):
-    """Mean per-point loss at w over the rows of X; leading axes of X and y are devices."""
-    margins = np.matmul(X, w)
+    """Mean per-point loss over the rows of X; leading axes of X and y are devices.
+
+    w holds one model or stacks models on leading axes: (..., d) models give
+    (..., devices) losses. Every product is a broadcast stacked matmul, so each
+    model's losses are the bits that model alone gives.
+    """
+    # the residual or slack overwrites the margins: a stack of models holds one
+    # (models, devices, points) array at a time
+    err = np.matmul(X, w[..., None, :, None])[..., 0]
     if model.kind == LINEAR_REGRESSION:
-        data_term = 0.5 * np.mean((y - margins) ** 2, axis=-1)
+        np.subtract(y, err, out=err)
     else:
-        slack = np.maximum(0.0, 1.0 - y * margins)
-        data_term = 0.5 * np.mean(slack**2, axis=-1)
-    return data_term + 0.5 * model.reg * (w @ w)
+        np.multiply(y, err, out=err)
+        np.subtract(1.0, err, out=err)
+        np.maximum(0.0, err, out=err)
+    data_term = 0.5 * np.mean(np.square(err, out=err), axis=-1)
+    return data_term + 0.5 * model.reg * (w[..., None, :] @ w[..., :, None])[..., 0, :]
 
 
-def global_loss(model: LossModel, w: np.ndarray, data: DeviceData) -> float:
-    """F(w) = (1/I) sum_i F_i(w): closed form 0.5 w'Aw - b'w + c for regression, else device_mean_loss."""
+def _one_or_stacked(out: np.ndarray):
+    """A float for one model, else the array of one value per stacked model."""
+    return float(out) if out.ndim == 0 else out
+
+
+def global_loss(model: LossModel, w: np.ndarray, data: DeviceData):
+    """F(w) = (1/I) sum_i F_i(w): closed form 0.5 w'Aw - b'w + c for regression, else device_mean_loss.
+
+    w holds one model (a float result) or stacks models on leading axes (one loss each).
+    """
     if model.kind == LINEAR_REGRESSION:
         A, b, c = data.mean_quad
-        return float(0.5 * w @ (A @ w) - b @ w + c)
+        col = w[..., :, None]
+        return _one_or_stacked(((0.5 * w)[..., None, :] @ (A @ col) - b[None, :] @ col)[..., 0, 0] + c)
     return device_mean_loss(model, w, data)
 
 
-def device_mean_loss(model: LossModel, w: np.ndarray, data: DeviceData) -> float:
-    """sum_c varrho_c F_c(w), F_c the mean device loss of cluster c; equals (1/I) sum_i F_i(w)."""
-    losses = np.empty(data.n_devices)
+def device_mean_loss(model: LossModel, w: np.ndarray, data: DeviceData):
+    """sum_c varrho_c F_c(w), F_c the mean device loss of cluster c; equals (1/I) sum_i F_i(w).
+
+    w holds one model (a float result) or stacks models on leading axes (one value each).
+    """
+    stack = w.shape[:-1]
+    losses = np.empty(stack + (data.n_devices,))
     for members, X, y in data.blocks:
-        losses[members] = _loss_batch(model, w, X, y)
-    cluster_means = np.empty(len(data.varrho))
+        losses[..., members] = _loss_batch(model, w, X, y)
+    cluster_means = np.empty(stack + (len(data.varrho),))
     for members, rows, size in data.cluster_groups:
-        cluster_means[members] = losses[rows].reshape(len(members), size).mean(axis=1)
-    return float(data.varrho @ cluster_means)
+        cluster_means[..., members] = losses[..., rows].reshape(stack + (len(members), size)).mean(axis=-1)
+    return _one_or_stacked((cluster_means[..., None, :] @ data.varrho[:, None])[..., 0, 0])
 
 
 def grad_point(model: LossModel, w: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
@@ -451,15 +473,22 @@ def predict_labels(
     return np.argmin(np.abs(scores[:, None] - class_scores[None, :]), axis=1)
 
 
-def accuracy(model: LossModel, w: np.ndarray, X: np.ndarray, labels: np.ndarray, n_labels: int) -> float:
-    """Fraction of points whose predicted label matches the raw integer label."""
+def accuracy(model: LossModel, w: np.ndarray, X: np.ndarray, labels: np.ndarray, n_labels: int):
+    """Fraction of points whose predicted label matches the raw integer label.
+
+    w holds one model (a float result) or stacks models on leading axes (one fraction each).
+    """
     if model.kind == SQUARED_HINGE_SVM:
-        class_scores = None
-        truth = (labels >= (n_labels + 1) // 2).astype(int)
-    else:
-        scores = np.asarray(X, dtype=float) @ w
-        class_scores = np.array(
-            [scores[labels == l].mean() if np.any(labels == l) else np.inf for l in range(n_labels)]
-        )
-        truth = labels
-    return float(np.mean(predict_labels(model, w, X, n_labels, class_scores) == truth))
+        # the sign rule in one broadcast stacked matmul, against the labels as booleans
+        scores = (np.asarray(X, dtype=float) @ w[..., :, None])[..., 0]
+        return _one_or_stacked(np.mean((scores >= 0) == (labels >= (n_labels + 1) // 2), axis=-1))
+    if w.ndim > 1:
+        # one model at a time: the nearest-class search of a whole stack would
+        # hold a (models, points, labels) array
+        flat = [accuracy(model, v, X, labels, n_labels) for v in w.reshape(-1, w.shape[-1])]
+        return np.array(flat).reshape(w.shape[:-1])
+    scores = np.asarray(X, dtype=float) @ w
+    class_scores = np.array(
+        [scores[labels == l].mean() if np.any(labels == l) else np.inf for l in range(n_labels)]
+    )
+    return float(np.mean(predict_labels(model, w, X, n_labels, class_scores) == labels))

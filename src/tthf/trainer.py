@@ -25,6 +25,9 @@ from .topology import ClusterSpec
 SAMPLED = "sampled"
 FULL = "full"
 
+# steps whose metric inputs run_protocol buffers before it evaluates them in one call
+METRIC_BLOCK = 16
+
 # entropy tags for the independent rng substreams of one run
 _STREAM_SAMPLING = 0x5A11
 _STREAM_SGD = 0x5D00
@@ -77,10 +80,12 @@ class TrainTask:
         self.n_devices = self.data.n_devices
         self.all_labels = np.concatenate([p.labels for p in self.flat_parts])
 
-    def global_loss(self, w: np.ndarray) -> float:
+    def global_loss(self, w: np.ndarray):
+        """F(w) for one model (a float), or one value per model stacked on leading axes."""
         return losses.global_loss(self.model, w, self.data)
 
-    def accuracy(self, w: np.ndarray) -> float:
+    def accuracy(self, w: np.ndarray):
+        """Accuracy of one model (a float), or one value per model stacked on leading axes."""
         return losses.accuracy(self.model, w, self.data.X, self.all_labels, self.n_labels)
 
 
@@ -257,6 +262,9 @@ def run_protocol(
     reference over every gradient evaluation point (meta["max_radius"]).
     topology_refresh(k) -> new cluster specs for interval k, called when interval
     k-1 ends (positions stay static within each interval either way).
+    The loss gaps, dispersion and accuracy of a step are computed from its
+    server-equivalent model, average model and cluster means; these wait in a
+    buffer of METRIC_BLOCK steps and are evaluated one block at a time.
     """
     if aggregation not in (SAMPLED, FULL):
         raise ValueError(f"unknown aggregation mode {aggregation!r}")
@@ -297,6 +305,20 @@ def run_protocol(
     gap_s, gap_a, disp, eps = np.empty((4, T))
     gamma_log = np.zeros((T, n_clusters), dtype=int)
     acc_log = np.empty(T) if task.eval_accuracy else None
+    hat_buf, bar_buf = np.empty((2, METRIC_BLOCK, dim))
+    means_buf = np.empty((METRIC_BLOCK, n_clusters, dim))
+
+    def evaluate_block(t):
+        # steps t-n+1 .. t, in one call per metric; stacked evaluation gives
+        # each model's values bit for bit
+        n = (t - 1) % METRIC_BLOCK + 1
+        span = slice(t - n, t)
+        gap_s[span] = task.global_loss(hat_buf[:n]) - task.f_star
+        gap_a[span] = task.global_loss(bar_buf[:n]) - task.f_star
+        disp[span] = dispersion_sample(means_buf[:n], varrho)
+        if acc_log is not None:
+            acc_log[span] = task.accuracy(hat_buf[:n])
+
     control_rows: list[dict] = []
     boundaries: list[int] = []
     taus: list[int] = []
@@ -347,7 +369,8 @@ def run_protocol(
         ):
             W_new[sl] = run_consensus(W_tilde[sl], spec.V, gamma, outage=policy, rng=rng)
         W = W_new
-        cluster_means = np.empty((n_clusters, dim))
+        row = (t - 1) % METRIC_BLOCK
+        cluster_means = means_buf[row]
         mixed_means = np.empty((n_clusters, dim))
         eps2_by_cluster = np.empty(n_clusters)
         for (members, block), (_, dev_rows, size) in zip(blocks, groups):
@@ -358,19 +381,17 @@ def run_protocol(
             if aggregation == FULL:
                 mixed_means[members] = mixed.mean(axis=1)
 
-        # metrics for this timestep; the server-equivalent model is the sampled
-        # combination for TT-HF and the full weighted average for baselines
-        w_bar = varrho @ cluster_means
+        # metric inputs of this timestep; the server-equivalent model is the
+        # sampled combination for TT-HF and the full weighted average for baselines
+        bar_buf[row] = varrho @ cluster_means
         if aggregation == SAMPLED:
             w_hat_virtual = global_aggregate(W, varrho, sampled)
         else:
             w_hat_virtual = varrho @ mixed_means
-        gap_s[t - 1] = task.global_loss(w_hat_virtual) - task.f_star
-        gap_a[t - 1] = task.global_loss(w_bar) - task.f_star
-        disp[t - 1] = dispersion_sample(cluster_means, varrho)
+        hat_buf[row] = w_hat_virtual
         eps[t - 1] = np.sqrt(varrho @ eps2_by_cluster)
-        if acc_log is not None:
-            acc_log[t - 1] = task.accuracy(w_hat_virtual)
+        if row == METRIC_BLOCK - 1 or t == T:
+            evaluate_block(t)
 
         if t == t_k:
             w_hat = w_hat_virtual

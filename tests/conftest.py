@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 import warnings
 
 import numpy as np
@@ -15,7 +17,9 @@ warnings.filterwarnings("ignore", message="distance .* below reference")
 # property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic and its runtime bounded
 settings.register_profile("tthf", derandomize=True, deadline=None, max_examples=30, database=None)
-settings.load_profile("tthf")
+# HYPOTHESIS_PROFILE=ci draws ten times the examples, for the oracle checks in CI
+settings.register_profile("ci", settings.get_profile("tthf"), max_examples=300)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tthf"))
 
 
 def one_device(model, part):
@@ -36,6 +40,35 @@ def local_grad(model, w, part):
 def local_sgd(model, w, data, batch_size, rng):
     """The mini-batch gradient at w of a one-device network `data`, drawn with rng.choice."""
     return losses.grad_batches(model, w[None], data, np.arange(1), batch_size, [rng])[0]
+
+
+def scalar_gamma_rounds(eta_t, phi, s_c, upsilon, lambda_c, gamma_max=None):
+    """The D2D round rule for one cluster in Python scalars: the oracle of the array rule.
+
+    The fewest rounds whose certificate lambda_c ** rounds * sqrt(s_c) * upsilon
+    meets eta_t * phi, from a ceil-log guess and two guards that step it while
+    Python's float ** says the guess is off.
+    """
+    if not 0.0 < lambda_c < 1.0:
+        raise ValueError(f"lambda_c={lambda_c} must lie in (0, 1)")
+    if upsilon < 0:
+        raise ValueError("upsilon must be non-negative")
+    target = eta_t * phi
+    scale = math.sqrt(s_c) * upsilon
+    if upsilon == 0.0 or scale <= target:
+        return 0
+    if target <= 0.0:
+        if gamma_max is None:
+            raise ValueError("consensus error target must be positive")
+        return gamma_max
+    gamma = max(math.ceil(math.log(target / scale) / math.log(lambda_c)), 0)
+    while lambda_c**gamma * scale > target:
+        gamma += 1
+    while gamma > 0 and lambda_c ** (gamma - 1) * scale <= target:
+        gamma -= 1
+    if gamma_max is not None:
+        gamma = min(gamma, gamma_max)
+    return int(gamma)
 
 
 def random_connected_adjacency(rng: np.random.Generator, n: int) -> np.ndarray:

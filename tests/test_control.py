@@ -17,7 +17,7 @@ from tthf.losses import LINEAR_REGRESSION, SQUARED_HINGE_SVM, DevicePartition, L
 from tthf.schedules import StepSchedule
 from tthf.topology import ClusterSpec
 
-from conftest import build_small_task, local_grad, local_sgd, one_device
+from conftest import build_small_task, local_grad, local_sgd, one_device, scalar_gamma_rounds
 
 MU, BETA = 1.0, 2.0
 GAMMA = 2.0 / MU
@@ -272,6 +272,103 @@ class TestGammaRounds:
                 control.gamma_rounds(0.1, 1.0, 2, 1.0, lam)
 
 
+def boundary_clusters(rng, n, target):
+    """n random clusters, most of them at or next to a regime boundary of the target.
+
+    Cluster c gets a round count k_c and an upsilon for which Python's
+    lam ** k * (sqrt(s) * upsilon), the scalar rule's guard, equals the target
+    exactly; where a few ulps of upsilon find no such value it stays near it.
+    A found upsilon then moves by -1, 0 or +1 ulp, so the guard's product sits
+    on the target or next to it; np.power, which mostly rounds a power down
+    from Python's, decides such a count wrongly now and then.
+    Returns (sizes, upsilons, lambdas, at_boundary).
+    """
+    sizes = rng.integers(1, 9, n)
+    lams = rng.uniform(0.05, 0.995, n)
+    ups = np.empty(n)
+    at_boundary = np.zeros(n, dtype=bool)
+    for c in range(n):
+        lam, root = float(lams[c]), math.sqrt(int(sizes[c]))
+        # keep lam ** k far from underflow; counts past 127 leave the power table
+        k = int(rng.integers(0, min(300, int(200 / -math.log10(lam))) + 1))
+        u = target / (lam**k * root)
+        for _ in range(8):
+            cert = lam**k * (root * u)
+            if cert == target:
+                at_boundary[c] = True
+                u = math.nextafter(u, (-math.inf, u, math.inf)[int(rng.integers(0, 3))])
+                break
+            u = math.nextafter(u, math.inf if cert < target else -math.inf)
+        ups[c] = u
+    return sizes, ups, lams, at_boundary
+
+
+class TestArrayRoundRuleOracle:
+    """The array round rule against the scalar rule, cluster by cluster."""
+
+    @staticmethod
+    def scalar_rounds(eta, phi, sizes, ups, lams, gamma_max):
+        return [
+            scalar_gamma_rounds(eta, phi, int(s), float(u), float(lam), gamma_max)
+            for s, u, lam in zip(sizes, ups, lams)
+        ]
+
+    def test_boundary_inputs_match_scalar_rule(self):
+        # np.power in the guards moves about one of these counts in 90
+        rng = np.random.default_rng(12)
+        boundary = 0
+        for trial in range(100):
+            eta = float(10.0 ** rng.uniform(-4, 0))
+            sizes, ups, lams, at_boundary = boundary_clusters(rng, 40, eta)
+            gamma_max = None if trial % 2 else int(rng.integers(0, 200))
+            got = control.gamma_rounds(eta, 1.0, sizes, ups, lams, gamma_max)
+            np.testing.assert_array_equal(got, self.scalar_rounds(eta, 1.0, sizes, ups, lams, gamma_max))
+            boundary += int(at_boundary.sum())
+        assert boundary >= 2000
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        gamma_max=st.one_of(st.none(), st.integers(0, 200)),
+        zero_share=st.floats(0.0, 1.0),
+        off_share=st.floats(0.0, 1.0),
+    )
+    def test_equals_scalar_rule_elementwise(self, seed, n, gamma_max, zero_share, off_share):
+        rng = np.random.default_rng(seed)
+        eta, phi = float(10.0 ** rng.uniform(-4, 0)), float(10.0 ** rng.uniform(-2, 1))
+        sizes, ups, lams, _ = boundary_clusters(rng, n, eta * phi)
+        off = rng.random(n) < off_share
+        ups[off] *= 10.0 ** rng.uniform(-3, 3, int(off.sum()))
+        ups[rng.random(n) < zero_share] = 0.0
+        got = control.gamma_rounds(eta, phi, sizes, ups, lams, gamma_max)
+        assert got.dtype.kind == "i" and got.shape == (n,)
+        np.testing.assert_array_equal(got, self.scalar_rounds(eta, phi, sizes, ups, lams, gamma_max))
+
+    def test_scalar_inputs_give_an_int(self):
+        for ups in (0.0, 0.3, 40.0):
+            got = control.gamma_rounds(0.05, 2.0, 4, ups, 0.7, 30)
+            assert type(got) is int and got == scalar_gamma_rounds(0.05, 2.0, 4, ups, 0.7, 30)
+
+    def test_inputs_broadcast(self):
+        ups = np.array([[0.0, 0.5, 3.0], [9.0, 0.01, 1e3]])
+        got = control.gamma_rounds(0.01, 1.0, 5, ups, 0.8)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [[scalar_gamma_rounds(0.01, 1.0, 5, u, 0.8) for u in row] for row in ups.tolist()]
+
+    def test_zero_target_takes_the_cap_or_raises(self):
+        ups = np.array([0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(control.gamma_rounds(0.0, 1.0, [3, 3, 3], ups, [0.5] * 3, 9), [0, 9, 9])
+        with pytest.raises(ValueError, match="target must be positive"):
+            control.gamma_rounds(0.0, 1.0, [3, 3, 3], ups, [0.5] * 3)
+
+    def test_invalid_inputs_rejected_in_any_entry(self):
+        for lam in (0.0, 1.0, -0.2, 1.3):
+            with pytest.raises(ValueError, match="lambda_c"):
+                control.gamma_rounds(0.1, 1.0, [2, 2], [1.0, 1.0], [0.5, lam])
+        with pytest.raises(ValueError, match="non-negative"):
+            control.gamma_rounds(0.1, 1.0, [2, 2], [1.0, -1e-9], [0.5, 0.5])
+
+
 def make_cluster(index, size=3, lam=0.6):
     return ClusterSpec(
         index=index,
@@ -284,7 +381,7 @@ def make_cluster(index, size=3, lam=0.6):
 
 
 class TestRoundRule:
-    """round_rule against one divergence and one gamma_rounds call per cluster."""
+    """round_rule against one divergence and one scalar rule call per cluster."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -312,7 +409,7 @@ class TestRoundRule:
         for c, spec in enumerate(clusters):
             ups_c = divergence(W[ends[c] - spec.size : ends[c]])
             assert upsilon[c] == ups_c
-            assert gammas[c] == control.gamma_rounds(eta, phi, spec.size, ups_c, spec.lambda_c, gamma_max)
+            assert gammas[c] == scalar_gamma_rounds(eta, phi, spec.size, ups_c, spec.lambda_c, gamma_max)
 
 
 class TestSolveP:
@@ -373,9 +470,7 @@ def oracle_interval_cost(t_km1, tau, coeffs_by_cluster, clusters, sched, phi, co
                     upsilon[c] = coeffs.a * upsilon[c] + coeffs.b
                 upsilon[c] = max(0.0, upsilon[c])
         for c, spec in enumerate(clusters):
-            g = control.gamma_rounds(
-                sched.eta(t), phi, spec.size, upsilon[c], spec.lambda_c, gamma_max
-            )
+            g = scalar_gamma_rounds(sched.eta(t), phi, spec.size, upsilon[c], spec.lambda_c, gamma_max)
             last_gamma[c] = g
             energy += g * spec.size * cost.e_d2d
             delay += g * cost.delta_d2d

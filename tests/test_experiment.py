@@ -381,6 +381,13 @@ class TestCli:
             ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"alpha_cap": -1}}),
             ("control", {"schedule": {"mode": "adaptive", "T": 10},
                          "control": {"alpha_margin": 0.5}}),
+            ("control.xi", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"xi": True}}),
+            ("control.alpha_cap", {"schedule": {"mode": "adaptive", "T": 10},
+                                   "control": {"alpha_cap": True}}),
+            ("control.xi_boost", {"schedule": {"mode": "adaptive", "T": 10},
+                                  "control": {"xi_boost": True}}),
+            ("loss.reg", {"loss": {"reg": True}}),
+            ("cost.e_d2d", {"cost": {"e_d2d": True}}),
         ],
         ids=[
             "zero-tau", "boolean-T", "string-seed", "float-seed", "negative-cost", "string-cost",
@@ -392,7 +399,8 @@ class TestCli:
             "no-placements", "unconnectable-field", "full-certified", "full-fixed-rounds",
             "full-adaptive", "negative-max-rounds", "negative-adaptive-max-rounds", "zero-xi",
             "negative-xi", "zero-xi-boost", "negative-xi-boost", "negative-alpha-cap",
-            "alpha-margin-below-1",
+            "alpha-margin-below-1", "boolean-xi", "boolean-alpha-cap", "boolean-xi-boost",
+            "boolean-reg", "boolean-e-d2d",
         ],
     )
     def test_unrunnable_config_exits_2_before_any_output(self, tmp_path, capsys, field, override):

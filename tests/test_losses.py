@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tthf import losses
+from tthf import bounds, losses
 from tthf.losses import (
     LINEAR_REGRESSION,
     SQUARED_HINGE_SVM,
@@ -344,6 +344,36 @@ class TestBatchedLayer:
         data = losses.DeviceData(model, clusters)
         assert losses.global_loss(model, w, data) == pytest.approx(mean_loss, rel=1e-12, abs=1e-12)
         assert losses.device_mean_loss(model, w, data) == pytest.approx(mean_loss, rel=1e-12, abs=1e-12)
+
+
+class TestStackedMetricOracle:
+    """Stacked global loss, accuracy and dispersion against one call per model, bit for bit."""
+
+    @pytest.mark.parametrize("n_models", [1, 15, 16, 17, 40])
+    @pytest.mark.parametrize("kind", [LINEAR_REGRESSION, SQUARED_HINGE_SVM])
+    @given(counts=COUNTS, dim=st.integers(1, 5), seed=st.integers(0, 2**16), n_labels=st.integers(2, 5))
+    def test_stacked_calls_equal_per_model_calls(self, kind, n_models, counts, dim, seed, n_labels):
+        model, clusters, parts, rng = stacked_devices(kind, counts, dim, seed)
+        data = losses.DeviceData(model, clusters)
+        W = rng.standard_normal((n_models, dim)) * 10.0 ** rng.uniform(-2, 1)
+        labels = rng.integers(0, n_labels, len(data.X))
+        means = rng.standard_normal((n_models, len(clusters), dim))
+        stacked = {
+            "global_loss": losses.global_loss(model, W, data),
+            "device_mean_loss": losses.device_mean_loss(model, W, data),
+            "accuracy": losses.accuracy(model, W, data.X, labels, n_labels),
+            "dispersion": bounds.dispersion_sample(means, data.varrho),
+        }
+        per_model = {
+            "global_loss": [losses.global_loss(model, w, data) for w in W],
+            "device_mean_loss": [losses.device_mean_loss(model, w, data) for w in W],
+            "accuracy": [losses.accuracy(model, w, data.X, labels, n_labels) for w in W],
+            "dispersion": [bounds.dispersion_sample(m, data.varrho) for m in means],
+        }
+        for name, values in per_model.items():
+            assert all(isinstance(v, float) for v in values), name
+            assert stacked[name].shape == (n_models,), name
+            np.testing.assert_array_equal(stacked[name], values, err_msg=name)
 
 
 def choice_reference(words, n, b):

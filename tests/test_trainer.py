@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 from tthf import data, losses, topology, trainer
 from tthf.bounds import dispersion_sample
 from tthf.consensus import OutagePolicy, consensus_error, divergence_exact
-from tthf.control import gamma_rounds
 from tthf.costs import CostParams
-from tthf.losses import LINEAR_REGRESSION, DevicePartition, LossModel
+from tthf.losses import LINEAR_REGRESSION, SQUARED_HINGE_SVM, DevicePartition, LossModel
 from tthf.schedules import GammaPlan, StepSchedule, TrainingSchedule
 from tthf.topology import ClusterSpec
 
-from conftest import build_small_task, effective_matrix, local_grad, local_loss, local_sgd, one_device
+from conftest import (
+    build_small_task,
+    effective_matrix,
+    local_grad,
+    local_loss,
+    local_sgd,
+    one_device,
+    scalar_gamma_rounds,
+)
 
 
 def singleton_cluster(index, part):
@@ -260,9 +267,11 @@ class TestNanGuard:
 def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
     """TT-HF with a plain loop over clusters: the oracle of the batched engine.
 
-    Per step and cluster it picks the rounds, runs them one `V @ z` (or one
-    effective matrix) at a time, and measures that cluster's error and mean.
-    Returns the trace columns and the per-cluster rounds.
+    Per step and cluster it picks the rounds with the scalar rule, runs them
+    one `V @ z` (or one effective matrix) at a time, and measures that
+    cluster's error and mean; it evaluates every step's metrics, the accuracy
+    too when the task asks for it, as that step ends. Returns the trace
+    columns and the per-cluster rounds.
     """
     cost = CostParams()
     clusters, slices, varrho = task.clusters, task.data.cluster_slices, task.data.varrho
@@ -282,7 +291,8 @@ def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
 
     W = np.tile(task.w0, (task.n_devices, 1)).astype(float)
     sampled = sample()
-    cols = {name: [] for name in ("gap_s", "gap_a", "disp", "eps", "energy", "delay")}
+    names = ("gap_s", "gap_a", "disp", "eps", "energy", "delay") + (("acc",) if task.eval_accuracy else ())
+    cols = {name: [] for name in names}
     gammas = np.zeros((T, len(clusters)), dtype=int)
     k, t_km1 = 1, 0
     t_k = min(taus[0], T)
@@ -302,8 +312,8 @@ def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
         for c, (spec, sl) in enumerate(zip(clusters, slices)):
             wt_c = W_tilde[sl]
             if plan.mode == "certified":
-                g = gamma_rounds(steps.eta(t), plan.phi, spec.size, divergence_exact(wt_c),
-                                 spec.lambda_c, gamma_max=plan.max_rounds)
+                g = scalar_gamma_rounds(steps.eta(t), plan.phi, spec.size, divergence_exact(wt_c),
+                                        spec.lambda_c, gamma_max=plan.max_rounds)
             elif plan.mode == "fixed" and plan.value and (t - t_km1) % plan.cadence == 0:
                 g = plan.value
             else:
@@ -330,6 +340,8 @@ def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
         cols["gap_a"].append(task.global_loss(varrho @ means) - task.f_star)
         cols["disp"].append(dispersion_sample(means, varrho))
         cols["eps"].append(float(np.sqrt(varrho @ np.array(eps2))))
+        if task.eval_accuracy:
+            cols["acc"].append(task.accuracy(w_hat))
         energy = float((gammas[t - 1] * [spec.size for spec in clusters]).sum() * cost.e_d2d)
         delay = float(gammas[t - 1].sum() * cost.delta_d2d)
         if t == t_k:
@@ -370,6 +382,11 @@ ORACLE_CASES = {
     ),
     "unequal-certified": (unequal_cluster_task, CERTIFIED, False),
     "unequal-lossy": (unequal_cluster_task, GammaPlan(mode="fixed", value=3, cadence=1), True),
+    "svm-minibatch-accuracy": (
+        lambda: build_small_task(kind=SQUARED_HINGE_SVM, batch_size=4, eval_accuracy=True),
+        CERTIFIED,
+        False,
+    ),
 }
 
 
@@ -395,8 +412,9 @@ class TestBatchedEngineOracle:
         np.testing.assert_array_equal(trace.gamma_total, gammas.sum(axis=1))
         got = {
             "gap_s": trace.loss_gap_sampled, "gap_a": trace.loss_gap_avg, "disp": trace.dispersion,
-            "eps": trace.eps_rms, "energy": trace.energy, "delay": trace.delay,
+            "eps": trace.eps_rms, "energy": trace.energy, "delay": trace.delay, "acc": trace.accuracy,
         }
+        assert (trace.accuracy is not None) == ("acc" in expected)
         for name, column in expected.items():
             if lossy:
                 # no matrix power on the lossy path: the same arithmetic in the same order
