@@ -29,11 +29,10 @@ from .control import (
     phi_max,
     run_adaptive,
     select_alpha,
-    server_sigma,
     solve_P,
 )
 from .costs import CostParams
-from .data import LabeledDataset, PartitionPlan, gen_synthetic, load_csv, partition, save_csv
+from .data import LabeledDataset, PartitionPlan, gen_synthetic, load_csv, partition
 from .experiment import (
     ConfigError,
     ExperimentConfig,

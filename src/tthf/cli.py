@@ -33,7 +33,7 @@ def _set_path(tree: dict, dotted: str, value):
 
 
 def _cmd_sweep(args) -> int:
-    base = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    base = experiment.read_config(args.config)
     values = [json.loads(v) for v in args.values.split(",")]
     results = []
     for value in values:

@@ -162,11 +162,6 @@ def estimate_sigma(
     return float(diff @ diff / 2.0), (g1 + g2) / 2.0
 
 
-def server_sigma(local_estimates: Sequence[float]) -> float:
-    """Server keeps the worst reported device noise."""
-    return float(max(local_estimates))
-
-
 @dataclass
 class PredictorCoeffs:
     """Per-cluster linear divergence predictor, one branch per consensus regime."""
@@ -223,13 +218,18 @@ _TABLE_WIDTH = 128
 @functools.lru_cache(maxsize=8)
 def _lambda_table(lams_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log lambda, flat power table, row starts) of the lambdas with these bytes:
-    entry starts[c] + k of the table is lam_c ** k. Read-only, as callers share them."""
+    entry starts[c] + k of the table is lam_c ** k. Read-only, as callers share them.
+
+    A lambda of 0, a cluster that one round brings to consensus (one device, or
+    a complete graph at step 1/s), has log -inf: its ceil-log guess is 0 and the
+    guards raise it to 1 round whenever the cluster is active."""
     lams = np.frombuffer(lams_bytes)
-    valid = (lams > 0.0) & (lams < 1.0)
+    valid = (lams >= 0.0) & (lams < 1.0)
     if not valid.all():
-        raise ValueError(f"lambda_c={lams[~valid][0]} must lie in (0, 1)")
+        raise ValueError(f"lambda_c={lams[~valid][0]} must lie in [0, 1)")
     table = np.array([[lam**k for k in range(_TABLE_WIDTH)] for lam in lams.tolist()]).ravel()
-    logs = np.log(lams)
+    with np.errstate(divide="ignore"):
+        logs = np.log(lams)
     starts = np.arange(len(lams)) * _TABLE_WIDTH
     table.flags.writeable = logs.flags.writeable = starts.flags.writeable = False
     return logs, table, starts
@@ -463,7 +463,8 @@ def _probe(task, models, batch, rng):
     if full.any():
         grads[full] = losses.grad_full(task.model, models, data)[devices[full]]
     g_bar = sum(data.varrho[c] * g for c, g in enumerate(grads))
-    return server_sigma(sigma_locals), grads, g_bar
+    # the server keeps the worst reported device noise
+    return float(max(sigma_locals)), grads, g_bar
 
 
 def run_adaptive(

@@ -180,12 +180,3 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
         bad = int(np.argmax(np.abs(raw_labels - int_labels)) + 1)
         raise CsvFormatError(f"{path}: label column must hold non-negative integers (row {bad})")
     return LabeledDataset(arr[:, :-1], int_labels, int(int_labels.max()) + 1)
-
-
-def save_csv(dataset: LabeledDataset, path):
-    """Write features plus the label column; inverse of load_csv."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for i in range(dataset.n_points):
-            writer.writerow([repr(float(v)) for v in dataset.X[i]] + [int(dataset.labels[i])])

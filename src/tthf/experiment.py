@@ -140,16 +140,19 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+def read_config(path):
+    """The JSON value in the config file at path; a missing file or invalid JSON names '<file>'."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError("<file>", f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError("<file>", f"invalid JSON: {exc}") from None
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse and validate a JSON config, filling documented defaults, and build its run objects."""
-    raw = source
-    if isinstance(source, (str, Path)):
-        try:
-            raw = json.loads(Path(source).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError("<file>", f"config file not found: {source}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<file>", f"invalid JSON: {exc}") from None
+    raw = read_config(source) if isinstance(source, (str, Path)) else source
     merged = _merge(_DEFAULTS, raw)
     for keys in _REQUIRED:
         node = merged
@@ -190,8 +193,7 @@ def load_config(source) -> ExperimentConfig:
         # the full-participation baseline runs neither D2D rounds nor the controller
         raise ConfigError(
             "aggregation.mode",
-            "'full' needs a fixed schedule with no D2D rounds "
-            "(schedule.gamma mode 'none', or 'fixed' with value 0)",
+            "'full' needs a fixed schedule with no D2D rounds (schedule.gamma 'fixed' with value 0)",
         )
     return config
 
@@ -324,21 +326,21 @@ def _topology_refresh(config: ExperimentConfig):
 
 def run_single(config: ExperimentConfig, task: TrainTask, seed: int) -> MetricsTrace:
     """One deterministic protocol run for the given seed."""
-    refresh = _topology_refresh(config)
     if config.adaptive is not None:
         trace, _ = control.run_adaptive(
             task, config.adaptive, cost=config.cost, outage=config.outage, seed=seed,
-            topology_refresh=refresh,
+            topology_refresh=_topology_refresh(config),
         )
     elif config.raw["aggregation"]["mode"] == trainer.FULL:
+        # a baseline runs no D2D rounds, so a re-placed network would go unread
         trace = trainer.run_baseline(
             task, config.step, config.schedule.T, config.schedule.taus, outage=config.outage,
-            cost=config.cost, seed=seed, topology_refresh=refresh,
+            cost=config.cost, seed=seed,
         )
     else:
         trace = trainer.run_tthf(
             task, config.step, config.schedule, config.gamma_plan, outage=config.outage,
-            cost=config.cost, seed=seed, topology_refresh=refresh,
+            cost=config.cost, seed=seed, topology_refresh=_topology_refresh(config),
         )
     from . import __version__
 
@@ -466,13 +468,18 @@ def run_experiment(config_source, output_dir: Optional[str] = None, workers: int
     `workers` is accepted and ignored: the outputs do not depend on it.
     """
     config = load_config(config_source)
+    out = Path(output_dir or config.raw["output_dir"])
+    # the first existing path up from out must be a directory, or mkdir would
+    # fail after every seed has run
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError("output_dir", f"{existing} exists and is not a directory")
     task = build_task(config)
     seeds = config.raw["seeds"]
     traces = [run_single(config, task, seed) for seed in seeds]
     horizons = {seed: len(trace) for seed, trace in zip(seeds, traces)}
     if len(set(horizons.values())) > 1:
         raise HorizonMismatchError(horizons)
-    out = Path(output_dir or config.raw["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     for seed, trace in zip(seeds, traces):
         trace.to_csv(out / f"trace_seed{seed}.csv")

@@ -9,7 +9,7 @@ Two strongly convex model families are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -107,6 +107,7 @@ def quadratic_stats(blocks, n_devices: int) -> tuple[np.ndarray, np.ndarray, np.
 class DeviceData:
     """Every device's data, stacked once in cluster order for batched losses and gradients.
 
+    X, y and the raw integer labels hold every point, device after device.
     Devices with equal point counts share one (devices, points, d) block. It
     holds every device's data Hessian H_i and b_i; for regression also
     A_i = H_i + reg*I and the device means.
@@ -122,6 +123,7 @@ class DeviceData:
         self.starts = np.cumsum(self.n_points) - self.n_points
         self.X = np.concatenate([p.X for p in self.parts])
         self.y = np.concatenate([p.y for p in self.parts])
+        self.labels = np.concatenate([p.labels for p in self.parts])
         if self.X.shape[1] != model.dim:
             raise ValueError(f"feature dimension {self.X.shape[1]} does not match model dim {model.dim}")
         self.blocks = [
@@ -455,40 +457,29 @@ def solve_optimum(
     return w
 
 
-def predict_labels(
-    model: LossModel, w: np.ndarray, X: np.ndarray, n_labels: int,
-    class_scores: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Classify rows of X.
-
-    Regression models assign the class whose mean training score is nearest
-    (regularization shrinks scores, so raw label values are not usable cut
-    points); the SVM uses the sign rule on its +/-1 coding.
-    """
-    scores = np.asarray(X, dtype=float) @ w
-    if model.kind == SQUARED_HINGE_SVM:
-        return (scores >= 0).astype(int)
-    if class_scores is None:
-        class_scores = np.arange(n_labels, dtype=float)
-    return np.argmin(np.abs(scores[:, None] - class_scores[None, :]), axis=1)
-
-
-def accuracy(model: LossModel, w: np.ndarray, X: np.ndarray, labels: np.ndarray, n_labels: int):
+def accuracy(model: LossModel, w: np.ndarray, data: DeviceData, n_labels: int):
     """Fraction of points whose predicted label matches the raw integer label.
 
-    w holds one model (a float result) or stacks models on leading axes (one fraction each).
+    The SVM predicts with the sign rule on its +/-1 coding. Regression predicts
+    the label whose mean score over its own points is nearest (regularization
+    shrinks scores, so raw label values are not usable cut points); a label no
+    point carries is never predicted, and a tie goes to the lower label.
+    w holds one model (a float result) or stacks models on leading axes (one
+    fraction each); one broadcast stacked matmul scores them all.
     """
+    scores = np.matmul(data.X, w[..., :, None])[..., 0]
     if model.kind == SQUARED_HINGE_SVM:
-        # the sign rule in one broadcast stacked matmul, against the labels as booleans
-        scores = (np.asarray(X, dtype=float) @ w[..., :, None])[..., 0]
-        return _one_or_stacked(np.mean((scores >= 0) == (labels >= (n_labels + 1) // 2), axis=-1))
-    if w.ndim > 1:
-        # one model at a time: the nearest-class search of a whole stack would
-        # hold a (models, points, labels) array
-        flat = [accuracy(model, v, X, labels, n_labels) for v in w.reshape(-1, w.shape[-1])]
-        return np.array(flat).reshape(w.shape[:-1])
-    scores = np.asarray(X, dtype=float) @ w
-    class_scores = np.array(
-        [scores[labels == l].mean() if np.any(labels == l) else np.inf for l in range(n_labels)]
-    )
-    return float(np.mean(predict_labels(model, w, X, n_labels, class_scores) == labels))
+        return _one_or_stacked(np.mean((scores >= 0) == (data.y > 0), axis=-1))
+    # a running minimum over the labels holds no (models, points, labels) array.
+    # It is strict, so a tie keeps the lower label, as argmin does. Labels rise
+    # through the loop, so a nearer label is the largest yet: maximum takes it
+    # where it is nearer, with no masked copy
+    nearest = np.full(scores.shape, np.inf)
+    predicted = np.zeros(scores.shape, dtype=int)
+    for label in range(n_labels):
+        rows = np.flatnonzero(data.labels == label)
+        if len(rows):
+            distance = np.abs(scores - scores[..., rows].mean(axis=-1, keepdims=True))
+            np.maximum(predicted, (distance < nearest) * label, out=predicted)
+            np.fmin(nearest, distance, out=nearest)
+    return _one_or_stacked(np.mean(predicted == data.labels, axis=-1))

@@ -34,10 +34,10 @@ class StepSchedule:
 class GammaPlan:
     """Per-timestep D2D round plan for fixed-parameter runs.
 
-    mode "none": no consensus; "fixed": `value` rounds at every `cadence`-th local
-    step of each interval; "certified": rounds chosen per cluster each step so the
+    mode "fixed": `value` rounds at every `cadence`-th local step of each
+    interval; "certified": rounds chosen per cluster each step so the
     contraction certificate meets the eta_t*phi error target (exact divergence).
-    The default, a fixed plan of 0 rounds, runs no consensus.
+    The default, a fixed plan of 0 rounds, is the one plan that runs no consensus.
     """
 
     mode: str = "fixed"
@@ -47,7 +47,7 @@ class GammaPlan:
     max_rounds: int = 100
 
     def __post_init__(self):
-        if self.mode not in ("none", "fixed", "certified"):
+        if self.mode not in ("fixed", "certified"):
             raise ValueError(f"unknown gamma plan mode {self.mode!r}")
         for name in ("value", "cadence", "max_rounds"):
             # a fractional count would be truncated or skip steps silently; JSON

@@ -78,7 +78,6 @@ class TrainTask:
                 raise ValueError(f"cluster {spec.index}: spec size != number of partitions")
         self.flat_parts = self.data.parts
         self.n_devices = self.data.n_devices
-        self.all_labels = np.concatenate([p.labels for p in self.flat_parts])
 
     def global_loss(self, w: np.ndarray):
         """F(w) for one model (a float), or one value per model stacked on leading axes."""
@@ -86,7 +85,7 @@ class TrainTask:
 
     def accuracy(self, w: np.ndarray):
         """Accuracy of one model (a float), or one value per model stacked on leading axes."""
-        return losses.accuracy(self.model, w, self.data.X, self.all_labels, self.n_labels)
+        return losses.accuracy(self.model, w, self.data, self.n_labels)
 
 
 def make_task(
@@ -211,8 +210,7 @@ def provider_from_plan(plan: GammaPlan):
     """The D2D rounds of a fixed-parameter run, one int per cluster for each step.
 
     Certified plans meet the contraction certificate's eta_t*phi error target;
-    fixed plans run plan.value rounds at every plan.cadence-th local step, and
-    "none" plans run none.
+    fixed plans run plan.value rounds at every plan.cadence-th local step.
     """
     if plan.mode == "certified":
         from .consensus import divergence_exact
@@ -222,11 +220,9 @@ def provider_from_plan(plan: GammaPlan):
             return round_rule(clusters, blocks, divergence_exact, eta_next, plan.phi, plan.max_rounds)[1]
 
         return certified
-    # a "none" plan's cadence is not validated, so it is not read
-    rounds, cadence = (plan.value, plan.cadence) if plan.mode == "fixed" else (0, 1)
 
     def fixed(local_step, clusters, blocks, eta_next):
-        return [rounds if local_step % cadence == 0 else 0] * len(clusters)
+        return [plan.value if local_step % plan.cadence == 0 else 0] * len(clusters)
 
     return fixed
 
@@ -262,6 +258,8 @@ def run_protocol(
     reference over every gradient evaluation point (meta["max_radius"]).
     topology_refresh(k) -> new cluster specs for interval k, called when interval
     k-1 ends (positions stay static within each interval either way).
+    aggregation FULL is the full-participation baseline, whose gamma_provider
+    runs no rounds; its server model at each step is the average model.
     The loss gaps, dispersion and accuracy of a step are computed from its
     server-equivalent model, average model and cluster means; these wait in a
     buffer of METRIC_BLOCK steps and are evaluated one block at a time.
@@ -371,23 +369,20 @@ def run_protocol(
         W = W_new
         row = (t - 1) % METRIC_BLOCK
         cluster_means = means_buf[row]
-        mixed_means = np.empty((n_clusters, dim))
         eps2_by_cluster = np.empty(n_clusters)
         for (members, block), (_, dev_rows, size) in zip(blocks, groups):
-            mixed = W[dev_rows].reshape(len(members), size, dim)
-            errs, _ = consensus_error(mixed, block)
+            errs, _ = consensus_error(W[dev_rows].reshape(len(members), size, dim), block)
             eps2_by_cluster[members] = np.mean(errs**2, axis=-1)
             cluster_means[members] = block.mean(axis=1)
-            if aggregation == FULL:
-                mixed_means[members] = mixed.mean(axis=1)
 
         # metric inputs of this timestep; the server-equivalent model is the
-        # sampled combination for TT-HF and the full weighted average for baselines
+        # sampled combination for TT-HF and the full weighted average for
+        # baselines, which is the average model: a baseline runs no D2D rounds
         bar_buf[row] = varrho @ cluster_means
         if aggregation == SAMPLED:
             w_hat_virtual = global_aggregate(W, varrho, sampled)
         else:
-            w_hat_virtual = varrho @ mixed_means
+            w_hat_virtual = bar_buf[row].copy()
         hat_buf[row] = w_hat_virtual
         eps[t - 1] = np.sqrt(varrho @ eps2_by_cluster)
         if row == METRIC_BLOCK - 1 or t == T:
@@ -496,11 +491,12 @@ def run_baseline(
     outage: Optional[OutagePolicy] = None,
     cost: Optional[CostParams] = None,
     seed: int = 0,
-    topology_refresh=None,
 ) -> MetricsTrace:
     """Conventional federated averaging: no D2D rounds, full device participation.
 
     tau is one interval length, or the lengths in order (a TrainingSchedule's taus).
+    With no rounds the cluster graphs are never read, so a baseline takes no
+    topology refresh.
     """
     return run_protocol(
         task,
@@ -512,5 +508,4 @@ def run_baseline(
         outage=outage,
         cost=cost,
         seed=seed,
-        topology_refresh=topology_refresh,
     )

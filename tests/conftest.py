@@ -47,10 +47,10 @@ def scalar_gamma_rounds(eta_t, phi, s_c, upsilon, lambda_c, gamma_max=None):
 
     The fewest rounds whose certificate lambda_c ** rounds * sqrt(s_c) * upsilon
     meets eta_t * phi, from a ceil-log guess and two guards that step it while
-    Python's float ** says the guess is off.
+    Python's float ** says the guess is off. A lambda_c of 0 guesses 0 rounds.
     """
-    if not 0.0 < lambda_c < 1.0:
-        raise ValueError(f"lambda_c={lambda_c} must lie in (0, 1)")
+    if not 0.0 <= lambda_c < 1.0:
+        raise ValueError(f"lambda_c={lambda_c} must lie in [0, 1)")
     if upsilon < 0:
         raise ValueError("upsilon must be non-negative")
     target = eta_t * phi
@@ -61,7 +61,7 @@ def scalar_gamma_rounds(eta_t, phi, s_c, upsilon, lambda_c, gamma_max=None):
         if gamma_max is None:
             raise ValueError("consensus error target must be positive")
         return gamma_max
-    gamma = max(math.ceil(math.log(target / scale) / math.log(lambda_c)), 0)
+    gamma = 0 if lambda_c == 0.0 else max(math.ceil(math.log(target / scale) / math.log(lambda_c)), 0)
     while lambda_c**gamma * scale > target:
         gamma += 1
     while gamma > 0 and lambda_c ** (gamma - 1) * scale <= target:
@@ -69,6 +69,23 @@ def scalar_gamma_rounds(eta_t, phi, s_c, upsilon, lambda_c, gamma_max=None):
     if gamma_max is not None:
         gamma = min(gamma, gamma_max)
     return int(gamma)
+
+
+def accuracy_oracle(model, w, X, labels, n_labels):
+    """The accuracy of the one model w, label by label: the oracle of losses.accuracy.
+
+    The SVM predicts the labels at or above the midpoint (n_labels + 1) // 2 where
+    X @ w >= 0. Regression predicts the argmin of the distances from each score to
+    every label's mean score, a label that no point carries being infinitely far.
+    """
+    scores = X @ w
+    if model.kind == losses.SQUARED_HINGE_SVM:
+        return float(np.mean((scores >= 0) == (labels >= (n_labels + 1) // 2)))
+    class_scores = np.array(
+        [scores[labels == l].mean() if np.any(labels == l) else np.inf for l in range(n_labels)]
+    )
+    predicted = np.argmin(np.abs(scores[:, None] - class_scores[None, :]), axis=1)
+    return float(np.mean(predicted == labels))
 
 
 def random_connected_adjacency(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -201,9 +201,6 @@ class TestEstimateSigma:
         np.testing.assert_array_equal(g, (g1 + g2) / 2.0)
         assert gen_stacked.random() == gen_pair.random()
 
-    def test_server_takes_max(self):
-        assert control.server_sigma([0.1, 0.7, 0.3]) == 0.7
-
 
 class TestFitPredictor:
     def test_exact_linear_history_recovered(self):
@@ -267,9 +264,16 @@ class TestGammaRounds:
         assert control.gamma_rounds(1e-9, 1.0, 4, 10.0, 0.99, gamma_max=7) == 7
 
     def test_invalid_lambda_rejected(self):
-        for lam in (0.0, 1.0, -0.2, 1.3):
+        for lam in (1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 control.gamma_rounds(0.1, 1.0, 2, 1.0, lam)
+
+    def test_zero_lambda_takes_one_round_when_active(self):
+        # one round brings a cluster of lambda 0 to consensus: a one-device
+        # cluster, or a complete graph mixed at step 1/s
+        assert control.gamma_rounds(0.1, 1.0, 2, 1.0, 0.0) == 1
+        assert control.gamma_rounds(0.1, 1.0, 2, 0.0, 0.0) == 0
+        assert control.gamma_rounds(0.1, 1.0, 1, 0.05, 0.0) == 0
 
 
 def boundary_clusters(rng, n, target):
@@ -344,6 +348,27 @@ class TestArrayRoundRuleOracle:
         assert got.dtype.kind == "i" and got.shape == (n,)
         np.testing.assert_array_equal(got, self.scalar_rounds(eta, phi, sizes, ups, lams, gamma_max))
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        gamma_max=st.one_of(st.none(), st.integers(0, 200)),
+        zero_lambda_share=st.floats(0.0, 1.0),
+        zero_share=st.floats(0.0, 1.0),
+    )
+    def test_zero_lambdas_equal_scalar_rule(self, seed, n, gamma_max, zero_lambda_share, zero_share):
+        # a cluster of lambda 0 (one device, or a complete graph at step 1/s)
+        # needs one round whenever it is active
+        rng = np.random.default_rng(seed)
+        eta, phi = float(10.0 ** rng.uniform(-4, 0)), float(10.0 ** rng.uniform(-2, 1))
+        sizes, ups, lams, _ = boundary_clusters(rng, n, eta * phi)
+        lams[rng.random(n) < zero_lambda_share] = 0.0
+        ups[rng.random(n) < zero_share] = 0.0
+        got = control.gamma_rounds(eta, phi, sizes, ups, lams, gamma_max)
+        expected = self.scalar_rounds(eta, phi, sizes, ups, lams, gamma_max)
+        np.testing.assert_array_equal(got, expected)
+        active = (lams == 0.0) & (np.sqrt(sizes) * ups > eta * phi)
+        np.testing.assert_array_equal(got[active], 1 if gamma_max is None else min(1, gamma_max))
+
     def test_scalar_inputs_give_an_int(self):
         for ups in (0.0, 0.3, 40.0):
             got = control.gamma_rounds(0.05, 2.0, 4, ups, 0.7, 30)
@@ -362,7 +387,7 @@ class TestArrayRoundRuleOracle:
             control.gamma_rounds(0.0, 1.0, [3, 3, 3], ups, [0.5] * 3)
 
     def test_invalid_inputs_rejected_in_any_entry(self):
-        for lam in (0.0, 1.0, -0.2, 1.3):
+        for lam in (1.0, -0.2, 1.3):
             with pytest.raises(ValueError, match="lambda_c"):
                 control.gamma_rounds(0.1, 1.0, [2, 2], [1.0, 1.0], [0.5, lam])
         with pytest.raises(ValueError, match="non-negative"):

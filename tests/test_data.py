@@ -1,5 +1,8 @@
 """Dataset generation, partitioning modes, and CSV round trips."""
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,14 @@ from tthf import bounds, data, losses
 from tthf.data import CsvFormatError, PartitionPlan
 
 from conftest import local_grad
+
+
+def save_csv(dataset, path):
+    """Write the features plus the label column: the inverse of data.load_csv."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for x, label in zip(dataset.X, dataset.labels):
+            writer.writerow([repr(float(v)) for v in x] + [int(label)])
 
 
 class TestGenSynthetic:
@@ -20,16 +31,18 @@ class TestGenSynthetic:
         ds = data.gen_synthetic(6, 2, 300, 0.0, seed=1)
         model = losses.LossModel(losses.LINEAR_REGRESSION, reg=0.01, dim=6)
         parts = data.partition(ds, 1, PartitionPlan("iid", seed=2), kind=model.kind)
-        w_star = losses.solve_optimum(model, losses.DeviceData(model, [parts]))
-        acc = losses.accuracy(model, w_star, ds.X, ds.labels, ds.n_labels)
+        stacked = losses.DeviceData(model, [parts])
+        w_star = losses.solve_optimum(model, stacked)
+        acc = losses.accuracy(model, w_star, stacked, ds.n_labels)
         assert abs(acc - 0.5) < 0.05
 
     def test_high_separation_is_nearly_separable(self):
         ds = data.gen_synthetic(10, 2, 200, 10.0, seed=2)
         model = losses.LossModel(losses.LINEAR_REGRESSION, reg=0.01, dim=10)
         parts = data.partition(ds, 1, PartitionPlan("iid", seed=3), kind=model.kind)
-        w_star = losses.solve_optimum(model, losses.DeviceData(model, [parts]))
-        assert losses.accuracy(model, w_star, ds.X, ds.labels, ds.n_labels) >= 0.99
+        stacked = losses.DeviceData(model, [parts])
+        w_star = losses.solve_optimum(model, stacked)
+        assert losses.accuracy(model, w_star, stacked, ds.n_labels) >= 0.99
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -115,7 +128,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         ds = data.gen_synthetic(5, 3, 20, 1.5, seed=16)
         path = tmp_path / "round.csv"
-        data.save_csv(ds, path)
+        save_csv(ds, path)
         back = data.load_csv(path)
         np.testing.assert_allclose(back.X, ds.X, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(back.labels, ds.labels)

@@ -115,7 +115,7 @@ class TestRunExperiment:
         cfg = minimal_config(
             tmp_path,
             aggregation={"mode": "full"},
-            schedule={"T": 10, "tau": [2, 8], "gamma": {"mode": "none"}},
+            schedule={"T": 10, "tau": [2, 8]},
         )
         config = experiment.load_config(cfg)
         trace = experiment.run_single(config, experiment.build_task(config), seed=1)
@@ -294,7 +294,7 @@ class TestCompareRuns:
         config = experiment.load_config(cfg)
         task = experiment.build_task(config)
         a = experiment.run_single(config, task, seed=1)
-        cfg2 = minimal_config(tmp_path, schedule={"T": 10, "tau": 5, "gamma": {"mode": "none"}})
+        cfg2 = minimal_config(tmp_path, schedule={"T": 10, "tau": 5})
         b = experiment.run_single(experiment.load_config(cfg2), task, seed=1)
         with pytest.raises(ValueError, match="lengths differ"):
             experiment.compare_runs(a, b)
@@ -388,6 +388,7 @@ class TestCli:
                                   "control": {"xi_boost": True}}),
             ("loss.reg", {"loss": {"reg": True}}),
             ("cost.e_d2d", {"cost": {"e_d2d": True}}),
+            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "none"}}}),
         ],
         ids=[
             "zero-tau", "boolean-T", "string-seed", "float-seed", "negative-cost", "string-cost",
@@ -400,7 +401,7 @@ class TestCli:
             "full-adaptive", "negative-max-rounds", "negative-adaptive-max-rounds", "zero-xi",
             "negative-xi", "zero-xi-boost", "negative-xi-boost", "negative-alpha-cap",
             "alpha-margin-below-1", "boolean-xi", "boolean-alpha-cap", "boolean-xi-boost",
-            "boolean-reg", "boolean-e-d2d",
+            "boolean-reg", "boolean-e-d2d", "none-gamma-mode",
         ],
     )
     def test_unrunnable_config_exits_2_before_any_output(self, tmp_path, capsys, field, override):
@@ -409,6 +410,53 @@ class TestCli:
         assert cli.main(["run", str(cfg_path)]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing-file", "invalid-json"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, verb, content):
+        cfg_path = tmp_path / "cfg.json"
+        if content is not None:
+            cfg_path.write_text(content)
+        sweep = ["--param", "seeds", "--values", "[1]", "--report", str(tmp_path / "sweep.json")]
+        assert cli.main([verb, str(cfg_path)] + (sweep if verb == "sweep" else [])) == 2
+        assert "config field '<file>'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if content is None else ["cfg.json"])
+
+    @pytest.mark.parametrize("below", ["", "out"], ids=["a-file", "below-a-file"])
+    def test_output_dir_at_a_file_exits_2_before_any_seed(self, tmp_path, capsys, monkeypatch, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(tmp_path, output_dir=str(blocker / below))))
+        runs = []
+        monkeypatch.setattr(experiment, "run_single", lambda *args: runs.append(args))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert "config field 'output_dir'" in capsys.readouterr().err
+        assert not runs
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json"]
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"topology": {"n_clusters": 4, "cluster_size": 1},
+             "schedule": {"T": 20, "tau": 5, "gamma": {"mode": "certified"}}},
+            {"topology": {"n_clusters": 4, "cluster_size": 1}, "schedule": {"mode": "adaptive", "T": 20}},
+            {"topology": {"n_clusters": 4, "cluster_size": 2, "d_c": 0.5},
+             "schedule": {"T": 20, "tau": 5, "gamma": {"mode": "certified"}}},
+        ],
+        ids=["one-device-certified", "one-device-adaptive", "complete-pair-certified"],
+    )
+    def test_one_round_consensus_clusters_run(self, tmp_path, override):
+        # lambda 0: one round brings each cluster to consensus
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(tmp_path, **override)))
+        assert cli.main(["run", str(cfg_path)]) == 0
+        config = experiment.load_config(str(cfg_path))
+        task = experiment.build_task(config)
+        assert all(spec.lambda_c == 0.0 for spec in task.clusters)
+        gammas = experiment.run_single(config, task, seed=1).gamma_by_cluster
+        assert gammas.max() == (1 if override["topology"]["cluster_size"] > 1 else 0)
 
     def test_sweep_verb(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -439,6 +487,20 @@ class TestTopologyRefresh:
         assert any(
             not np.array_equal(a.positions, b.positions) for a, b in zip(first, other)
         )
+
+    def test_baseline_ignores_replacement(self, tmp_path):
+        # a baseline runs no D2D rounds, so a re-placed network would go unread
+        written = []
+        for replace in (False, True):
+            out = tmp_path / f"out_{replace}"
+            summary = experiment.run_experiment(minimal_config(
+                tmp_path, aggregation={"mode": "full"}, schedule={"T": 20, "tau": [3, 7, 10]},
+                outage={"enabled": True}, replace_between_intervals=replace, output_dir=str(out),
+            ))
+            del summary["config_hash"]
+            written.append((summary, {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}))
+        assert len(written[0][1]) == 6  # a trace and a control CSV per seed
+        assert written[0] == written[1]
 
     def test_run_remains_deterministic_with_replacement(self, tmp_path):
         cfg = minimal_config(tmp_path, replace_between_intervals=True)

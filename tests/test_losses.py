@@ -1,13 +1,12 @@
 """Loss/gradient oracles: direct summation, finite differences, eigen decompositions."""
 
-import typing
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tthf import bounds, losses
+from tthf.data import encode_targets
 from tthf.losses import (
     LINEAR_REGRESSION,
     SQUARED_HINGE_SVM,
@@ -16,7 +15,7 @@ from tthf.losses import (
     StrongConvexityError,
 )
 
-from conftest import local_grad, local_loss, local_sgd, one_device
+from conftest import accuracy_oracle, local_grad, local_loss, local_sgd, one_device
 
 
 def one_point_part(x, y):
@@ -346,6 +345,23 @@ class TestBatchedLayer:
         assert losses.device_mean_loss(model, w, data) == pytest.approx(mean_loss, rel=1e-12, abs=1e-12)
 
 
+def label_parts(kind, parts, n_labels, rng):
+    """Give the partitions random raw labels, one label carried by no point, and
+    the targets encode_targets codes them as."""
+    unused = int(rng.integers(0, n_labels))
+    for p in parts:
+        drawn = rng.integers(0, n_labels - 1, p.n_points)
+        p.labels = drawn + (drawn >= unused)
+        p.y = encode_targets(p.labels, n_labels, kind)
+
+
+# 1-D scores that tie: with w = 1, the point 2.5 of label 0 lies 1.5 from the
+# mean score 1 of label 0 and from the mean 4 of label 1; the point 0 of label
+# 2 scores exactly 0 for the SVM; label 3 has no point
+TIE_DEVICES = [[[-1.5, 2.5], [2.0, 3.0, 5.0]], [[100.0, -40.0, 0.0]]]
+TIE_LABELS = [[[0, 0], [0, 1, 1]], [[2, 2, 2]]]
+
+
 class TestStackedMetricOracle:
     """Stacked global loss, accuracy and dispersion against one call per model, bit for bit."""
 
@@ -354,26 +370,47 @@ class TestStackedMetricOracle:
     @given(counts=COUNTS, dim=st.integers(1, 5), seed=st.integers(0, 2**16), n_labels=st.integers(2, 5))
     def test_stacked_calls_equal_per_model_calls(self, kind, n_models, counts, dim, seed, n_labels):
         model, clusters, parts, rng = stacked_devices(kind, counts, dim, seed)
+        label_parts(kind, parts, n_labels, rng)
         data = losses.DeviceData(model, clusters)
         W = rng.standard_normal((n_models, dim)) * 10.0 ** rng.uniform(-2, 1)
-        labels = rng.integers(0, n_labels, len(data.X))
         means = rng.standard_normal((n_models, len(clusters), dim))
         stacked = {
             "global_loss": losses.global_loss(model, W, data),
             "device_mean_loss": losses.device_mean_loss(model, W, data),
-            "accuracy": losses.accuracy(model, W, data.X, labels, n_labels),
+            "accuracy": losses.accuracy(model, W, data, n_labels),
             "dispersion": bounds.dispersion_sample(means, data.varrho),
         }
         per_model = {
             "global_loss": [losses.global_loss(model, w, data) for w in W],
             "device_mean_loss": [losses.device_mean_loss(model, w, data) for w in W],
-            "accuracy": [losses.accuracy(model, w, data.X, labels, n_labels) for w in W],
+            "accuracy": [accuracy_oracle(model, w, data.X, data.labels, n_labels) for w in W],
             "dispersion": [bounds.dispersion_sample(m, data.varrho) for m in means],
         }
         for name, values in per_model.items():
             assert all(isinstance(v, float) for v in values), name
             assert stacked[name].shape == (n_models,), name
             np.testing.assert_array_equal(stacked[name], values, err_msg=name)
+        assert [losses.accuracy(model, w, data, n_labels) for w in W] == per_model["accuracy"]
+
+    @pytest.mark.parametrize("n_models", [1, 15, 16, 17, 40])
+    @pytest.mark.parametrize("kind, expected", [(LINEAR_REGRESSION, 0.75), (SQUARED_HINGE_SVM, 0.375)])
+    def test_accuracy_ties_and_a_label_without_points(self, kind, expected, n_models):
+        clusters = [
+            [
+                DevicePartition(i, np.array(xs)[:, None], encode_targets(ls, 4, kind), np.array(ls))
+                for i, (xs, ls) in enumerate(zip(cluster, cluster_labels))
+            ]
+            for cluster, cluster_labels in zip(TIE_DEVICES, TIE_LABELS)
+        ]
+        model = LossModel(kind, reg=0.3, dim=1)
+        data = losses.DeviceData(model, clusters)
+        # models of +-2^k scale the scores, their means and distances exactly
+        k = np.arange(n_models)
+        W = (np.where(k % 2, -1.0, 1.0) * 2.0 ** (k % 9 - 4))[:, None]
+        got = losses.accuracy(model, W, data, 4)
+        oracle = [accuracy_oracle(model, w, data.X, data.labels, 4) for w in W]
+        np.testing.assert_array_equal(got, oracle)
+        assert losses.accuracy(model, np.ones(1), data, 4) == expected
 
 
 def choice_reference(words, n, b):
@@ -497,9 +534,3 @@ class TestBatchSampler:
                 rejections += rejected
             np.testing.assert_array_equal(sampler.draw(), expected)
         assert rejections >= 300
-
-
-class TestPredictLabels:
-    def test_annotations_resolve(self):
-        hints = typing.get_type_hints(losses.predict_labels)
-        assert hints["class_scores"] == typing.Optional[np.ndarray]

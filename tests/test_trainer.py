@@ -14,6 +14,7 @@ from tthf.schedules import GammaPlan, StepSchedule, TrainingSchedule
 from tthf.topology import ClusterSpec
 
 from conftest import (
+    accuracy_oracle,
     build_small_task,
     effective_matrix,
     local_grad,
@@ -112,7 +113,7 @@ class TestDegenerateCentralizedEquivalence:
         task = trainer.make_task(model, clusters, [[p] for p in parts_flat])
         steps = StepSchedule(kind="constant", eta_const=0.05)
         trace = trainer.run_tthf(
-            task, steps, TrainingSchedule.uniform(30, 1), GammaPlan(mode="none"), seed=0
+            task, steps, TrainingSchedule.uniform(30, 1), GammaPlan(), seed=0
         )
         w = task.w0.copy()
         gaps = []
@@ -187,7 +188,7 @@ class TestBroadcastReset:
         task = build_small_task(mode="extreme")
         steps = StepSchedule(kind="constant", eta_const=0.3 / task.beta)
         trace = trainer.run_tthf(
-            task, steps, TrainingSchedule.uniform(40, 10), GammaPlan(mode="none"), seed=3
+            task, steps, TrainingSchedule.uniform(40, 10), GammaPlan(), seed=3
         )
         for t_k in trace.boundaries[:-1]:
             # first step of the next interval starts from a common broadcast model,
@@ -221,7 +222,7 @@ class TestDeterminism:
                 task,
                 steps,
                 TrainingSchedule.uniform(10, 5),
-                GammaPlan(mode="none"),
+                GammaPlan(),
                 seed=s,
             )
             for s in (1, 2)
@@ -237,12 +238,29 @@ class TestBaseline:
         # sampled and average gaps coincide for full participation
         np.testing.assert_allclose(trace.loss_gap_sampled, trace.loss_gap_avg, atol=1e-12)
 
+    def test_server_model_is_the_average_model(self):
+        task = build_small_task()
+        steps = StepSchedule(kind="constant", eta_const=0.2 / task.beta)
+        evaluated = []
+        global_loss = task.global_loss
+
+        def record(w):
+            evaluated.append(w.copy())
+            return global_loss(w)
+
+        task.global_loss = record
+        trainer.run_baseline(task, steps, 20, [3, 7], outage=OutagePolicy(enabled=True), seed=9)
+        # one block of 16 steps and one of 4: the server models, then the average models
+        assert [len(w) for w in evaluated] == [16, 16, 4, 4]
+        for hat, bar in zip(evaluated[0::2], evaluated[1::2]):
+            np.testing.assert_array_equal(hat, bar)
+
     def test_baseline_energy_scales_with_device_count(self):
         task = build_small_task()  # 4 clusters x 3 devices
         steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
         base = trainer.run_baseline(task, steps, 10, 5, seed=1)
         tthf = trainer.run_tthf(
-            task, steps, TrainingSchedule.uniform(10, 5), GammaPlan(mode="none"), seed=1
+            task, steps, TrainingSchedule.uniform(10, 5), GammaPlan(), seed=1
         )
         # 2 aggregations each; full participation uploads I/N = 3x more
         assert base.energy.sum() == pytest.approx(3.0 * tthf.energy.sum())
@@ -259,7 +277,7 @@ class TestNanGuard:
                 task,
                 steps,
                 TrainingSchedule.uniform(500, 10),
-                GammaPlan(mode="none"),
+                GammaPlan(),
                 seed=2,
             )
 
@@ -341,7 +359,8 @@ def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
         cols["disp"].append(dispersion_sample(means, varrho))
         cols["eps"].append(float(np.sqrt(varrho @ np.array(eps2))))
         if task.eval_accuracy:
-            cols["acc"].append(task.accuracy(w_hat))
+            stacked = task.data
+            cols["acc"].append(accuracy_oracle(task.model, w_hat, stacked.X, stacked.labels, task.n_labels))
         energy = float((gammas[t - 1] * [spec.size for spec in clusters]).sum() * cost.e_d2d)
         delay = float(gammas[t - 1].sum() * cost.delta_d2d)
         if t == t_k:
