@@ -24,17 +24,26 @@ def _cmd_run(args) -> int:
     return 1 if summary.get("bound_check") is False else 0
 
 
-def _set_path(tree: dict, dotted: str, value):
+def _set_path(tree, dotted: str, value):
+    """Set the field at the dotted path; a config or a prefix that is not a mapping names its path."""
     keys = dotted.split(".")
     node = tree
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-    node[keys[-1]] = value
+    for depth, key in enumerate(keys):
+        if not isinstance(node, dict):
+            path = ".".join(keys[:depth]) or "<root>"
+            raise ConfigError(path, f"expected a mapping, got {type(node).__name__}")
+        if depth == len(keys) - 1:
+            node[key] = value
+        else:
+            node = node.setdefault(key, {})
 
 
 def _cmd_sweep(args) -> int:
     base = experiment.read_config(args.config)
-    values = [json.loads(v) for v in args.values.split(",")]
+    try:
+        values = [json.loads(v) for v in args.values.split(",")]
+    except json.JSONDecodeError as exc:
+        raise ConfigError(args.param, f"--values holds a value that is not JSON: {exc}") from None
     results = []
     for value in values:
         variant = json.loads(json.dumps(base))

@@ -164,46 +164,45 @@ def estimate_sigma(
 
 @dataclass
 class PredictorCoeffs:
-    """Per-cluster linear divergence predictor, one branch per consensus regime."""
+    """Linear divergence predictor, one branch per consensus regime.
 
-    A: float = 1.0
-    B: float = 0.0
-    a: float = 1.0
-    b: float = 0.0
-    idle_fallback: bool = True
-    active_fallback: bool = True
-
-
-def _fit_line(xs: list[float], ys: list[float]) -> tuple[float, float]:
-    design = np.column_stack([xs, np.ones(len(xs))])
-    sol, *_ = np.linalg.lstsq(design, np.array(ys), rcond=None)
-    return float(sol[0]), float(sol[1])
-
-
-def fit_predictor(
-    upsilon_history: Sequence[float], gamma_history: Sequence[int]
-) -> PredictorCoeffs:
-    """Least-squares fits of the two divergence transition branches.
-
-    upsilon_history[i] is the divergence at step i of the previous interval
-    (index 0 is the aggregation point, value 0); gamma_history[i] labels the
-    transition ups[i] -> ups[i+1] with the rounds run at step i (the idle branch
-    applies when no consensus preceded the new divergence sample).
+    Each field holds one value per cluster, or a scalar that applies to every cluster.
     """
-    if len(upsilon_history) != len(gamma_history) + 1:
+
+    A: np.ndarray | float = 1.0
+    B: np.ndarray | float = 0.0
+    a: np.ndarray | float = 1.0
+    b: np.ndarray | float = 0.0
+    idle_fallback: np.ndarray | bool = True
+    active_fallback: np.ndarray | bool = True
+
+
+def fit_predictor(upsilon_history, gamma_history) -> PredictorCoeffs:
+    """Least-squares fits of the two divergence transition branches of every cluster.
+
+    upsilon_history is (tau+1, C): row i holds the divergences at step i of the
+    previous interval (row 0 is the aggregation point, value 0). gamma_history is
+    (tau, C): row i labels the transitions ups[i] -> ups[i+1] with the rounds run
+    at step i (the idle branch applies when no consensus preceded the new
+    divergence sample). A 1-D history is one cluster. A branch with fewer than
+    two transitions keeps the identity line (1, 0) and sets its fallback flag.
+    """
+    ups = np.asarray(upsilon_history, dtype=float)
+    gammas = np.asarray(gamma_history)
+    if len(ups) != len(gammas) + 1:
         raise ValueError("need one more divergence sample than gamma entries")
-    idle_x, idle_y, act_x, act_y = [], [], [], []
-    for i, g in enumerate(gamma_history):
-        (idle_x if g == 0 else act_x).append(float(upsilon_history[i]))
-        (idle_y if g == 0 else act_y).append(float(upsilon_history[i + 1]))
-    coeffs = PredictorCoeffs()
-    if len(idle_x) >= 2:
-        coeffs.A, coeffs.B = _fit_line(idle_x, idle_y)
-        coeffs.idle_fallback = False
-    if len(act_x) >= 2:
-        coeffs.a, coeffs.b = _fit_line(act_x, act_y)
-        coeffs.active_fallback = False
-    return coeffs
+    x, y, idle = ups[:-1].T, ups[1:].T, (gammas == 0).T
+    fits = []
+    for rows in (idle, ~idle):
+        # zeroed rows outside the branch leave its least-squares problem as it
+        # was; pinv gives lstsq's minimum-norm solution, rank-deficient or not
+        design = np.stack([x * rows, rows.astype(float)], axis=-1)
+        line = (np.linalg.pinv(design) @ (y * rows)[..., None])[..., 0]
+        fallback = np.count_nonzero(rows, axis=-1) < 2
+        slope, offset = np.where(fallback[..., None], (1.0, 0.0), line).T
+        fits += [slope, offset, fallback]
+    A, B, idle_fallback, a, b, active_fallback = fits
+    return PredictorCoeffs(A, B, a, b, idle_fallback, active_fallback)
 
 
 # The rule's guards compare lam ** k * scale with the target exactly, so at a
@@ -330,7 +329,6 @@ class ControlState:
     nu_max: float
     xi: float
     T: int
-    tau_max: int
 
     def step_schedule(self) -> StepSchedule:
         return StepSchedule(kind="diminishing", gamma=self.gamma_step, alpha=self.alpha)
@@ -339,7 +337,7 @@ class ControlState:
 def predict_interval_cost(
     t_km1: int,
     hi: int,
-    coeffs_by_cluster: Sequence[PredictorCoeffs],
+    coeffs: PredictorCoeffs,
     clusters: Sequence[ClusterSpec],
     sched: StepSchedule,
     phi: float,
@@ -353,15 +351,13 @@ def predict_interval_cost(
     """
     sizes = np.array([spec.size for spec in clusters])
     lams = np.array([spec.lambda_c for spec in clusters])
-    idle = np.array([(c.A, c.B) for c in coeffs_by_cluster]).T
-    active = np.array([(c.a, c.b) for c in coeffs_by_cluster]).T
     upsilon = np.zeros(len(clusters))
     gammas = np.empty((hi + 1, len(clusters)), dtype=int)
     for i, t in enumerate(range(t_km1, t_km1 + hi + 1)):
         g = gammas[i] = gamma_rounds(sched.eta(t), phi, sizes, upsilon, lams, gamma_max)
         # the rounds run at t pick the predictor branch of the divergence at t+1
-        slope, offset = np.where(g == 0, idle, active)
-        upsilon = slope * upsilon + offset
+        idle = g == 0
+        upsilon = np.where(idle, coeffs.A, coeffs.a) * upsilon + np.where(idle, coeffs.B, coeffs.b)
         upsilon = np.where(upsilon > 0.0, upsilon, 0.0)
     # running sums, cluster after cluster and step after step; cumsum adds in
     # that order, where a sum would add pairwise
@@ -376,7 +372,7 @@ def predict_interval_cost(
 
 def solve_P(
     t_km1: int,
-    coeffs_by_cluster: Sequence[PredictorCoeffs],
+    coeffs: PredictorCoeffs,
     clusters: Sequence[ClusterSpec],
     sched: StepSchedule,
     phi: float,
@@ -390,7 +386,7 @@ def solve_P(
     if hi < 1:
         raise ValueError("no feasible interval length remains before the horizon")
     values = predict_interval_cost(
-        t_km1, hi, coeffs_by_cluster, clusters, sched, phi, cost, gamma_max
+        t_km1, hi, coeffs, clusters, sched, phi, cost, gamma_max
     )
     best_tau, best_val = 1, math.inf
     for tau, val in enumerate(values, start=1):
@@ -419,7 +415,6 @@ class AdaptiveConfig:
     gamma_max: int = 100
     alpha_cap: float = 1e9
     alpha_margin: float = 2.0
-    use_pl_surrogate: bool = True
 
     def __post_init__(self):
         for name in ("tau_max", "tau1", "sigma_batch"):
@@ -445,11 +440,12 @@ _MAX_T_DOUBLINGS = 3
 _MAX_XI_RELAXATIONS = 3
 
 
-def _probe(task, models, batch, rng):
+def _probe(task, models, w_ref, zeta, batch, rng):
     """One sampled device per cluster probes its gradient at its own row of models.
 
     A device with at most `batch` points reports its exact gradient and no noise.
-    Returns the server's sigma2, the per-cluster gradients and their weighted mean.
+    Returns the server's sigma2, the diversity fit delta' of the per-cluster
+    gradients at the reference model w_ref, and the gradients' weighted mean.
     """
     data = task.data
     devices = np.empty(len(task.clusters), dtype=int)
@@ -463,8 +459,9 @@ def _probe(task, models, batch, rng):
     if full.any():
         grads[full] = losses.grad_full(task.model, models, data)[devices[full]]
     g_bar = sum(data.varrho[c] * g for c, g in enumerate(grads))
+    delta_prime = bounds.diversity_fit(grads, g_bar, float(np.linalg.norm(w_ref)), zeta)
     # the server keeps the worst reported device noise
-    return float(max(sigma_locals)), grads, g_bar
+    return float(max(sigma_locals)), delta_prime, g_bar
 
 
 def run_adaptive(
@@ -488,11 +485,11 @@ def run_adaptive(
     omega = config.zeta_frac  # zeta/(2 beta)
     gamma_step = config.gamma_over_mu / task.mu
 
-    sigma2, grads, g_bar = _probe(task, np.tile(w0, (task.n_devices, 1)), config.sigma_batch, rng_init)
-    delta_prime = bounds.diversity_fit(grads, g_bar, float(np.linalg.norm(w0)), zeta)
-    grad0_sq = float(g_bar @ g_bar) if config.use_pl_surrogate else 2.0 * task.mu * (
-        task.global_loss(w0) - task.f_star
+    sigma2, delta_prime, g_bar = _probe(
+        task, np.tile(w0, (task.n_devices, 1)), w0, zeta, config.sigma_batch, rng_init
     )
+    # the PL surrogate |grad F(w0)|^2 stands in for 2 mu (F(w0) - F*), which the server cannot see
+    grad0_sq = float(g_bar @ g_bar)
 
     # feasibility with bounded relaxation: double T, then loosen xi, then fail
     T = config.T
@@ -536,7 +533,7 @@ def run_adaptive(
     )
     state = ControlState(
         zeta=zeta, delta_prime=delta_prime, sigma2=sigma2, gamma_step=gamma_step,
-        alpha=alpha, phi=phi, nu_max=feas.nu_max, xi=xi, T=T, tau_max=config.tau_max,
+        alpha=alpha, phi=phi, nu_max=feas.nu_max, xi=xi, T=T,
     )
 
     # gamma_step and alpha are fixed at start-up, so one schedule serves the run
@@ -558,9 +555,8 @@ def run_adaptive(
     def on_aggregate(t_k, w_hat, W, rng, clusters):
         nonlocal t_km1, tau_next
         # device-side probes at the sampled models, then server-side re-estimation
-        state.sigma2, g_list, g_bar_k = _probe(task, W, config.sigma_batch, rng)
-        state.delta_prime = bounds.diversity_fit(
-            g_list, g_bar_k, float(np.linalg.norm(w_hat)), state.zeta
+        state.sigma2, state.delta_prime, g_bar_k = _probe(
+            task, W, w_hat, state.zeta, config.sigma_batch, rng
         )
         # state.alpha keeps its start-up value: select_alpha's inputs never change
         phi_note = ""
@@ -580,7 +576,7 @@ def run_adaptive(
         # refit the divergence predictor on the finished interval, then plan tau;
         # the transition ups[i] -> ups[i+1] is governed by the rounds at step i
         tau = t_k - t_km1
-        coeffs = [fit_predictor(ups_log[: tau + 1, c], gam_log[:tau, c]) for c in range(n_clusters)]
+        coeffs = fit_predictor(ups_log[: tau + 1], gam_log[:tau])
         t_km1 = t_k
         if t_k < state.T:
             tau_next = solve_P(

@@ -136,7 +136,9 @@ class ExperimentConfig:
     step: Optional[StepSchedule]
 
     def hash(self) -> str:
-        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        """Digest of the merged config without output_dir: where a run is written is not part of it."""
+        experiment = {key: value for key, value in self.raw.items() if key != "output_dir"}
+        canonical = json.dumps(experiment, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -150,10 +152,15 @@ def read_config(path):
         raise ConfigError("<file>", f"invalid JSON: {exc}") from None
 
 
-def load_config(source) -> ExperimentConfig:
-    """Parse and validate a JSON config, filling documented defaults, and build its run objects."""
+def load_config(source, output_dir: Optional[str] = None) -> ExperimentConfig:
+    """Parse and validate a JSON config, filling documented defaults, and build its run objects.
+
+    A given output_dir replaces the config's own, which may then be absent.
+    """
     raw = read_config(source) if isinstance(source, (str, Path)) else source
     merged = _merge(_DEFAULTS, raw)
+    if output_dir is not None:
+        merged["output_dir"] = str(output_dir)
     for keys in _REQUIRED:
         node = merged
         for key in keys:
@@ -467,8 +474,8 @@ def run_experiment(config_source, output_dir: Optional[str] = None, workers: int
 
     `workers` is accepted and ignored: the outputs do not depend on it.
     """
-    config = load_config(config_source)
-    out = Path(output_dir or config.raw["output_dir"])
+    config = load_config(config_source, output_dir)
+    out = Path(config.raw["output_dir"])
     # the first existing path up from out must be a directory, or mkdir would
     # fail after every seed has run
     existing = next((p for p in (out, *out.parents) if p.exists()), None)

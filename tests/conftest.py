@@ -71,6 +71,29 @@ def scalar_gamma_rounds(eta_t, phi, s_c, upsilon, lambda_c, gamma_max=None):
     return int(gamma)
 
 
+def fit_predictor_oracle(upsilon_history, gamma_history):
+    """The divergence predictor of one cluster, branch by branch: the oracle of
+    control.fit_predictor.
+
+    Collects the transitions ups[i] -> ups[i+1] of each branch (idle where
+    gamma_history[i] is 0) and fits [x, 1] to them with lstsq; a branch with
+    fewer than two transitions keeps the identity line (1, 0) and is flagged.
+    Returns (A, B, a, b, idle_fallback, active_fallback).
+    """
+    lines, fallbacks = [], []
+    for idle in (True, False):
+        steps = [i for i, g in enumerate(gamma_history) if (g == 0) == idle]
+        fallbacks.append(len(steps) < 2)
+        if fallbacks[-1]:
+            lines += [1.0, 0.0]
+            continue
+        design = np.column_stack([[float(upsilon_history[i]) for i in steps], np.ones(len(steps))])
+        targets = np.array([float(upsilon_history[i + 1]) for i in steps])
+        sol, *_ = np.linalg.lstsq(design, targets, rcond=None)
+        lines += [float(sol[0]), float(sol[1])]
+    return (*lines, *fallbacks)
+
+
 def accuracy_oracle(model, w, X, labels, n_labels):
     """The accuracy of the one model w, label by label: the oracle of losses.accuracy.
 

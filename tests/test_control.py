@@ -17,7 +17,9 @@ from tthf.losses import LINEAR_REGRESSION, SQUARED_HINGE_SVM, DevicePartition, L
 from tthf.schedules import StepSchedule
 from tthf.topology import ClusterSpec
 
-from conftest import build_small_task, local_grad, local_sgd, one_device, scalar_gamma_rounds
+from conftest import (
+    build_small_task, fit_predictor_oracle, local_grad, local_sgd, one_device, scalar_gamma_rounds,
+)
 
 MU, BETA = 1.0, 2.0
 GAMMA = 2.0 / MU
@@ -219,22 +221,107 @@ class TestFitPredictor:
         assert (coeffs.a, coeffs.b) == (1.0, 0.0)
 
     def test_noisy_history_matches_normal_equations(self):
+        # three clusters in one call, each against its own lstsq fit
         rng = np.random.default_rng(4)
-        ups = [0.0]
-        gammas = []
-        for i in range(20):
-            g = int(rng.integers(0, 2))
-            gammas.append(g)
-            slope, inter = (1.5, 0.2) if g == 0 else (0.6, 0.05)
-            ups.append(slope * ups[-1] + inter + rng.normal(0, 0.01))
+        ups = np.zeros((21, 3))
+        gammas = rng.integers(0, 2, (20, 3))
+        for i, g in enumerate(gammas):
+            slope, inter = np.where(g == 0, 1.5, 0.6), np.where(g == 0, 0.2, 0.05)
+            ups[i + 1] = slope * ups[i] + inter + rng.normal(0, 0.01, 3)
         coeffs = control.fit_predictor(ups, gammas)
-        for regime, (slope_attr, inter_attr) in ((0, ("A", "B")), (1, ("a", "b"))):
-            xs = [ups[i] for i, g in enumerate(gammas) if (g == 0) == (regime == 0)]
-            ys = [ups[i + 1] for i, g in enumerate(gammas) if (g == 0) == (regime == 0)]
-            design = np.column_stack([xs, np.ones(len(xs))])
-            sol, *_ = np.linalg.lstsq(design, np.array(ys), rcond=None)
-            assert getattr(coeffs, slope_attr) == pytest.approx(sol[0], rel=1e-9)
-            assert getattr(coeffs, inter_attr) == pytest.approx(sol[1], rel=1e-9)
+        for c in range(3):
+            for regime, (slope_attr, inter_attr) in ((0, ("A", "B")), (1, ("a", "b"))):
+                xs = [ups[i, c] for i, g in enumerate(gammas[:, c]) if (g == 0) == (regime == 0)]
+                ys = [ups[i + 1, c] for i, g in enumerate(gammas[:, c]) if (g == 0) == (regime == 0)]
+                design = np.column_stack([xs, np.ones(len(xs))])
+                sol, *_ = np.linalg.lstsq(design, np.array(ys), rcond=None)
+                assert getattr(coeffs, slope_attr)[c] == pytest.approx(sol[0], rel=1e-9)
+                assert getattr(coeffs, inter_attr)[c] == pytest.approx(sol[1], rel=1e-9)
+
+    def test_one_device_cluster_history_fits_zero_lines(self):
+        # a one-device cluster never diverges: both branch designs are all zero
+        coeffs = control.fit_predictor(np.zeros((7, 2)), [[0, 3]] * 6)
+        np.testing.assert_array_equal([coeffs.A, coeffs.B], [[0.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal([coeffs.a, coeffs.b], [[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal([coeffs.idle_fallback, coeffs.active_fallback],
+                                      [[False, True], [True, False]])
+
+    def test_repeated_x_takes_the_minimum_norm_line(self):
+        # x = 1 at every active transition: x*slope + offset = 1 has many
+        # solutions, and lstsq's (and pinv's) is the shortest, (0.5, 0.5)
+        coeffs = control.fit_predictor([0.0, 1.0, 1.0, 1.0, 1.0], [0, 2, 2, 2])
+        assert (coeffs.a, coeffs.b) == pytest.approx((0.5, 0.5), rel=1e-12)
+        assert coeffs.idle_fallback and not coeffs.active_fallback
+
+    def test_one_step_interval_falls_back_on_both_branches(self):
+        coeffs = control.fit_predictor([[0.0, 0.0, 0.0], [0.4, 0.0, 2.0]], [[0, 1, 5]])
+        for line in ([coeffs.A, coeffs.B], [coeffs.a, coeffs.b]):
+            np.testing.assert_array_equal(line, [[1.0] * 3, [0.0] * 3])
+        assert coeffs.idle_fallback.all() and coeffs.active_fallback.all()
+
+    def test_history_lengths_must_match(self):
+        with pytest.raises(ValueError, match="one more divergence sample"):
+            control.fit_predictor(np.zeros((4, 2)), np.zeros((4, 2), dtype=int))
+
+
+def assert_fit_equals_oracle(coeffs, ups, gammas):
+    """Every cluster's lines within rtol 1e-9 of fit_predictor_oracle, and every flag equal.
+
+    A coefficient that is 0 in exact arithmetic comes out as rounding noise of
+    either fit, so each line also allows 1e-9 of its largest coefficient.
+    """
+    for c in range(ups.shape[1]):
+        A, B, a, b, idle_fallback, active_fallback = fit_predictor_oracle(ups[:, c], gammas[:, c])
+        assert bool(coeffs.idle_fallback[c]) is idle_fallback
+        assert bool(coeffs.active_fallback[c]) is active_fallback
+        for got, expected in (((coeffs.A[c], coeffs.B[c]), (A, B)), ((coeffs.a[c], coeffs.b[c]), (a, b))):
+            np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9 * max(map(abs, expected)))
+
+
+class TestFitPredictorOracle:
+    """The one-call fit of all clusters against one lstsq fit per cluster and branch."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tau=st.integers(1, 40),
+        n_clusters=st.integers(1, 25),
+        active_share=st.floats(0.0, 1.0),
+        zero_share=st.floats(0.0, 0.5),
+        shape=st.sampled_from(["mixed", "all-idle", "all-active", "one-transition"]),
+    )
+    def test_equals_per_cluster_lstsq(self, seed, tau, n_clusters, active_share, zero_share, shape):
+        rng = np.random.default_rng(seed)
+        ups = np.abs(rng.standard_normal((tau + 1, n_clusters))) * 10.0 ** rng.uniform(-6, 3, n_clusters)
+        ups[rng.random(ups.shape) < zero_share] = 0.0
+        ups[0] = 0.0
+        gammas = (rng.random((tau, n_clusters)) < active_share) * rng.integers(1, 6, (tau, n_clusters))
+        if shape == "all-idle":
+            gammas[:] = 0
+        elif shape == "all-active":
+            gammas[:] = rng.integers(1, 6, gammas.shape)
+        elif shape == "one-transition":
+            # one cluster-wide active step: each cluster's active branch has one transition
+            gammas[:] = 0
+            gammas[rng.integers(0, tau)] = 2
+        assert_fit_equals_oracle(control.fit_predictor(ups, gammas), ups, gammas)
+
+    def test_one_fit_per_aggregation_on_run_histories(self, monkeypatch):
+        # the histories a run logs: idle stretches, flooding bursts, short intervals
+        histories = []
+        fit = control.fit_predictor
+
+        def recording(ups, gammas):
+            histories.append((ups.copy(), gammas.copy()))
+            return fit(ups, gammas)
+
+        monkeypatch.setattr(control, "fit_predictor", recording)
+        task = build_small_task(mode="extreme", per_label=100, reg=1.5)
+        cfg = control.AdaptiveConfig(T=30, tau_max=6, tau1=3, zeta_frac=0.02, sigma_batch=8)
+        trace, _ = control.run_adaptive(task, cfg, seed=3)
+        assert len(histories) == len(trace.boundaries) > 1
+        for ups, gammas in histories:
+            assert ups.shape == (len(gammas) + 1, len(task.clusters))
+            assert_fit_equals_oracle(fit(ups, gammas), ups, gammas)
 
 
 class TestGammaRounds:
@@ -444,7 +531,7 @@ class TestSolveP:
         return [make_cluster(i) for i in range(3)]
 
     def idle_growth_coeffs(self):
-        return [PredictorCoeffs(A=1.0, B=0.05, a=0.5, b=0.0)] * 3
+        return PredictorCoeffs(A=1.0, B=0.05, a=0.5, b=0.0)
 
     def test_progress_only_prefers_shortest(self):
         cost = CostParams(c1=0.0, c2=0.0, c3=1.0)
@@ -453,13 +540,13 @@ class TestSolveP:
 
     def test_free_progress_amortizes_uplink(self):
         cost = CostParams(c1=1.0, c2=1.0, c3=0.0)
-        quiet = [PredictorCoeffs(A=0.0, B=0.0, a=0.0, b=0.0)] * 3
+        quiet = PredictorCoeffs(A=0.0, B=0.0, a=0.0, b=0.0)
         tau = control.solve_P(0, quiet, self.clusters(), self.SCHED, 1.0, cost, 15, 100)
         assert tau == 15
 
     def test_range_respects_horizon(self):
         cost = CostParams(c1=1.0, c2=1.0, c3=0.0)
-        quiet = [PredictorCoeffs(A=0.0, B=0.0, a=0.0, b=0.0)] * 3
+        quiet = PredictorCoeffs(A=0.0, B=0.0, a=0.0, b=0.0)
         assert control.solve_P(95, quiet, self.clusters(), self.SCHED, 1.0, cost, 15, 100) == 5
         with pytest.raises(ValueError):
             control.solve_P(100, quiet, self.clusters(), self.SCHED, 1.0, cost, 15, 100)
@@ -480,19 +567,20 @@ class TestSolveP:
                 assert taus[(x, y, b)] <= taus[(x, y, a)]
 
 
-def oracle_interval_cost(t_km1, tau, coeffs_by_cluster, clusters, sched, phi, cost, gamma_max):
-    """Objective of one interval length, simulating the predictor from t_km1 on its own."""
+def oracle_interval_cost(t_km1, tau, coeffs, clusters, sched, phi, cost, gamma_max):
+    """Objective of one interval length, simulating the predictor from t_km1 on its own,
+    cluster by cluster."""
     energy = cost.e_glob
     delay = cost.delta_glob
     upsilon = [0.0] * len(clusters)
     last_gamma = [0] * len(clusters)
     for t in range(t_km1, t_km1 + tau + 1):
         if t > t_km1:
-            for c, coeffs in enumerate(coeffs_by_cluster):
+            for c in range(len(clusters)):
                 if last_gamma[c] == 0:
-                    upsilon[c] = coeffs.A * upsilon[c] + coeffs.B
+                    upsilon[c] = coeffs.A[c] * upsilon[c] + coeffs.B[c]
                 else:
-                    upsilon[c] = coeffs.a * upsilon[c] + coeffs.b
+                    upsilon[c] = coeffs.a[c] * upsilon[c] + coeffs.b[c]
                 upsilon[c] = max(0.0, upsilon[c])
         for c, spec in enumerate(clusters):
             g = scalar_gamma_rounds(sched.eta(t), phi, spec.size, upsilon[c], spec.lambda_c, gamma_max)
@@ -520,13 +608,10 @@ class TestOnePassLineSearch:
             make_cluster(c, size=int(rng.integers(1, 7)), lam=float(rng.uniform(0.05, 0.95)))
             for c in range(n_clusters)
         ]
-        coeffs = [
-            PredictorCoeffs(
-                A=float(rng.uniform(0.5, 1.5)), B=float(rng.uniform(-0.1, 0.4)),
-                a=float(rng.uniform(0.0, 1.0)), b=float(rng.uniform(-0.1, 0.1)),
-            )
-            for _ in range(n_clusters)
-        ]
+        coeffs = PredictorCoeffs(
+            A=rng.uniform(0.5, 1.5, n_clusters), B=rng.uniform(-0.1, 0.4, n_clusters),
+            a=rng.uniform(0.0, 1.0, n_clusters), b=rng.uniform(-0.1, 0.1, n_clusters),
+        )
         sched = StepSchedule(kind="diminishing", gamma=float(rng.uniform(0.5, 5.0)),
                              alpha=float(rng.uniform(1.0, 60.0)))
         phi = float(rng.uniform(0.01, 2.0))

@@ -62,7 +62,7 @@ class TestConfig:
     def test_merged_defaults_hash_pinned(self):
         # defaults are derived from the dataclasses; the merged config must not drift
         config = experiment.load_config({"schedule": {"T": 10}, "seeds": [1], "output_dir": "x"})
-        assert config.hash() == "506f2ac22ca77278"
+        assert config.hash() == "6f4d0d5adc703026"
 
     def test_hash_stable_under_field_reordering(self, tmp_path):
         cfg_a = minimal_config(tmp_path)
@@ -389,6 +389,8 @@ class TestCli:
             ("loss.reg", {"loss": {"reg": True}}),
             ("cost.e_d2d", {"cost": {"e_d2d": True}}),
             ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "none"}}}),
+            ("control.use_pl_surrogate", {"schedule": {"mode": "adaptive", "T": 10},
+                                          "control": {"use_pl_surrogate": False}}),
         ],
         ids=[
             "zero-tau", "boolean-T", "string-seed", "float-seed", "negative-cost", "string-cost",
@@ -401,7 +403,7 @@ class TestCli:
             "full-adaptive", "negative-max-rounds", "negative-adaptive-max-rounds", "zero-xi",
             "negative-xi", "zero-xi-boost", "negative-xi-boost", "negative-alpha-cap",
             "alpha-margin-below-1", "boolean-xi", "boolean-alpha-cap", "boolean-xi-boost",
-            "boolean-reg", "boolean-e-d2d", "none-gamma-mode",
+            "boolean-reg", "boolean-e-d2d", "none-gamma-mode", "removed-pl-surrogate-knob",
         ],
     )
     def test_unrunnable_config_exits_2_before_any_output(self, tmp_path, capsys, field, override):
@@ -457,6 +459,40 @@ class TestCli:
         assert all(spec.lambda_c == 0.0 for spec in task.clusters)
         gammas = experiment.run_single(config, task, seed=1).gamma_by_cluster
         assert gammas.max() == (1 if override["topology"]["cluster_size"] > 1 else 0)
+
+    @pytest.mark.parametrize(
+        "content, sweep, field",
+        [
+            ([1, 2], ["--param", "seeds", "--values", "[1]"], "<root>"),
+            (None, ["--param", "schedule.T.x", "--values", "1"], "schedule.T"),
+            (None, ["--param", "seeds", "--values", "x"], "seeds"),
+        ],
+        ids=["config-not-a-mapping", "prefix-not-a-mapping", "value-not-json"],
+    )
+    def test_sweep_config_errors_exit_2(self, tmp_path, capsys, content, sweep, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(tmp_path) if content is None else content))
+        assert cli.main(["sweep", str(cfg_path), *sweep, "--report", str(tmp_path / "sweep.json")]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_out_alone_supplies_the_output_dir(self, tmp_path):
+        cfg = minimal_config(tmp_path, seeds=[1])
+        del cfg["output_dir"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "elsewhere")]) == 0
+        assert (tmp_path / "elsewhere" / "summary.json").exists()
+        assert (tmp_path / "elsewhere" / "trace_seed1.csv").exists()
+
+    def test_config_hash_ignores_the_output_dir(self, tmp_path):
+        cfg = minimal_config(tmp_path, seeds=[1])
+        hashes = set()
+        for name, out in (("a", None), ("b", None), ("a", tmp_path / "c")):
+            summary = experiment.run_experiment({**cfg, "output_dir": str(tmp_path / name)}, output_dir=out)
+            hashes.add(summary["config_hash"])
+        assert len(hashes) == 1
+        assert (tmp_path / "a" / "summary.json").read_bytes() == (tmp_path / "b" / "summary.json").read_bytes()
 
     def test_sweep_verb(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
