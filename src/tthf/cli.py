@@ -41,9 +41,11 @@ def _set_path(tree, dotted: str, value):
 def _cmd_sweep(args) -> int:
     base = experiment.read_config(args.config)
     try:
-        values = [json.loads(v) for v in args.values.split(",")]
+        values = json.loads(f"[{args.values}]")
     except json.JSONDecodeError as exc:
         raise ConfigError(args.param, f"--values holds a value that is not JSON: {exc}") from None
+    if not values:
+        raise ConfigError(args.param, "--values holds no value")
     results = []
     for value in values:
         variant = json.loads(json.dumps(base))
@@ -104,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="re-run a config over several values of one field")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--param", required=True, help="dotted config path, e.g. schedule.gamma.value")
-    p_sweep.add_argument("--values", required=True, help="comma-separated JSON values, e.g. 0,1,2,5")
+    p_sweep.add_argument(
+        "--values", required=True, help='comma-separated JSON values, e.g. 0,1,2,5 or "[1,2],[3]"'
+    )
     p_sweep.add_argument("--report", default=None, help="sweep report JSON path")
     p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)

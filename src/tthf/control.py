@@ -543,7 +543,6 @@ def run_adaptive(
     # the aggregation point, where the divergence is 0 and no rounds ran
     ups_log = np.zeros((config.tau_max + 1, n_clusters))
     gam_log = np.zeros((config.tau_max + 1, n_clusters), dtype=int)
-    t_km1 = 0
     tau_next = min(config.tau1, config.tau_max)
 
     def gamma_provider(local_step, clusters, blocks, eta_next):
@@ -552,8 +551,8 @@ def run_adaptive(
         )
         return gam_log[local_step]
 
-    def on_aggregate(t_k, w_hat, W, rng, clusters):
-        nonlocal t_km1, tau_next
+    def on_aggregate(t_k, tau, w_hat, W, rng, clusters):
+        nonlocal tau_next
         # device-side probes at the sampled models, then server-side re-estimation
         state.sigma2, state.delta_prime, g_bar_k = _probe(
             task, W, w_hat, state.zeta, config.sigma_batch, rng
@@ -562,7 +561,7 @@ def run_adaptive(
         phi_note = ""
         try:
             state.phi = phi_max(
-                state.xi * (state.T + state.alpha), config.tau_max, task.mu, task.beta,
+                state.nu_max, config.tau_max, task.mu, task.beta,
                 state.gamma_step, state.alpha, omega, state.sigma2, state.delta_prime,
             )
         except InfeasibleError:
@@ -575,9 +574,7 @@ def run_adaptive(
 
         # refit the divergence predictor on the finished interval, then plan tau;
         # the transition ups[i] -> ups[i+1] is governed by the rounds at step i
-        tau = t_k - t_km1
         coeffs = fit_predictor(ups_log[: tau + 1], gam_log[:tau])
-        t_km1 = t_k
         if t_k < state.T:
             tau_next = solve_P(
                 t_k, coeffs, clusters, sched, state.phi, cost,
@@ -607,8 +604,4 @@ def run_adaptive(
         on_aggregate=on_aggregate,
         topology_refresh=topology_refresh,
     )
-    trace.meta["control"] = {
-        "alpha": state.alpha, "gamma_step": state.gamma_step, "phi": state.phi,
-        "xi": state.xi, "T": state.T, "nu_max": state.nu_max,
-    }
     return trace, state

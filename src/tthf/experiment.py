@@ -338,26 +338,16 @@ def run_single(config: ExperimentConfig, task: TrainTask, seed: int) -> MetricsT
             task, config.adaptive, cost=config.cost, outage=config.outage, seed=seed,
             topology_refresh=_topology_refresh(config),
         )
-    elif config.raw["aggregation"]["mode"] == trainer.FULL:
-        # a baseline runs no D2D rounds, so a re-placed network would go unread
-        trace = trainer.run_baseline(
-            task, config.step, config.schedule.T, config.schedule.taus, outage=config.outage,
-            cost=config.cost, seed=seed,
+        return trace
+    if config.raw["aggregation"]["mode"] == trainer.FULL:
+        # a baseline runs no D2D rounds, so a re-placed network or lossy links would go unread
+        return trainer.run_baseline(
+            task, config.step, config.schedule.T, config.schedule.taus, cost=config.cost, seed=seed,
         )
-    else:
-        trace = trainer.run_tthf(
-            task, config.step, config.schedule, config.gamma_plan, outage=config.outage,
-            cost=config.cost, seed=seed, topology_refresh=_topology_refresh(config),
-        )
-    from . import __version__
-
-    trace.meta.update({
-        "config_hash": config.hash(),
-        "seed": seed,
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-    })
-    return trace
+    return trainer.run_tthf(
+        task, config.step, config.schedule, config.gamma_plan, outage=config.outage,
+        cost=config.cost, seed=seed, topology_refresh=_topology_refresh(config),
+    )
 
 
 @dataclass
@@ -490,8 +480,7 @@ def run_experiment(config_source, output_dir: Optional[str] = None, workers: int
     out.mkdir(parents=True, exist_ok=True)
     for seed, trace in zip(seeds, traces):
         trace.to_csv(out / f"trace_seed{seed}.csv")
-        if trace.control_rows:
-            trace.control_to_csv(out / f"trace_seed{seed}_control.csv")
+        trace.control_to_csv(out / f"trace_seed{seed}_control.csv")
 
     gap_matrix = np.stack([tr.loss_gap_sampled for tr in traces])
     mean_gap = gap_matrix.mean(axis=0)

@@ -133,8 +133,6 @@ class MetricsTrace:
     energy: np.ndarray
     delay: np.ndarray
     gamma_by_cluster: np.ndarray
-    boundaries: list[int]
-    taus: list[int]
     accuracy: Optional[np.ndarray] = None
     control_rows: list[dict] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
@@ -152,6 +150,16 @@ class MetricsTrace:
 
     def __len__(self):
         return len(self.t)
+
+    @property
+    def boundaries(self) -> list[int]:
+        """The aggregation steps t_k, one per control row."""
+        return [row["t_k"] for row in self.control_rows]
+
+    @property
+    def taus(self) -> list[int]:
+        """The number of steps each interval ran, one per control row."""
+        return [row["tau_k"] for row in self.control_rows]
 
     def to_csv(self, path):
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
@@ -198,8 +206,6 @@ class MetricsTrace:
             energy=np.array(arr["energy_J"]),
             delay=np.array(arr["delay_s"]),
             gamma_by_cluster=np.zeros((len(arr["t"]), 0), dtype=int),
-            boundaries=[],
-            taus=[],
         )
 
 
@@ -246,14 +252,17 @@ def run_protocol(
 ) -> MetricsTrace:
     """Run the full two-timescale protocol for T timesteps.
 
-    tau_provider(k) -> length of interval k (1-based k).
+    tau_provider(k) -> planned length of interval k (1-based k); the horizon
+    cuts the last interval short, and each interval is recorded with the
+    number of steps it ran.
     gamma_provider(local_step, clusters, blocks, eta_t) -> D2D rounds for this
     step, one int per cluster in `clusters` order. blocks holds one
     (member cluster indices, intermediate models of shape (members, size, d))
     pair per cluster size, so a provider can batch its per-cluster rule.
-    on_aggregate(t_k, w_hat, W, estimate_rng, clusters) -> optional dict merged into
-    the control row (the adaptive controller hooks its re-estimation logic here);
-    clusters are the specs of interval k+1, already refreshed.
+    on_aggregate(t_k, tau_k, w_hat, W, estimate_rng, clusters) -> optional dict
+    merged into the control row (the adaptive controller hooks its
+    re-estimation logic here); clusters are the specs of interval k+1, already
+    refreshed.
     radius_ref, when given, tracks the largest device-model distance from that
     reference over every gradient evaluation point (meta["max_radius"]).
     topology_refresh(k) -> new cluster specs for interval k, called when interval
@@ -274,6 +283,7 @@ def run_protocol(
     groups = task.data.cluster_groups
     # refreshes keep every cluster's size
     sizes = np.array([spec.size for spec in clusters])
+    cluster_starts = np.array([sl.start for sl in task.data.cluster_slices])
     upload_scale = 1.0 if aggregation == SAMPLED else n_dev / n_clusters
 
     rng_sampling = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SAMPLING]))
@@ -289,16 +299,6 @@ def run_protocol(
     W = np.tile(task.w0, (n_dev, 1)).astype(float)
     varrho = task.data.varrho
     max_radius = 0.0
-    if radius_ref is not None:
-        max_radius = float(np.linalg.norm(W - radius_ref, axis=1).max())
-
-    cluster_starts = np.array([sl.start for sl in task.data.cluster_slices])
-
-    def sample_indices():
-        # one draw per cluster, in cluster order, as separate scalar calls would give
-        return (cluster_starts + rng_sampling.integers(0, sizes)).tolist()
-
-    sampled = sample_indices()
 
     gap_s, gap_a, disp, eps = np.empty((4, T))
     gamma_log = np.zeros((T, n_clusters), dtype=int)
@@ -317,115 +317,103 @@ def run_protocol(
         if acc_log is not None:
             acc_log[span] = task.accuracy(hat_buf[:n])
 
-    control_rows: list[dict] = []
-    boundaries: list[int] = []
-    taus: list[int] = []
-
-    def next_interval(k, t_km1):
-        tau = int(tau_provider(k))
-        if tau < 1:
-            raise ValueError("tau_provider returned an interval shorter than 1")
-        return tau, min(t_km1 + tau, T)
-
-    k = 1
-    t_km1 = 0
-    tau_k, t_k = next_interval(k, t_km1)
-
     def outage_policies():
         if outage is None or not outage.enabled:
             return [None] * n_clusters
         return [OutagePolicy(enabled=True, link_outage=spec.link_outage) for spec in clusters]
 
     per_cluster_outage = outage_policies()
+    control_rows: list[dict] = []
+    t_k = 0
+    while t_k < T:
+        k = len(control_rows) + 1
+        tau = int(tau_provider(k))
+        if tau < 1:
+            raise ValueError("tau_provider returned an interval shorter than 1")
+        t_km1, t_k = t_k, min(t_k + tau, T)
+        # one draw per cluster, in cluster order, as separate scalar calls would give
+        sampled = (cluster_starts + rng_sampling.integers(0, sizes)).tolist()
 
-    for t in range(1, T + 1):
-        eta_prev = steps.eta(t - 1)
-        eta_next = steps.eta(t)
+        for t in range(t_km1 + 1, t_k + 1):
+            if radius_ref is not None:
+                max_radius = max(max_radius, float(np.linalg.norm(W - radius_ref, axis=1).max()))
+            eta_prev = steps.eta(t - 1)
+            eta_next = steps.eta(t)
 
-        # local SGD step for every device
-        if sampler is None:
-            grads = losses.grad_full(task.model, W, task.data)
-        else:
-            grads = losses.grad_sgd(task.model, W, task.data, task.batch_size, sampler)
-        W_tilde = W - eta_prev * grads
-        if np.isnan(W_tilde).any():
-            bad = int(np.flatnonzero(np.isnan(W_tilde).any(axis=1))[0])
-            raise RuntimeError(f"NaN model parameters at t={t} (device {bad}); aborting run")
+            # local SGD step for every device
+            if sampler is None:
+                grads = losses.grad_full(task.model, W, task.data)
+            else:
+                grads = losses.grad_sgd(task.model, W, task.data, task.batch_size, sampler)
+            W_tilde = W - eta_prev * grads
+            if np.isnan(W_tilde).any():
+                bad = int(np.flatnonzero(np.isnan(W_tilde).any(axis=1))[0])
+                raise RuntimeError(f"NaN model parameters at t={t} (device {bad}); aborting run")
 
-        # D2D consensus: the round rule, error and means run once per size
-        # group on (members, size, d) blocks; only the gossip is per cluster
-        local_step = t - t_km1
-        blocks = [
-            (members, W_tilde[dev_rows].reshape(len(members), size, dim))
-            for members, dev_rows, size in groups
-        ]
-        gamma_log[t - 1] = gamma_provider(local_step, clusters, blocks, eta_next)
-        W_new = np.empty_like(W_tilde)
-        gammas = gamma_log[t - 1].tolist()
-        for spec, sl, gamma, policy, rng in zip(
-            clusters, task.data.cluster_slices, gammas, per_cluster_outage, outage_rngs
-        ):
-            W_new[sl] = run_consensus(W_tilde[sl], spec.V, gamma, outage=policy, rng=rng)
-        W = W_new
-        row = (t - 1) % METRIC_BLOCK
-        cluster_means = means_buf[row]
-        eps2_by_cluster = np.empty(n_clusters)
-        for (members, block), (_, dev_rows, size) in zip(blocks, groups):
-            errs, _ = consensus_error(W[dev_rows].reshape(len(members), size, dim), block)
-            eps2_by_cluster[members] = np.mean(errs**2, axis=-1)
-            cluster_means[members] = block.mean(axis=1)
+            # D2D consensus: the round rule, error and means run once per size
+            # group on (members, size, d) blocks; only the gossip is per cluster
+            blocks = [
+                (members, W_tilde[dev_rows].reshape(len(members), size, dim))
+                for members, dev_rows, size in groups
+            ]
+            gamma_log[t - 1] = gamma_provider(t - t_km1, clusters, blocks, eta_next)
+            W = np.empty_like(W_tilde)
+            gammas = gamma_log[t - 1].tolist()
+            for spec, sl, gamma, policy, rng in zip(
+                clusters, task.data.cluster_slices, gammas, per_cluster_outage, outage_rngs
+            ):
+                W[sl] = run_consensus(W_tilde[sl], spec.V, gamma, outage=policy, rng=rng)
+            row = (t - 1) % METRIC_BLOCK
+            cluster_means = means_buf[row]
+            eps2_by_cluster = np.empty(n_clusters)
+            for (members, block), (_, dev_rows, size) in zip(blocks, groups):
+                errs, _ = consensus_error(W[dev_rows].reshape(len(members), size, dim), block)
+                eps2_by_cluster[members] = np.mean(errs**2, axis=-1)
+                cluster_means[members] = block.mean(axis=1)
 
-        # metric inputs of this timestep; the server-equivalent model is the
-        # sampled combination for TT-HF and the full weighted average for
-        # baselines, which is the average model: a baseline runs no D2D rounds
-        bar_buf[row] = varrho @ cluster_means
-        if aggregation == SAMPLED:
-            w_hat_virtual = global_aggregate(W, varrho, sampled)
-        else:
-            w_hat_virtual = bar_buf[row].copy()
-        hat_buf[row] = w_hat_virtual
-        eps[t - 1] = np.sqrt(varrho @ eps2_by_cluster)
-        if row == METRIC_BLOCK - 1 or t == T:
-            evaluate_block(t)
+            # metric inputs of this timestep; the server-equivalent model is the
+            # sampled combination for TT-HF and the full weighted average for
+            # baselines, which is the average model: a baseline runs no D2D rounds
+            bar_buf[row] = varrho @ cluster_means
+            if aggregation == SAMPLED:
+                hat_buf[row] = global_aggregate(W, varrho, sampled)
+            else:
+                hat_buf[row] = bar_buf[row]
+            eps[t - 1] = np.sqrt(varrho @ eps2_by_cluster)
+            if row == METRIC_BLOCK - 1 or t == T:
+                evaluate_block(t)
 
-        if t == t_k:
-            w_hat = w_hat_virtual
-            row = {
-                "k": k,
-                "t_k": t,
-                "tau_k": tau_k,
-                "sampled": list(sampled),
-                "gamma_by_cluster": gamma_log[t_km1:t].sum(axis=0).tolist(),
-            }
-            if t < T and topology_refresh is not None:
-                fresh = topology_refresh(k + 1)
-                if fresh is not None:
-                    if [s.size for s in fresh] != [s.size for s in clusters]:
-                        raise ValueError("topology refresh must preserve cluster sizes")
-                    clusters = list(fresh)
-                    per_cluster_outage = outage_policies()
-            if on_aggregate is not None:
-                extra = on_aggregate(t, w_hat, W, rng_estimate, clusters)
-                if extra:
-                    row.update(extra)
-            control_rows.append(row)
-            boundaries.append(t)
-            taus.append(tau_k)
-            W = np.tile(w_hat, (n_dev, 1))
-            sampled = sample_indices()
-            t_km1 = t
-            if t < T:
-                k += 1
-                tau_k, t_k = next_interval(k, t_km1)
+        # global aggregation at t_k, after the interval's t_k - t_km1 steps
+        w_hat = hat_buf[(t_k - 1) % METRIC_BLOCK].copy()
+        record = {
+            "k": k,
+            "t_k": t_k,
+            "tau_k": t_k - t_km1,
+            "sampled": sampled,
+            "gamma_by_cluster": gamma_log[t_km1:t_k].sum(axis=0).tolist(),
+        }
+        if t_k < T and topology_refresh is not None:
+            fresh = topology_refresh(k + 1)
+            if fresh is not None:
+                if [s.size for s in fresh] != [s.size for s in clusters]:
+                    raise ValueError("topology refresh must preserve cluster sizes")
+                clusters = list(fresh)
+                per_cluster_outage = outage_policies()
+        if on_aggregate is not None:
+            extra = on_aggregate(t_k, t_k - t_km1, w_hat, W, rng_estimate, clusters)
+            if extra:
+                record.update(extra)
+        control_rows.append(record)
+        W = np.tile(w_hat, (n_dev, 1))
 
-        if radius_ref is not None:
-            max_radius = max(max_radius, float(np.linalg.norm(W - radius_ref, axis=1).max()))
+    if radius_ref is not None:
+        max_radius = max(max_radius, float(np.linalg.norm(W - radius_ref, axis=1).max()))
 
     # per-step costs: D2D rounds, plus the upload charge at each aggregation
     gamma_total = gamma_log.sum(axis=1)
     energy = (gamma_log * sizes).sum(axis=1) * cost.e_d2d
     delay = gamma_total * cost.delta_d2d
-    ends = np.array(boundaries) - 1
+    ends = [record["t_k"] - 1 for record in control_rows]
     energy[ends] += cost.e_glob * upload_scale
     delay[ends] += cost.delta_glob * upload_scale
     return MetricsTrace(
@@ -438,15 +426,9 @@ def run_protocol(
         energy=energy,
         delay=delay,
         gamma_by_cluster=gamma_log,
-        boundaries=boundaries,
-        taus=taus,
         accuracy=acc_log,
         control_rows=control_rows,
-        meta={
-            "seed": seed,
-            "aggregation": aggregation,
-            **({"max_radius": max_radius} if radius_ref is not None else {}),
-        },
+        meta={"max_radius": max_radius} if radius_ref is not None else {},
     )
 
 
@@ -488,15 +470,14 @@ def run_baseline(
     steps: StepSchedule,
     T: int,
     tau: Union[int, Sequence[int]],
-    outage: Optional[OutagePolicy] = None,
     cost: Optional[CostParams] = None,
     seed: int = 0,
 ) -> MetricsTrace:
     """Conventional federated averaging: no D2D rounds, full device participation.
 
     tau is one interval length, or the lengths in order (a TrainingSchedule's taus).
-    With no rounds the cluster graphs are never read, so a baseline takes no
-    topology refresh.
+    With no rounds the cluster links are never read, so a baseline takes no
+    topology refresh and no outage policy.
     """
     return run_protocol(
         task,
@@ -505,7 +486,6 @@ def run_baseline(
         _interval_provider(tau if isinstance(tau, Sequence) else [tau]),
         provider_from_plan(GammaPlan()),
         aggregation=FULL,
-        outage=outage,
         cost=cost,
         seed=seed,
     )

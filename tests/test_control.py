@@ -727,6 +727,13 @@ class TestRunAdaptive:
             for key in ("tau_k", "alpha", "phi", "delta_prime", "sigma2", "nu", "gamma_by_cluster"):
                 assert key in row
 
+    def test_horizon_below_tau1_records_one_interval_of_T_steps(self):
+        task = build_small_task(mode="extreme", per_label=100, reg=1.5)
+        cfg = control.AdaptiveConfig(T=3, tau_max=6, tau1=5, zeta_frac=0.02, sigma_batch=8)
+        trace, state = control.run_adaptive(task, cfg, seed=3)
+        assert state.T == 3
+        assert [(row["t_k"], row["tau_k"]) for row in trace.control_rows] == [(3, 3)]
+
     def test_plans_each_interval_on_its_refreshed_topology(self, monkeypatch):
         task = build_small_task(mode="extreme", per_label=100, reg=1.5)
         fresh = {}

@@ -1,5 +1,6 @@
 """Config ingestion, experiment pipeline determinism, cost accounting, CLI."""
 
+import csv
 import hashlib
 import json
 import re
@@ -121,6 +122,25 @@ class TestRunExperiment:
         trace = experiment.run_single(config, experiment.build_task(config), seed=1)
         assert trace.boundaries == [2, 10]
         assert trace.taus == [2, 8]
+
+    def test_control_csv_records_the_steps_each_interval_ran(self, tmp_path):
+        experiment.run_experiment(minimal_config(tmp_path, seeds=[1], schedule={"T": 10, "tau": [4, 8]}))
+        with (tmp_path / "out" / "trace_seed1_control.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["t_k"], row["tau_k"]) for row in rows] == [("4", "4"), ("10", "6")]
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {},
+            {"aggregation": {"mode": "full"}, "schedule": {"T": 20, "tau": 5}},
+            {"schedule": {"mode": "adaptive", "T": 20}, "step": {}},
+        ],
+        ids=["tthf", "baseline", "adaptive"],
+    )
+    def test_runs_keep_no_meta(self, tmp_path, override):
+        config = experiment.load_config(minimal_config(tmp_path, **override))
+        assert experiment.run_single(config, experiment.build_task(config), seed=1).meta == {}
 
     def test_workers_do_not_change_outputs(self, tmp_path):
         cfg = minimal_config(tmp_path)
@@ -466,8 +486,13 @@ class TestCli:
             ([1, 2], ["--param", "seeds", "--values", "[1]"], "<root>"),
             (None, ["--param", "schedule.T.x", "--values", "1"], "schedule.T"),
             (None, ["--param", "seeds", "--values", "x"], "seeds"),
+            (None, ["--param", "seeds", "--values", "[1],x"], "seeds"),
+            (None, ["--param", "seeds", "--values", ""], "seeds"),
         ],
-        ids=["config-not-a-mapping", "prefix-not-a-mapping", "value-not-json"],
+        ids=[
+            "config-not-a-mapping", "prefix-not-a-mapping", "value-not-json",
+            "list-then-not-json", "no-values",
+        ],
     )
     def test_sweep_config_errors_exit_2(self, tmp_path, capsys, content, sweep, field):
         cfg_path = tmp_path / "cfg.json"
@@ -507,6 +532,21 @@ class TestCli:
         assert rc == 0
         payload = json.loads(report.read_text())
         assert [entry["value"] for entry in payload] == [0, 2]
+
+    def test_sweep_over_list_values(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(tmp_path)))
+        report = tmp_path / "sweep.json"
+        rc = cli.main([
+            "sweep", str(cfg_path),
+            "--param", "seeds",
+            "--values", "[1,2],[3]",
+            "--report", str(report),
+        ])
+        assert rc == 0
+        payload = json.loads(report.read_text())
+        assert [entry["value"] for entry in payload] == [[1, 2], [3]]
+        assert [entry["summary"]["seeds"] for entry in payload] == [[1, 2], [3]]
 
 
 class TestTopologyRefresh:

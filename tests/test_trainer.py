@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tthf import data, losses, topology, trainer
+from tthf import data, experiment, losses, topology, trainer
 from tthf.bounds import dispersion_sample
 from tthf.consensus import OutagePolicy, consensus_error, divergence_exact
 from tthf.costs import CostParams
@@ -168,6 +168,11 @@ class TestTraceInvariants:
         assert trace.boundaries == [10, 20, 30, 40, 47]
         assert trace.taus == [10, 10, 10, 10, 7]
 
+    def test_interval_records_are_the_control_rows(self, trace):
+        assert trace.boundaries == [row["t_k"] for row in trace.control_rows]
+        assert trace.taus == [row["tau_k"] for row in trace.control_rows]
+        assert sum(trace.taus) == len(trace)
+
     def test_csv_column_order(self, trace, tmp_path):
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
@@ -249,11 +254,23 @@ class TestBaseline:
             return global_loss(w)
 
         task.global_loss = record
-        trainer.run_baseline(task, steps, 20, [3, 7], outage=OutagePolicy(enabled=True), seed=9)
+        trainer.run_baseline(task, steps, 20, [3, 7], seed=9)
         # one block of 16 steps and one of 4: the server models, then the average models
         assert [len(w) for w in evaluated] == [16, 16, 4, 4]
         for hat, bar in zip(evaluated[0::2], evaluated[1::2]):
             np.testing.assert_array_equal(hat, bar)
+
+    def test_horizon_cuts_the_last_interval(self):
+        task = build_small_task()
+        steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
+        trace = trainer.run_baseline(task, steps, 33, 7, seed=1)
+        assert trace.boundaries == [7, 14, 21, 28, 33]
+        assert trace.taus == [7, 7, 7, 7, 5]
+        # the cost objective prices the last interval at the 5 steps it ran
+        cost = CostParams()
+        last = experiment.accumulate_cost(trace, cost).interval_terms[-1]
+        assert last["a"] == cost.c1 * float(trace.energy[28:].sum()) / 5
+        assert last["b"] == cost.c2 * float(trace.delay[28:].sum()) / 5
 
     def test_baseline_energy_scales_with_device_count(self):
         task = build_small_task()  # 4 clusters x 3 devices
