@@ -46,12 +46,16 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(args.param, f"--values holds a value that is not JSON: {exc}") from None
     if not values:
         raise ConfigError(args.param, "--values holds no value")
-    results = []
+    variants = []
     for value in values:
         variant = json.loads(json.dumps(base))
         _set_path(variant, args.param, value)
         out = Path(variant.get("output_dir", "out")) / f"sweep_{args.param.replace('.', '_')}_{value}"
         variant["output_dir"] = str(out)
+        experiment.load_config(variant)  # every variant is checked before the first one runs
+        variants.append((value, variant))
+    results = []
+    for value, variant in variants:
         summary = experiment.run_experiment(variant, workers=args.workers)
         results.append({"value": value, "summary": summary})
         print(f"{args.param}={value}: final_mean_gap={summary['final_mean_gap']:.6g}")

@@ -468,7 +468,7 @@ def run_adaptive(
     task,
     config: AdaptiveConfig,
     cost: Optional[CostParams] = None,
-    outage=None,
+    lossy: bool = False,
     seed: int = 0,
     topology_refresh=None,
 ):
@@ -480,6 +480,8 @@ def run_adaptive(
     """
     cost = cost or CostParams()
     rng_init = np.random.default_rng(np.random.SeedSequence([seed, 0x1A17]))
+    # the server's probes at every aggregation draw from their own stream
+    rng_probe = np.random.default_rng(np.random.SeedSequence([seed, 0xE57]))
     w0 = task.w0
     zeta = config.zeta_frac * 2.0 * task.beta
     omega = config.zeta_frac  # zeta/(2 beta)
@@ -551,11 +553,11 @@ def run_adaptive(
         )
         return gam_log[local_step]
 
-    def on_aggregate(t_k, tau, w_hat, W, rng, clusters):
+    def on_aggregate(t_k, tau, w_hat, W, clusters):
         nonlocal tau_next
         # device-side probes at the sampled models, then server-side re-estimation
         state.sigma2, state.delta_prime, g_bar_k = _probe(
-            task, W, w_hat, state.zeta, config.sigma_batch, rng
+            task, W, w_hat, state.zeta, config.sigma_batch, rng_probe
         )
         # state.alpha keeps its start-up value: select_alpha's inputs never change
         phi_note = ""
@@ -598,7 +600,7 @@ def run_adaptive(
         lambda k: tau_next,
         gamma_provider,
         aggregation=trainer.SAMPLED,
-        outage=outage,
+        lossy=lossy,
         cost=cost,
         seed=seed,
         on_aggregate=on_aggregate,

@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, control, data, losses, topology, trainer
-from .consensus import OutagePolicy
 from .costs import CostParams
 from .schedules import GammaPlan, StepSchedule, TrainingSchedule
 from .trainer import MetricsTrace, TrainTask
@@ -129,7 +128,6 @@ class ExperimentConfig:
     partition: data.PartitionPlan
     gamma_plan: GammaPlan
     schedule: TrainingSchedule
-    outage: OutagePolicy
     adaptive: Optional[control.AdaptiveConfig]  # adaptive mode only
     # fixed mode only: load_config builds a constant step, build_task resolves a
     # diminishing one, whose 'auto' parameters need the task's mu and beta
@@ -190,7 +188,6 @@ def load_config(source, output_dir: Optional[str] = None) -> ExperimentConfig:
         partition=_parse("partition.mode", data.PartitionPlan, **merged["partition"]),
         gamma_plan=gamma_plan,
         schedule=_parse("schedule.tau", make_schedule, sched["T"], sched["tau"]),
-        outage=OutagePolicy(enabled=merged["outage"]["enabled"]),
         adaptive=adaptive,
         step=step,
     )
@@ -280,7 +277,6 @@ def build_task(config: ExperimentConfig) -> TrainTask:
         parts,
         batch_size=None if batch == "full" else batch,
         eval_accuracy=cfg["eval_accuracy"],
-        n_labels=dataset.n_labels,
     )
     init = cfg["init"]
     if init["kind"] == "offset":
@@ -333,9 +329,10 @@ def _topology_refresh(config: ExperimentConfig):
 
 def run_single(config: ExperimentConfig, task: TrainTask, seed: int) -> MetricsTrace:
     """One deterministic protocol run for the given seed."""
+    lossy = config.raw["outage"]["enabled"]
     if config.adaptive is not None:
         trace, _ = control.run_adaptive(
-            task, config.adaptive, cost=config.cost, outage=config.outage, seed=seed,
+            task, config.adaptive, cost=config.cost, lossy=lossy, seed=seed,
             topology_refresh=_topology_refresh(config),
         )
         return trace
@@ -345,7 +342,7 @@ def run_single(config: ExperimentConfig, task: TrainTask, seed: int) -> MetricsT
             task, config.step, config.schedule.T, config.schedule.taus, cost=config.cost, seed=seed,
         )
     return trainer.run_tthf(
-        task, config.step, config.schedule, config.gamma_plan, outage=config.outage,
+        task, config.step, config.schedule, config.gamma_plan, lossy=lossy,
         cost=config.cost, seed=seed, topology_refresh=_topology_refresh(config),
     )
 
@@ -484,7 +481,6 @@ def run_experiment(config_source, output_dir: Optional[str] = None, workers: int
 
     gap_matrix = np.stack([tr.loss_gap_sampled for tr in traces])
     mean_gap = gap_matrix.mean(axis=0)
-    summaries = [accumulate_cost(tr, config.cost) for tr in traces]
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": config.hash(),
@@ -495,8 +491,8 @@ def run_experiment(config_source, output_dir: Optional[str] = None, workers: int
         "f_star": task.f_star,
         "final_mean_gap": float(mean_gap[-1]),
         "min_mean_gap": float(mean_gap.min()),
-        "total_energy_mean": float(np.mean([s.total_energy for s in summaries])),
-        "total_delay_mean": float(np.mean([s.total_delay for s in summaries])),
+        "total_energy_mean": float(np.mean([tr.energy.sum() for tr in traces])),
+        "total_delay_mean": float(np.mean([tr.delay.sum() for tr in traces])),
         "bound_check": _bound_check(config, task, traces, mean_gap),
     }
     if traces[0].accuracy is not None:

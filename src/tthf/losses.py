@@ -107,10 +107,10 @@ def quadratic_stats(blocks, n_devices: int) -> tuple[np.ndarray, np.ndarray, np.
 class DeviceData:
     """Every device's data, stacked once in cluster order for batched losses and gradients.
 
-    X, y and the raw integer labels hold every point, device after device.
-    Devices with equal point counts share one (devices, points, d) block. It
-    holds every device's data Hessian H_i and b_i; for regression also
-    A_i = H_i + reg*I and the device means.
+    X, y and the raw integer labels hold every point, device after device;
+    n_labels is one more than the largest label. Devices with equal point
+    counts share one (devices, points, d) block. It holds every device's data
+    Hessian H_i and b_i; for regression also A_i = H_i + reg*I and the device means.
     """
 
     def __init__(self, model: LossModel, clusters: Sequence[Sequence[DevicePartition]]):
@@ -124,6 +124,7 @@ class DeviceData:
         self.X = np.concatenate([p.X for p in self.parts])
         self.y = np.concatenate([p.y for p in self.parts])
         self.labels = np.concatenate([p.labels for p in self.parts])
+        self.n_labels = int(self.labels.max()) + 1
         if self.X.shape[1] != model.dim:
             raise ValueError(f"feature dimension {self.X.shape[1]} does not match model dim {model.dim}")
         self.blocks = [
@@ -457,7 +458,7 @@ def solve_optimum(
     return w
 
 
-def accuracy(model: LossModel, w: np.ndarray, data: DeviceData, n_labels: int):
+def accuracy(model: LossModel, w: np.ndarray, data: DeviceData):
     """Fraction of points whose predicted label matches the raw integer label.
 
     The SVM predicts with the sign rule on its +/-1 coding. Regression predicts
@@ -476,7 +477,7 @@ def accuracy(model: LossModel, w: np.ndarray, data: DeviceData, n_labels: int):
     # where it is nearer, with no masked copy
     nearest = np.full(scores.shape, np.inf)
     predicted = np.zeros(scores.shape, dtype=int)
-    for label in range(n_labels):
+    for label in range(data.n_labels):
         rows = np.flatnonzero(data.labels == label)
         if len(rows):
             distance = np.abs(scores - scores[..., rows].mean(axis=-1, keepdims=True))

@@ -32,7 +32,6 @@ METRIC_BLOCK = 16
 _STREAM_SAMPLING = 0x5A11
 _STREAM_SGD = 0x5D00
 _STREAM_OUTAGE = 0x007A
-_STREAM_ESTIMATE = 0xE57
 
 
 def device_rngs(seed: int, n_devices: int) -> list[np.random.Generator]:
@@ -68,7 +67,6 @@ class TrainTask:
     data: DeviceData
     batch_size: Optional[int] = None
     eval_accuracy: bool = False
-    n_labels: int = 2
 
     def __post_init__(self):
         if len(self.clusters) != len(self.parts):
@@ -85,7 +83,7 @@ class TrainTask:
 
     def accuracy(self, w: np.ndarray):
         """Accuracy of one model (a float), or one value per model stacked on leading axes."""
-        return losses.accuracy(self.model, w, self.data, self.n_labels)
+        return losses.accuracy(self.model, w, self.data)
 
 
 def make_task(
@@ -95,10 +93,12 @@ def make_task(
     w0: Optional[np.ndarray] = None,
     batch_size: Optional[int] = None,
     eval_accuracy: bool = False,
-    n_labels: int = 2,
+    n_labels: Optional[int] = None,
 ) -> TrainTask:
     """Stack the device data once and resolve the exact optimum and curvature constants."""
     data = losses.DeviceData(model, parts)
+    if n_labels is not None and n_labels < data.n_labels:
+        raise ValueError(f"n_labels={n_labels} does not cover the data's {data.n_labels} labels")
     mu, beta = losses.smoothness_constants(model, data)
     w_star = losses.solve_optimum(model, data)
     # F(w*) sums the device losses, non-negative terms that do not cancel at
@@ -116,7 +116,6 @@ def make_task(
         data=data,
         batch_size=batch_size,
         eval_accuracy=eval_accuracy,
-        n_labels=n_labels,
     )
 
 
@@ -243,7 +242,7 @@ def run_protocol(
     tau_provider: Callable[[int], int],
     gamma_provider: Callable,
     aggregation: str = SAMPLED,
-    outage: Optional[OutagePolicy] = None,
+    lossy: bool = False,
     cost: Optional[CostParams] = None,
     seed: int = 0,
     on_aggregate: Optional[Callable] = None,
@@ -259,10 +258,10 @@ def run_protocol(
     step, one int per cluster in `clusters` order. blocks holds one
     (member cluster indices, intermediate models of shape (members, size, d))
     pair per cluster size, so a provider can batch its per-cluster rule.
-    on_aggregate(t_k, tau_k, w_hat, W, estimate_rng, clusters) -> optional dict
-    merged into the control row (the adaptive controller hooks its
-    re-estimation logic here); clusters are the specs of interval k+1, already
-    refreshed.
+    on_aggregate(t_k, tau_k, w_hat, W, clusters) -> optional dict merged into
+    the control row (the adaptive controller hooks its re-estimation logic
+    here); clusters are the specs of interval k+1, already refreshed.
+    lossy loses each link of a D2D round with its cluster's link_outage probability.
     radius_ref, when given, tracks the largest device-model distance from that
     reference over every gradient evaluation point (meta["max_radius"]).
     topology_refresh(k) -> new cluster specs for interval k, called when interval
@@ -287,7 +286,6 @@ def run_protocol(
     upload_scale = 1.0 if aggregation == SAMPLED else n_dev / n_clusters
 
     rng_sampling = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SAMPLING]))
-    rng_estimate = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_ESTIMATE]))
     outage_rngs = [
         np.random.default_rng(np.random.SeedSequence([seed, _STREAM_OUTAGE, c]))
         for c in range(n_clusters)
@@ -318,7 +316,7 @@ def run_protocol(
             acc_log[span] = task.accuracy(hat_buf[:n])
 
     def outage_policies():
-        if outage is None or not outage.enabled:
+        if not lossy:
             return [None] * n_clusters
         return [OutagePolicy(enabled=True, link_outage=spec.link_outage) for spec in clusters]
 
@@ -400,7 +398,7 @@ def run_protocol(
                 clusters = list(fresh)
                 per_cluster_outage = outage_policies()
         if on_aggregate is not None:
-            extra = on_aggregate(t_k, t_k - t_km1, w_hat, W, rng_estimate, clusters)
+            extra = on_aggregate(t_k, t_k - t_km1, w_hat, W, clusters)
             if extra:
                 record.update(extra)
         control_rows.append(record)
@@ -432,18 +430,12 @@ def run_protocol(
     )
 
 
-def _interval_provider(taus: Sequence[int]):
-    """Interval k lasts taus[k-1]; past the end of the list the last length repeats."""
-    taus = list(taus)
-    return lambda k: taus[min(k, len(taus)) - 1]
-
-
 def run_tthf(
     task: TrainTask,
     steps: StepSchedule,
     schedule: TrainingSchedule,
     gamma_plan: GammaPlan,
-    outage: Optional[OutagePolicy] = None,
+    lossy: bool = False,
     cost: Optional[CostParams] = None,
     seed: int = 0,
     radius_ref=None,
@@ -454,10 +446,10 @@ def run_tthf(
         task,
         steps,
         schedule.T,
-        _interval_provider(schedule.taus),
+        lambda k: schedule.taus[k - 1],
         provider_from_plan(gamma_plan),
         aggregation=SAMPLED,
-        outage=outage,
+        lossy=lossy,
         cost=cost,
         seed=seed,
         radius_ref=radius_ref,
@@ -475,15 +467,17 @@ def run_baseline(
 ) -> MetricsTrace:
     """Conventional federated averaging: no D2D rounds, full device participation.
 
-    tau is one interval length, or the lengths in order (a TrainingSchedule's taus).
-    With no rounds the cluster links are never read, so a baseline takes no
-    topology refresh and no outage policy.
+    tau is one interval length, repeated up to T, or the lengths in order,
+    which must cover T (a TrainingSchedule's taus). With no rounds the cluster
+    links are never read, so a baseline takes no topology refresh and no lossy links.
     """
+    make_schedule = TrainingSchedule if isinstance(tau, Sequence) else TrainingSchedule.uniform
+    taus = make_schedule(T, tau).taus
     return run_protocol(
         task,
         steps,
         T,
-        _interval_provider(tau if isinstance(tau, Sequence) else [tau]),
+        lambda k: taus[k - 1],
         provider_from_plan(GammaPlan()),
         aggregation=FULL,
         cost=cost,

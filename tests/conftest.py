@@ -94,16 +94,17 @@ def fit_predictor_oracle(upsilon_history, gamma_history):
     return (*lines, *fallbacks)
 
 
-def accuracy_oracle(model, w, X, labels, n_labels):
-    """The accuracy of the one model w, label by label: the oracle of losses.accuracy.
+def accuracy_oracle(model, w, data, n_labels):
+    """The accuracy of the one model w on the stacked data, label by label: the
+    oracle of losses.accuracy.
 
-    The SVM predicts the labels at or above the midpoint (n_labels + 1) // 2 where
-    X @ w >= 0. Regression predicts the argmin of the distances from each score to
-    every label's mean score, a label that no point carries being infinitely far.
+    The SVM predicts the +1 target where X @ w >= 0. Regression predicts the
+    argmin over labels 0..n_labels-1 of the distances from each score to every
+    label's mean score, a label that no point carries being infinitely far.
     """
-    scores = X @ w
+    scores, labels = data.X @ w, data.labels
     if model.kind == losses.SQUARED_HINGE_SVM:
-        return float(np.mean((scores >= 0) == (labels >= (n_labels + 1) // 2)))
+        return float(np.mean((scores >= 0) == (data.y > 0)))
     class_scores = np.array(
         [scores[labels == l].mean() if np.any(labels == l) else np.inf for l in range(n_labels)]
     )
@@ -174,9 +175,7 @@ def build_small_task(
         n_clusters, cluster_size, field_m, topology.ChannelParams(), seed=seed + 2
     )
     parts = [flat[i * cluster_size : (i + 1) * cluster_size] for i in range(n_clusters)]
-    return trainer.make_task(
-        model, clusters, parts, batch_size=batch_size, n_labels=n_labels, eval_accuracy=eval_accuracy
-    )
+    return trainer.make_task(model, clusters, parts, batch_size=batch_size, eval_accuracy=eval_accuracy)
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,7 @@ class TestGenSynthetic:
         parts = data.partition(ds, 1, PartitionPlan("iid", seed=2), kind=model.kind)
         stacked = losses.DeviceData(model, [parts])
         w_star = losses.solve_optimum(model, stacked)
-        acc = losses.accuracy(model, w_star, stacked, ds.n_labels)
+        acc = losses.accuracy(model, w_star, stacked)
         assert abs(acc - 0.5) < 0.05
 
     def test_high_separation_is_nearly_separable(self):
@@ -42,7 +42,7 @@ class TestGenSynthetic:
         parts = data.partition(ds, 1, PartitionPlan("iid", seed=3), kind=model.kind)
         stacked = losses.DeviceData(model, [parts])
         w_star = losses.solve_optimum(model, stacked)
-        assert losses.accuracy(model, w_star, stacked, ds.n_labels) >= 0.99
+        assert losses.accuracy(model, w_star, stacked) >= 0.99
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -158,6 +158,7 @@ class TestRunExperiment:
                 {
                     "trace_seed3.csv": "4450878e984abe974a98d30598bddd33746629cfbff1b704b84d3f5d6ccc269b",
                     "trace_seed3_control.csv": "c3fe03392efd184aa736b8513044227a7965c0c7b4ac38458bd21fafd7fdde07",
+                    "summary.json": "ed42e28501c85adc0a1114e867958a6fa8123dc0057c99a578005a0d9bc00393",
                 },
             ),
             (
@@ -165,6 +166,7 @@ class TestRunExperiment:
                 {
                     "trace_seed3.csv": "4fe305cd2f238e577319f04a4d89297c64093edef3aaee9ff3862a0fc8dfeb23",
                     "trace_seed3_control.csv": "856cdedc04941c34423deda177cc41dad4eb451648ffb4326d126cab5a21d843",
+                    "summary.json": "6355ed05bc83209c44960504dde6bbb0074d66bada43df76b64fcdaf074dc904",
                 },
             ),
         ],
@@ -194,9 +196,37 @@ class TestRunExperiment:
         experiment.run_experiment(cfg)
         digests = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted((tmp_path / "out").glob("*.csv"))
+            for p in sorted((tmp_path / "out").glob("*"))
         }
         assert digests == expected
+
+    def test_certified_run_bytes_are_pinned(self, tmp_path):
+        # lossless rounds on a 4x4 network, each cluster's rounds chosen by the
+        # round rule on the exact divergence and run as one cached power of V;
+        # the most rounds any cluster runs in one step is 37, well below
+        # max_rounds. A change to the round rule, the powers, the accuracy or
+        # the summary changes these bytes
+        cfg = {
+            "dataset": {"m": 4, "n_labels": 4, "per_label": 60, "separation": 1.0, "seed": 7},
+            "topology": {"n_clusters": 4, "cluster_size": 4, "field_m": 80.0, "seed": 11},
+            "loss": {"kind": "linear_regression", "reg": 2.0},
+            "schedule": {"T": 40, "tau": 10, "gamma": {"mode": "certified", "phi": 0.5, "max_rounds": 200}},
+            "step": {"kind": "diminishing", "gamma": "auto", "alpha": "auto"},
+            "control": {"zeta_frac": 0.05, "tau_max": 10},
+            "seeds": [3],
+            "output_dir": str(tmp_path / "out"),
+        }
+        summary = experiment.run_experiment(cfg)
+        assert summary["bound_check"] is True
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((tmp_path / "out").glob("*"))
+        }
+        assert digests == {
+            "summary.json": "d773f4ee38972a6b9d43a085ef5b500a525881315a57c5b45ee02cc2471446c2",
+            "trace_seed3.csv": "7bbf4f1ec72b5127fe041ff2bf29b22107e8287fa43831c89aa262b26f51ae12",
+            "trace_seed3_control.csv": "a2633886db2b54874823e200ce686a2dd09043112c4fda057bb0712410ba49b0",
+        }
 
 
 def relaxing_config(tmp_path, seeds):
@@ -488,10 +518,12 @@ class TestCli:
             (None, ["--param", "seeds", "--values", "x"], "seeds"),
             (None, ["--param", "seeds", "--values", "[1],x"], "seeds"),
             (None, ["--param", "seeds", "--values", ""], "seeds"),
+            # the first value could run: every variant is loaded before any runs
+            (None, ["--param", "schedule.gamma.value", "--values", "1,1.0,2"], "schedule.gamma"),
         ],
         ids=[
             "config-not-a-mapping", "prefix-not-a-mapping", "value-not-json",
-            "list-then-not-json", "no-values",
+            "list-then-not-json", "no-values", "later-value-cannot-run",
         ],
     )
     def test_sweep_config_errors_exit_2(self, tmp_path, capsys, content, sweep, field):

@@ -377,20 +377,20 @@ class TestStackedMetricOracle:
         stacked = {
             "global_loss": losses.global_loss(model, W, data),
             "device_mean_loss": losses.device_mean_loss(model, W, data),
-            "accuracy": losses.accuracy(model, W, data, n_labels),
+            "accuracy": losses.accuracy(model, W, data),
             "dispersion": bounds.dispersion_sample(means, data.varrho),
         }
         per_model = {
             "global_loss": [losses.global_loss(model, w, data) for w in W],
             "device_mean_loss": [losses.device_mean_loss(model, w, data) for w in W],
-            "accuracy": [accuracy_oracle(model, w, data.X, data.labels, n_labels) for w in W],
+            "accuracy": [accuracy_oracle(model, w, data, data.n_labels) for w in W],
             "dispersion": [bounds.dispersion_sample(m, data.varrho) for m in means],
         }
         for name, values in per_model.items():
             assert all(isinstance(v, float) for v in values), name
             assert stacked[name].shape == (n_models,), name
             np.testing.assert_array_equal(stacked[name], values, err_msg=name)
-        assert [losses.accuracy(model, w, data, n_labels) for w in W] == per_model["accuracy"]
+        assert [losses.accuracy(model, w, data) for w in W] == per_model["accuracy"]
 
     @pytest.mark.parametrize("n_models", [1, 15, 16, 17, 40])
     @pytest.mark.parametrize("kind, expected", [(LINEAR_REGRESSION, 0.75), (SQUARED_HINGE_SVM, 0.375)])
@@ -407,10 +407,10 @@ class TestStackedMetricOracle:
         # models of +-2^k scale the scores, their means and distances exactly
         k = np.arange(n_models)
         W = (np.where(k % 2, -1.0, 1.0) * 2.0 ** (k % 9 - 4))[:, None]
-        got = losses.accuracy(model, W, data, 4)
-        oracle = [accuracy_oracle(model, w, data.X, data.labels, 4) for w in W]
+        got = losses.accuracy(model, W, data)
+        oracle = [accuracy_oracle(model, w, data, data.n_labels) for w in W]
         np.testing.assert_array_equal(got, oracle)
-        assert losses.accuracy(model, np.ones(1), data, 4) == expected
+        assert losses.accuracy(model, np.ones(1), data) == expected
 
 
 def choice_reference(words, n, b):

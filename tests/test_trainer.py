@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tthf import data, experiment, losses, topology, trainer
 from tthf.bounds import dispersion_sample
-from tthf.consensus import OutagePolicy, consensus_error, divergence_exact
+from tthf.consensus import consensus_error, divergence_exact
 from tthf.costs import CostParams
 from tthf.losses import LINEAR_REGRESSION, SQUARED_HINGE_SVM, DevicePartition, LossModel
 from tthf.schedules import GammaPlan, StepSchedule, TrainingSchedule
@@ -254,7 +254,7 @@ class TestBaseline:
             return global_loss(w)
 
         task.global_loss = record
-        trainer.run_baseline(task, steps, 20, [3, 7], seed=9)
+        trainer.run_baseline(task, steps, 20, [3, 7, 7, 7], seed=9)
         # one block of 16 steps and one of 4: the server models, then the average models
         assert [len(w) for w in evaluated] == [16, 16, 4, 4]
         for hat, bar in zip(evaluated[0::2], evaluated[1::2]):
@@ -272,6 +272,13 @@ class TestBaseline:
         assert last["a"] == cost.c1 * float(trace.energy[28:].sum()) / 5
         assert last["b"] == cost.c2 * float(trace.delay[28:].sum()) / 5
 
+    def test_lengths_short_of_the_horizon_are_rejected(self):
+        # a list of interval lengths is a TrainingSchedule's: it must cover T
+        task = build_small_task()
+        steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
+        with pytest.raises(ValueError, match="sum to 10 < T=30"):
+            trainer.run_baseline(task, steps, 30, [5, 5])
+
     def test_baseline_energy_scales_with_device_count(self):
         task = build_small_task()  # 4 clusters x 3 devices
         steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
@@ -281,6 +288,32 @@ class TestBaseline:
         )
         # 2 aggregations each; full participation uploads I/N = 3x more
         assert base.energy.sum() == pytest.approx(3.0 * tthf.energy.sum())
+
+
+class TestTaskLabels:
+    @staticmethod
+    def six_label_task(**kwargs):
+        ds = data.gen_synthetic(4, 6, 30, 1.0, 5)
+        model = LossModel(kind=LINEAR_REGRESSION, reg=0.5, dim=4)
+        flat = data.partition(ds, 6, data.PartitionPlan("iid", seed=1), kind=model.kind)
+        clusters = topology.build_network(2, 3, 50.0, topology.ChannelParams(), seed=2)
+        return trainer.make_task(model, clusters, [flat[:3], flat[3:]], **kwargs)
+
+    def test_accuracy_scores_every_label_of_the_data(self):
+        task = self.six_label_task()
+        assert task.data.n_labels == 6
+        rng = np.random.default_rng(0)
+        for w in (task.w_star, *rng.standard_normal((5, task.model.dim))):
+            assert task.accuracy(w) == accuracy_oracle(task.model, w, task.data, 6)
+
+    @pytest.mark.parametrize("n_labels", [6, 9])
+    def test_a_label_count_that_covers_the_data_changes_nothing(self, n_labels):
+        w = self.six_label_task().w_star
+        assert self.six_label_task(n_labels=n_labels).accuracy(w) == self.six_label_task().accuracy(w)
+
+    def test_a_label_count_below_the_data_is_rejected(self):
+        with pytest.raises(ValueError, match="n_labels=2 does not cover the data's 6 labels"):
+            self.six_label_task(n_labels=2)
 
 
 class TestNanGuard:
@@ -299,7 +332,7 @@ class TestNanGuard:
             )
 
 
-def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
+def reference_tthf(task, steps, schedule, plan, lossy=False, seed=0):
     """TT-HF with a plain loop over clusters: the oracle of the batched engine.
 
     Per step and cluster it picks the rounds with the scalar rule, runs them
@@ -358,7 +391,7 @@ def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
             edges = [(i, j) for i in range(n) for j in range(i + 1, n) if spec.V[i, j] != 0.0]
             z = wt_c.copy()
             for _ in range(g):
-                if outage:
+                if lossy:
                     probs = np.array([spec.link_outage[i, j] for i, j in edges])
                     lost = outage_rngs[c].random(len(edges)) < probs
                     z = effective_matrix(spec.V, [e for e, m in zip(edges, lost) if m]) @ z
@@ -376,8 +409,7 @@ def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
         cols["disp"].append(dispersion_sample(means, varrho))
         cols["eps"].append(float(np.sqrt(varrho @ np.array(eps2))))
         if task.eval_accuracy:
-            stacked = task.data
-            cols["acc"].append(accuracy_oracle(task.model, w_hat, stacked.X, stacked.labels, task.n_labels))
+            cols["acc"].append(accuracy_oracle(task.model, w_hat, task.data, task.data.n_labels))
         energy = float((gammas[t - 1] * [spec.size for spec in clusters]).sum() * cost.e_d2d)
         delay = float(gammas[t - 1].sum() * cost.delta_d2d)
         if t == t_k:
@@ -387,7 +419,7 @@ def reference_tthf(task, steps, schedule, plan, outage=False, seed=0):
             sampled = sample()
             t_km1 = t
             k += 1
-            t_k = min(t_km1 + (taus[k - 1] if k - 1 < len(taus) else taus[-1]), T)
+            t_k = min(t_km1 + taus[k - 1], T) if t < T else T
         cols["energy"].append(energy)
         cols["delay"].append(delay)
     return {name: np.array(v) for name, v in cols.items()}, gammas
@@ -440,9 +472,8 @@ class TestBatchedEngineOracle:
         task = make()
         steps = StepSchedule(kind="diminishing", gamma=2 / task.mu, alpha=30.0)
         schedule = TrainingSchedule.uniform(33, 7)
-        outage = OutagePolicy(enabled=True) if lossy else None
-        trace = trainer.run_tthf(task, steps, schedule, plan, outage=outage, seed=5)
-        expected, gammas = reference_tthf(task, steps, schedule, plan, outage=lossy, seed=5)
+        trace = trainer.run_tthf(task, steps, schedule, plan, lossy=lossy, seed=5)
+        expected, gammas = reference_tthf(task, steps, schedule, plan, lossy=lossy, seed=5)
         assert gammas.any()
         np.testing.assert_array_equal(trace.gamma_by_cluster, gammas)
         np.testing.assert_array_equal(trace.gamma_total, gammas.sum(axis=1))
