@@ -52,11 +52,11 @@ def _cmd_sweep(args) -> int:
         _set_path(variant, args.param, value)
         out = Path(variant.get("output_dir", "out")) / f"sweep_{args.param.replace('.', '_')}_{value}"
         variant["output_dir"] = str(out)
-        experiment.load_config(variant)  # every variant is checked before the first one runs
-        variants.append((value, variant))
+        # every variant's task is built, and so checked, before the first one runs
+        variants.append((value, experiment.prepare_experiment(variant)))
     results = []
-    for value, variant in variants:
-        summary = experiment.run_experiment(variant, workers=args.workers)
+    for value, (config, task) in variants:
+        summary = experiment.run_prepared(config, task)
         results.append({"value": value, "summary": summary})
         print(f"{args.param}={value}: final_mean_gap={summary['final_mean_gap']:.6g}")
     report = Path(args.report or "sweep_report.json")
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--values", required=True, help='comma-separated JSON values, e.g. 0,1,2,5 or "[1,2],[3]"'
     )
     p_sweep.add_argument("--report", default=None, help="sweep report JSON path")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=int, default=1, help="ignored; outputs do not depend on it")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="compare two trace CSVs")

@@ -461,6 +461,11 @@ def run_experiment(config_source, output_dir: Optional[str] = None, workers: int
 
     `workers` is accepted and ignored: the outputs do not depend on it.
     """
+    return run_prepared(*prepare_experiment(config_source, output_dir))
+
+
+def prepare_experiment(config_source, output_dir: Optional[str] = None) -> tuple[ExperimentConfig, TrainTask]:
+    """The loaded config and its built task; every check that rejects a config runs here."""
     config = load_config(config_source, output_dir)
     out = Path(config.raw["output_dir"])
     # the first existing path up from out must be a directory, or mkdir would
@@ -468,7 +473,12 @@ def run_experiment(config_source, output_dir: Optional[str] = None, workers: int
     existing = next((p for p in (out, *out.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise ConfigError("output_dir", f"{existing} exists and is not a directory")
-    task = build_task(config)
+    return config, build_task(config)
+
+
+def run_prepared(config: ExperimentConfig, task: TrainTask) -> dict:
+    """run_experiment on a config and task from prepare_experiment."""
+    out = Path(config.raw["output_dir"])
     seeds = config.raw["seeds"]
     traces = [run_single(config, task, seed) for seed in seeds]
     horizons = {seed: len(trace) for seed, trace in zip(seeds, traces)}

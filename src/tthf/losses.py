@@ -280,22 +280,25 @@ def _grad_rows(model: LossModel, w: np.ndarray, data: DeviceData, devices: np.nd
 # Generator.choice(n, b, replace=False) runs Floyd's algorithm unless n exceeds
 # this and b exceeds n // 50, when it shuffles a tail of arange(n) instead
 _FLOYD_MAX_N = 10000
-# 64-bit generator outputs a BatchSampler fetches per device at a time
-_PREFETCH = 32
+# steps of every device's batch a BatchSampler replays in one array pass; a
+# refill fetches two blocks of words
+_BLOCK = 16
 _WORD = 0xFFFFFFFF
 
 
 class BatchSampler:
-    """Every device's mini-batch of a step in one array pass, equal bit for bit to
+    """Every device's mini-batch of a step, equal bit for bit to
     `gens[i].choice(n_points[i], batch_size, replace=False)` for each device i.
 
     For PCG64 and these sizes `choice` is Floyd's algorithm, then a Fisher-Yates
     shuffle of the picks; every draw is a Lemire bounded integer on the
     generator's 32-bit words, the low then the high half of each 64-bit output.
-    The sampler replays both on words it prefetches with `random_raw`, so it
-    must be the only user of its generators. A device with batch_size points
-    takes them all without a draw; one outside Floyd's regime, or whose
-    generator is not a PCG64 with an empty 32-bit buffer, calls `choice`.
+    The sampler replays both, _BLOCK steps of every device in one array pass, on
+    words it prefetches with `random_raw`, and hands out one step per `draw`. Its
+    generators run up to two blocks ahead of the steps drawn, so it must be their
+    only user. A device with batch_size points takes them all without a draw; one
+    outside Floyd's regime, or whose generator is not a PCG64 with an empty
+    32-bit buffer, calls `choice` once per step of a block.
     """
 
     def __init__(self, n_points, batch_size: int, gens):
@@ -325,43 +328,62 @@ class BatchSampler:
         self.words = np.empty((0, len(n)), dtype=np.uint32)
         self.cursor = 0
         self.end = np.zeros(len(n), dtype=np.int64)
+        # the replayed steps not yet handed out start at block[next]
+        self.block = np.empty((0, len(self.n_points), b), dtype=np.int64)
+        self.next = 0
 
     def draw(self) -> np.ndarray:
-        """The (devices, batch_size) point indices of the next step, in each device's draw order."""
-        picks = np.broadcast_to(np.arange(self.batch_size), (len(self.n_points), self.batch_size)).copy()
-        if len(self.replayed):
-            picks[self.replayed] = self._replay().T
+        """The read-only (devices, batch_size) point indices of the next step, in each device's draw order."""
+        if self.next == len(self.block):
+            self.block, self.next = self._block(), 0
+        self.next += 1
+        return self.block[self.next - 1]
+
+    def _block(self) -> np.ndarray:
+        """The next steps' (steps, devices, batch_size) picks, read-only."""
+        b = self.batch_size
+        replayed = self._replay() if len(self.replayed) else np.empty((_BLOCK, b, 0), dtype=np.int64)
+        block = np.broadcast_to(np.arange(b), (len(replayed), len(self.n_points), b)).copy()
+        block[:, self.replayed] = replayed.transpose(0, 2, 1)
         for d in self.chosen.tolist():
-            picks[d] = self.gens[d].choice(int(self.n_points[d]), size=self.batch_size, replace=False)
-        return picks
+            for step in block:
+                step[d] = self.gens[d].choice(int(self.n_points[d]), size=b, replace=False)
+        block.flags.writeable = False
+        return block
 
     def _replay(self) -> np.ndarray:
+        """The replayed devices' (steps, batch_size, devices) picks of up to _BLOCK steps.
+
+        The block ends before its first step that holds a rejected word; when
+        that step is its first, the block is that step, whose rejected columns
+        are redone one draw at a time.
+        """
         b = self.batch_size
         need = 2 * b - 1
-        if self.cursor + need > self.end.min():
-            self._refill(need)
-        step = self.cursor
-        self.cursor += need
-        m = self.words[step:step + need] * self.bounds
-        vals = (m >> 32).astype(np.int64)
+        if self.cursor + _BLOCK * need > self.end.min():
+            self._refill()
+        m = self.words[self.cursor:self.cursor + _BLOCK * need].reshape(_BLOCK, need, -1) * self.bounds
+        # the low product word is the truncation to 32 bits, the draw the high one
+        rejected = (m.astype(np.uint32) < self.threshold).any(axis=1)
+        bad = rejected.any(axis=1)
+        steps = 1 if bad[0] else int(bad.argmax()) if bad.any() else _BLOCK
+        vals = np.right_shift(m, 32, out=m)[:steps].view(np.int64)
         # Floyd: the draw for j stands for j itself when it was picked before
-        picks = np.empty((b, len(self.columns)), dtype=np.int64)
+        picks = np.empty((steps, b, len(self.columns)), dtype=np.int64)
         for t in range(b):
-            seen = (picks[:t] == vals[t]).any(axis=0)
-            picks[t] = np.where(seen, self.tops[t], vals[t])
+            seen = (picks[:, :t] == vals[:, t, None]).any(axis=1)
+            picks[:, t] = np.where(seen, self.tops[t], vals[:, t])
         flat = picks.reshape(-1)
+        offsets = np.arange(steps)[:, None] * picks[0].size + self.columns
         for t, i in enumerate(range(b - 1, 0, -1)):
-            at = vals[b + t] * len(self.columns) + self.columns
+            at = vals[:, b + t] * len(self.columns) + offsets
             held = flat[at]
-            flat[at] = picks[i]
-            picks[i] = held
+            flat[at] = picks[:, i]
+            picks[:, i] = held
         # a rejected draw consumes further words: redo those devices one draw at a time
-        rejected = np.flatnonzero(((m & _WORD) < self.threshold).any(axis=0))
-        if len(rejected):
-            self.cursor = step
-            for r in rejected.tolist():
-                picks[:, r] = self._replay_one(r)
-            self.cursor += need
+        for r in np.flatnonzero(rejected[0]).tolist():
+            picks[0, :, r] = self._replay_one(r)
+        self.cursor += steps * need
         return picks
 
     def _replay_one(self, r: int) -> list[int]:
@@ -376,7 +398,7 @@ class BatchSampler:
             while True:
                 if at == self.end[r]:
                     at -= self.cursor
-                    self._refill(1)
+                    self._refill()
                     at += self.cursor
                 m = int(self.words[at, r]) * bound
                 at += 1
@@ -395,23 +417,20 @@ class BatchSampler:
         self.end[r] -= extra
         return picks
 
-    def _refill(self, need: int):
-        """Keep every device's unread words and append at least `need` more."""
+    def _refill(self):
+        """Keep every device's unread words and append two blocks of fresh ones."""
+        outputs = _BLOCK * (2 * self.batch_size - 1)
         left = self.end - self.cursor
-        raw = np.stack(
-            [self.gens[d].bit_generator.random_raw(max(_PREFETCH, need)) for d in self.replayed], axis=1
-        )
-        fresh = np.empty((2 * len(raw), raw.shape[1]), dtype=np.uint32)
-        fresh[0::2] = raw & _WORD
-        fresh[1::2] = raw >> 32
         keep = int(left.max())
-        words = np.empty((keep + len(fresh), len(left)), dtype=np.uint32)
+        words = np.empty((keep + 2 * outputs, len(left)), dtype=np.uint32)
         words[:keep] = self.words[self.cursor:self.cursor + keep]
-        words[keep:] = fresh
-        # a device that had rejected draws has fewer unread words than the others
-        for r in np.flatnonzero(left < keep).tolist():
-            words[left[r]:left[r] + len(fresh), r] = fresh[:, r]
-        self.words, self.cursor, self.end = words, 0, left + len(fresh)
+        # a device that had rejected draws has fewer unread words than the others;
+        # its fresh words follow its own. Little-endian outputs split into their
+        # low then high 32-bit halves on any host
+        for r, d in enumerate(self.replayed.tolist()):
+            raw = self.gens[d].bit_generator.random_raw(outputs)
+            words[left[r]:left[r] + 2 * outputs, r] = raw.astype("<u8", copy=False).view("<u4")
+        self.words, self.cursor, self.end = words, 0, left + 2 * outputs
 
 
 def smoothness_constants(model: LossModel, data: DeviceData) -> tuple[float, float]:

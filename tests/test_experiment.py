@@ -228,6 +228,33 @@ class TestRunExperiment:
             "trace_seed3_control.csv": "a2633886db2b54874823e200ce686a2dd09043112c4fda057bb0712410ba49b0",
         }
 
+    def test_adaptive_minibatch_run_bytes_are_pinned(self, tmp_path):
+        # the adaptive controller on a mini-batch SVM: its intervals (3, 7, ...,
+        # 5, 7, 2) and its horizon T=45 are not multiples of the sampler's
+        # 16-step blocks. A change to the mini-batch draws, the probes or the
+        # controller's arithmetic changes these bytes
+        cfg = {
+            "dataset": {"m": 4, "n_labels": 2, "per_label": 30, "separation": 1.0, "seed": 7},
+            "topology": {"n_clusters": 3, "cluster_size": 3, "seed": 11},
+            "loss": {"kind": "squared_hinge_svm", "reg": 0.5},
+            "sgd": {"batch_size": 3},
+            "schedule": {"mode": "adaptive", "T": 45},
+            "control": {"tau_max": 7, "tau1": 3, "zeta_frac": 0.02, "sigma_batch": 4},
+            "seeds": [2],
+            "output_dir": str(tmp_path / "out"),
+        }
+        summary = experiment.run_experiment(cfg)
+        assert summary["T"] == 45
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((tmp_path / "out").glob("*"))
+        }
+        assert digests == {
+            "summary.json": "64e0c52fb759e7f2558db85ac76a4908f68b99a51b9bba0ed9dca263f57c2817",
+            "trace_seed2.csv": "0379f38a863edcc5cc753f32ebf05f7e0031ae1929e228c1b0b533a2d2854085",
+            "trace_seed2_control.csv": "066d6726de9a584d7a907a3f4ca4cda74a906b0d4d00d550317ece0da7de75f0",
+        }
+
 
 def relaxing_config(tmp_path, seeds):
     # on the default network, the feasibility check doubles T three times for
@@ -520,10 +547,12 @@ class TestCli:
             (None, ["--param", "seeds", "--values", ""], "seeds"),
             # the first value could run: every variant is loaded before any runs
             (None, ["--param", "schedule.gamma.value", "--values", "1,1.0,2"], "schedule.gamma"),
+            # the batch check needs the partition: every variant's task is built before any runs
+            (None, ["--param", "sgd.batch_size", "--values", "2,1000"], "sgd.batch_size"),
         ],
         ids=[
             "config-not-a-mapping", "prefix-not-a-mapping", "value-not-json",
-            "list-then-not-json", "no-values", "later-value-cannot-run",
+            "list-then-not-json", "no-values", "later-value-cannot-run", "later-task-cannot-build",
         ],
     )
     def test_sweep_config_errors_exit_2(self, tmp_path, capsys, content, sweep, field):
@@ -564,6 +593,23 @@ class TestCli:
         assert rc == 0
         payload = json.loads(report.read_text())
         assert [entry["value"] for entry in payload] == [0, 2]
+
+    def test_sweep_runs_each_variant_from_the_task_it_built(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(tmp_path, seeds=[1])))
+        events = []
+        for name, event in (("build_task", "build"), ("run_single", "run")):
+            original = getattr(experiment, name)
+            monkeypatch.setattr(
+                experiment, name,
+                lambda *args, event=event, original=original: events.append(event) or original(*args),
+            )
+        rc = cli.main([
+            "sweep", str(cfg_path), "--param", "schedule.gamma.value", "--values", "0,1,2",
+            "--report", str(tmp_path / "sweep.json"),
+        ])
+        assert rc == 0
+        assert events == ["build"] * 3 + ["run"] * 3
 
     def test_sweep_over_list_values(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

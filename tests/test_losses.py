@@ -467,7 +467,8 @@ class TestBatchSampler:
             for n, g in zip(n_points, gens)
         ])
 
-    @settings(max_examples=60, deadline=None)
+    # twice the profile's examples: 60 in the suite, 600 under HYPOTHESIS_PROFILE=ci
+    @settings(max_examples=2 * settings().max_examples, deadline=None)
     @given(counts=st.lists(st.integers(1, 30), min_size=1, max_size=9), seed=st.integers(0, 2**16),
            outside=st.booleans(), data=st.data())
     def test_equals_choice_over_many_steps(self, counts, seed, outside, data):
@@ -534,3 +535,122 @@ class TestBatchSampler:
                 rejections += rejected
             np.testing.assert_array_equal(sampler.draw(), expected)
         assert rejections >= 300
+
+
+class TestBatchSamplerBlocks:
+    """Block replay against choice_reference at the edges of a block, on scripted word streams."""
+
+    B = 4
+    NEED = 2 * B - 1  # words a step reads when none is rejected
+
+    @staticmethod
+    def outputs_of(words):
+        """64-bit PCG64 outputs whose 32-bit words, low half first, are `words`."""
+        words = np.asarray(words, dtype=np.uint64)
+        return (words[0::2] | (words[1::2] << np.uint64(32))).tolist()
+
+    def scripted(self, n_points, zeros, seed=0, length=6000):
+        """Scripted generators and the reference's word streams: device d's 32-bit
+        words are random and nonzero but for zeros at the positions zeros[d]; a
+        zero word is rejected wherever the draw's bound is not a power of two."""
+        rng = np.random.default_rng(seed)
+        gens, streams = [], []
+        for d in range(len(n_points)):
+            words = rng.integers(1, 2**32, size=length, dtype=np.uint64)
+            words[list(zeros.get(d, ()))] = 0
+            outputs = self.outputs_of(words)
+            gens.append(np.random.Generator(ScriptedPCG64(outputs)))
+            streams.append(words_of(outputs))
+        return gens, streams
+
+    def reference(self, n_points, streams, steps):
+        return [
+            [choice_reference(words, n, self.B)[0] for n, words in zip(n_points, streams)]
+            for _ in range(steps)
+        ]
+
+    def step_starts(self, steps):
+        """Word positions at which the given steps start, each earlier one having
+        consumed one word more for its rejected zero."""
+        return [s * self.NEED + k for k, s in enumerate(sorted(steps))]
+
+    @pytest.mark.parametrize(
+        "rejected, blocks",
+        [
+            ({0: [0]}, [1, 16, 16]),
+            ({0: [7]}, [7, 1, 16]),
+            ({0: [15]}, [15, 1, 16]),
+            ({0: [16]}, [16, 1, 16]),
+            ({0: [5, 6]}, [5, 1, 1, 16]),
+            ({0: [5], 2: [6]}, [5, 1, 1, 16]),
+            ({1: [0, 15], 2: [15]}, [1, 14, 1, 16]),
+        ],
+        ids=[
+            "first-step", "middle-step", "last-step", "next-block-first", "consecutive-steps",
+            "consecutive-on-two-devices", "first-and-last-step",
+        ],
+    )
+    def test_rejections_at_block_edges_follow_the_reference(self, rejected, blocks):
+        # n - b + 1 = 17 bounds each step's first draw, so its zero word is rejected
+        n_points, steps = [20, 20, 20], 40
+        zeros = {d: self.step_starts(s) for d, s in rejected.items()}
+        gens, streams = self.scripted(n_points, zeros)
+        sampler = losses.BatchSampler(n_points, self.B, gens)
+        lengths = []
+        for expected in self.reference(n_points, streams, steps):
+            np.testing.assert_array_equal(sampler.draw(), expected)
+            if sampler.next == 1:
+                lengths.append(len(sampler.block))
+        # a block ends before its first step with a rejected word, which, first
+        # in its block, is a block of its own
+        assert lengths[:len(blocks)] == blocks
+
+    def test_rejection_run_longer_than_a_refill(self):
+        # one draw, the third of step 3, reads more zero words than a refill fetches
+        refill = 2 * losses._BLOCK * self.NEED
+        start = 3 * self.NEED + 2
+        n_points = [20, 20]
+        gens, streams = self.scripted(n_points, {1: range(start, start + refill + 50)}, length=12000)
+        sampler = losses.BatchSampler(n_points, self.B, gens)
+        for expected in self.reference(n_points, streams, 60):
+            np.testing.assert_array_equal(sampler.draw(), expected)
+
+    def test_whole_and_chosen_devices_share_a_block(self):
+        # a device of b points takes arange(b) without a draw; an MT19937 and a PCG64 holding a
+        # pending 32-bit half call choice once per step, in step order
+        n_points = [4, 20, 9, 12]
+        gens, streams = self.scripted([20], {0: self.step_starts([9])})
+        pending = np.random.default_rng(4)
+        pending.integers(0, 2**32, dtype=np.uint32)
+        twins = [np.random.Generator(np.random.MT19937(1)), np.random.default_rng(4)]
+        twins[1].integers(0, 2**32, dtype=np.uint32)
+        whole = np.random.default_rng(9)
+        untouched = whole.bit_generator.state
+        sampler = losses.BatchSampler(
+            n_points, self.B, [whole, gens[0], np.random.Generator(np.random.MT19937(1)), pending]
+        )
+        assert sampler.replayed.tolist() == [1] and sampler.chosen.tolist() == [2, 3]
+        for (expected,) in self.reference([20], streams, 40):
+            picks = sampler.draw()
+            np.testing.assert_array_equal(picks[0], np.arange(self.B))
+            np.testing.assert_array_equal(picks[1], expected)
+            for d, twin in zip((2, 3), twins):
+                np.testing.assert_array_equal(picks[d], twin.choice(n_points[d], size=self.B, replace=False))
+        assert whole.bit_generator.state == untouched
+
+    @pytest.mark.parametrize("steps", [1, 15, 17, 33])
+    def test_runs_ending_mid_block_draw_the_prefix(self, steps):
+        counts = [20, 9, 13, 4, 30]
+        sampler = losses.BatchSampler(counts, self.B, seeded_gens(3, len(counts)))
+        gens = seeded_gens(3, len(counts))
+        for _ in range(steps):
+            np.testing.assert_array_equal(
+                sampler.draw(), TestBatchSampler.choice_picks(counts, self.B, gens)
+            )
+
+    def test_drawn_rows_are_read_only(self):
+        sampler = losses.BatchSampler([20, 4, 9], self.B, seeded_gens(1, 3))
+        picks = sampler.draw()
+        assert picks.shape == (3, self.B) and not picks.flags.writeable
+        with pytest.raises(ValueError):
+            picks[0, 0] = 0
