@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, control, experiment
+from . import bounds, experiment
 from .experiment import ConfigError
 from .trainer import MetricsTrace
 
@@ -65,9 +65,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _read_trace(path) -> MetricsTrace:
+    """The trace CSV at path; one that cannot be read names '<file>', as an unreadable config does."""
+    try:
+        return MetricsTrace.from_csv(path)
+    except (OSError, TypeError, ValueError) as exc:  # a short row's missing cells read as None
+        raise ConfigError("<file>", f"cannot read trace file {path}: {exc}") from None
+
+
 def _cmd_compare(args) -> int:
-    trace_a = MetricsTrace.from_csv(args.trace_a)
-    trace_b = MetricsTrace.from_csv(args.trace_b)
+    trace_a, trace_b = _read_trace(args.trace_a), _read_trace(args.trace_b)
     report = experiment.compare_runs(trace_a, trace_b)
     printable = {k: v for k, v in report.items() if k != "per_t_delta"}
     printable["mean_delta"] = float(np.mean(report["per_t_delta"]))
@@ -78,15 +85,7 @@ def _cmd_compare(args) -> int:
 def _cmd_bounds_report(args) -> int:
     config = experiment.load_config(args.config)
     task = experiment.build_task(config)
-    sigma2 = 0.0
-    if task.batch_size is not None:
-        rng = np.random.default_rng(0)
-        sigma2 = max(
-            control.estimate_sigma(task.model, task.data, i, task.w0, min(task.batch_size, n - 1), rng)[0]
-            for i, n in enumerate(task.data.n_points.tolist())
-            if n > 1
-        )
-    constants = experiment.certificate_constants(config, task, sigma2)
+    constants = experiment.certificate_constants(config, task)
     traces = [experiment.run_single(config, task, int(s)) for s in config.raw["seeds"]]
     mean_gap = np.stack([tr.loss_gap_sampled for tr in traces]).mean(axis=0)
     payload = bounds.certificate_report(args.out, constants, mean_gap, t0=int(traces[0].t[0]))

@@ -403,57 +403,53 @@ def compare_runs(trace_a: MetricsTrace, trace_b: MetricsTrace) -> dict:
     }
 
 
-def certificate_constants(
-    config: ExperimentConfig, task: TrainTask, sigma2: float = 0.0
-) -> bounds.Thm2Constants:
-    """Sublinear-rate constants of a certified fixed-tau run.
+def certificate_constants(config: ExperimentConfig, task: TrainTask) -> bounds.Thm2Constants:
+    """The rate certificate's one gate: the constants of a run it covers, else a ConfigError naming the field.
 
-    Uses the exact quadratic diversity constants, the longest configured
-    interval, the true initial gap and the given SGD noise bound sigma2.
+    The constants use the exact quadratic diversity constants, the longest configured
+    interval, the true initial gap and sigma = 0, an exact noise bound for full batches.
     """
-    steps = config.step
-    if steps is None:
-        raise ConfigError("schedule.mode", "the rate certificate covers fixed schedules only")
-    if steps.kind != "diminishing":
-        raise ConfigError("step.kind", "the rate certificate needs a diminishing step schedule")
+    cfg = config.raw
+    for path, uncovered, reason in (
+        ("schedule.mode", config.adaptive is not None, "covers fixed schedules only"),
+        ("step.kind", cfg["step"]["kind"] != "diminishing", "needs a diminishing step schedule"),
+        ("loss.kind", task.model.kind != losses.LINEAR_REGRESSION, "needs a quadratic (linear_regression)"),
+        ("schedule.gamma", config.gamma_plan.mode != "certified", "needs certified D2D rounds"),
+        # Lemma 1's contraction is for rounds that mix by V; a round that lost a link mixes by another matrix
+        ("outage.enabled", cfg["outage"]["enabled"], "covers lossless D2D rounds only"),
+        ("sgd.batch_size", task.batch_size is not None, "has no noise bound for mini-batches"),
+    ):
+        if uncovered:
+            raise ConfigError(path, f"the rate certificate {reason}")
+    steps, tau = config.step, max(config.schedule.taus)
     delta, zeta = bounds.exact_diversity_quadratic(task.model, task.data)
     omega = zeta / (2.0 * task.beta)
     init_gap = task.global_loss(task.w0) - task.f_star
     try:
         return bounds.thm2_constants(
-            steps.gamma, steps.alpha, task.mu, task.beta, max(config.schedule.taus), sigma2,
-            config.gamma_plan.phi, delta, init_gap, omega,
+            steps.gamma, steps.alpha, task.mu, task.beta, tau, 0.0, config.gamma_plan.phi, delta, init_gap, omega
         )
     except bounds.DiversityError as exc:
-        # an 'auto' alpha is chosen for control.zeta_frac as omega, not for the data's omega
-        raise ConfigError(
-            "step.alpha",
-            f"{exc} at alpha={steps.alpha:.4g}: set control.zeta_frac to at least {omega:.4g} "
-            "for an 'auto' alpha, or set a larger step.alpha",
-        ) from exc
+        # an 'auto' alpha is chosen for control.zeta_frac as omega and
+        # control.tau_max as the longest interval, not for this run's
+        fixes = [
+            f"control.{key} to at least {need:.4g}"
+            for key, need in (("tau_max", tau), ("zeta_frac", omega))
+            if cfg["step"]["alpha"] == "auto" and cfg["control"][key] < need
+        ]
+        advice = " and ".join(fixes) + " for an 'auto' alpha" if fixes else "a larger step.alpha"
+        raise ConfigError("step.alpha", f"{exc} at alpha={steps.alpha:.4g}: set {advice}") from exc
+    except ValueError as exc:  # an explicit step.gamma at most 1/mu, or step.alpha at most 1
+        raise ConfigError("step", str(exc)) from None
 
 
 def _bound_check(config, task, traces, mean_gap):
-    """Sublinear-envelope pass/fail when a certificate applies, else None.
-
-    Only meaningful for quadratic tasks (exact diversity constants exist), a
-    diminishing step schedule, and full-batch gradients (sigma = 0 is then an
-    exact noise bound).
-    """
-    if (
-        task.model.kind != losses.LINEAR_REGRESSION
-        or config.adaptive is not None
-        or config.step.kind != "diminishing"
-        or task.batch_size is not None
-        or config.gamma_plan.mode != "certified"
-    ):
-        return None
+    """Sublinear-envelope pass/fail when the rate certificate covers the run, else None."""
     try:
         constants = certificate_constants(config, task)
-    except ValueError:
+    except ConfigError:
         return None
-    holds, _, _ = bounds.envelope_check(mean_gap, constants.nu, constants.alpha, t0=int(traces[0].t[0]))
-    return holds
+    return bounds.envelope_check(mean_gap, constants.nu, constants.alpha, t0=int(traces[0].t[0]))[0]
 
 
 def run_experiment(config_source, output_dir: Optional[str] = None, workers: int = 1) -> dict:

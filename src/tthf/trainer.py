@@ -192,9 +192,13 @@ class MetricsTrace:
         arr = {c: [] for c in MetricsTrace.COLUMNS}
         with Path(path).open(newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
+            if missing := [c for c in MetricsTrace.COLUMNS if c not in (reader.fieldnames or ())]:
+                raise ValueError(f"no column {missing[0]!r}")
             for rec in reader:
                 for c in MetricsTrace.COLUMNS:
                     arr[c].append(float(rec[c]))
+        if not arr["t"]:
+            raise ValueError("no rows")
         return MetricsTrace(
             t=np.array(arr["t"], dtype=int),
             loss_gap_sampled=np.array(arr["loss_gap_sampled"]),

@@ -388,6 +388,26 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "energy_ratio" in printed
 
+    @pytest.mark.parametrize("case", ["missing-file", "missing-column", "no-rows", "short-row"])
+    def test_unreadable_trace_exits_2_naming_the_file(self, tmp_path, capsys, case):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(tmp_path, seeds=[1])))
+        assert cli.main(["run", str(cfg_path)]) == 0
+        capsys.readouterr()
+        good, bad = tmp_path / "out" / "trace_seed1.csv", tmp_path / "bad.csv"
+        if case == "missing-column":
+            # drop the second column, loss_gap_sampled
+            rows = [line.split(",") for line in good.read_text().splitlines()]
+            bad.write_text("\n".join(",".join(row[:1] + row[2:]) for row in rows))
+        if case in ("no-rows", "short-row"):
+            bad.write_text(good.read_text().splitlines()[0] + ("\n0,1.5\n" if case == "short-row" else "\n"))
+        assert cli.main(["compare", str(good), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config field '<file>'" in err and str(bad) in err
+        assert "Traceback" not in err
+        if case == "missing-column":
+            assert "'loss_gap_sampled'" in err
+
     def test_missing_config_field_exits_2(self, tmp_path):
         cfg = minimal_config(tmp_path)
         del cfg["output_dir"]
@@ -761,3 +781,79 @@ class TestCliBoundsReport:
         err = capsys.readouterr().err
         assert "step.alpha" in err and "omega_max=" in err and "control.zeta_frac" in err
         assert not out.exists()
+
+    def test_alpha_chosen_for_a_shorter_interval_names_tau_max(self, tmp_path, capsys):
+        # the 'auto' alpha is chosen for control.tau_max 5; zeta_frac is above this data's omega
+        cfg = TestSummaryBoundCheck().certified_config(tmp_path)
+        cfg["schedule"]["tau"] = 20
+        cfg_path = tmp_path / "long.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "report.json"
+        assert cli.main(["bounds-report", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "step.alpha" in err and "control.tau_max to at least 20" in err
+        assert "zeta_frac" not in err
+        assert not out.exists()
+        cfg["control"]["tau_max"] = 20
+        config = experiment.load_config(cfg)
+        assert experiment.certificate_constants(config, experiment.build_task(config)).nu > 0
+
+    def test_step_outside_the_theorem_names_step(self, tmp_path):
+        cfg = TestSummaryBoundCheck().certified_config(tmp_path)
+        cfg["step"] = {"kind": "diminishing", "gamma": 0.01, "alpha": 10.0}
+        config = experiment.load_config(cfg)
+        with pytest.raises(ConfigError, match=r"'step': Theorem 2 inapplicable"):
+            experiment.certificate_constants(config, experiment.build_task(config))
+
+
+# one change each to the certified config: the field that leaves the run
+# uncovered, and the dotted config paths set
+UNCOVERED = {
+    "adaptive": ("schedule.mode", {"schedule.mode": "adaptive"}),
+    "constant-step": ("step.kind", {"step": {"kind": "constant", "eta": 0.01}}),
+    "svm": ("loss.kind", {"loss.kind": "squared_hinge_svm"}),
+    "fixed-rounds": ("schedule.gamma", {"schedule.gamma": {"mode": "fixed", "value": 1, "cadence": 5}}),
+    "full-baseline": (
+        "schedule.gamma", {"aggregation.mode": "full", "schedule.gamma": {"mode": "fixed", "value": 0}}
+    ),
+    "lossy": ("outage.enabled", {"outage.enabled": True}),
+    "mini-batch": ("sgd.batch_size", {"sgd.batch_size": 10}),
+}
+
+
+def gated_config(tmp_path, case=None):
+    cfg = TestSummaryBoundCheck().certified_config(tmp_path)
+    cfg["seeds"] = [1, 2]
+    for path, value in UNCOVERED[case][1].items() if case else ():
+        cli._set_path(cfg, path, value)
+    return cfg
+
+
+class TestCertificateGate:
+    """run_experiment's bound_check and bounds-report ask one gate, certificate_constants."""
+
+    @pytest.mark.parametrize("case", list(UNCOVERED))
+    def test_bounds_report_exits_2_before_any_seed(self, tmp_path, capsys, monkeypatch, case):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(gated_config(tmp_path, case)))
+        runs = []
+        monkeypatch.setattr(experiment, "run_single", lambda *args: runs.append(args))
+        out = tmp_path / "report.json"
+        assert cli.main(["bounds-report", str(cfg_path), "--out", str(out)]) == 2
+        assert f"config field '{UNCOVERED[case][0]}'" in capsys.readouterr().err
+        assert not runs
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(UNCOVERED))
+    def test_summary_bound_check_is_null(self, tmp_path, case):
+        assert experiment.run_experiment(gated_config(tmp_path, case))["bound_check"] is None
+
+    def test_covered_run_agrees(self, tmp_path):
+        cfg = gated_config(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "report.json"
+        assert cli.main(["bounds-report", str(cfg_path), "--out", str(out)]) == 0
+        holds = json.loads(out.read_text())["holds"]
+        assert holds is True
+        assert experiment.run_experiment(cfg)["bound_check"] is holds
