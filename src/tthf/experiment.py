@@ -92,7 +92,8 @@ _DEFAULTS = {
     "output_dir": None,
 }
 
-_REQUIRED = (("schedule", "T"), ("seeds",), ("output_dir",))
+# output_dir is needed only to write a run: prepare_experiment requires it
+_REQUIRED = (("schedule", "T"), ("seeds",))
 
 
 def _merge(defaults, user, path=""):
@@ -153,7 +154,7 @@ def read_config(path):
 def load_config(source, output_dir: Optional[str] = None) -> ExperimentConfig:
     """Parse and validate a JSON config, filling documented defaults, and build its run objects.
 
-    A given output_dir replaces the config's own, which may then be absent.
+    A given output_dir replaces the config's own.
     """
     raw = read_config(source) if isinstance(source, (str, Path)) else source
     merged = _merge(_DEFAULTS, raw)
@@ -463,6 +464,8 @@ def run_experiment(config_source, output_dir: Optional[str] = None, workers: int
 def prepare_experiment(config_source, output_dir: Optional[str] = None) -> tuple[ExperimentConfig, TrainTask]:
     """The loaded config and its built task; every check that rejects a config runs here."""
     config = load_config(config_source, output_dir)
+    if config.raw["output_dir"] is None:
+        raise ConfigError("output_dir", "missing required field")
     out = Path(config.raw["output_dir"])
     # the first existing path up from out must be a directory, or mkdir would
     # fail after every seed has run

@@ -283,7 +283,6 @@ _FLOYD_MAX_N = 10000
 # steps of every device's batch a BatchSampler replays in one array pass; a
 # refill fetches two blocks of words
 _BLOCK = 16
-_WORD = 0xFFFFFFFF
 
 
 class BatchSampler:
@@ -340,10 +339,10 @@ class BatchSampler:
         return self.block[self.next - 1]
 
     def _block(self) -> np.ndarray:
-        """The next steps' (steps, devices, batch_size) picks, read-only."""
+        """The next (_BLOCK, devices, batch_size) picks, read-only."""
         b = self.batch_size
         replayed = self._replay() if len(self.replayed) else np.empty((_BLOCK, b, 0), dtype=np.int64)
-        block = np.broadcast_to(np.arange(b), (len(replayed), len(self.n_points), b)).copy()
+        block = np.broadcast_to(np.arange(b), (_BLOCK, len(self.n_points), b)).copy()
         block[:, self.replayed] = replayed.transpose(0, 2, 1)
         for d in self.chosen.tolist():
             for step in block:
@@ -352,69 +351,42 @@ class BatchSampler:
         return block
 
     def _replay(self) -> np.ndarray:
-        """The replayed devices' (steps, batch_size, devices) picks of up to _BLOCK steps.
+        """The replayed devices' (_BLOCK, batch_size, devices) picks.
 
-        The block ends before its first step that holds a rejected word; when
-        that step is its first, the block is that step, whose rejected columns
-        are redone one draw at a time.
+        Lemire redraws a rejected draw from the generator's next word, so a
+        device's first rejected word is dropped from its column, which moves its
+        later words up one row, and the block is read again. A later rejection of
+        the same device was judged against a word that has now moved.
         """
         b = self.batch_size
-        need = 2 * b - 1
-        if self.cursor + _BLOCK * need > self.end.min():
-            self._refill()
-        m = self.words[self.cursor:self.cursor + _BLOCK * need].reshape(_BLOCK, need, -1) * self.bounds
-        # the low product word is the truncation to 32 bits, the draw the high one
-        rejected = (m.astype(np.uint32) < self.threshold).any(axis=1)
-        bad = rejected.any(axis=1)
-        steps = 1 if bad[0] else int(bad.argmax()) if bad.any() else _BLOCK
-        vals = np.right_shift(m, 32, out=m)[:steps].view(np.int64)
+        size = _BLOCK * (2 * b - 1)
+        while True:
+            if self.cursor + size > self.end.min():
+                self._refill()
+            m = self.words[self.cursor:self.cursor + size].reshape(_BLOCK, 2 * b - 1, -1) * self.bounds
+            # the low product word is the truncation to 32 bits, the draw the high one
+            rejected = (m.astype(np.uint32) < self.threshold).reshape(size, -1)
+            hit = np.flatnonzero(rejected.any(axis=0))
+            if not len(hit):
+                break
+            for r, row in zip(hit.tolist(), rejected[:, hit].argmax(axis=0).tolist()):
+                at = self.cursor + row
+                self.words[at:self.end[r] - 1, r] = self.words[at + 1:self.end[r], r]
+                self.end[r] -= 1
+        vals = np.right_shift(m, 32, out=m).view(np.int64)
         # Floyd: the draw for j stands for j itself when it was picked before
-        picks = np.empty((steps, b, len(self.columns)), dtype=np.int64)
+        picks = np.empty((_BLOCK, b, len(self.columns)), dtype=np.int64)
         for t in range(b):
             seen = (picks[:, :t] == vals[:, t, None]).any(axis=1)
             picks[:, t] = np.where(seen, self.tops[t], vals[:, t])
         flat = picks.reshape(-1)
-        offsets = np.arange(steps)[:, None] * picks[0].size + self.columns
+        offsets = np.arange(_BLOCK)[:, None] * picks[0].size + self.columns
         for t, i in enumerate(range(b - 1, 0, -1)):
             at = vals[:, b + t] * len(self.columns) + offsets
             held = flat[at]
             flat[at] = picks[:, i]
             picks[:, i] = held
-        # a rejected draw consumes further words: redo those devices one draw at a time
-        for r in np.flatnonzero(rejected[0]).tolist():
-            picks[0, :, r] = self._replay_one(r)
-        self.cursor += steps * need
-        return picks
-
-    def _replay_one(self, r: int) -> list[int]:
-        """Device column r's picks from the step's first word on, one scalar draw at a
-        time; its further words are then moved up so that its next step starts with
-        every other device's."""
-        n, b = int(self.n_points[self.replayed[r]]), self.batch_size
-        at = self.cursor
-
-        def bounded(bound: int) -> int:
-            nonlocal at
-            while True:
-                if at == self.end[r]:
-                    at -= self.cursor
-                    self._refill()
-                    at += self.cursor
-                m = int(self.words[at, r]) * bound
-                at += 1
-                if m & _WORD >= (2**32 - bound) % bound:
-                    return m >> 32
-
-        picks: list[int] = []
-        for j in range(n - b, n):
-            v = bounded(j + 1)
-            picks.append(j if v in picks else v)
-        for i in range(b - 1, 0, -1):
-            k = bounded(i + 1)
-            picks[i], picks[k] = picks[k], picks[i]
-        extra = at - (self.cursor + 2 * b - 1)
-        self.words[at - extra:self.end[r] - extra, r] = self.words[at:self.end[r], r]
-        self.end[r] -= extra
+        self.cursor += size
         return picks
 
     def _refill(self):

@@ -161,20 +161,14 @@ class MetricsTrace:
         return [row["tau_k"] for row in self.control_rows]
 
     def to_csv(self, path):
+        columns = (
+            self.t, self.loss_gap_sampled, self.loss_gap_avg, self.dispersion,
+            self.eps_rms, self.gamma_total, self.energy, self.delay,
+        )
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(self.COLUMNS) + "\n")
-            for i in range(len(self.t)):
-                row = [
-                    str(int(self.t[i])),
-                    repr(float(self.loss_gap_sampled[i])),
-                    repr(float(self.loss_gap_avg[i])),
-                    repr(float(self.dispersion[i])),
-                    repr(float(self.eps_rms[i])),
-                    str(int(self.gamma_total[i])),
-                    repr(float(self.energy[i])),
-                    repr(float(self.delay[i])),
-                ]
-                fh.write(",".join(row) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(self.COLUMNS)
+            writer.writerows(zip(*(column.tolist() for column in columns)))
 
     def control_to_csv(self, path):
         cols = ["k", "t_k", "tau_k", "alpha", "gamma_step", "phi", "delta_prime", "sigma2", "nu"]

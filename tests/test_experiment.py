@@ -798,6 +798,22 @@ class TestCliBoundsReport:
         config = experiment.load_config(cfg)
         assert experiment.certificate_constants(config, experiment.build_task(config)).nu > 0
 
+    def test_bounds_report_needs_no_output_dir(self, tmp_path, monkeypatch, capsys):
+        # bounds-report writes only its --out report; run still needs output_dir or --out
+        cfg = minimal_config(tmp_path, seeds=[1, 2], step={"kind": "diminishing"})
+        del cfg["output_dir"], cfg["loss"]
+        cfg["schedule"] = {"T": 40, "tau": 5, "gamma": {"mode": "certified", "phi": 2.0, "max_rounds": 200}}
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["bounds-report", "cfg.json", "--out", "report.json"]) == 0
+        assert json.loads(Path("report.json").read_text())["holds"] is True
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "report.json"]
+        built = []
+        monkeypatch.setattr(experiment, "build_task", built.append)
+        assert cli.main(["run", "cfg.json"]) == 2
+        assert "config field 'output_dir'" in capsys.readouterr().err
+        assert not built
+
     def test_step_outside_the_theorem_names_step(self, tmp_path):
         cfg = TestSummaryBoundCheck().certified_config(tmp_path)
         cfg["step"] = {"kind": "diminishing", "gamma": 0.01, "alpha": 10.0}

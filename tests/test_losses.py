@@ -563,11 +563,17 @@ class TestBatchSamplerBlocks:
             streams.append(words_of(outputs))
         return gens, streams
 
-    def reference(self, n_points, streams, steps):
-        return [
-            [choice_reference(words, n, self.B)[0] for n, words in zip(n_points, streams)]
-            for _ in range(steps)
-        ]
+    @staticmethod
+    def reference(n_points, streams, steps, b=B):
+        """Each step's picks of every device of more than b points, and the rejections seen."""
+        expected, rejections = [], 0
+        for _ in range(steps):
+            expected.append([])
+            for n, words in zip(n_points, streams):
+                picks, rejected = choice_reference(words, n, b) if n > b else (list(range(b)), 0)
+                expected[-1].append(picks)
+                rejections += rejected
+        return expected, rejections
 
     def step_starts(self, steps):
         """Word positions at which the given steps start, each earlier one having
@@ -575,35 +581,51 @@ class TestBatchSamplerBlocks:
         return [s * self.NEED + k for k, s in enumerate(sorted(steps))]
 
     @pytest.mark.parametrize(
-        "rejected, blocks",
-        [
-            ({0: [0]}, [1, 16, 16]),
-            ({0: [7]}, [7, 1, 16]),
-            ({0: [15]}, [15, 1, 16]),
-            ({0: [16]}, [16, 1, 16]),
-            ({0: [5, 6]}, [5, 1, 1, 16]),
-            ({0: [5], 2: [6]}, [5, 1, 1, 16]),
-            ({1: [0, 15], 2: [15]}, [1, 14, 1, 16]),
-        ],
+        "rejected",
+        [{0: [0]}, {0: [7]}, {0: [15]}, {0: [16]}, {0: [5, 6]}, {0: [5], 2: [6]}, {1: [0, 15], 2: [15]}],
         ids=[
             "first-step", "middle-step", "last-step", "next-block-first", "consecutive-steps",
             "consecutive-on-two-devices", "first-and-last-step",
         ],
     )
-    def test_rejections_at_block_edges_follow_the_reference(self, rejected, blocks):
+    def test_rejections_at_block_edges_follow_the_reference(self, rejected):
         # n - b + 1 = 17 bounds each step's first draw, so its zero word is rejected
         n_points, steps = [20, 20, 20], 40
         zeros = {d: self.step_starts(s) for d, s in rejected.items()}
         gens, streams = self.scripted(n_points, zeros)
         sampler = losses.BatchSampler(n_points, self.B, gens)
         lengths = []
-        for expected in self.reference(n_points, streams, steps):
+        reference, rejections = self.reference(n_points, streams, steps)
+        for expected in reference:
             np.testing.assert_array_equal(sampler.draw(), expected)
             if sampler.next == 1:
                 lengths.append(len(sampler.block))
-        # a block ends before its first step with a rejected word, which, first
-        # in its block, is a block of its own
-        assert lengths[:len(blocks)] == blocks
+        assert rejections == sum(len(s) for s in rejected.values())
+        # a rejected word is dropped from its device's column, so no block is cut short
+        assert lengths == [losses._BLOCK] * len(lengths)
+
+    @settings(deadline=None)
+    @given(b=st.integers(1, 6), seed=st.integers(0, 2**16), data=st.data())
+    def test_random_rejections_follow_the_reference(self, b, seed, data):
+        n_points = data.draw(st.lists(st.integers(b, 30), min_size=1, max_size=6), label="n_points")
+        steps = data.draw(st.integers(1, 40), label="steps")
+        block = losses._BLOCK * (2 * b - 1)  # the words of a block without rejections
+        positions = st.integers(0, 3 * block)
+        zeros = {}
+        for d in range(len(n_points)):
+            # scattered zeros fall several to a block; k * block - 1 is a block's
+            # last word when no earlier word of the device was rejected
+            spots = data.draw(st.lists(positions, max_size=10), label=f"zeros of device {d}")
+            spots += data.draw(st.lists(st.sampled_from([block - 1, 2 * block - 1]), max_size=2))
+            if data.draw(st.booleans(), label=f"run on device {d}"):
+                # a run longer than the two blocks a refill fetches
+                start = data.draw(positions, label="run start")
+                spots += range(start, start + 2 * block + data.draw(st.integers(1, 20)))
+            zeros[d] = spots
+        gens, streams = self.scripted(n_points, zeros, seed)
+        sampler = losses.BatchSampler(n_points, b, gens)
+        for expected in self.reference(n_points, streams, steps, b)[0]:
+            np.testing.assert_array_equal(sampler.draw(), expected)
 
     def test_rejection_run_longer_than_a_refill(self):
         # one draw, the third of step 3, reads more zero words than a refill fetches
@@ -612,7 +634,7 @@ class TestBatchSamplerBlocks:
         n_points = [20, 20]
         gens, streams = self.scripted(n_points, {1: range(start, start + refill + 50)}, length=12000)
         sampler = losses.BatchSampler(n_points, self.B, gens)
-        for expected in self.reference(n_points, streams, 60):
+        for expected in self.reference(n_points, streams, 60)[0]:
             np.testing.assert_array_equal(sampler.draw(), expected)
 
     def test_whole_and_chosen_devices_share_a_block(self):
@@ -630,7 +652,7 @@ class TestBatchSamplerBlocks:
             n_points, self.B, [whole, gens[0], np.random.Generator(np.random.MT19937(1)), pending]
         )
         assert sampler.replayed.tolist() == [1] and sampler.chosen.tolist() == [2, 3]
-        for (expected,) in self.reference([20], streams, 40):
+        for (expected,) in self.reference([20], streams, 40)[0]:
             picks = sampler.draw()
             np.testing.assert_array_equal(picks[0], np.arange(self.B))
             np.testing.assert_array_equal(picks[1], expected)
