@@ -50,7 +50,12 @@ def _cmd_sweep(args) -> int:
     for value in values:
         variant = json.loads(json.dumps(base))
         _set_path(variant, args.param, value)
-        out = Path(variant.get("output_dir", "out")) / f"sweep_{args.param.replace('.', '_')}_{value}"
+        base_out = variant.get("output_dir")
+        if base_out is None:
+            base_out = "out"
+        elif not isinstance(base_out, str):
+            raise ConfigError("output_dir", "must be a string")
+        out = Path(base_out) / f"sweep_{args.param.replace('.', '_')}_{value}"
         variant["output_dir"] = str(out)
         # every variant's task is built, and so checked, before the first one runs
         variants.append((value, experiment.prepare_experiment(variant)))

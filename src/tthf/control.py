@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -205,33 +206,26 @@ def fit_predictor(upsilon_history, gamma_history) -> PredictorCoeffs:
     return PredictorCoeffs(A, B, a, b, idle_fallback, active_fallback)
 
 
-# The rule's guards compare lam ** k * scale with the target exactly, so at a
-# regime boundary one ulp decides the count. They read the powers from a
-# table of Python's float ** (the C library's pow), which np.power does not
-# reproduce bit for bit; a count past the table takes each power on its own.
+# The rule compares lam ** k * scale with the target exactly, so at a regime
+# boundary one ulp decides the count. It reads the powers from a table of
+# Python's float ** (the C library's pow), which np.power does not reproduce
+# bit for bit. A search doubles the width while some count lies past it.
 _TABLE_WIDTH = 128
 
 
-# one entry per set of cluster lambdas in use; a topology refresh brings new
-# bytes, so stale entries age out
+# one entry per set of cluster lambdas and width in use; a topology refresh
+# brings new bytes, so stale entries age out
 @functools.lru_cache(maxsize=8)
-def _lambda_table(lams_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log lambda, flat power table, row starts) of the lambdas with these bytes:
-    entry starts[c] + k of the table is lam_c ** k. Read-only, as callers share them.
-
-    A lambda of 0, a cluster that one round brings to consensus (one device, or
-    a complete graph at step 1/s), has log -inf: its ceil-log guess is 0 and the
-    guards raise it to 1 round whenever the cluster is active."""
+def _lambda_table(lams_bytes: bytes, width: int) -> np.ndarray:
+    """The (clusters, width) table of lam_c ** k, k < width, of the lambdas with
+    these bytes. Read-only, as callers share it."""
     lams = np.frombuffer(lams_bytes)
     valid = (lams >= 0.0) & (lams < 1.0)
     if not valid.all():
         raise ValueError(f"lambda_c={lams[~valid][0]} must lie in [0, 1)")
-    table = np.array([[lam**k for k in range(_TABLE_WIDTH)] for lam in lams.tolist()]).ravel()
-    with np.errstate(divide="ignore"):
-        logs = np.log(lams)
-    starts = np.arange(len(lams)) * _TABLE_WIDTH
-    table.flags.writeable = logs.flags.writeable = starts.flags.writeable = False
-    return logs, table, starts
+    table = np.array([[lam**k for k in range(width)] for lam in lams.tolist()])
+    table.flags.writeable = False
+    return table
 
 
 def gamma_rounds(
@@ -257,9 +251,10 @@ def gamma_rounds(
         sizes, ups, lams = np.broadcast_arrays(sizes, ups, lams)
         shape = ups.shape
         sizes, ups, lams = sizes.ravel(), ups.ravel(), lams.ravel()
-    log_lams, table, starts = _lambda_table(lams.tobytes())
-    if not ups.min() >= 0.0:
-        raise ValueError("upsilon must be non-negative")
+    table = _lambda_table(lams.tobytes(), _TABLE_WIDTH)
+    # an infinite divergence would meet no target, and the search would not end
+    if not 0.0 <= ups.min() <= ups.max() < np.inf:
+        raise ValueError("upsilon must be non-negative and finite")
     target = eta_t * phi
     scale = np.sqrt(sizes) * ups
     active = scale > target
@@ -274,24 +269,14 @@ def gamma_rounds(
         gammas[active] = gamma_max
     elif n_active:
         rows = slice(None) if n_active == len(ups) else active.nonzero()[0]
-        scale = scale[rows]
-        g = np.ceil(np.log(target / scale) / log_lams[rows]).astype(int)
-        k_max = max(g.tolist())  # bounds every count the guards test
-        base = starts[rows]
-
-        def times_scale(ks):
-            if k_max < _TABLE_WIDTH:
-                return table[base + ks] * scale
-            return np.array([lam**k for lam, k in zip(lams[rows].tolist(), ks.tolist())]) * scale
-
-        # guard the ceiling against log/exp rounding at regime boundaries. A
-        # count that has stopped keeps its test result, so each pass tests all
-        # counts; lam ** 0 * scale = scale misses the target, so all end >= 1.
-        while np.count_nonzero(miss := times_scale(g) > target):
-            g += miss
-            k_max += 1
-        while np.count_nonzero(meet := times_scale(g - 1) <= target):
-            g -= meet
+        scale = scale[rows, None]
+        # the first power that meets the target; lam ** 0 * scale = scale
+        # misses it, so a count of 0 means that no power in the table does
+        g = (table[rows] * scale <= target).argmax(axis=1)
+        while not g.all() and (gamma_max is None or table.shape[1] < gamma_max):
+            table = _lambda_table(lams.tobytes(), 2 * table.shape[1])
+            g = (table[rows] * scale <= target).argmax(axis=1)
+        g[g == 0] = table.shape[1]  # the count lies past the table, so at or past gamma_max
         gammas[rows] = g if gamma_max is None else np.minimum(g, gamma_max)
     return int(gammas[0]) if shape == () else gammas.reshape(shape)
 
@@ -418,7 +403,12 @@ class AdaptiveConfig:
 
     def __post_init__(self):
         for name in ("tau_max", "tau1", "sigma_batch"):
-            if getattr(self, name) < 1:
+            # a fractional length or batch would be truncated or fail mid-run;
+            # JSON true/false load as bool, a subclass of int
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.gamma_over_mu <= 1.0:
             raise ValueError("gamma_over_mu must exceed 1 (the step size needs gamma > 1/mu)")

@@ -224,8 +224,13 @@ def _validate(cfg):
         raise ConfigError("dataset.path", "missing required field")
     if cfg["step"]["kind"] not in ("diminishing", "constant"):
         raise ConfigError("step.kind", "must be 'diminishing' or 'constant'")
-    if cfg["init"]["kind"] not in ("zeros", "offset"):
+    init = cfg["init"]
+    if init["kind"] not in ("zeros", "offset"):
         raise ConfigError("init.kind", "must be 'zeros' or 'offset'")
+    if not isinstance(init["scale"], (int, float)):
+        raise ConfigError("init.scale", "must be a number")
+    if not _is_int(init["seed"], 0):
+        raise ConfigError("init.seed", "must be a non-negative integer")
     if cfg["schedule"]["mode"] not in ("fixed", "adaptive"):
         raise ConfigError("schedule.mode", "must be 'fixed' or 'adaptive'")
     if not _is_int(cfg["schedule"]["T"], 1):
@@ -241,6 +246,8 @@ def _validate(cfg):
     seeds = cfg["seeds"]
     if not isinstance(seeds, list) or not seeds or not all(_is_int(s, 0) for s in seeds):
         raise ConfigError("seeds", "must be a non-empty list of non-negative integers")
+    if not isinstance(cfg["output_dir"], (str, type(None))):
+        raise ConfigError("output_dir", "must be a string")
 
 
 def build_task(config: ExperimentConfig) -> TrainTask:
@@ -281,7 +288,7 @@ def build_task(config: ExperimentConfig) -> TrainTask:
     )
     init = cfg["init"]
     if init["kind"] == "offset":
-        rng = np.random.default_rng(np.random.SeedSequence([int(init["seed"]), 0x1217]))
+        rng = np.random.default_rng(np.random.SeedSequence([init["seed"], 0x1217]))
         direction = rng.standard_normal(model.dim)
         task.w0 = init["scale"] * direction / np.linalg.norm(direction)
     if config.adaptive is None and config.step is None:

@@ -136,16 +136,18 @@ class MetricsTrace:
     control_rows: list[dict] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    COLUMNS = (
-        "t",
-        "loss_gap_sampled",
-        "loss_gap_avg",
-        "dispersion",
-        "eps_rms",
-        "gamma_total",
-        "energy_J",
-        "delay_s",
+    # the trace CSV's (column, attribute) pairs; t and gamma_total read back as ints
+    CSV_FIELDS = (
+        ("t", "t"),
+        ("loss_gap_sampled", "loss_gap_sampled"),
+        ("loss_gap_avg", "loss_gap_avg"),
+        ("dispersion", "dispersion"),
+        ("eps_rms", "eps_rms"),
+        ("gamma_total", "gamma_total"),
+        ("energy_J", "energy"),
+        ("delay_s", "delay"),
     )
+    COLUMNS = tuple(column for column, _ in CSV_FIELDS)
 
     def __len__(self):
         return len(self.t)
@@ -161,14 +163,10 @@ class MetricsTrace:
         return [row["tau_k"] for row in self.control_rows]
 
     def to_csv(self, path):
-        columns = (
-            self.t, self.loss_gap_sampled, self.loss_gap_avg, self.dispersion,
-            self.eps_rms, self.gamma_total, self.energy, self.delay,
-        )
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(self.COLUMNS)
-            writer.writerows(zip(*(column.tolist() for column in columns)))
+            writer.writerows(zip(*(getattr(self, attr).tolist() for _, attr in self.CSV_FIELDS)))
 
     def control_to_csv(self, path):
         cols = ["k", "t_k", "tau_k", "alpha", "gamma_step", "phi", "delta_prime", "sigma2", "nu"]
@@ -194,14 +192,10 @@ class MetricsTrace:
         if not arr["t"]:
             raise ValueError("no rows")
         return MetricsTrace(
-            t=np.array(arr["t"], dtype=int),
-            loss_gap_sampled=np.array(arr["loss_gap_sampled"]),
-            loss_gap_avg=np.array(arr["loss_gap_avg"]),
-            dispersion=np.array(arr["dispersion"]),
-            eps_rms=np.array(arr["eps_rms"]),
-            gamma_total=np.array(arr["gamma_total"], dtype=int),
-            energy=np.array(arr["energy_J"]),
-            delay=np.array(arr["delay_s"]),
+            **{
+                attr: np.array(arr[column], dtype=int if attr in ("t", "gamma_total") else float)
+                for column, attr in MetricsTrace.CSV_FIELDS
+            },
             gamma_by_cluster=np.zeros((len(arr["t"]), 0), dtype=int),
         )
 

@@ -488,6 +488,13 @@ class TestCli:
             ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "none"}}}),
             ("control.use_pl_surrogate", {"schedule": {"mode": "adaptive", "T": 10},
                                           "control": {"use_pl_surrogate": False}}),
+            ("output_dir", {"output_dir": 5}),
+            ("init.scale", {"init": {"kind": "offset", "scale": "x"}}),
+            ("init.seed", {"init": {"kind": "offset", "seed": -1}}),
+            ("init.seed", {"init": {"kind": "offset", "seed": "x"}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"tau_max": 20.5}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"tau1": 2.5}}),
+            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"sigma_batch": 4.5}}),
         ],
         ids=[
             "zero-tau", "boolean-T", "string-seed", "float-seed", "negative-cost", "string-cost",
@@ -501,6 +508,8 @@ class TestCli:
             "negative-xi", "zero-xi-boost", "negative-xi-boost", "negative-alpha-cap",
             "alpha-margin-below-1", "boolean-xi", "boolean-alpha-cap", "boolean-xi-boost",
             "boolean-reg", "boolean-e-d2d", "none-gamma-mode", "removed-pl-surrogate-knob",
+            "string-output-dir", "string-init-scale", "negative-init-seed", "string-init-seed",
+            "fractional-tau-max", "fractional-tau1", "fractional-sigma-batch",
         ],
     )
     def test_unrunnable_config_exits_2_before_any_output(self, tmp_path, capsys, field, override):
@@ -569,10 +578,12 @@ class TestCli:
             (None, ["--param", "schedule.gamma.value", "--values", "1,1.0,2"], "schedule.gamma"),
             # the batch check needs the partition: every variant's task is built before any runs
             (None, ["--param", "sgd.batch_size", "--values", "2,1000"], "sgd.batch_size"),
+            (minimal_config(Path(), output_dir=5), ["--param", "seeds", "--values", "[1]"], "output_dir"),
         ],
         ids=[
             "config-not-a-mapping", "prefix-not-a-mapping", "value-not-json",
             "list-then-not-json", "no-values", "later-value-cannot-run", "later-task-cannot-build",
+            "string-output-dir",
         ],
     )
     def test_sweep_config_errors_exit_2(self, tmp_path, capsys, content, sweep, field):
@@ -613,6 +624,14 @@ class TestCli:
         assert rc == 0
         payload = json.loads(report.read_text())
         assert [entry["value"] for entry in payload] == [0, 2]
+
+    def test_sweep_reads_a_null_output_dir_as_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(tmp_path, seeds=[1], output_dir=None)))
+        sweep = ["--param", "schedule.gamma.value", "--values", "0", "--report", "sweep.json"]
+        assert cli.main(["sweep", str(cfg_path), *sweep]) == 0
+        assert (tmp_path / "out" / "sweep_schedule_gamma_value_0" / "summary.json").exists()
 
     def test_sweep_runs_each_variant_from_the_task_it_built(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
