@@ -25,6 +25,7 @@ class OutagePolicy:
 # in use; a topology refresh brings new bytes, so stale entries age out instead
 # of being invalidated
 _CACHE_SIZE = 1024
+_pairs = functools.lru_cache(maxsize=None)(functools.partial(np.triu_indices, k=1))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -111,13 +112,14 @@ def divergence_exact(w_tilde: np.ndarray):
     """Max pairwise distance between intermediate device models.
 
     Axes before the last two are batch axes: (..., s, d) input gives one
-    distance per batch entry (a float for 2-D input).
+    distance per batch entry (a float for 2-D input). The i < j pairs and one root
+    after the max give the all-pairs value: (a-b)**2 == (b-a)**2, sqrt is monotone.
     """
     if w_tilde.shape[-2] < 2:
         out = np.zeros(w_tilde.shape[:-2])
     else:
-        diff = w_tilde[..., :, None, :] - w_tilde[..., None, :, :]
-        out = np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
+        i, j = _pairs(w_tilde.shape[-2])
+        out = np.sqrt(((w_tilde[..., i, :] - w_tilde[..., j, :]) ** 2).sum(axis=-1).max(axis=-1))
     return float(out) if out.ndim == 0 else out
 
 

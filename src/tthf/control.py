@@ -40,6 +40,8 @@ def select_alpha(
     constant stays bounded; at the default the rule is the bare admissibility
     condition.
     """
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite")
     if mu * gamma <= 1.0:
         raise ValueError("need gamma > 1/mu")
     if not 0 <= omega < 1:
@@ -56,7 +58,7 @@ def select_alpha(
     lo, hi = alpha_min, alpha_min * 2.0
     while not admissible(hi):
         hi *= 2.0
-        if hi > cap:
+        if not hi <= cap:
             raise InfeasibleError(
                 f"gradient diversity too large: omega={omega} not below omega_max for any alpha <= {cap}"
             )
@@ -410,7 +412,7 @@ class AdaptiveConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.gamma_over_mu <= 1.0:
+        if not self.gamma_over_mu > 1.0:
             raise ValueError("gamma_over_mu must exceed 1 (the step size needs gamma > 1/mu)")
         if not 0.0 <= self.zeta_frac < 1.0:
             raise ValueError("zeta_frac must lie in [0, 1)")

@@ -24,6 +24,8 @@ class CostParams:
 
     def __post_init__(self):
         for name in ("e_d2d", "e_glob", "delta_d2d", "delta_glob", "c1", "c2", "c3"):
+            # an int cost would give a run's energy and delay columns an int dtype
+            object.__setattr__(self, name, float(getattr(self, name)))
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 

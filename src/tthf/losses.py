@@ -33,8 +33,8 @@ class LossModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {_KINDS}")
-        if self.reg < 0:
-            raise ValueError("reg must be >= 0")
+        if not 0 <= self.reg < np.inf:
+            raise ValueError("reg must be finite and >= 0")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 

@@ -52,6 +52,25 @@ def global_aggregate(
     return (np.asarray(varrho)[:, None] * np.asarray(models)[sampled]).sum(axis=0)
 
 
+def block_metrics(W_tilde, W, groups, varrho, sampled=None):
+    """(cluster means, average models, server models, eps_rms) of n steps from their
+    (n, n_devices, d) intermediate and post-consensus models, each step's bit for bit.
+
+    sampled (n, clusters) holds each step's sampled devices; None makes the server
+    model the average model. eps_rms takes one dot per step: a stacked matmul differs.
+    """
+    n, _, dim = W_tilde.shape
+    means, eps2 = np.empty((n, len(varrho), dim)), np.empty((n, len(varrho)))
+    for members, dev_rows, size in groups:
+        block = W_tilde[:, dev_rows].reshape(n, len(members), size, dim)
+        errs, _ = consensus_error(W[:, dev_rows].reshape(block.shape), block)
+        eps2[:, members] = np.mean(errs**2, axis=-1)
+        means[:, members] = block.mean(axis=-2)
+    bar = varrho @ means
+    hat = bar if sampled is None else (varrho[:, None] * W[np.arange(n)[:, None], sampled]).sum(axis=1)
+    return means, bar, hat, np.array([np.sqrt(varrho @ row) for row in eps2])
+
+
 @dataclass
 class TrainTask:
     """Everything a run needs: task, network, data placement, and exact optimum."""
@@ -171,7 +190,7 @@ class MetricsTrace:
     def control_to_csv(self, path):
         cols = ["k", "t_k", "tau_k", "alpha", "gamma_step", "phi", "delta_prime", "sigma2", "nu"]
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(cols + ["gamma_by_cluster"])
             for row in self.control_rows:
                 writer.writerow(
@@ -247,9 +266,10 @@ def run_protocol(
     cuts the last interval short, and each interval is recorded with the
     number of steps it ran.
     gamma_provider(local_step, clusters, blocks, eta_t) -> D2D rounds for this
-    step, one int per cluster in `clusters` order. blocks holds one
-    (member cluster indices, intermediate models of shape (members, size, d))
-    pair per cluster size, so a provider can batch its per-cluster rule.
+    step, one int per cluster in `clusters` order. blocks holds one (member
+    cluster indices, (members, size, d) intermediate models) pair per cluster
+    size; a provider batches its rule over them and copies what it keeps, as
+    later steps reuse their buffer rows.
     on_aggregate(t_k, tau_k, w_hat, W, clusters) -> optional dict merged into
     the control row (the adaptive controller hooks its re-estimation logic
     here); clusters are the specs of interval k+1, already refreshed.
@@ -260,9 +280,9 @@ def run_protocol(
     k-1 ends (positions stay static within each interval either way).
     aggregation FULL is the full-participation baseline, whose gamma_provider
     runs no rounds; its server model at each step is the average model.
-    The loss gaps, dispersion and accuracy of a step are computed from its
-    server-equivalent model, average model and cluster means; these wait in a
-    buffer of METRIC_BLOCK steps and are evaluated one block at a time.
+    A step computes only what the next step reads; its models wait in buffers of
+    METRIC_BLOCK steps, and each block's consensus errors, cluster means, average
+    and server models, gaps, dispersion and accuracy take one pass (`block_metrics`).
     """
     if aggregation not in (SAMPLED, FULL):
         raise ValueError(f"unknown aggregation mode {aggregation!r}")
@@ -293,19 +313,21 @@ def run_protocol(
     gap_s, gap_a, disp, eps = np.empty((4, T))
     gamma_log = np.zeros((T, n_clusters), dtype=int)
     acc_log = np.empty(T) if task.eval_accuracy else None
-    hat_buf, bar_buf = np.empty((2, METRIC_BLOCK, dim))
-    means_buf = np.empty((METRIC_BLOCK, n_clusters, dim))
+    tilde_buf, post_buf = np.empty((2, METRIC_BLOCK, n_dev, dim))
+    sampled_buf = np.empty((METRIC_BLOCK, n_clusters), dtype=int)
 
     def evaluate_block(t):
         # steps t-n+1 .. t, in one call per metric; stacked evaluation gives
         # each model's values bit for bit
         n = (t - 1) % METRIC_BLOCK + 1
         span = slice(t - n, t)
-        gap_s[span] = task.global_loss(hat_buf[:n]) - task.f_star
-        gap_a[span] = task.global_loss(bar_buf[:n]) - task.f_star
-        disp[span] = dispersion_sample(means_buf[:n], varrho)
+        rows = sampled_buf[:n] if aggregation == SAMPLED else None
+        means, bar, hat, eps[span] = block_metrics(tilde_buf[:n], post_buf[:n], groups, varrho, rows)
+        gap_s[span] = task.global_loss(hat) - task.f_star
+        gap_a[span] = task.global_loss(bar) - task.f_star
+        disp[span] = dispersion_sample(means, varrho)
         if acc_log is not None:
-            acc_log[span] = task.accuracy(hat_buf[:n])
+            acc_log[span] = task.accuracy(hat)
 
     def outage_policies():
         if not lossy:
@@ -335,46 +357,32 @@ def run_protocol(
                 grads = losses.grad_full(task.model, W, task.data)
             else:
                 grads = losses.grad_sgd(task.model, W, task.data, task.batch_size, sampler)
-            W_tilde = W - eta_prev * grads
+            row = (t - 1) % METRIC_BLOCK
+            W_tilde = np.subtract(W, eta_prev * grads, out=tilde_buf[row])
             if np.isnan(W_tilde).any():
                 bad = int(np.flatnonzero(np.isnan(W_tilde).any(axis=1))[0])
                 raise RuntimeError(f"NaN model parameters at t={t} (device {bad}); aborting run")
 
-            # D2D consensus: the round rule, error and means run once per size
-            # group on (members, size, d) blocks; only the gossip is per cluster
+            # D2D consensus: the round rule runs once per size group on
+            # (members, size, d) blocks; only the gossip is per cluster
             blocks = [
                 (members, W_tilde[dev_rows].reshape(len(members), size, dim))
                 for members, dev_rows, size in groups
             ]
             gamma_log[t - 1] = gamma_provider(t - t_km1, clusters, blocks, eta_next)
-            W = np.empty_like(W_tilde)
+            W = post_buf[row]
             gammas = gamma_log[t - 1].tolist()
             for spec, sl, gamma, policy, rng in zip(
                 clusters, task.data.cluster_slices, gammas, per_cluster_outage, outage_rngs
             ):
                 W[sl] = run_consensus(W_tilde[sl], spec.V, gamma, outage=policy, rng=rng)
-            row = (t - 1) % METRIC_BLOCK
-            cluster_means = means_buf[row]
-            eps2_by_cluster = np.empty(n_clusters)
-            for (members, block), (_, dev_rows, size) in zip(blocks, groups):
-                errs, _ = consensus_error(W[dev_rows].reshape(len(members), size, dim), block)
-                eps2_by_cluster[members] = np.mean(errs**2, axis=-1)
-                cluster_means[members] = block.mean(axis=1)
-
-            # metric inputs of this timestep; the server-equivalent model is the
-            # sampled combination for TT-HF and the full weighted average for
-            # baselines, which is the average model: a baseline runs no D2D rounds
-            bar_buf[row] = varrho @ cluster_means
-            if aggregation == SAMPLED:
-                hat_buf[row] = global_aggregate(W, varrho, sampled)
-            else:
-                hat_buf[row] = bar_buf[row]
-            eps[t - 1] = np.sqrt(varrho @ eps2_by_cluster)
+            sampled_buf[row] = sampled
             if row == METRIC_BLOCK - 1 or t == T:
                 evaluate_block(t)
 
-        # global aggregation at t_k, after the interval's t_k - t_km1 steps
-        w_hat = hat_buf[(t_k - 1) % METRIC_BLOCK].copy()
+        # global aggregation at t_k; a baseline's server model is its block's average model
+        w_hat = (global_aggregate(W, varrho, sampled) if aggregation == SAMPLED
+                 else block_metrics(tilde_buf[row, None], W[None], groups, varrho)[1][0])
         record = {
             "k": k,
             "t_k": t_k,

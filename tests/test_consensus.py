@@ -82,6 +82,38 @@ class TestDivergence:
         assert consensus.divergence_exact(w) == pytest.approx(brute, rel=1e-12)
 
 
+def all_pairs_divergence(w_tilde):
+    """Every ordered pair's distance, the zero diagonal included, then the max."""
+    if w_tilde.shape[-2] < 2:
+        return np.zeros(w_tilde.shape[:-2])
+    diff = w_tilde[..., :, None, :] - w_tilde[..., None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
+
+
+class TestDivergenceExactOracle:
+    def test_every_size_and_dimension(self):
+        rng = np.random.default_rng(3)
+        for s in range(1, 10):
+            for d in range(1, 41):
+                w = rng.standard_normal((3, s, d))
+                w[2, rng.integers(s), rng.integers(d)] = np.nan
+                np.testing.assert_array_equal(consensus.divergence_exact(w), all_pairs_divergence(w))
+                assert consensus.divergence_exact(w[0]) == all_pairs_divergence(w[0])
+
+    @given(
+        s=st.integers(1, 9), d=st.integers(1, 40), lead=st.lists(st.integers(1, 3), max_size=2),
+        n_nan=st.integers(0, 2), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pairs_above_the_diagonal_give_the_all_pairs_value(self, s, d, lead, n_nan, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-6, 6)
+        w = rng.standard_normal(d) + scale * rng.standard_normal((*lead, s, d))
+        w.flat[rng.integers(0, w.size, n_nan)] = np.nan
+        got = consensus.divergence_exact(w)
+        assert isinstance(got, float) == (not lead)
+        np.testing.assert_array_equal(got, all_pairs_divergence(w))
+
+
 def flooding_extremes(w_tilde: np.ndarray, adjacency: np.ndarray, rounds: int):
     """Per-node (max, min) knowledge of the model norms after the given flooding rounds."""
     n = w_tilde.shape[0]

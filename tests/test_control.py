@@ -665,7 +665,7 @@ class TestRunAdaptive:
         }
         assert digests == {
             "trace.csv": "5f15ce70fe275156b282e7abad7941a7fb5f423fa7dac587a690aaa4b774b10c",
-            "control.csv": "4481411631c77dcc6a3c2fc06f5af6fa91c51a55f62267e9ba1914d24ac61f12",
+            "control.csv": "8727d33f5af67f63db6ef832ae5b4c5f14f65ce95c9aeff98434b98217454137",
         }
 
     def test_probes_read_the_task_data(self, monkeypatch):

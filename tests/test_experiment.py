@@ -1,9 +1,11 @@
 """Config ingestion, experiment pipeline determinism, cost accounting, CLI."""
 
+import contextlib
 import csv
 import hashlib
 import json
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +159,7 @@ class TestRunExperiment:
                 {},
                 {
                     "trace_seed3.csv": "4450878e984abe974a98d30598bddd33746629cfbff1b704b84d3f5d6ccc269b",
-                    "trace_seed3_control.csv": "c3fe03392efd184aa736b8513044227a7965c0c7b4ac38458bd21fafd7fdde07",
+                    "trace_seed3_control.csv": "54187dbae3a6891d3700cc3b44baf91d3316de17d203920be06c4d9b83a76ebd",
                     "summary.json": "ed42e28501c85adc0a1114e867958a6fa8123dc0057c99a578005a0d9bc00393",
                 },
             ),
@@ -165,7 +167,7 @@ class TestRunExperiment:
                 {"aggregation": {"mode": "full"}, "schedule": {"T": 40, "tau": 10}},
                 {
                     "trace_seed3.csv": "4fe305cd2f238e577319f04a4d89297c64093edef3aaee9ff3862a0fc8dfeb23",
-                    "trace_seed3_control.csv": "856cdedc04941c34423deda177cc41dad4eb451648ffb4326d126cab5a21d843",
+                    "trace_seed3_control.csv": "7951a2f5f3f6a08a8281a58ed38f62ebd0cd35347eeaaed1840dd188d449b4ab",
                     "summary.json": "6355ed05bc83209c44960504dde6bbb0074d66bada43df76b64fcdaf074dc904",
                 },
             ),
@@ -225,7 +227,7 @@ class TestRunExperiment:
         assert digests == {
             "summary.json": "d773f4ee38972a6b9d43a085ef5b500a525881315a57c5b45ee02cc2471446c2",
             "trace_seed3.csv": "7bbf4f1ec72b5127fe041ff2bf29b22107e8287fa43831c89aa262b26f51ae12",
-            "trace_seed3_control.csv": "a2633886db2b54874823e200ce686a2dd09043112c4fda057bb0712410ba49b0",
+            "trace_seed3_control.csv": "a63bcaedf493345d32fbbba45c3a13ed9ba0ab7f45366eeb0884b1d118b9dece",
         }
 
     def test_adaptive_minibatch_run_bytes_are_pinned(self, tmp_path):
@@ -252,8 +254,27 @@ class TestRunExperiment:
         assert digests == {
             "summary.json": "64e0c52fb759e7f2558db85ac76a4908f68b99a51b9bba0ed9dca263f57c2817",
             "trace_seed2.csv": "0379f38a863edcc5cc753f32ebf05f7e0031ae1929e228c1b0b533a2d2854085",
-            "trace_seed2_control.csv": "066d6726de9a584d7a907a3f4ca4cda74a906b0d4d00d550317ece0da7de75f0",
+            "trace_seed2_control.csv": "240c5fc1bfc23327621cc82a023e5aa4e6503e0a7cec826abd2cb2134df5d6e5",
         }
+
+
+class RunHung(Exception):
+    """Raised when a run outlives its time limit. Not an OSError: experiment._parse
+    turns those into exit 2, which would pass a hang off as a rejected config."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def hung(signum, frame):
+        raise RunHung(f"no exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def relaxing_config(tmp_path, seeds):
@@ -407,6 +428,39 @@ class TestCli:
         assert "Traceback" not in err
         if case == "missing-column":
             assert "'loss_gap_sampled'" in err
+
+    @pytest.mark.parametrize("field", ["e_d2d", "delta_d2d"])
+    def test_integer_costs_run(self, tmp_path, field):
+        # an int cost once gave the energy or delay column an int dtype, which
+        # cannot take the float upload charge added at each aggregation
+        traces = []
+        for value in (0, 0.0):
+            cfg = minimal_config(tmp_path, seeds=[1], cost={field: value})
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert cli.main(["run", str(cfg_path)]) == 0
+            traces.append((tmp_path / "out" / "trace_seed1.csv").read_bytes())
+        assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize(
+        "override, path",
+        [
+            ({"loss": {"reg": float("nan")}}, "loss"),
+            ({"control": {"gamma_over_mu": float("nan")}, "schedule": {"mode": "adaptive", "T": 12}}, "control"),
+            # the fixed schedule's "auto" step reads gamma_over_mu through select_alpha
+            ({"control": {"gamma_over_mu": float("nan")}, "step": {"kind": "diminishing"}}, "step"),
+        ],
+        ids=["loss-reg", "adaptive-gamma-over-mu", "auto-step-gamma-over-mu"],
+    )
+    def test_nan_exits_2_naming_a_path(self, tmp_path, capsys, override, path):
+        # a NaN passed every `x < bound` check and hung the alpha search
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(tmp_path, seeds=[1], **override)))
+        with time_limit(30):
+            assert cli.main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{path}'" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_field_exits_2(self, tmp_path):
         cfg = minimal_config(tmp_path)

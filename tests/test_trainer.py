@@ -1,5 +1,7 @@
 """Protocol loop semantics: SGD steps, aggregation, broadcast resets, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -279,6 +281,25 @@ class TestBaseline:
         with pytest.raises(ValueError, match="sum to 10 < T=30"):
             trainer.run_baseline(task, steps, 30, [5, 5])
 
+    def test_unequal_cluster_baseline_bytes_are_pinned(self, tmp_path):
+        # full participation on clusters of sizes 3, 2, 3, 5: its server model is
+        # the average model, from cluster means taken one size group at a time.
+        # T=37 ends in a 5-step metric block and tau=5 puts aggregations inside
+        # blocks and on a block's last step; a change to the float operations
+        # of the means, the average model or the accuracy changes these bytes
+        task = unequal_cluster_task(eval_accuracy=True)
+        steps = StepSchedule(kind="diminishing", gamma=2 / task.mu, alpha=30.0)
+        trace = trainer.run_baseline(task, steps, 37, 5, seed=5)
+        trace.to_csv(tmp_path / "trace.csv")
+        digests = [
+            hashlib.sha256(blob).hexdigest()
+            for blob in ((tmp_path / "trace.csv").read_bytes(), trace.accuracy.tobytes())
+        ]
+        assert digests == [
+            "6a2832e41607311d18bd2ac8d8664d245e84a14d770531db5409c0f45ea261a3",
+            "071fe33a86a4c05161b0b9292bcf25cb71741095c8b8e6f73341cecfc39b2a72",
+        ]
+
     def test_baseline_energy_scales_with_device_count(self):
         task = build_small_task()  # 4 clusters x 3 devices
         steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
@@ -425,7 +446,7 @@ def reference_tthf(task, steps, schedule, plan, lossy=False, seed=0):
     return {name: np.array(v) for name, v in cols.items()}, gammas
 
 
-def unequal_cluster_task(sizes=(3, 2, 3, 5), seed=4):
+def unequal_cluster_task(sizes=(3, 2, 3, 5), seed=4, **task_options):
     """Clusters of several sizes; the two size-3 clusters are not adjacent in device order."""
     ds = data.gen_synthetic(4, 4, 60, 2.0, seed)
     model = LossModel(kind=LINEAR_REGRESSION, reg=0.5, dim=4)
@@ -437,7 +458,7 @@ def unequal_cluster_task(sizes=(3, 2, 3, 5), seed=4):
     ]
     bounds_ = np.cumsum((0,) + tuple(sizes))
     parts = [flat[a:b] for a, b in zip(bounds_[:-1], bounds_[1:])]
-    return trainer.make_task(model, clusters, parts)
+    return trainer.make_task(model, clusters, parts, **task_options)
 
 
 CERTIFIED = GammaPlan(mode="certified", phi=0.5, max_rounds=60)
@@ -488,6 +509,51 @@ class TestBatchedEngineOracle:
                 np.testing.assert_array_equal(got[name], column, err_msg=name)
             else:
                 np.testing.assert_allclose(got[name], column, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def per_step_metrics(W_tilde, W, groups, varrho, sampled):
+    """One step's cluster means, average model, server model and eps_rms by the
+    per-step formulas the engine used before it stacked them in blocks."""
+    dim = W.shape[-1]
+    means, eps2 = np.empty((len(varrho), dim)), np.empty(len(varrho))
+    for members, dev_rows, size in groups:
+        block = W_tilde[dev_rows].reshape(len(members), size, dim)
+        errs, _ = consensus_error(W[dev_rows].reshape(len(members), size, dim), block)
+        eps2[members] = np.mean(errs**2, axis=-1)
+        means[members] = block.mean(axis=1)
+    bar = varrho @ means
+    hat = bar if sampled is None else trainer.global_aggregate(W, varrho, sampled)
+    return means, bar, hat, np.sqrt(varrho @ eps2)
+
+
+class TestBlockMetricsOracle:
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6), n=st.integers(1, 16),
+        dim=st.integers(1, 40), sampled_rows=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_reductions_equal_the_per_step_formulas(self, sizes, n, dim, sampled_rows, seed):
+        # the first size comes again last, so its group's rows are not consecutive
+        # unless every size between is the same
+        sizes = sizes + sizes[:1]
+        groups = losses.size_groups(sizes)
+        n_dev = sum(sizes)
+        rng = np.random.default_rng(seed)
+        W_tilde = 10.0 ** rng.integers(-2, 3) * rng.standard_normal(dim) + 10.0 ** rng.integers(
+            -6, 1
+        ) * rng.standard_normal((n, n_dev, dim))
+        W = W_tilde + 10.0 ** rng.integers(-8, 0) * rng.standard_normal(W_tilde.shape)
+        varrho = np.array(sizes, dtype=float) / n_dev
+        starts = np.cumsum([0] + sizes[:-1])
+        sampled = starts + rng.integers(0, sizes, size=(n, len(sizes))) if sampled_rows else None
+        stacked = trainer.block_metrics(W_tilde, W, groups, varrho, sampled)
+        for r in range(n):
+            rows = None if sampled is None else sampled[r]
+            want = per_step_metrics(W_tilde[r], W[r], groups, varrho, rows)
+            one_row = trainer.block_metrics(
+                W_tilde[r, None], W[r, None], groups, varrho, None if rows is None else rows[None]
+            )
+            for name, block, single, value in zip(("means", "bar", "hat", "eps"), stacked, one_row, want):
+                assert block[r].tobytes() == single[0].tobytes() == np.asarray(value).tobytes(), name
 
 
 class TestTraceLength:
