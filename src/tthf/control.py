@@ -51,7 +51,10 @@ def select_alpha(
     alpha_min = bounds.alpha_min_value(gamma, mu, beta, omega)
 
     def admissible(alpha):
-        return bounds.omega_max_value(gamma, alpha, mu, beta, tau) > margin * omega
+        try:
+            return bounds.omega_max_value(gamma, alpha, mu, beta, tau) > margin * omega
+        except OverflowError:  # an omega_max beyond float range certifies nothing
+            return False
 
     if admissible(alpha_min):
         return alpha_min

@@ -6,6 +6,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -92,26 +93,73 @@ _DEFAULTS = {
     "output_dir": None,
 }
 
-# output_dir is needed only to write a run: prepare_experiment requires it
-_REQUIRED = (("schedule", "T"), ("seeds",))
+
+def _is_int(value, least: int) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_ints(value, least: int) -> bool:
+    return isinstance(value, list) and bool(value) and all(_is_int(x, least) for x in value)
+
+
+def _is_number(value) -> bool:
+    # False for NaN, the infinities (Python's json reads both) and ints beyond float range
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
+def _choice(*options):
+    return " or ".join(map(repr, options)), lambda value: value in options
+
+
+# the kind of each leaf, as (what it must be, its test); a leaf not in _KINDS has its default's kind
+_KIND_OF_TYPE = {
+    bool: ("true or false", lambda value: isinstance(value, bool)),
+    int: ("an integer >= 0", lambda value: _is_int(value, 0)),
+    float: ("a finite number", _is_number),
+    str: ("a string", lambda value: isinstance(value, str)),
+}
+_POSITIVE = ("an integer >= 1", lambda value: _is_int(value, 1))
+_AUTO_OR_NUMBER = ("'auto' or a finite number", lambda value: value == "auto" or _is_number(value))
+_PATH = ("a string or null", lambda value: value is None or isinstance(value, str))
+_KINDS = {
+    "dataset.kind": _choice("synthetic", "csv"),
+    "dataset.path": _PATH,
+    "topology.n_clusters": _POSITIVE,
+    "sgd.batch_size": ("'full' or an integer >= 1", lambda value: value == "full" or _is_int(value, 1)),
+    "step.kind": _choice("diminishing", "constant"),
+    "step.gamma": _AUTO_OR_NUMBER,
+    "step.alpha": _AUTO_OR_NUMBER,
+    "schedule.mode": _choice("fixed", "adaptive"),
+    "schedule.T": _POSITIVE,
+    "schedule.tau": (
+        "an integer >= 1 or a non-empty list of them", lambda value: _is_int(value, 1) or _is_ints(value, 1)
+    ),
+    "aggregation.mode": _choice(trainer.SAMPLED, trainer.FULL),
+    "control.xi": _AUTO_OR_NUMBER,
+    "init.kind": _choice("zeros", "offset"),
+    "seeds": ("a non-empty list of integers >= 0", lambda value: _is_ints(value, 0)),
+    "output_dir": _PATH,
+}
 
 
 def _merge(defaults, user, path=""):
+    """The defaults overlaid with the user's fields, each leaf checked against its kind."""
     if not isinstance(user, dict):
         raise ConfigError(path or "<root>", f"expected a mapping, got {type(user).__name__}")
     out = {}
     for key, default in defaults.items():
         sub_path = f"{path}.{key}" if path else key
-        if key in user:
-            # a truthy non-boolean, say the string "no", would silently switch a flag on
-            if isinstance(default, bool) and not isinstance(user[key], bool):
-                raise ConfigError(sub_path, "must be true or false")
-            # JSON true/false load as bool, a subclass of int, and would pass as 1.0 or 0.0
-            if isinstance(user[key], bool) and (isinstance(default, float) or sub_path == "control.xi"):
-                raise ConfigError(sub_path, "must be a number, not true or false")
-            out[key] = _merge(default, user[key], sub_path) if isinstance(default, dict) else user[key]
-        else:
-            out[key] = json.loads(json.dumps(default)) if isinstance(default, dict) else default
+        if isinstance(default, dict):
+            out[key] = _merge(default, user.get(key, {}), sub_path)
+            continue
+        value = user.get(key, default)
+        kind, is_kind = _KINDS.get(sub_path) or _KIND_OF_TYPE[type(default)]
+        if not is_kind(value):
+            # only schedule.T and seeds have a default that is not of their kind
+            raise ConfigError(sub_path, f"must be {kind}" if key in user else "missing required field")
+        out[key] = value
     unknown = set(user) - set(defaults)
     if unknown:
         bad = sorted(unknown)[0]
@@ -160,24 +208,14 @@ def load_config(source, output_dir: Optional[str] = None) -> ExperimentConfig:
     merged = _merge(_DEFAULTS, raw)
     if output_dir is not None:
         merged["output_dir"] = str(output_dir)
-    for keys in _REQUIRED:
-        node = merged
-        for key in keys:
-            node = node.get(key) if isinstance(node, dict) else None
-        if node is None:
-            raise ConfigError(".".join(keys), "missing required field")
-    _validate(merged)
-    sched = merged["schedule"]
-    # before the control block, which reads max_rounds as gamma_max
-    gamma_plan = _parse("schedule.gamma", GammaPlan, **sched["gamma"])
-    adaptive = None
-    if sched["mode"] == "adaptive":
-        ctrl = merged["control"]
-        xi = None if ctrl["xi"] == "auto" else _parse("control.xi", float, ctrl["xi"])
-        adaptive = _parse(
-            "control", control.AdaptiveConfig, **{**ctrl, "xi": xi},
-            T=sched["T"], gamma_max=sched["gamma"]["max_rounds"],
-        )
+    if merged["dataset"]["kind"] == "csv" and not merged["dataset"]["path"]:
+        raise ConfigError("dataset.path", "missing required field")
+    sched, ctrl = merged["schedule"], merged["control"]
+    # built in every mode, because a fixed run's "auto" step reads the control block too
+    adaptive = _parse(
+        "control", control.AdaptiveConfig, **{**ctrl, "xi": None if ctrl["xi"] == "auto" else ctrl["xi"]},
+        T=sched["T"], gamma_max=sched["gamma"]["max_rounds"],
+    )
     step = None
     if merged["step"]["kind"] == "constant":
         step = _parse("step", StepSchedule, kind="constant", eta_const=merged["step"]["eta"])
@@ -187,14 +225,14 @@ def load_config(source, output_dir: Optional[str] = None) -> ExperimentConfig:
         channel=_parse("topology.channel", topology.ChannelParams, **merged["topology"]["channel"]),
         cost=_parse("cost", CostParams, **merged["cost"]),
         partition=_parse("partition.mode", data.PartitionPlan, **merged["partition"]),
-        gamma_plan=gamma_plan,
+        gamma_plan=_parse("schedule.gamma", GammaPlan, **sched["gamma"]),
         schedule=_parse("schedule.tau", make_schedule, sched["T"], sched["tau"]),
-        adaptive=adaptive,
+        adaptive=adaptive if sched["mode"] == "adaptive" else None,
         step=step,
     )
     plan = config.gamma_plan
     runs_rounds = plan.mode == "certified" or (plan.mode == "fixed" and plan.value > 0)
-    if merged["aggregation"]["mode"] == trainer.FULL and (adaptive is not None or runs_rounds):
+    if merged["aggregation"]["mode"] == trainer.FULL and (config.adaptive is not None or runs_rounds):
         # the full-participation baseline runs neither D2D rounds nor the controller
         raise ConfigError(
             "aggregation.mode",
@@ -204,50 +242,11 @@ def load_config(source, output_dir: Optional[str] = None) -> ExperimentConfig:
 
 
 def _parse(path: str, factory, *args, **kwargs):
-    """Build one run object; a ValueError, TypeError or OSError from it names `path`."""
+    """Build one run object; a ValueError, TypeError, OSError or ArithmeticError from it names `path`."""
     try:
         return factory(*args, **kwargs)
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, ArithmeticError) as exc:
         raise ConfigError(path, str(exc)) from None
-
-
-def _is_int(value, least: int) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _validate(cfg):
-    """Checks that no run object's constructor makes: choices and integer types."""
-    if cfg["dataset"]["kind"] not in ("synthetic", "csv"):
-        raise ConfigError("dataset.kind", "must be 'synthetic' or 'csv'")
-    if cfg["dataset"]["kind"] == "csv" and not cfg["dataset"]["path"]:
-        raise ConfigError("dataset.path", "missing required field")
-    if cfg["step"]["kind"] not in ("diminishing", "constant"):
-        raise ConfigError("step.kind", "must be 'diminishing' or 'constant'")
-    init = cfg["init"]
-    if init["kind"] not in ("zeros", "offset"):
-        raise ConfigError("init.kind", "must be 'zeros' or 'offset'")
-    if not isinstance(init["scale"], (int, float)):
-        raise ConfigError("init.scale", "must be a number")
-    if not _is_int(init["seed"], 0):
-        raise ConfigError("init.seed", "must be a non-negative integer")
-    if cfg["schedule"]["mode"] not in ("fixed", "adaptive"):
-        raise ConfigError("schedule.mode", "must be 'fixed' or 'adaptive'")
-    if not _is_int(cfg["schedule"]["T"], 1):
-        raise ConfigError("schedule.T", "must be a positive integer")
-    tau = cfg["schedule"]["tau"]
-    if not (_is_int(tau, 1) or (isinstance(tau, list) and tau and all(_is_int(x, 1) for x in tau))):
-        raise ConfigError("schedule.tau", "must be a positive integer or a non-empty list of them")
-    if cfg["aggregation"]["mode"] not in (trainer.SAMPLED, trainer.FULL):
-        raise ConfigError("aggregation.mode", "must be 'sampled' or 'full'")
-    batch = cfg["sgd"]["batch_size"]
-    if batch != "full" and not _is_int(batch, 1):
-        raise ConfigError("sgd.batch_size", "must be 'full' or a positive integer")
-    seeds = cfg["seeds"]
-    if not isinstance(seeds, list) or not seeds or not all(_is_int(s, 0) for s in seeds):
-        raise ConfigError("seeds", "must be a non-empty list of non-negative integers")
-    if not isinstance(cfg["output_dir"], (str, type(None))):
-        raise ConfigError("output_dir", "must be a string")
 
 
 def build_task(config: ExperimentConfig) -> TrainTask:
@@ -279,12 +278,10 @@ def build_task(config: ExperimentConfig) -> TrainTask:
     for spec in clusters:
         parts.append(flat_parts[pos : pos + spec.size])
         pos += spec.size
-    task = trainer.make_task(
-        model,
-        clusters,
-        parts,
-        batch_size=None if batch == "full" else batch,
-        eval_accuracy=cfg["eval_accuracy"],
+    # the eigensolves of the optimum and curvature constants fail on some datasets, say a huge separation
+    task = _parse(
+        "dataset", trainer.make_task, model, clusters, parts,
+        batch_size=None if batch == "full" else batch, eval_accuracy=cfg["eval_accuracy"],
     )
     init = cfg["init"]
     if init["kind"] == "offset":
@@ -447,7 +444,8 @@ def certificate_constants(config: ExperimentConfig, task: TrainTask) -> bounds.T
         ]
         advice = " and ".join(fixes) + " for an 'auto' alpha" if fixes else "a larger step.alpha"
         raise ConfigError("step.alpha", f"{exc} at alpha={steps.alpha:.4g}: set {advice}") from exc
-    except ValueError as exc:  # an explicit step.gamma at most 1/mu, or step.alpha at most 1
+    # an explicit step.gamma at most 1/mu or step.alpha at most 1, or constants beyond float range
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError("step", str(exc)) from None
 
 

@@ -136,7 +136,10 @@ def consensus_matrix(adjacency: np.ndarray, d_c: float) -> np.ndarray:
 
 
 def mixing_step(adjacency: np.ndarray, d_c: float = DEFAULT_MIXING_STEP) -> float:
-    """The configured d_c, backed off to 0.9/D_c when the default is infeasible."""
+    """The configured d_c, or 0.9/D_c when d_c >= 1/D_c for the largest degree D_c.
+
+    Any such d_c backs off, not only the default: a configured d_c of 2.5 runs with 0.9/D_c.
+    """
     max_degree = int(np.asarray(adjacency).sum(axis=1).max())
     if max_degree > 0 and d_c >= 1.0 / max_degree:
         return 0.9 / max_degree

@@ -22,6 +22,14 @@ settings.register_profile("ci", settings.get_profile("tthf"), max_examples=300)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tthf"))
 
 
+def pytest_addoption(parser):
+    # the suite runs a hypothesis slice of the config fuzz, CI all of its ~2300 draws
+    parser.addoption(
+        "--full-config-fuzz", action="store_true",
+        help="run every schedule, leaf and value of the config fuzz in test_experiment.py",
+    )
+
+
 def one_device(model, part):
     """A network of one device that holds `part`."""
     return losses.DeviceData(model, [[part]])

@@ -1,17 +1,27 @@
 """Config ingestion, experiment pipeline determinism, cost accounting, CLI."""
 
 import contextlib
+import copy
 import csv
 import hashlib
+import io
+import itertools
 import json
+import math
+import os
 import re
 import signal
+import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tthf import cli, experiment, trainer
+from tthf import bounds, cli, control, experiment, trainer
 from tthf.experiment import ConfigError
 
 
@@ -445,12 +455,16 @@ class TestCli:
     @pytest.mark.parametrize(
         "override, path",
         [
-            ({"loss": {"reg": float("nan")}}, "loss"),
-            ({"control": {"gamma_over_mu": float("nan")}, "schedule": {"mode": "adaptive", "T": 12}}, "control"),
-            # the fixed schedule's "auto" step reads gamma_over_mu through select_alpha
-            ({"control": {"gamma_over_mu": float("nan")}, "step": {"kind": "diminishing"}}, "step"),
+            ({"loss": {"reg": float("nan")}}, "loss.reg"),
+            ({"control": {"gamma_over_mu": float("nan")}, "schedule": {"mode": "adaptive", "T": 12}},
+             "control.gamma_over_mu"),
+            # the fixed schedule's "auto" step reads gamma_over_mu, so a fixed run checks it too
+            ({"control": {"gamma_over_mu": float("nan")}, "step": {"kind": "diminishing"}},
+             "control.gamma_over_mu"),
+            # a NaN cost weight once ran without a word
+            ({"cost": {"c1": float("nan")}}, "cost.c1"),
         ],
-        ids=["loss-reg", "adaptive-gamma-over-mu", "auto-step-gamma-over-mu"],
+        ids=["loss-reg", "adaptive-gamma-over-mu", "auto-step-gamma-over-mu", "cost-c1"],
     )
     def test_nan_exits_2_naming_a_path(self, tmp_path, capsys, override, path):
         # a NaN passed every `x < bound` check and hung the alpha search
@@ -486,7 +500,7 @@ class TestCli:
             ("seeds", {"seeds": ["a"]}),
             ("seeds", {"seeds": [1.7]}),
             ("cost", {"cost": {"e_d2d": -1}}),
-            ("cost", {"cost": {"e_d2d": "x"}}),
+            ("cost.e_d2d", {"cost": {"e_d2d": "x"}}),
             ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "fixed", "cadence": 0}}}),
             ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "certified", "phi": 0}}}),
             ("schedule.tau", {"schedule": {"T": 10, "tau": [2, 3]}}),
@@ -506,12 +520,12 @@ class TestCli:
             ("init.kind", {"init": {"kind": "bogus"}}),
             ("dataset.path", {"dataset": {"kind": "csv", "path": "missing.csv"}}),
             ("step", {"step": {"gamma": -1, "alpha": 5}}),
-            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "fixed", "value": 1.5}}}),
-            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "fixed", "value": True}}}),
-            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "fixed", "value": 1,
-                                                                "cadence": 1.5}}}),
-            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "certified",
-                                                                "max_rounds": 2.5}}}),
+            ("schedule.gamma.value", {"schedule": {"T": 10, "gamma": {"mode": "fixed", "value": 1.5}}}),
+            ("schedule.gamma.value", {"schedule": {"T": 10, "gamma": {"mode": "fixed", "value": True}}}),
+            ("schedule.gamma.cadence", {"schedule": {"T": 10, "gamma": {"mode": "fixed", "value": 1,
+                                                                        "cadence": 1.5}}}),
+            ("schedule.gamma.max_rounds", {"schedule": {"T": 10, "gamma": {"mode": "certified",
+                                                                           "max_rounds": 2.5}}}),
             ("topology.channel", {"topology": {"n_clusters": 3, "cluster_size": 3,
                                                "channel": {"rate_bps": -1}}}),
             ("topology", {"topology": {"n_clusters": 3, "cluster_size": 3, "max_attempts": 0}}),
@@ -521,10 +535,10 @@ class TestCli:
             ("aggregation.mode", {"aggregation": {"mode": "full"}}),
             ("aggregation.mode", {"aggregation": {"mode": "full"},
                                   "schedule": {"mode": "adaptive", "T": 10}}),
-            ("schedule.gamma", {"schedule": {"T": 10, "gamma": {"mode": "certified",
-                                                                "max_rounds": -1}}}),
-            ("schedule.gamma", {"schedule": {"mode": "adaptive", "T": 10,
-                                             "gamma": {"max_rounds": -1}}}),
+            ("schedule.gamma.max_rounds", {"schedule": {"T": 10, "gamma": {"mode": "certified",
+                                                                           "max_rounds": -1}}}),
+            ("schedule.gamma.max_rounds", {"schedule": {"mode": "adaptive", "T": 10,
+                                                        "gamma": {"max_rounds": -1}}}),
             ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"xi": 0}}),
             ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"xi": -1}}),
             ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"xi_boost": 0}}),
@@ -546,9 +560,15 @@ class TestCli:
             ("init.scale", {"init": {"kind": "offset", "scale": "x"}}),
             ("init.seed", {"init": {"kind": "offset", "seed": -1}}),
             ("init.seed", {"init": {"kind": "offset", "seed": "x"}}),
-            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"tau_max": 20.5}}),
-            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"tau1": 2.5}}),
-            ("control", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"sigma_batch": 4.5}}),
+            ("control.tau_max", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"tau_max": 20.5}}),
+            ("control.tau1", {"schedule": {"mode": "adaptive", "T": 10}, "control": {"tau1": 2.5}}),
+            ("control.sigma_batch", {"schedule": {"mode": "adaptive", "T": 10},
+                                     "control": {"sigma_batch": 4.5}}),
+            ("dataset.seed", {"dataset": {"seed": True}}),
+            ("partition.seed", {"partition": {"seed": []}}),
+            ("topology.seed", {"topology": {"n_clusters": 3, "cluster_size": 3, "seed": {}}}),
+            ("topology.n_clusters", {"topology": {"n_clusters": True, "cluster_size": 3}}),
+            ("topology.n_clusters", {"topology": {"n_clusters": 0, "cluster_size": 3}}),
         ],
         ids=[
             "zero-tau", "boolean-T", "string-seed", "float-seed", "negative-cost", "string-cost",
@@ -563,7 +583,8 @@ class TestCli:
             "alpha-margin-below-1", "boolean-xi", "boolean-alpha-cap", "boolean-xi-boost",
             "boolean-reg", "boolean-e-d2d", "none-gamma-mode", "removed-pl-surrogate-knob",
             "string-output-dir", "string-init-scale", "negative-init-seed", "string-init-seed",
-            "fractional-tau-max", "fractional-tau1", "fractional-sigma-batch",
+            "fractional-tau-max", "fractional-tau1", "fractional-sigma-batch", "boolean-dataset-seed",
+            "list-partition-seed", "mapping-topology-seed", "boolean-clusters", "zero-clusters",
         ],
     )
     def test_unrunnable_config_exits_2_before_any_output(self, tmp_path, capsys, field, override):
@@ -629,15 +650,16 @@ class TestCli:
             (None, ["--param", "seeds", "--values", "[1],x"], "seeds"),
             (None, ["--param", "seeds", "--values", ""], "seeds"),
             # the first value could run: every variant is loaded before any runs
-            (None, ["--param", "schedule.gamma.value", "--values", "1,1.0,2"], "schedule.gamma"),
+            (None, ["--param", "schedule.gamma.value", "--values", "1,1.0,2"], "schedule.gamma.value"),
             # the batch check needs the partition: every variant's task is built before any runs
             (None, ["--param", "sgd.batch_size", "--values", "2,1000"], "sgd.batch_size"),
             (minimal_config(Path(), output_dir=5), ["--param", "seeds", "--values", "[1]"], "output_dir"),
+            (None, ["--param", "topology.n_clusters", "--values", "3,true"], "topology.n_clusters"),
         ],
         ids=[
             "config-not-a-mapping", "prefix-not-a-mapping", "value-not-json",
             "list-then-not-json", "no-values", "later-value-cannot-run", "later-task-cannot-build",
-            "string-output-dir",
+            "string-output-dir", "later-value-wrong-kind",
         ],
     )
     def test_sweep_config_errors_exit_2(self, tmp_path, capsys, content, sweep, field):
@@ -718,6 +740,101 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert [entry["value"] for entry in payload] == [[1, 2], [3]]
         assert [entry["summary"]["seeds"] for entry in payload] == [[1, 2], [3]]
+
+
+# The config fuzz: one leaf of the defaults set to one bad value, under one
+# schedule, on a 3x3, T=12 config with the default "auto" step.
+FUZZ_SCHEDULES = {
+    "fixed": {"T": 12, "tau": 4, "gamma": {"mode": "fixed", "value": 1, "cadence": 2}},
+    "certified": {"T": 12, "tau": 4, "gamma": {"mode": "certified", "phi": 1.0}},
+    "adaptive": {"mode": "adaptive", "T": 12},
+}
+FUZZ_VALUES = ["x", -1, 0, 2.5, None, [], {}, 1e308, math.nan, math.inf, -math.inf, True]
+
+
+def _leaves(node, prefix=""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+FUZZ_LEAVES = dict(_leaves(experiment._DEFAULTS))  # leaf path -> default
+
+
+def wrong_kind(default, value) -> bool:
+    """A value that no leaf with this default takes: a mapping, NaN, an infinity, a
+    value of another JSON type than a boolean or numeric default, true or false for
+    a non-boolean, or a negative or fractional value for an integer."""
+    if value == {} or (isinstance(value, float) and not math.isfinite(value)):
+        return True
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is not type(default)
+    if isinstance(default, int):
+        return not (isinstance(value, int) and value >= 0)
+    return isinstance(default, float) and not isinstance(value, (int, float))
+
+
+def check_fuzz_draw(tmp: Path, mode: str, leaf: str, value):
+    """Run the draw through `tthf run` in tmp. A value of the wrong kind must exit 2
+    naming its leaf; any other exits 0, exits 2 naming a prefix of its leaf, or
+    exits 1 from a data-dependent infeasibility, and an exit other than 0 writes nothing."""
+    schedule = copy.deepcopy(FUZZ_SCHEDULES[mode])
+    cfg = minimal_config(tmp, seeds=[1], step={}, schedule=schedule, output_dir="out")
+    *parents, key = leaf.split(".")
+    node = cfg
+    for parent in parents:
+        node = node.setdefault(parent, {})
+    node[key] = value
+    (tmp / "cfg.json").write_text(json.dumps(cfg))
+    raised, run = [], experiment.run_experiment
+
+    def run_experiment(*args, **kwargs):
+        try:
+            return run(*args, **kwargs)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    err, cwd = io.StringIO(), os.getcwd()
+    os.chdir(tmp)  # a string output_dir is written relative to the working directory
+    try:
+        with mock.patch.object(experiment, "run_experiment", run_experiment), warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), time_limit(10):
+            warnings.simplefilter("ignore")
+            rc = cli.main(["run", "cfg.json"])
+    finally:
+        os.chdir(cwd)
+    draw = f"{mode} schedule, {leaf}={value!r}: exit {rc}, {err.getvalue()!r}"
+    named = re.search(r"config field '([^']*)'", err.getvalue())
+    if wrong_kind(FUZZ_LEAVES[leaf], value):
+        assert rc == 2 and named and named.group(1) == leaf, draw
+    elif rc == 2:
+        assert named and f"{leaf}.".startswith(f"{named.group(1)}."), draw
+    elif rc == 1:
+        assert raised and isinstance(raised[0], (control.InfeasibleError, bounds.DiversityError)), draw
+    else:
+        assert rc == 0, draw
+    assert rc == 0 or sorted(p.name for p in tmp.iterdir()) == ["cfg.json"], draw
+
+
+class TestConfigFuzz:
+    @given(
+        mode=st.sampled_from(sorted(FUZZ_SCHEDULES)),
+        leaf=st.sampled_from(list(FUZZ_LEAVES)),
+        value=st.sampled_from(FUZZ_VALUES),
+    )
+    def test_a_bad_leaf_exits_2_naming_it_or_runs(self, mode, leaf, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            check_fuzz_draw(Path(tmp), mode, leaf, value)
+
+    def test_full_product(self, request):
+        if not request.config.getoption("--full-config-fuzz"):
+            pytest.skip("the full product runs with --full-config-fuzz")
+        for mode, leaf, value in itertools.product(sorted(FUZZ_SCHEDULES), FUZZ_LEAVES, FUZZ_VALUES):
+            with tempfile.TemporaryDirectory() as tmp:
+                check_fuzz_draw(Path(tmp), mode, leaf, value)
 
 
 class TestTopologyRefresh:
