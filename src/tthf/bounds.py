@@ -149,6 +149,10 @@ class DiversityError(ValueError):
     """The gradient diversity omega is not below omega_max, so Theorem 2 gives no rate."""
 
 
+class RateOverflowError(DiversityError):
+    """omega is below omega_max, but the rate constant nu overflows float range."""
+
+
 @dataclass(frozen=True)
 class Thm2Constants:
     alpha_min: float
@@ -203,12 +207,16 @@ def omega_max_value(gamma: float, alpha: float, mu: float, beta: float, tau: int
 def nu_terms(
     gamma: float, alpha: float, mu: float, beta: float, z1: float, z2: float, omega: float
 ) -> tuple[float, float]:
-    """The noise and diversity terms of nu; the second is inf unless omega < omega_max."""
+    """The noise and diversity terms of nu; the second is inf when omega >= omega_max or it overflows."""
     first = beta**2 * gamma**2 * z2 / (mu * gamma - 1.0)
-    # (alpha*Z2/Z1)/(omega_max^2 - omega^2) in a form that is finite at Z1 = 0
-    denom = alpha * (mu * gamma - 1.0 + 1.0 / (1.0 + alpha)) - omega**2 * beta**2 * gamma**2 * z1
+    denom = _diversity_denominator(gamma, alpha, mu, beta, z1, omega)
     second = math.inf if denom <= 0 else alpha * z2 * beta**2 * gamma**2 / denom
     return first, second
+
+
+def _diversity_denominator(gamma: float, alpha: float, mu: float, beta: float, z1: float, omega: float) -> float:
+    """Z1*beta^2*gamma^2*(omega_max^2 - omega^2), which is finite at Z1 = 0 and > 0 iff omega < omega_max."""
+    return alpha * (mu * gamma - 1.0 + 1.0 / (1.0 + alpha)) - omega**2 * beta**2 * gamma**2 * z1
 
 
 def thm2_constants(
@@ -237,7 +245,9 @@ def thm2_constants(
     omega_max = omega_max_value(gamma, alpha, mu, beta, tau)
     first, second = nu_terms(gamma, alpha, mu, beta, z1, z2, omega)
     if second == math.inf:
-        raise DiversityError(f"omega={omega:.4g} is not below omega_max={omega_max:.4g}")
+        if _diversity_denominator(gamma, alpha, mu, beta, z1, omega) <= 0:
+            raise DiversityError(f"omega={omega:.4g} is not below omega_max={omega_max:.4g}")
+        raise RateOverflowError(f"the rate constant nu overflows float range (Z2={z2:.4g}, Z1={z1:.4g})")
     nu = max(first, second, alpha * init_gap)
     return Thm2Constants(
         alpha_min=alpha_min_value(gamma, mu, beta, omega),

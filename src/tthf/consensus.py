@@ -66,6 +66,12 @@ def run_consensus(
     multiplies by V; otherwise each lost link's weight folds back onto both
     endpoint diagonals, in edge order, which keeps the round's matrix symmetric
     and doubly stochastic.
+
+    Every product is `np.dot`: one BLAS call without the generalized-ufunc
+    dispatch of `@`, with the bits of `@` (TestGossipProductOracle in
+    tests/test_consensus.py holds this). The call stays one per cluster:
+    acceptance criteria 1-3 call it on one cluster, and perfbench counts one
+    call per cluster and step.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -74,7 +80,7 @@ def run_consensus(
     V = np.ascontiguousarray(V, dtype=float)
     n = V.shape[0]
     if outage is None or not outage.enabled:
-        return _cached_power(V.tobytes(), n, gamma) @ w_tilde
+        return np.dot(_cached_power(V.tobytes(), n, gamma), w_tilde)
     if rng is None:
         raise ValueError("outage-enabled consensus needs an rng")
     link = np.ascontiguousarray(outage.link_outage, dtype=float)
@@ -82,7 +88,7 @@ def run_consensus(
     z = w_tilde
     for lost in (rng.random((gamma, len(edges))) < probs).tolist():
         if True not in lost:
-            z = V @ z
+            z = np.dot(V, z)
             continue
         V_round = V.copy()
         for (i, j), lost_link in zip(edges, lost):
@@ -92,7 +98,7 @@ def run_consensus(
                 V_round[j, i] = 0.0
                 V_round[i, i] += w
                 V_round[j, j] += w
-        z = V_round @ z
+        z = np.dot(V_round, z)
     return z
 
 

@@ -434,6 +434,9 @@ def certificate_constants(config: ExperimentConfig, task: TrainTask) -> bounds.T
         return bounds.thm2_constants(
             steps.gamma, steps.alpha, task.mu, task.beta, tau, 0.0, config.gamma_plan.phi, delta, init_gap, omega
         )
+    # constants beyond float range
+    except (bounds.RateOverflowError, ArithmeticError) as exc:
+        raise ConfigError("step", str(exc)) from None
     except bounds.DiversityError as exc:
         # an 'auto' alpha is chosen for control.zeta_frac as omega and
         # control.tau_max as the longest interval, not for this run's
@@ -444,8 +447,8 @@ def certificate_constants(config: ExperimentConfig, task: TrainTask) -> bounds.T
         ]
         advice = " and ".join(fixes) + " for an 'auto' alpha" if fixes else "a larger step.alpha"
         raise ConfigError("step.alpha", f"{exc} at alpha={steps.alpha:.4g}: set {advice}") from exc
-    # an explicit step.gamma at most 1/mu or step.alpha at most 1, or constants beyond float range
-    except (ValueError, ArithmeticError) as exc:
+    # an explicit step.gamma at most 1/mu or step.alpha at most 1
+    except ValueError as exc:
         raise ConfigError("step", str(exc)) from None
 
 

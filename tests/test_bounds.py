@@ -190,6 +190,18 @@ class TestThm2Constants:
         with pytest.raises(ValueError, match="inapplicable"):
             bounds.thm2_constants(0.9, 10.0, 1.0, 2.0, 5, 0.1, 0.1, 0.1, 1.0, 0.1)
 
+    def test_omega_not_below_omega_max_names_omega(self):
+        with pytest.raises(bounds.DiversityError, match=r"omega=0.1 is not below omega_max=0.000201") as info:
+            bounds.thm2_constants(2.0, 10.0, 1.0, 2.0, 5, 0.1, 0.1, 0.1, 1.0, 0.1)
+        assert not isinstance(info.value, bounds.RateOverflowError)
+
+    @pytest.mark.parametrize("sigma2, phi", [(0.1, 1e154), (1e308, 0.1)])
+    def test_overflowing_rate_constant_is_named_not_omega(self, sigma2, phi):
+        # omega = 0 is below any omega_max, but Z2 overflows
+        with pytest.raises(bounds.RateOverflowError, match="rate constant nu overflows") as info:
+            bounds.thm2_constants(2.0, 10.0, 1.0, 2.0, 5, sigma2, phi, 0.1, 1.0, 0.0)
+        assert isinstance(info.value, bounds.DiversityError) and "omega" not in str(info.value)
+
     def test_omega_max_increasing_in_alpha(self):
         for mu, beta, tau in ((1.0, 2.0, 5), (0.5, 2.5, 20)):
             gamma = 2.0 / mu

@@ -315,17 +315,55 @@ class TestBatchedProperties:
         np.testing.assert_array_equal(out, oracle)
 
 
+def laid_out(rng, s, d, layout):
+    """An (s, d) model block in C order, Fortran order, or as every other column of a wider block."""
+    if layout == "strided":
+        return rng.standard_normal((s, 2 * d))[:, ::2]
+    return np.asarray(rng.standard_normal((s, d)), order=layout)
+
+
+class TestGossipProductOracle:
+    """run_consensus's np.dot products against the `@` forms, bit for bit, on every layout of w."""
+
+    @given(
+        s=st.integers(1, 9), d=st.integers(1, 8), gamma=st.integers(0, 40),
+        layout=st.sampled_from(["C", "F", "strided"]), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lossless_call_equals_the_cached_power_matmul(self, s, d, gamma, layout, seed):
+        rng = np.random.default_rng(seed)
+        V = random_mixing_matrix(rng, s)[0] if s > 1 else np.eye(1)
+        w = laid_out(rng, s, d, layout)
+        out = consensus.run_consensus(w, V, gamma)
+        np.testing.assert_array_equal(out, consensus._cached_power(V.tobytes(), s, gamma) @ w)
+
+    @given(
+        s=st.integers(1, 9), d=st.integers(1, 8), gamma=st.integers(0, 40), p=st.floats(0.0, 1.0),
+        layout=st.sampled_from(["C", "F", "strided"]), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lossy_call_equals_the_per_round_matmul(self, s, d, gamma, p, layout, seed):
+        rng = np.random.default_rng(seed)
+        V, adj, _ = random_mixing_matrix(rng, s) if s > 1 else (np.eye(1), np.zeros((1, 1), bool), 0.0)
+        u = rng.uniform(0.0, p, (s, s))
+        policy = OutagePolicy(enabled=True, link_outage=np.where(adj, np.maximum(u, u.T), 0.0))
+        w = laid_out(rng, s, d, layout)
+        gen, oracle_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = consensus.run_consensus(w, V, gamma, outage=policy, rng=gen)
+        np.testing.assert_array_equal(out, iterated_consensus(w, V, gamma, outage=policy, rng=oracle_gen))
+        assert gen.bit_generator.state == oracle_gen.bit_generator.state
+
+
 class TestLossyCachedPath:
     """The cached-edge-table lossy path against the per-round oracle, call by call."""
 
     @given(
         sizes=st.tuples(st.integers(2, 7), st.integers(2, 7)),
+        d=st.integers(1, 6),
         calls=st.integers(2, 5),
         gamma=st.integers(1, 8),
         p=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_interleaved_clusters_hit_the_cache_and_match_the_oracle(self, sizes, calls, gamma, p, seed):
+    def test_interleaved_clusters_hit_the_cache_and_match_the_oracle(self, sizes, d, calls, gamma, p, seed):
         rng = np.random.default_rng(seed)
         clusters, models = [], []
         for n in sizes:
@@ -333,7 +371,7 @@ class TestLossyCachedPath:
             u = rng.uniform(0.0, p, (n, n))
             link = np.where(adj, np.maximum(u, u.T), 0.0)
             clusters.append((V, OutagePolicy(enabled=True, link_outage=link)))
-            models.append(rng.standard_normal((n, 3)))
+            models.append(rng.standard_normal((n, d)))
         gen, oracle_gen = np.random.default_rng(seed), np.random.default_rng(seed)
         for call in range(calls):
             for c, (V, policy) in enumerate(clusters):

@@ -819,6 +819,18 @@ def check_fuzz_draw(tmp: Path, mode: str, leaf: str, value):
     assert rc == 0 or sorted(p.name for p in tmp.iterdir()) == ["cfg.json"], draw
 
 
+@pytest.mark.parametrize("key", ["xi", "xi_boost"])
+def test_adaptive_overflowing_rate_constant_exits_1_naming_it(tmp_path, capsys, key):
+    # the fuzz's adaptive run: omega is below omega_max, but Z2 overflows at this loss target
+    cfg = minimal_config(tmp_path, seeds=[1], step={}, schedule=dict(FUZZ_SCHEDULES["adaptive"]))
+    cfg["control"] = {key: 1e308}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main(["run", str(tmp_path / "cfg.json")]) == 1
+    err = capsys.readouterr().err
+    assert "error: the rate constant nu overflows float range" in err and "omega" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestConfigFuzz:
     @given(
         mode=st.sampled_from(sorted(FUZZ_SCHEDULES)),
@@ -1003,6 +1015,18 @@ class TestCliBoundsReport:
         assert cli.main(["run", "cfg.json"]) == 2
         assert "config field 'output_dir'" in capsys.readouterr().err
         assert not built
+
+    def test_overflowing_rate_constant_names_step_not_omega(self, tmp_path, capsys):
+        # Z2 overflows at this phi; the data's omega is below omega_max
+        cfg = TestSummaryBoundCheck().certified_config(tmp_path)
+        cfg["schedule"]["gamma"]["phi"] = 1e154
+        cfg_path = tmp_path / "overflow.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "report.json"
+        assert cli.main(["bounds-report", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'step'" in err and "rate constant nu overflows" in err and "omega" not in err
+        assert not out.exists()
 
     def test_step_outside_the_theorem_names_step(self, tmp_path):
         cfg = TestSummaryBoundCheck().certified_config(tmp_path)
