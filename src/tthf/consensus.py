@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -14,17 +15,33 @@ class OutagePolicy:
     """Per-round Rayleigh packet loss on each undirected link.
 
     link_outage[i, j] is the Bernoulli loss probability of edge (i, j); losses are
-    symmetric per round (channel reciprocity).
+    symmetric per round (channel reciprocity). An enabled policy needs a square
+    link_outage of probabilities in [0, 1].
     """
 
     enabled: bool
     link_outage: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if not self.enabled:
+            return
+        if self.link_outage is None:
+            raise ValueError("an enabled outage policy needs a link_outage matrix")
+        link = np.asarray(self.link_outage, dtype=float)
+        if link.ndim != 2 or link.shape[0] != link.shape[1]:
+            raise ValueError(f"link_outage must be a square matrix, not of shape {link.shape}")
+        if not ((link >= 0.0) & (link <= 1.0)).all():
+            raise ValueError("link_outage must hold probabilities in [0, 1] (NaN is not one)")
 
 
 # one entry per (cluster matrix, round count) or (cluster matrix, outage matrix)
 # in use; a topology refresh brings new bytes, so stale entries age out instead
 # of being invalidated
 _CACHE_SIZE = 1024
+# uniforms an OutageStream fetches per block, in whole rounds of its link count;
+# on the 25x5 benchmark network a lossy seed builds each cluster's blocks about
+# three times, and the 25 streams hold about 150 kB
+OUTAGE_BLOCK = 1024
 _pairs = functools.lru_cache(maxsize=None)(functools.partial(np.triu_indices, k=1))
 
 
@@ -37,18 +54,161 @@ def _cached_power(V_bytes: bytes, n: int, gamma: int) -> np.ndarray:
     return power
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cached_edges(V_bytes: bytes, outage_bytes: bytes, n: int) -> tuple:
-    """Edge table of the n x n matrix with these bytes: the (i < j) endpoint pairs
-    of its nonzero entries in row-major order, and each edge's outage probability.
+class _EdgeTable(NamedTuple):
+    """A cluster's m links: the nonzero (i < j) entries of V, in row-major order.
 
-    The pairs are a tuple and the probabilities a read-only array, as callers share them.
+    V reads the key's bytes, so a table cannot disagree with the matrix it was
+    built from; the arrays are read-only, as callers share them.
     """
+
+    V: np.ndarray  # (n, n)
+    probs: np.ndarray  # (m,) each link's loss probability
+    # each entry of V: its link (link 0 off the links) and its value if that
+    # link is lost (0.0 on a link, V's own value off the links)
+    entry_link: np.ndarray  # (n * n,)
+    entry_lost: np.ndarray  # (n * n,)
+    # each node's r-th link in edge order and that link's weight V[i, j];
+    # past the node's degree, link 0 and weight -0.0
+    incident: np.ndarray  # (n, max degree)
+    incident_w: np.ndarray  # (n, max degree)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _cached_edges(V_bytes: bytes, outage_bytes: bytes, n: int) -> _EdgeTable:
+    """Edge table of the n x n matrix with these bytes and its outage matrix."""
     V = np.frombuffer(V_bytes, dtype=float).reshape(n, n)
     rows, cols = np.nonzero(np.triu(V, 1))
-    probs = np.frombuffer(outage_bytes, dtype=float).reshape(n, n)[rows, cols]
-    probs.flags.writeable = False
-    return tuple(zip(rows.tolist(), cols.tolist())), probs
+    entry_link = np.zeros((n, n), dtype=np.intp)
+    entry_link[rows, cols] = entry_link[cols, rows] = np.arange(len(rows))
+    entry_lost = V.copy()
+    entry_lost[rows, cols] = entry_lost[cols, rows] = 0.0
+    links: list = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+        links[i].append(e)
+        links[j].append(e)
+    weights = V[rows, cols]
+    incident = np.zeros((n, max(map(len, links))), dtype=np.intp)
+    incident_w = np.full(incident.shape, -0.0)
+    for node, edges in enumerate(links):
+        incident[node, : len(edges)] = edges
+        incident_w[node, : len(edges)] = weights[edges]
+    arrays = (np.frombuffer(outage_bytes, dtype=float).reshape(n, n)[rows, cols],
+              entry_link.reshape(-1), entry_lost.reshape(-1), incident, incident_w)
+    for a in arrays:
+        a.flags.writeable = False
+    return _EdgeTable(V, *arrays)
+
+
+def _folded(table: _EdgeTable, lost: np.ndarray) -> np.ndarray:
+    """The (k, n, n) round matrices of k rounds, each row of lost (k, m) one round.
+
+    A lost link's entries go to zero and its weight V[i, j] folds onto both
+    endpoint diagonals. Each node adds its links' weights in edge order, -0.0
+    for a link kept (x + -0.0 is x for every x), so the matrices have the bits
+    of one loop over the edges and stay symmetric and doubly stochastic.
+    """
+    n = len(table.V)
+    flat = np.where(lost[:, table.entry_link], table.entry_lost, table.V.reshape(-1))
+    folds = np.where(lost[:, table.incident], table.incident_w, -0.0)
+    diag = table.V.diagonal() + folds[:, :, 0]
+    for r in range(1, folds.shape[2]):
+        diag += folds[:, :, r]
+    flat[:, :: n + 1] = diag
+    return flat.reshape(-1, n, n)
+
+
+class OutageStream:
+    """One cluster's link losses, drawn from its generator a block at a time.
+
+    The losses of every round are one uniform per link, in edge order, round
+    after round, from one flat sequence: `rng.random(a)` then `rng.random(b)`
+    hand out the doubles of `rng.random(a + b)`, so how the stream cuts the
+    sequence into blocks changes no loss. A block fetches about `block`
+    uniforms (0: just the rounds asked for) and reads them as rows of the
+    current link count; one comparison gives every row's lost links, one
+    `_folded` pass the matrix of every row that lost one, and the block keeps
+    only those. A new V or link matrix (a topology refresh) re-reads the
+    uniforms not yet used at the new link count: the stream draws the block
+    again from the generator state it saved, which leaves the generator where
+    it was.
+
+    The stream runs ahead of the rounds it hands out, so it must be its
+    generator's only user.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int = OUTAGE_BLOCK):
+        self.rng = rng
+        self.block = block
+        self._key = self._table = None
+        self._m = 0  # links of the current table
+        # the block's uniforms: `prefix`, then the `drawn` doubles that rng hands
+        # out from `state`; its rows start at uniform `start`
+        self._state, self._prefix, self._drawn, self._start = None, np.empty(0), 0, 0
+        self._rows = self._used = 0  # the block's whole rows, and those handed out
+        self._hit: list = []  # the rows that lost a link, ascending
+        self._folded = None  # their round matrices
+        self._next = 0  # the first of _hit not handed out
+        self._clean = 0  # rows before this one lost no link
+        self._tail = np.empty(0)  # uniforms past the last whole row
+
+    def rounds(self, V: np.ndarray, link: np.ndarray, gamma: int) -> list:
+        """The next gamma round matrices for this float, C-ordered V and link."""
+        key = (V.tobytes(), link.tobytes())
+        if key != self._key:
+            self._rebind(key, len(V))
+        end = self._used + gamma
+        if end <= self._clean:
+            self._used = end
+            return [self._table.V] * gamma
+        out = [self._table.V] * gamma
+        done = 0
+        while done < gamma:
+            if self._used == self._rows:
+                self._fetch(gamma - done)
+            end = min(self._used + gamma - done, self._rows)
+            hit, k = self._hit, self._next
+            while k < len(hit) and hit[k] < end:
+                out[done + hit[k] - self._used] = self._folded[k]
+                k += 1
+            self._next = k
+            done += end - self._used
+            self._used = end
+        self._clean = self._hit[self._next] if self._next < len(self._hit) else self._rows
+        return out
+
+    def _fetch(self, rows: int):
+        m = self._m
+        self._state, self._prefix = self.rng.bit_generator.state, self._tail
+        self._drawn = max(rows, self.block // m) * m - len(self._prefix)
+        self._start = 0
+        self._read(np.concatenate((self._prefix, self.rng.random(self._drawn))))
+
+    def _unread(self) -> np.ndarray:
+        """The uniforms drawn and not yet handed out, drawn again from the saved state."""
+        u = self._prefix
+        if self._state is not None:
+            self.rng.bit_generator.state = self._state
+            u = np.concatenate((u, self.rng.random(self._drawn)))
+        return u[self._start + self._used * self._m:]
+
+    def _rebind(self, key: tuple, n: int):
+        u = self._unread()
+        self._start += self._used * self._m
+        self._key, self._table = key, _cached_edges(*key, n)
+        self._m = len(self._table.probs)
+        self._read(u)
+
+    def _read(self, u: np.ndarray):
+        m = self._m
+        rows = len(u) // m if m else 0
+        lost = u[: rows * m].reshape(rows, m) < self._table.probs
+        hit = np.flatnonzero(lost.any(axis=1))
+        self._rows, self._used, self._next = rows, 0, 0
+        self._hit = hit.tolist()
+        self._folded = _folded(self._table, lost[hit]) if len(hit) else None
+        self._tail = u[rows * m:].copy()
+        # a table without links draws nothing: every round is V
+        self._clean = self._hit[0] if self._hit else rows if m else sys.maxsize
 
 
 def run_consensus(
@@ -56,49 +216,48 @@ def run_consensus(
     V: np.ndarray,
     gamma: int,
     outage: Optional[OutagePolicy] = None,
-    rng: Optional[np.random.Generator] = None,
+    rng: Union[np.random.Generator, OutageStream, None] = None,
 ) -> np.ndarray:
     """Apply `gamma` rounds of gossip mixing to the rows of w_tilde.
 
-    Lossless rounds are one multiply by the cached V^gamma. Lossy rounds draw
-    every round's link losses from rng in one block, one uniform per edge in
-    (i < j) row-major order, round after round. A round that lost no link
-    multiplies by V; otherwise each lost link's weight folds back onto both
-    endpoint diagonals, in edge order, which keeps the round's matrix symmetric
-    and doubly stochastic.
+    Lossless rounds are one multiply by the cached V^gamma. Lossy rounds take
+    their link losses from rng: one uniform per edge in (i < j) row-major order,
+    round after round. A round that lost no link multiplies by V; otherwise each
+    lost link's weight folds back onto both endpoint diagonals, in edge order,
+    which keeps the round's matrix symmetric and doubly stochastic.
+
+    rng is the cluster's OutageStream when the engine calls: run_protocol owns
+    one per cluster of a lossy run, and it prefetches uniforms and builds the
+    round matrices a block at a time. The uniforms form one flat sequence, so
+    the blocks change no loss, and at a topology refresh (a new V or link
+    matrix) the stream re-reads the uniforms not yet used at the new edge
+    count. A bare Generator is read through a stream that fetches exactly this
+    call's gamma * n_edges uniforms, so it ends where one
+    `rng.random((gamma, n_edges))` would leave it.
 
     Every product is `np.dot`: one BLAS call without the generalized-ufunc
     dispatch of `@`, with the bits of `@` (TestGossipProductOracle in
     tests/test_consensus.py holds this). The call stays one per cluster:
     acceptance criteria 1-3 call it on one cluster, and perfbench counts one
-    call per cluster and step.
+    call per cluster and step. Stacking the clusters' gossip, and their
+    streams, waits on that count (ROADMAP item 1b).
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if gamma == 0:
         return w_tilde.copy()
     V = np.ascontiguousarray(V, dtype=float)
-    n = V.shape[0]
     if outage is None or not outage.enabled:
-        return np.dot(_cached_power(V.tobytes(), n, gamma), w_tilde)
+        return np.dot(_cached_power(V.tobytes(), V.shape[0], gamma), w_tilde)
     if rng is None:
         raise ValueError("outage-enabled consensus needs an rng")
     link = np.ascontiguousarray(outage.link_outage, dtype=float)
-    edges, probs = _cached_edges(V.tobytes(), link.tobytes(), n)
+    if link.shape != V.shape:
+        raise ValueError(f"link_outage of shape {link.shape} does not match V's {V.shape}")
+    stream = rng if isinstance(rng, OutageStream) else OutageStream(rng, block=0)
     z = w_tilde
-    for lost in (rng.random((gamma, len(edges))) < probs).tolist():
-        if True not in lost:
-            z = np.dot(V, z)
-            continue
-        V_round = V.copy()
-        for (i, j), lost_link in zip(edges, lost):
-            if lost_link:
-                w = V_round[i, j]
-                V_round[i, j] = 0.0
-                V_round[j, i] = 0.0
-                V_round[i, i] += w
-                V_round[j, j] += w
-        z = np.dot(V_round, z)
+    for matrix in stream.rounds(V, link, gamma):
+        z = np.dot(matrix, z)
     return z
 
 

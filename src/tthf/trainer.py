@@ -16,7 +16,7 @@ import numpy as np
 
 from . import losses
 from .bounds import dispersion_sample
-from .consensus import OutagePolicy, consensus_error, run_consensus
+from .consensus import OutagePolicy, OutageStream, consensus_error, run_consensus
 from .costs import CostParams
 from .losses import DeviceData, DevicePartition, LossModel
 from .schedules import GammaPlan, StepSchedule, TrainingSchedule
@@ -298,8 +298,11 @@ def run_protocol(
     upload_scale = 1.0 if aggregation == SAMPLED else n_dev / n_clusters
 
     rng_sampling = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SAMPLING]))
-    outage_rngs = [
-        np.random.default_rng(np.random.SeedSequence([seed, _STREAM_OUTAGE, c]))
+    # each cluster's link losses, prefetched in blocks that run ahead of the steps
+    # and go with the run; a lossless run draws none
+    outage_streams = [
+        OutageStream(np.random.default_rng(np.random.SeedSequence([seed, _STREAM_OUTAGE, c])))
+        if lossy else None
         for c in range(n_clusters)
     ]
     sampler = None
@@ -372,10 +375,10 @@ def run_protocol(
             gamma_log[t - 1] = gamma_provider(t - t_km1, clusters, blocks, eta_next)
             W = post_buf[row]
             gammas = gamma_log[t - 1].tolist()
-            for spec, sl, gamma, policy, rng in zip(
-                clusters, task.data.cluster_slices, gammas, per_cluster_outage, outage_rngs
+            for spec, sl, gamma, policy, stream in zip(
+                clusters, task.data.cluster_slices, gammas, per_cluster_outage, outage_streams
             ):
-                W[sl] = run_consensus(W_tilde[sl], spec.V, gamma, outage=policy, rng=rng)
+                W[sl] = run_consensus(W_tilde[sl], spec.V, gamma, outage=policy, rng=stream)
             sampled_buf[row] = sampled
             if row == METRIC_BLOCK - 1 or t == T:
                 evaluate_block(t)

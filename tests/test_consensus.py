@@ -419,10 +419,118 @@ class TestLossyCachedPath:
         rng = np.random.default_rng(21)
         V, adj, _ = random_mixing_matrix(rng, 6)
         link = np.where(adj, rng.uniform(0.0, 0.5, (6, 6)), 0.0)
-        edges, probs = consensus._cached_edges(V.tobytes(), link.tobytes(), 6)
-        assert edges == tuple((i, j) for i in range(6) for j in range(i + 1, 6) if V[i, j] != 0.0)
-        np.testing.assert_array_equal(probs, [link[i, j] for i, j in edges])
-        assert not probs.flags.writeable
+        table = consensus._cached_edges(V.tobytes(), link.tobytes(), 6)
+        edges = [(i, j) for i in range(6) for j in range(i + 1, 6) if V[i, j] != 0.0]
+        np.testing.assert_array_equal(table.V, V)
+        np.testing.assert_array_equal(table.probs, [link[i, j] for i, j in edges])
+        # an entry's value once its link is lost: 0.0 on a link, V's own off the links
+        lost = V.copy()
+        for i, j in edges:
+            lost[i, j] = lost[j, i] = 0.0
+        np.testing.assert_array_equal(table.entry_lost.reshape(6, 6), lost)
+        for a in table:
+            assert not a.flags.writeable
         with pytest.raises(ValueError):
-            probs[0] = 1.0
-        assert consensus._cached_edges(V.tobytes(), link.tobytes(), 6)[1] is probs
+            table.probs[0] = 1.0
+        assert consensus._cached_edges(V.tobytes(), link.tobytes(), 6) is table
+
+
+def mixing_table(rng, n, kind):
+    """(V, link_outage) of n nodes: a uniform-step or Metropolis V on a random
+    connected graph, or no links at all; link losses up to a random bound."""
+    if n == 1 or kind == "none":
+        return np.eye(n), rng.uniform(0.0, 1.0, (n, n))
+    adj = random_connected_adjacency(rng, n)
+    if kind == "uniform":
+        V = topology.consensus_matrix(adj, rng.uniform(0.2, 0.95) / adj.sum(axis=1).max())
+    else:
+        deg = adj.sum(axis=1)
+        V = np.where(adj, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
+        V[np.diag_indices(n)] = 1.0 - V.sum(axis=1)
+    u = rng.uniform(0.0, rng.uniform(0.0, 1.0), (n, n))
+    return V, np.where(adj, np.maximum(u, u.T), 0.0)
+
+
+def next_uniform(stream):
+    """The uniform a stream would read next: its first unread one, or its generator's next."""
+    unread = stream._unread()
+    return unread[0] if len(unread) else stream.rng.random()
+
+
+class TestOutageStreamOracle:
+    """Stream-fed calls against per-call Generator calls and the per-round oracle."""
+
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        calls=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 12), st.integers(1, 6), st.booleans()),
+            min_size=1, max_size=30,
+        ),
+        kinds=st.lists(st.sampled_from(["uniform", "metropolis", "none"]), min_size=6, max_size=6),
+        block=st.sampled_from([0, 1, 5, 16, 40, consensus.OUTAGE_BLOCK]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stream_calls_equal_per_call_generator_calls(self, sizes, calls, kinds, block, seed):
+        # each cluster has two edge tables of its size, and a call may switch
+        # to the other one first, as a topology refresh does between intervals
+        rng = np.random.default_rng(seed)
+        tables = [
+            [mixing_table(rng, n, kinds[2 * c]), mixing_table(rng, n, kinds[2 * c + 1])]
+            for c, n in enumerate(sizes)
+        ]
+        current = [0] * len(sizes)
+        streams = [consensus.OutageStream(np.random.default_rng([seed, c]), block) for c in range(len(sizes))]
+        per_call = [np.random.default_rng([seed, c]) for c in range(len(sizes))]
+        oracle = [np.random.default_rng([seed, c]) for c in range(len(sizes))]
+        for c, gamma, d, switch in calls:
+            c %= len(sizes)
+            current[c] ^= switch
+            V, link = tables[c][current[c]]
+            policy = OutagePolicy(enabled=True, link_outage=link)
+            w = rng.standard_normal((sizes[c], d))
+            out = consensus.run_consensus(w, V, gamma, outage=policy, rng=streams[c])
+            np.testing.assert_array_equal(out, consensus.run_consensus(w, V, gamma, outage=policy, rng=per_call[c]))
+            np.testing.assert_array_equal(out, iterated_consensus(w, V, gamma, outage=policy, rng=oracle[c]))
+            assert per_call[c].bit_generator.state == oracle[c].bit_generator.state
+        # each stream used exactly the uniforms the per-call path drew: the next
+        # one it would hand out is the per-call generator's next
+        for stream, gen in zip(streams, per_call):
+            assert next_uniform(stream) == gen.random()
+
+    def test_a_refresh_carries_part_of_a_round_into_the_next_block(self):
+        # 12 uniforms read as 4 rounds of a 3-link table; one round used, the
+        # other 9 re-read as 4 rounds of a 2-link path and 1 left over, which
+        # opens the next block
+        triangle = topology.consensus_matrix(~np.eye(3, dtype=bool), 0.3)
+        path = topology.consensus_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool), 0.3)
+        policy = OutagePolicy(enabled=True, link_outage=np.where(np.eye(3, dtype=bool), 0.0, 0.5))
+        stream = consensus.OutageStream(np.random.default_rng(8), block=12)
+        gen = np.random.default_rng(8)
+        w = np.random.default_rng(9).standard_normal((3, 2))
+        for V, gamma in [(triangle, 1), (path, 4), (path, 3), (triangle, 1)]:
+            out = consensus.run_consensus(w, V, gamma, outage=policy, rng=stream)
+            np.testing.assert_array_equal(out, iterated_consensus(w, V, gamma, outage=policy, rng=gen))
+            if V is path and gamma == 4:
+                assert len(stream._tail) == 1
+        assert next_uniform(stream) == gen.random()
+
+
+class TestOutagePolicyInput:
+    @pytest.mark.parametrize(
+        "link",
+        [None, np.full((3, 4), 0.1), np.full(3, 0.1), np.full((3, 3), 1.5), np.full((3, 3), -0.1),
+         np.where(np.eye(3, dtype=bool), 0.0, np.nan)],
+        ids=["missing", "not-square", "one-axis", "above-1", "below-0", "nan"],
+    )
+    def test_enabled_policy_rejects_what_is_not_a_link_probability_matrix(self, link):
+        with pytest.raises(ValueError, match="link_outage"):
+            OutagePolicy(enabled=True, link_outage=link)
+
+    def test_disabled_policy_needs_no_links(self):
+        assert OutagePolicy(enabled=False).link_outage is None
+
+    def test_link_matrix_of_another_size_than_v_is_rejected(self):
+        V, _, _ = random_mixing_matrix(np.random.default_rng(4), 3)
+        policy = OutagePolicy(enabled=True, link_outage=np.full((4, 4), 0.1))
+        with pytest.raises(ValueError, match="link_outage"):
+            consensus.run_consensus(np.ones((3, 2)), V, 2, outage=policy, rng=np.random.default_rng(0))

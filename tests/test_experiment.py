@@ -181,8 +181,27 @@ class TestRunExperiment:
                     "summary.json": "6355ed05bc83209c44960504dde6bbb0074d66bada43df76b64fcdaf074dc904",
                 },
             ),
+            (
+                # devices re-placed between intervals: each cluster's edge count
+                # changes, and its losses read on from the uniforms not yet used
+                {"replace_between_intervals": True},
+                {
+                    "trace_seed3.csv": "3f576a5fa724a44ca1c5f99632949f59e919da64c19654d9de7a1772705bae81",
+                    "trace_seed3_control.csv": "54187dbae3a6891d3700cc3b44baf91d3316de17d203920be06c4d9b83a76ebd",
+                    "summary.json": "328d0900efbcdd9c6e06798a38ccbf5cea75db49725f19485d6ef4db4371811b",
+                },
+            ),
+            (
+                # certified lossy rounds: 0 to 9 rounds per cluster and step, 0 in 12 of 160
+                {"schedule": {"T": 40, "tau": 10, "gamma": {"mode": "certified", "phi": 10.0, "max_rounds": 200}}},
+                {
+                    "trace_seed3.csv": "d6c6f70a5699d2643bad77753ae8e07cb64a29b748cb2948b3a57cece171ed62",
+                    "trace_seed3_control.csv": "082598e789102832a8e20528ad37c6813d2084f445e958742995a06cde0ceed8",
+                    "summary.json": "2bbb8e06b84edb93edd8badc821b559a56270d6b18bd22944be4e324441f32f2",
+                },
+            ),
         ],
-        ids=["lossy-gossip", "full-participation"],
+        ids=["lossy-gossip", "full-participation", "lossy-refresh", "lossy-certified"],
     )
     def test_lossy_minibatch_trace_bytes_are_pinned(self, tmp_path, override, expected):
         # a 4x4 network whose channel keeps links up to 40% outage, so most

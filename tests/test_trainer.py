@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tthf import data, experiment, losses, topology, trainer
+from tthf import consensus, data, experiment, losses, topology, trainer
 from tthf.bounds import dispersion_sample
 from tthf.consensus import consensus_error, divergence_exact
 from tthf.costs import CostParams
@@ -509,6 +509,23 @@ class TestBatchedEngineOracle:
                 np.testing.assert_array_equal(got[name], column, err_msg=name)
             else:
                 np.testing.assert_allclose(got[name], column, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+class TestOutageStreams:
+    @pytest.mark.parametrize("lossy", [False, True])
+    def test_only_a_lossy_run_builds_outage_streams(self, monkeypatch, lossy):
+        built = []
+
+        def counting(rng):
+            built.append(rng)
+            return consensus.OutageStream(rng)
+
+        monkeypatch.setattr(trainer, "OutageStream", counting)
+        task = build_small_task()
+        plan = GammaPlan(mode="fixed", value=2, cadence=1)
+        steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
+        trainer.run_tthf(task, steps, TrainingSchedule.uniform(6, 3), plan, lossy=lossy, seed=4)
+        assert len(built) == (len(task.clusters) if lossy else 0)
 
 
 def per_step_metrics(W_tilde, W, groups, varrho, sampled):
