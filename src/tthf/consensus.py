@@ -30,8 +30,12 @@ class OutagePolicy:
         link = np.asarray(self.link_outage, dtype=float)
         if link.ndim != 2 or link.shape[0] != link.shape[1]:
             raise ValueError(f"link_outage must be a square matrix, not of shape {link.shape}")
-        if not ((link >= 0.0) & (link <= 1.0)).all():
-            raise ValueError("link_outage must hold probabilities in [0, 1] (NaN is not one)")
+        _check_probabilities(link)
+
+
+def _check_probabilities(link: np.ndarray):
+    if not ((link >= 0.0) & (link <= 1.0)).all():
+        raise ValueError("link_outage must hold probabilities in [0, 1] (NaN is not one)")
 
 
 # one entry per (cluster matrix, round count) or (cluster matrix, outage matrix)
@@ -42,7 +46,18 @@ _CACHE_SIZE = 1024
 # on the 25x5 benchmark network a lossy seed builds each cluster's blocks about
 # three times, and the 25 streams hold about 150 kB
 OUTAGE_BLOCK = 1024
-_pairs = functools.lru_cache(maxsize=None)(functools.partial(np.triu_indices, k=1))
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_differences(s: int) -> np.ndarray:
+    """The (s(s-1)/2, s) matrix whose row for the pair i < j (row-major) holds +1
+    at i and -1 at j; read-only, as callers share it."""
+    i, j = np.triu_indices(s, k=1)
+    rows = np.arange(len(i))
+    matrix = np.zeros((len(i), s))
+    matrix[rows, i], matrix[rows, j] = 1.0, -1.0
+    matrix.flags.writeable = False
+    return matrix
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -75,8 +90,14 @@ class _EdgeTable(NamedTuple):
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _cached_edges(V_bytes: bytes, outage_bytes: bytes, n: int) -> _EdgeTable:
-    """Edge table of the n x n matrix with these bytes and its outage matrix."""
+    """Edge table of the n x n matrix with these bytes and its outage matrix.
+
+    The outage matrix is checked here, not only when its policy is built: a
+    matrix changed in place after that brings new bytes, and so a new table.
+    """
     V = np.frombuffer(V_bytes, dtype=float).reshape(n, n)
+    link = np.frombuffer(outage_bytes, dtype=float).reshape(n, n)
+    _check_probabilities(link)
     rows, cols = np.nonzero(np.triu(V, 1))
     entry_link = np.zeros((n, n), dtype=np.intp)
     entry_link[rows, cols] = entry_link[cols, rows] = np.arange(len(rows))
@@ -92,8 +113,7 @@ def _cached_edges(V_bytes: bytes, outage_bytes: bytes, n: int) -> _EdgeTable:
     for node, edges in enumerate(links):
         incident[node, : len(edges)] = edges
         incident_w[node, : len(edges)] = weights[edges]
-    arrays = (np.frombuffer(outage_bytes, dtype=float).reshape(n, n)[rows, cols],
-              entry_link.reshape(-1), entry_lost.reshape(-1), incident, incident_w)
+    arrays = (link[rows, cols], entry_link.reshape(-1), entry_lost.reshape(-1), incident, incident_w)
     for a in arrays:
         a.flags.writeable = False
     return _EdgeTable(V, *arrays)
@@ -192,9 +212,10 @@ class OutageStream:
         return u[self._start + self._used * self._m:]
 
     def _rebind(self, key: tuple, n: int):
+        table = _cached_edges(*key, n)  # before any state moves, as it may raise
         u = self._unread()
         self._start += self._used * self._m
-        self._key, self._table = key, _cached_edges(*key, n)
+        self._key, self._table = key, table
         self._m = len(self._table.probs)
         self._read(u)
 
@@ -217,8 +238,15 @@ def run_consensus(
     gamma: int,
     outage: Optional[OutagePolicy] = None,
     rng: Union[np.random.Generator, OutageStream, None] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Apply `gamma` rounds of gossip mixing to the rows of w_tilde.
+
+    out, when given, is a C-contiguous float array of w_tilde's shape that
+    shares no memory with it; the call writes its result there and returns
+    it, with the bits it would return without out. The last product writes
+    into out, and 0 rounds copy w_tilde into it. The engine passes each
+    cluster's rows of its step buffer, so a call allocates no result.
 
     Lossless rounds are one multiply by the cached V^gamma. Lossy rounds take
     their link losses from rng: one uniform per edge in (i < j) row-major order,
@@ -237,38 +265,45 @@ def run_consensus(
 
     Every product is `np.dot`: one BLAS call without the generalized-ufunc
     dispatch of `@`, with the bits of `@` (TestGossipProductOracle in
-    tests/test_consensus.py holds this). The call stays one per cluster:
-    acceptance criteria 1-3 call it on one cluster, and perfbench counts one
-    call per cluster and step. Stacking the clusters' gossip, and their
-    streams, waits on that count (ROADMAP item 1b).
+    tests/test_consensus.py holds this, with and without out). The call stays
+    one per cluster: acceptance criteria 1-3 call it on one cluster, and
+    perfbench counts one call per cluster and step. Stacking the clusters'
+    gossip, and their streams, waits on that count (ROADMAP item 1b).
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if gamma == 0:
-        return w_tilde.copy()
+        if out is None:
+            return w_tilde.copy()
+        out[...] = w_tilde
+        return out
     V = np.ascontiguousarray(V, dtype=float)
     if outage is None or not outage.enabled:
-        return np.dot(_cached_power(V.tobytes(), V.shape[0], gamma), w_tilde)
+        return np.dot(_cached_power(V.tobytes(), V.shape[0], gamma), w_tilde, out=out)
     if rng is None:
         raise ValueError("outage-enabled consensus needs an rng")
     link = np.ascontiguousarray(outage.link_outage, dtype=float)
     if link.shape != V.shape:
         raise ValueError(f"link_outage of shape {link.shape} does not match V's {V.shape}")
     stream = rng if isinstance(rng, OutageStream) else OutageStream(rng, block=0)
+    rounds = stream.rounds(V, link, gamma)
     z = w_tilde
-    for matrix in stream.rounds(V, link, gamma):
+    for matrix in rounds[:-1]:
         z = np.dot(matrix, z)
-    return z
+    return np.dot(rounds[-1], z, out=out)
 
 
 def consensus_error(w: np.ndarray, w_tilde: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-device error norms against the intermediate-model average, and the cluster RMS.
 
     Axes before the last two are batch axes: (..., s, d) inputs give (..., s)
-    norms and one RMS per batch entry (a float for 2-D inputs).
+    norms and one RMS per batch entry (a float for 2-D inputs). The norms are
+    `np.linalg.norm`'s, bit for bit: the root of each row's sum of squares.
+    The center of one row is that row, bit for bit, so a caller that holds the
+    cluster means already passes them as (..., 1, d) w_tilde.
     """
-    center = w_tilde.mean(axis=-2, keepdims=True)
-    errs = np.linalg.norm(w - center, axis=-1)
+    diff = w - w_tilde.mean(axis=-2, keepdims=True)
+    errs = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
     rms = np.sqrt(np.mean(errs**2, axis=-1))
     return errs, float(rms) if rms.ndim == 0 else rms
 
@@ -279,12 +314,16 @@ def divergence_exact(w_tilde: np.ndarray):
     Axes before the last two are batch axes: (..., s, d) input gives one
     distance per batch entry (a float for 2-D input). The i < j pairs and one root
     after the max give the all-pairs value: (a-b)**2 == (b-a)**2, sqrt is monotone.
+    The differences are one matmul by the cached +-1 pair-difference matrix,
+    and exact: each entry is a single a - b rounding, as every other product
+    is +-0. A non-finite entry gives NaN (0 * inf is NaN), where the subtraction
+    gave inf; the round rule rejects both, as not a finite divergence.
     """
     if w_tilde.shape[-2] < 2:
         out = np.zeros(w_tilde.shape[:-2])
     else:
-        i, j = _pairs(w_tilde.shape[-2])
-        out = np.sqrt(((w_tilde[..., i, :] - w_tilde[..., j, :]) ** 2).sum(axis=-1).max(axis=-1))
+        diff = np.matmul(_pair_differences(w_tilde.shape[-2]), w_tilde)
+        out = np.sqrt(np.square(diff, out=diff).sum(axis=-1).max(axis=-1))
     return float(out) if out.ndim == 0 else out
 
 

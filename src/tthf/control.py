@@ -278,11 +278,16 @@ def gamma_rounds(
         # the first power that meets the target; lam ** 0 * scale = scale
         # misses it, so a count of 0 means that no power in the table does
         g = (table[rows] * scale <= target).argmax(axis=1)
-        while not g.all() and (gamma_max is None or table.shape[1] < gamma_max):
+        while not g.all():
+            if gamma_max is not None and table.shape[1] >= gamma_max:
+                g[g == 0] = table.shape[1]  # the count lies past the table, so at or past gamma_max
+                break
             table = _lambda_table(lams.tobytes(), 2 * table.shape[1])
             g = (table[rows] * scale <= target).argmax(axis=1)
-        g[g == 0] = table.shape[1]  # the count lies past the table, so at or past gamma_max
-        gammas[rows] = g if gamma_max is None else np.minimum(g, gamma_max)
+        # every count is at most the table's width, so only a wider table needs the cap
+        if gamma_max is not None and table.shape[1] > gamma_max:
+            np.minimum(g, gamma_max, out=g)
+        gammas[rows] = g
     return int(gammas[0]) if shape == () else gammas.reshape(shape)
 
 

@@ -57,18 +57,20 @@ def block_metrics(W_tilde, W, groups, varrho, sampled=None):
     (n, n_devices, d) intermediate and post-consensus models, each step's bit for bit.
 
     sampled (n, clusters) holds each step's sampled devices; None makes the server
-    model the average model. eps_rms takes one dot per step: a stacked matmul differs.
+    model the average model. Each size group's cluster means are taken once and
+    passed to consensus_error as one-row w_tilde, whose mean is that row. eps_rms
+    takes one dot per step: a stacked matmul differs.
     """
     n, _, dim = W_tilde.shape
     means, eps2 = np.empty((n, len(varrho), dim)), np.empty((n, len(varrho)))
     for members, dev_rows, size in groups:
         block = W_tilde[:, dev_rows].reshape(n, len(members), size, dim)
-        errs, _ = consensus_error(W[:, dev_rows].reshape(block.shape), block)
+        group_means = means[:, members] = block.mean(axis=-2)
+        errs, _ = consensus_error(W[:, dev_rows].reshape(block.shape), group_means[..., None, :])
         eps2[:, members] = np.mean(errs**2, axis=-1)
-        means[:, members] = block.mean(axis=-2)
     bar = varrho @ means
     hat = bar if sampled is None else (varrho[:, None] * W[np.arange(n)[:, None], sampled]).sum(axis=1)
-    return means, bar, hat, np.array([np.sqrt(varrho @ row) for row in eps2])
+    return means, bar, hat, np.sqrt([np.dot(varrho, row) for row in eps2])
 
 
 @dataclass
@@ -318,6 +320,12 @@ def run_protocol(
     acc_log = np.empty(T) if task.eval_accuracy else None
     tilde_buf, post_buf = np.empty((2, METRIC_BLOCK, n_dev, dim))
     sampled_buf = np.empty((METRIC_BLOCK, n_clusters), dtype=int)
+    # each buffer row's per-cluster views, made once: a step's gossip reads its
+    # clusters' intermediate rows and writes their post-consensus rows in place
+    cluster_views = [
+        [(tilde_buf[r, sl], post_buf[r, sl]) for sl in task.data.cluster_slices]
+        for r in range(METRIC_BLOCK)
+    ]
 
     def evaluate_block(t):
         # steps t-n+1 .. t, in one call per metric; stacked evaluation gives
@@ -373,12 +381,12 @@ def run_protocol(
                 for members, dev_rows, size in groups
             ]
             gamma_log[t - 1] = gamma_provider(t - t_km1, clusters, blocks, eta_next)
-            W = post_buf[row]
             gammas = gamma_log[t - 1].tolist()
-            for spec, sl, gamma, policy, stream in zip(
-                clusters, task.data.cluster_slices, gammas, per_cluster_outage, outage_streams
+            for spec, (w_c, out_c), gamma, policy, stream in zip(
+                clusters, cluster_views[row], gammas, per_cluster_outage, outage_streams
             ):
-                W[sl] = run_consensus(W_tilde[sl], spec.V, gamma, outage=policy, rng=stream)
+                run_consensus(w_c, spec.V, gamma, outage=policy, rng=stream, out=out_c)
+            W = post_buf[row]
             sampled_buf[row] = sampled
             if row == METRIC_BLOCK - 1 or t == T:
                 evaluate_block(t)

@@ -113,6 +113,17 @@ class TestDivergenceExactOracle:
         assert isinstance(got, float) == (not lead)
         np.testing.assert_array_equal(got, all_pairs_divergence(w))
 
+    def test_an_infinite_entry_gives_nan(self):
+        # the pair-difference matmul multiplies the infinite entry by 0 in the
+        # pairs without its device, where a subtraction would give inf; only
+        # the cluster that holds it is NaN
+        w = np.random.default_rng(4).standard_normal((2, 4, 3))
+        w[0, 1, 2] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = consensus.divergence_exact(w)
+            assert np.isnan(consensus.divergence_exact(w[0]))
+        assert np.isnan(got[0]) and got[1] == all_pairs_divergence(w[1])
+
 
 def flooding_extremes(w_tilde: np.ndarray, adjacency: np.ndarray, rounds: int):
     """Per-node (max, min) knowledge of the model norms after the given flooding rounds."""
@@ -322,34 +333,59 @@ def laid_out(rng, s, d, layout):
     return np.asarray(rng.standard_normal((s, d)), order=layout)
 
 
+def into_buffer(w, V, gamma, **kwargs):
+    """run_consensus written into a fresh NaN-filled out buffer, which the call must return."""
+    out = np.full(w.shape, np.nan)
+    assert consensus.run_consensus(w, V, gamma, out=out, **kwargs) is out
+    return out
+
+
 class TestGossipProductOracle:
-    """run_consensus's np.dot products against the `@` forms, bit for bit, on every layout of w."""
+    """run_consensus's np.dot products against the `@` forms, bit for bit, on every layout
+    of w; with_out writes the result into an out buffer, which must change no bit and
+    leave the generator where the call without out leaves it."""
 
     @given(
         s=st.integers(1, 9), d=st.integers(1, 8), gamma=st.integers(0, 40),
-        layout=st.sampled_from(["C", "F", "strided"]), seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(["C", "F", "strided"]), with_out=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_lossless_call_equals_the_cached_power_matmul(self, s, d, gamma, layout, seed):
+    def test_lossless_call_equals_the_cached_power_matmul(self, s, d, gamma, layout, with_out, seed):
         rng = np.random.default_rng(seed)
         V = random_mixing_matrix(rng, s)[0] if s > 1 else np.eye(1)
         w = laid_out(rng, s, d, layout)
         out = consensus.run_consensus(w, V, gamma)
         np.testing.assert_array_equal(out, consensus._cached_power(V.tobytes(), s, gamma) @ w)
+        if with_out:
+            assert into_buffer(w, V, gamma).tobytes() == out.tobytes()
 
     @given(
         s=st.integers(1, 9), d=st.integers(1, 8), gamma=st.integers(0, 40), p=st.floats(0.0, 1.0),
-        layout=st.sampled_from(["C", "F", "strided"]), seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(["C", "F", "strided"]), with_out=st.booleans(),
+        via=st.sampled_from(["generator", "stream"]), seed=st.integers(0, 2**32 - 1),
     )
-    def test_lossy_call_equals_the_per_round_matmul(self, s, d, gamma, p, layout, seed):
+    def test_lossy_call_equals_the_per_round_matmul(self, s, d, gamma, p, layout, with_out, via, seed):
         rng = np.random.default_rng(seed)
         V, adj, _ = random_mixing_matrix(rng, s) if s > 1 else (np.eye(1), np.zeros((1, 1), bool), 0.0)
         u = rng.uniform(0.0, p, (s, s))
         policy = OutagePolicy(enabled=True, link_outage=np.where(adj, np.maximum(u, u.T), 0.0))
         w = laid_out(rng, s, d, layout)
-        gen, oracle_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-        out = consensus.run_consensus(w, V, gamma, outage=policy, rng=gen)
+
+        def source():
+            gen = np.random.default_rng(seed)
+            return consensus.OutageStream(gen, block=16) if via == "stream" else gen
+
+        plain, buffered, oracle_gen = source(), source(), np.random.default_rng(seed)
+        out = consensus.run_consensus(w, V, gamma, outage=policy, rng=plain)
         np.testing.assert_array_equal(out, iterated_consensus(w, V, gamma, outage=policy, rng=oracle_gen))
-        assert gen.bit_generator.state == oracle_gen.bit_generator.state
+        if with_out:
+            assert into_buffer(w, V, gamma, outage=policy, rng=buffered).tobytes() == out.tobytes()
+            gens = [g.rng if via == "stream" else g for g in (plain, buffered)]
+            assert gens[0].bit_generator.state == gens[1].bit_generator.state
+        if via == "generator":
+            assert plain.bit_generator.state == oracle_gen.bit_generator.state
+        else:
+            assert next_uniform(plain) == oracle_gen.random()
 
 
 class TestLossyCachedPath:
@@ -534,3 +570,28 @@ class TestOutagePolicyInput:
         policy = OutagePolicy(enabled=True, link_outage=np.full((4, 4), 0.1))
         with pytest.raises(ValueError, match="link_outage"):
             consensus.run_consensus(np.ones((3, 2)), V, 2, outage=policy, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", [np.nan, 1.5, -0.1], ids=["nan", "above-1", "below-0"])
+    def test_link_matrix_changed_in_place_is_checked_when_its_table_is_built(self, value):
+        # the policy checked its matrix when it was built; a change made in place
+        # afterwards brings new bytes, and the edge table built for them checks
+        # them again, whether a bare Generator or an engine stream reads it
+        V, adj, _ = random_mixing_matrix(np.random.default_rng(6), 4)
+        link = np.where(adj, 0.2, 0.0)
+        policy = OutagePolicy(enabled=True, link_outage=link.copy())
+        w = np.random.default_rng(7).standard_normal((4, 2))
+        # a block of 1024 uniforms: the refused call finds most of it unread
+        stream, twin = (consensus.OutageStream(np.random.default_rng(8)) for _ in range(2))
+        for rng in (stream, twin):
+            consensus.run_consensus(w, V, 2, outage=policy, rng=rng)
+        policy.link_outage[...] = value
+        for rng in (np.random.default_rng(0), stream):
+            with pytest.raises(ValueError, match="link_outage"):
+                consensus.run_consensus(w, V, 4, outage=policy, rng=rng)
+        # the refused call moved nothing: restored, the stream goes on as its twin
+        policy.link_outage[...] = link
+        np.testing.assert_array_equal(
+            consensus.run_consensus(w, V, 4, outage=policy, rng=stream),
+            consensus.run_consensus(w, V, 4, outage=policy, rng=twin),
+        )
+        assert next_uniform(stream) == next_uniform(twin)

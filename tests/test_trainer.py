@@ -352,6 +352,25 @@ class TestNanGuard:
                 seed=2,
             )
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_certified_round_rule_refuses_an_infinite_intermediate_model(self, monkeypatch):
+        # an infinite entry passes the NaN guard; the exact divergence of its
+        # cluster is not finite (NaN from the pair-difference matmul's 0 * inf),
+        # and the round rule refuses it
+        task = build_small_task()
+        grad_full = losses.grad_full
+
+        def overflowing(model, W, data):
+            grads = grad_full(model, W, data)
+            grads[1, 0] = -np.inf
+            return grads
+
+        monkeypatch.setattr(losses, "grad_full", overflowing)
+        steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
+        plan = GammaPlan(mode="certified", phi=0.5, max_rounds=60)
+        with pytest.raises(ValueError, match="upsilon must be non-negative and finite"):
+            trainer.run_tthf(task, steps, TrainingSchedule.uniform(6, 3), plan, seed=1)
+
 
 def reference_tthf(task, steps, schedule, plan, lossy=False, seed=0):
     """TT-HF with a plain loop over clusters: the oracle of the batched engine.
