@@ -38,13 +38,13 @@ def _check_probabilities(link: np.ndarray):
         raise ValueError("link_outage must hold probabilities in [0, 1] (NaN is not one)")
 
 
-# one entry per (cluster matrix, round count) or (cluster matrix, outage matrix)
-# in use; a topology refresh brings new bytes, so stale entries age out instead
-# of being invalidated
+# one entry per (cluster matrix, round count) in use; a topology refresh brings
+# new bytes, so stale entries age out instead of being invalidated
 _CACHE_SIZE = 1024
 # uniforms an OutageStream fetches per block, in whole rounds of its link count;
 # on the 25x5 benchmark network a lossy seed builds each cluster's blocks about
-# three times, and the 25 streams hold about 150 kB
+# three times, and the 25 streams hold about 360 kB at the end of a seed
+# (tracemalloc), 200 kB of it their blocks' kept uniforms
 OUTAGE_BLOCK = 1024
 
 
@@ -70,69 +70,47 @@ def _cached_power(V_bytes: bytes, n: int, gamma: int) -> np.ndarray:
 
 
 class _EdgeTable(NamedTuple):
-    """A cluster's m links: the nonzero (i < j) entries of V, in row-major order.
-
-    V reads the key's bytes, so a table cannot disagree with the matrix it was
-    built from; the arrays are read-only, as callers share them.
-    """
+    """A cluster's m links: the nonzero (i < j) entries of V, in row-major order."""
 
     V: np.ndarray  # (n, n)
+    rows: np.ndarray  # (m,) each link's i
+    cols: np.ndarray  # (m,) each link's j
     probs: np.ndarray  # (m,) each link's loss probability
-    # each entry of V: its link (link 0 off the links) and its value if that
-    # link is lost (0.0 on a link, V's own value off the links)
-    entry_link: np.ndarray  # (n * n,)
-    entry_lost: np.ndarray  # (n * n,)
-    # each node's r-th link in edge order and that link's weight V[i, j];
-    # past the node's degree, link 0 and weight -0.0
-    incident: np.ndarray  # (n, max degree)
-    incident_w: np.ndarray  # (n, max degree)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cached_edges(V_bytes: bytes, outage_bytes: bytes, n: int) -> _EdgeTable:
+def _edges(V_bytes: bytes, outage_bytes: bytes, n: int) -> _EdgeTable:
     """Edge table of the n x n matrix with these bytes and its outage matrix.
 
-    The outage matrix is checked here, not only when its policy is built: a
-    matrix changed in place after that brings new bytes, and so a new table.
+    V reads the bytes, so a table cannot disagree with the matrix it was built
+    from. The outage matrix is checked here, not only when its policy is built:
+    a matrix changed in place after that brings new bytes, and so a new table.
     """
     V = np.frombuffer(V_bytes, dtype=float).reshape(n, n)
     link = np.frombuffer(outage_bytes, dtype=float).reshape(n, n)
     _check_probabilities(link)
     rows, cols = np.nonzero(np.triu(V, 1))
-    entry_link = np.zeros((n, n), dtype=np.intp)
-    entry_link[rows, cols] = entry_link[cols, rows] = np.arange(len(rows))
-    entry_lost = V.copy()
-    entry_lost[rows, cols] = entry_lost[cols, rows] = 0.0
-    links: list = [[] for _ in range(n)]
-    for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
-        links[i].append(e)
-        links[j].append(e)
-    weights = V[rows, cols]
-    incident = np.zeros((n, max(map(len, links))), dtype=np.intp)
-    incident_w = np.full(incident.shape, -0.0)
-    for node, edges in enumerate(links):
-        incident[node, : len(edges)] = edges
-        incident_w[node, : len(edges)] = weights[edges]
-    arrays = (link[rows, cols], entry_link.reshape(-1), entry_lost.reshape(-1), incident, incident_w)
-    for a in arrays:
-        a.flags.writeable = False
-    return _EdgeTable(V, *arrays)
+    return _EdgeTable(V, rows, cols, link[rows, cols])
 
 
 def _folded(table: _EdgeTable, lost: np.ndarray) -> np.ndarray:
     """The (k, n, n) round matrices of k rounds, each row of lost (k, m) one round.
 
     A lost link's entries go to zero and its weight V[i, j] folds onto both
-    endpoint diagonals. Each node adds its links' weights in edge order, -0.0
-    for a link kept (x + -0.0 is x for every x), so the matrices have the bits
-    of one loop over the edges and stay symmetric and doubly stochastic.
+    endpoint diagonals. Each node adds its column of weights left to right,
+    -0.0 where no link was lost (x + -0.0 is x for every x): its links in
+    ascending neighbour order, which is their edge order, so the matrices
+    have the bits of one loop over the edges and stay symmetric and doubly
+    stochastic.
     """
-    n = len(table.V)
-    flat = np.where(lost[:, table.entry_link], table.entry_lost, table.V.reshape(-1))
-    folds = np.where(lost[:, table.incident], table.incident_w, -0.0)
-    diag = table.V.diagonal() + folds[:, :, 0]
-    for r in range(1, folds.shape[2]):
+    V = table.V
+    n = len(V)
+    mask = np.zeros((len(lost), n, n), dtype=bool)
+    mask[:, table.rows, table.cols] = mask[:, table.cols, table.rows] = lost
+    folds = np.where(mask, V, -0.0)
+    diag = V.diagonal() + folds[:, :, 0]
+    for r in range(1, n):
         diag += folds[:, :, r]
+    flat = np.where(mask, 0.0, V).reshape(-1, n * n)
     flat[:, :: n + 1] = diag
     return flat.reshape(-1, n, n)
 
@@ -147,10 +125,9 @@ class OutageStream:
     uniforms (0: just the rounds asked for) and reads them as rows of the
     current link count; one comparison gives every row's lost links, one
     `_folded` pass the matrix of every row that lost one, and the block keeps
-    only those. A new V or link matrix (a topology refresh) re-reads the
-    uniforms not yet used at the new link count: the stream draws the block
-    again from the generator state it saved, which leaves the generator where
-    it was.
+    only those and its uniforms. A new V or link matrix (a topology refresh)
+    re-reads the kept uniforms not yet used at the new link count, and leaves
+    the generator alone.
 
     The stream runs ahead of the rounds it hands out, so it must be its
     generator's only user.
@@ -161,21 +138,21 @@ class OutageStream:
         self.block = block
         self._key = self._table = None
         self._m = 0  # links of the current table
-        # the block's uniforms: `prefix`, then the `drawn` doubles that rng hands
-        # out from `state`; its rows start at uniform `start`
-        self._state, self._prefix, self._drawn, self._start = None, np.empty(0), 0, 0
+        self._u = np.empty(0)  # the block's uniforms, read as rows of m
         self._rows = self._used = 0  # the block's whole rows, and those handed out
         self._hit: list = []  # the rows that lost a link, ascending
         self._folded = None  # their round matrices
         self._next = 0  # the first of _hit not handed out
         self._clean = 0  # rows before this one lost no link
-        self._tail = np.empty(0)  # uniforms past the last whole row
 
     def rounds(self, V: np.ndarray, link: np.ndarray, gamma: int) -> list:
         """The next gamma round matrices for this float, C-ordered V and link."""
         key = (V.tobytes(), link.tobytes())
         if key != self._key:
-            self._rebind(key, len(V))
+            table = _edges(*key, len(V))  # before any state moves, as it may raise
+            u = self._unread()
+            self._key, self._table, self._m = key, table, len(table.probs)
+            self._read(u)
         end = self._used + gamma
         if end <= self._clean:
             self._used = end
@@ -184,7 +161,10 @@ class OutageStream:
         done = 0
         while done < gamma:
             if self._used == self._rows:
-                self._fetch(gamma - done)
+                m = self._m
+                tail = self._u[self._rows * m:]
+                fresh = self.rng.random(max(gamma - done, self.block // m) * m - len(tail))
+                self._read(np.concatenate((tail, fresh)))
             end = min(self._used + gamma - done, self._rows)
             hit, k = self._hit, self._next
             while k < len(hit) and hit[k] < end:
@@ -196,38 +176,18 @@ class OutageStream:
         self._clean = self._hit[self._next] if self._next < len(self._hit) else self._rows
         return out
 
-    def _fetch(self, rows: int):
-        m = self._m
-        self._state, self._prefix = self.rng.bit_generator.state, self._tail
-        self._drawn = max(rows, self.block // m) * m - len(self._prefix)
-        self._start = 0
-        self._read(np.concatenate((self._prefix, self.rng.random(self._drawn))))
-
     def _unread(self) -> np.ndarray:
-        """The uniforms drawn and not yet handed out, drawn again from the saved state."""
-        u = self._prefix
-        if self._state is not None:
-            self.rng.bit_generator.state = self._state
-            u = np.concatenate((u, self.rng.random(self._drawn)))
-        return u[self._start + self._used * self._m:]
-
-    def _rebind(self, key: tuple, n: int):
-        table = _cached_edges(*key, n)  # before any state moves, as it may raise
-        u = self._unread()
-        self._start += self._used * self._m
-        self._key, self._table = key, table
-        self._m = len(self._table.probs)
-        self._read(u)
+        """The block's uniforms not yet handed out."""
+        return self._u[self._used * self._m:]
 
     def _read(self, u: np.ndarray):
         m = self._m
         rows = len(u) // m if m else 0
         lost = u[: rows * m].reshape(rows, m) < self._table.probs
         hit = np.flatnonzero(lost.any(axis=1))
-        self._rows, self._used, self._next = rows, 0, 0
+        self._u, self._rows, self._used, self._next = u, rows, 0, 0
         self._hit = hit.tolist()
         self._folded = _folded(self._table, lost[hit]) if len(hit) else None
-        self._tail = u[rows * m:].copy()
         # a table without links draws nothing: every round is V
         self._clean = self._hit[0] if self._hit else rows if m else sys.maxsize
 
@@ -268,7 +228,7 @@ def run_consensus(
     tests/test_consensus.py holds this, with and without out). The call stays
     one per cluster: acceptance criteria 1-3 call it on one cluster, and
     perfbench counts one call per cluster and step. Stacking the clusters'
-    gossip, and their streams, waits on that count (ROADMAP item 1b).
+    gossip, and their streams, waits on that count (ROADMAP item 2).
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")

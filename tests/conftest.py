@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from tthf import data, losses, topology, trainer
+from tthf import data, experiment, losses, topology, trainer
 
 warnings.filterwarnings("ignore", message="distance .* below reference")
 
@@ -28,6 +31,20 @@ def pytest_addoption(parser):
         "--full-config-fuzz", action="store_true",
         help="run every schedule, leaf and value of the config fuzz in test_experiment.py",
     )
+    # the suite checks one pool seed per benchmark workload, CI all 192 runs
+    parser.addoption(
+        "--pool-bytes", action="store_true",
+        help="check the output bytes of every pool seed in tests/data/pool_digests.json",
+    )
+
+
+def pool_run_digests(config: dict, seed: int, out_dir) -> dict:
+    """SHA-256 of the trace CSV, control CSV and summary.json that config's
+    one-seed run_experiment writes to out_dir."""
+    out = Path(out_dir)
+    experiment.run_experiment({**copy.deepcopy(config), "seeds": [seed], "output_dir": str(out)})
+    names = {"trace": f"trace_seed{seed}.csv", "control": f"trace_seed{seed}_control.csv", "summary": "summary.json"}
+    return {key: hashlib.sha256((out / name).read_bytes()).hexdigest() for key, name in names.items()}
 
 
 def one_device(model, part):
