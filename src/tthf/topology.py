@@ -2,7 +2,8 @@
 
 Graphs are built from the outage rule applied to the expected (Rayleigh-averaged)
 SNR; per-round packet loss during consensus draws against the same outage
-probability, link by link.
+probability, link by link. The per-cluster functions also take leading batch
+axes: a (..., s, s) stack holds one matrix per cluster, built in one pass.
 """
 
 from __future__ import annotations
@@ -79,13 +80,8 @@ def outage_prob(params: ChannelParams, snr_linear):
 
 def _scalar_or_array(x):
     # numpy arithmetic on 0-d arrays yields numpy scalars, so a scalar input
-    # takes scalar arithmetic throughout and ends here as a float
-    return x if np.ndim(x) else float(x)
-
-
-def pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1))
+    # takes scalar arithmetic throughout and ends here as a Python float or bool
+    return x if np.ndim(x) else x.item()
 
 
 def link_outage_matrix(positions: np.ndarray, params: ChannelParams) -> np.ndarray:
@@ -94,67 +90,67 @@ def link_outage_matrix(positions: np.ndarray, params: ChannelParams) -> np.ndarr
     Pairs closer than the pathloss reference distance (including co-located
     devices) are evaluated at the reference distance. The diagonal is zero.
     """
-    dists = np.maximum(pairwise_distances(positions), params.ref_dist_m)
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
+    dists = np.maximum(np.sqrt((diff**2).sum(axis=-1)), params.ref_dist_m)
     out = outage_prob(params, expected_snr(params, dists))
-    np.fill_diagonal(out, 0.0)
+    np.einsum("...ii->...i", out)[...] = 0.0  # a writable view of each diagonal
     return out
 
 
 def build_graph(link_outage: np.ndarray, params: ChannelParams) -> np.ndarray:
     """Adjacency with an edge iff the pair's outage probability meets the threshold."""
     adj = link_outage <= params.outage_threshold
-    np.fill_diagonal(adj, False)
+    np.einsum("...ii->...i", adj)[...] = False
     return adj
 
 
-def is_connected(adjacency: np.ndarray) -> bool:
-    """Whether every node is reachable from node 0, by squaring the reachability matrix."""
-    n = adjacency.shape[0]
+def is_connected(adjacency: np.ndarray):
+    """Whether node 0 reaches every node, by squaring the reachability matrix; per matrix of a stack."""
+    n = adjacency.shape[-1]
     reach = np.asarray(adjacency, dtype=bool) | np.eye(n, dtype=bool)
-    # k squarings cover every walk of length <= 2**k; walks of n - 1 steps reach
-    # every node that any walk reaches
+    # k squarings cover every walk of length <= 2**k, and walks of n - 1 steps every reachable node
     for _ in range(max(n - 2, 0).bit_length()):
         reach = reach @ reach
-    return bool(reach[0].all())
+    return _scalar_or_array(reach[..., 0, :].all(axis=-1))
 
 
-def consensus_matrix(adjacency: np.ndarray, d_c: float) -> np.ndarray:
-    """V = I - d_c * L for the common equal-weight construction."""
+def consensus_matrix(adjacency: np.ndarray, d_c) -> np.ndarray:
+    """V = I - d_c * L, equal weights; over a stack d_c is one step for all matrices or one per matrix."""
     adjacency = np.asarray(adjacency, dtype=bool)
-    degrees = adjacency.sum(axis=1)
-    max_degree = int(degrees.max()) if degrees.size else 0
-    if max_degree > 0 and not 0.0 < d_c < 1.0 / max_degree:
-        raise ValueError(f"d_c={d_c} outside the valid interval (0, {1.0 / max_degree:.6g})")
-    if max_degree == 0 and not 0.0 < d_c < 1.0:
-        raise ValueError(f"d_c={d_c} outside the valid interval (0, 1)")
+    degrees = adjacency.sum(axis=-1)
+    # (0, 1/D_c) for the largest degree D_c, and (0, 1) without links
+    bound = 1.0 / np.maximum(degrees.max(axis=-1, initial=0), 1)
+    steps = np.broadcast_to(d_c, bound.shape)
+    valid = (0.0 < steps) & (steps < bound)
+    if not valid.all():
+        i = np.argmin(valid)  # the first matrix it fails
+        raise ValueError(f"d_c={steps.flat[i].item()} outside the valid interval (0, {bound.flat[i]:.6g})")
     # diagonal as the explicit complement of the off-diagonal mass keeps row sums
     # at 1 up to a single rounding of the shared partial sum
-    n = adjacency.shape[0]
-    V = np.where(adjacency, d_c, 0.0)
-    np.fill_diagonal(V, 1.0 - d_c * degrees)
+    V = np.where(adjacency, steps[..., None, None], 0.0)
+    np.einsum("...ii->...i", V)[...] = 1.0 - steps[..., None] * degrees
     return V
 
 
-def mixing_step(adjacency: np.ndarray, d_c: float = DEFAULT_MIXING_STEP) -> float:
+def mixing_step(adjacency: np.ndarray, d_c: float = DEFAULT_MIXING_STEP):
     """The configured d_c, or 0.9/D_c when d_c >= 1/D_c for the largest degree D_c.
 
     Any such d_c backs off, not only the default: a configured d_c of 2.5 runs with 0.9/D_c.
+    A stack gets one step per matrix, or d_c as given when no matrix backs off.
     """
-    max_degree = int(np.asarray(adjacency).sum(axis=1).max())
-    if max_degree > 0 and d_c >= 1.0 / max_degree:
-        return 0.9 / max_degree
-    return d_c
+    max_degree = np.asarray(adjacency).sum(axis=-1).max(axis=-1, initial=0)
+    backoff = (max_degree > 0) & (d_c >= 1.0 / np.maximum(max_degree, 1))
+    return _scalar_or_array(np.where(backoff, 0.9 / np.maximum(max_degree, 1), d_c)) if backoff.any() else d_c
 
 
-def spectral_radius(V: np.ndarray) -> float:
-    """Largest |eigenvalue| of V deflated by the averaging projector."""
-    n = V.shape[0]
-    deflated = V - np.ones((n, n)) / n
-    eigs = np.linalg.eigvalsh(deflated)
-    lam = float(np.max(np.abs(eigs)))
-    if lam >= 1.0 - 1e-12:
-        raise DisconnectedGraphError(f"spectral radius {lam} >= 1; graph is disconnected")
-    return lam
+def spectral_radius(V: np.ndarray):
+    """Largest |eigenvalue| of V deflated by the averaging projector, per matrix of a stack."""
+    n = V.shape[-1]
+    lam = np.abs(np.linalg.eigvalsh(V - np.ones((n, n)) / n)).max(axis=-1)
+    if np.any(lam >= 1.0 - 1e-12):
+        first = lam.flat[np.argmax(lam >= 1.0 - 1e-12)].item()
+        raise DisconnectedGraphError(f"spectral radius {first} >= 1; graph is disconnected")
+    return _scalar_or_array(lam)
 
 
 @dataclass
@@ -173,40 +169,6 @@ class ClusterSpec:
         return self.positions.shape[0]
 
 
-def build_cluster(
-    index: int,
-    cluster_size: int,
-    field_m: float,
-    params: ChannelParams,
-    d_c: float,
-    seed: int,
-    max_attempts: int = 100,
-) -> ClusterSpec:
-    """Place devices and derive the graph, re-seeding until the graph is connected."""
-    if cluster_size < 1:
-        raise ValueError("need at least one device")
-    for attempt in range(max_attempts):
-        rng_seed = [seed, index, attempt]
-        rng = np.random.default_rng(np.random.SeedSequence(rng_seed + [0x70B0]))
-        positions = rng.uniform(0.0, field_m, size=(cluster_size, 2))
-        link_outage = link_outage_matrix(positions, params)
-        adjacency = build_graph(link_outage, params)
-        if cluster_size == 1 or is_connected(adjacency):
-            step = mixing_step(adjacency, d_c)
-            V = consensus_matrix(adjacency, step)
-            return ClusterSpec(
-                index=index,
-                positions=positions,
-                adjacency=adjacency,
-                V=V,
-                lambda_c=spectral_radius(V) if cluster_size > 1 else 0.0,
-                link_outage=link_outage,
-            )
-    raise DisconnectedGraphError(
-        f"cluster {index}: no connected layout after {max_attempts} placements"
-    )
-
-
 def build_network(
     n_clusters: int,
     cluster_size: int,
@@ -216,7 +178,44 @@ def build_network(
     seed: int = 0,
     max_attempts: int = 100,
 ) -> list[ClusterSpec]:
-    return [
-        build_cluster(c, cluster_size, field_m, params, d_c, seed, max_attempts)
-        for c in range(n_clusters)
-    ]
+    """Place each cluster's devices and derive its graph, re-seeding it until the graph is connected.
+
+    Attempt a of cluster c draws from SeedSequence([seed, c, a, 0x70B0]). Each attempt is
+    one pass over the clusters not yet connected, and the operators one pass over all.
+    """
+    clusters = range(n_clusters)
+    if not clusters:
+        return []
+    if cluster_size < 1:
+        raise ValueError("need at least one device")
+    args = (cluster_size, field_m, params, d_c, seed, max_attempts)
+    try:
+        return _build(clusters, *args)
+    except (ValueError, DisconnectedGraphError):
+        # a stacked check sees every cluster at once; built one at a time, the
+        # lowest-index failing cluster raises its own first error
+        for c in clusters:
+            _build(range(c, c + 1), *args)
+        raise
+
+
+def _build(clusters: range, cluster_size, field_m, params, d_c, seed, max_attempts) -> list[ClusterSpec]:
+    positions = np.empty((len(clusters), cluster_size, 2))
+    link_outage = np.empty((len(clusters), cluster_size, cluster_size))
+    adjacency = np.empty(link_outage.shape, dtype=bool)
+    pending = np.arange(len(clusters))  # stack rows of the clusters not yet connected
+    for attempt in range(max_attempts):
+        positions[pending] = [
+            np.random.default_rng(np.random.SeedSequence([seed, clusters[i], attempt, 0x70B0]))
+            .uniform(0.0, field_m, size=(cluster_size, 2))
+            for i in pending.tolist()
+        ]
+        link_outage[pending] = link_outage_matrix(positions[pending], params)
+        adjacency[pending] = build_graph(link_outage[pending], params)
+        pending = pending[~is_connected(adjacency[pending])]
+        if not pending.size:
+            break
+    else:
+        raise DisconnectedGraphError(f"cluster {clusters[pending[0]]}: no connected layout after {max_attempts} placements")
+    V = consensus_matrix(adjacency, mixing_step(adjacency, d_c))
+    return list(map(ClusterSpec, clusters, positions, adjacency, V, spectral_radius(V).tolist(), link_outage))

@@ -161,6 +161,15 @@ def random_mixing_matrix(rng: np.random.Generator, n: int):
     return V, adj, topology.spectral_radius(V)
 
 
+def metropolis_matrix(adjacency: np.ndarray) -> np.ndarray:
+    """Metropolis weights 1 / (1 + the larger degree) on each link, the rest on the
+    diagonal: symmetric and doubly stochastic, with a node's link weights unequal."""
+    deg = adjacency.sum(axis=1)
+    V = np.where(adjacency, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
+    V[np.diag_indices(len(V))] = 1.0 - V.sum(axis=1)
+    return V
+
+
 def effective_matrix(V: np.ndarray, lost_edges) -> np.ndarray:
     """Lossy-gossip oracle: the mixing matrix for one round after removing lost links.
 
@@ -175,6 +184,34 @@ def effective_matrix(V: np.ndarray, lost_edges) -> np.ndarray:
         V_eff[i, i] += w
         V_eff[j, j] += w
     return V_eff
+
+
+def build_cluster(index, cluster_size, field_m, params, d_c, seed, max_attempts=100):
+    """One cluster placed one layout at a time, re-seeded until its graph is
+    connected: the oracle of topology.build_network's stacked passes."""
+    if cluster_size < 1:
+        raise ValueError("need at least one device")
+    for attempt in range(max_attempts):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, index, attempt, 0x70B0]))
+        positions = rng.uniform(0.0, field_m, size=(cluster_size, 2))
+        link_outage = topology.link_outage_matrix(positions, params)
+        adjacency = topology.build_graph(link_outage, params)
+        if cluster_size == 1 or topology.is_connected(adjacency):
+            V = topology.consensus_matrix(adjacency, topology.mixing_step(adjacency, d_c))
+            lambda_c = topology.spectral_radius(V) if cluster_size > 1 else 0.0
+            return topology.ClusterSpec(index, positions, adjacency, V, lambda_c, link_outage)
+    raise topology.DisconnectedGraphError(
+        f"cluster {index}: no connected layout after {max_attempts} placements"
+    )
+
+
+def build_network_oracle(n_clusters, cluster_size, field_m, params,
+                         d_c=topology.DEFAULT_MIXING_STEP, seed=0, max_attempts=100):
+    """build_network as one build_cluster call per cluster, in index order."""
+    return [
+        build_cluster(c, cluster_size, field_m, params, d_c, seed, max_attempts)
+        for c in range(n_clusters)
+    ]
 
 
 def build_small_task(

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from tthf import consensus, topology
 from tthf.consensus import OutagePolicy
 
-from conftest import effective_matrix, random_connected_adjacency, random_mixing_matrix
+from conftest import effective_matrix, metropolis_matrix, random_connected_adjacency, random_mixing_matrix
 
 
 class TestRunConsensus:
@@ -438,9 +438,7 @@ class TestLossyCachedPath:
         # diagonal shows in the bits; every link is lost in every round
         rng = np.random.default_rng(seed)
         adj = random_connected_adjacency(rng, n)
-        deg = adj.sum(axis=1)
-        V = np.where(adj, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
-        V[np.diag_indices(n)] = 1.0 - V.sum(axis=1)
+        V = metropolis_matrix(adj)
         policy = OutagePolicy(enabled=True, link_outage=np.where(adj, 1.0, 0.0))
         w = rng.standard_normal((n, 3))
         out = consensus.run_consensus(w, V, gamma, outage=policy, rng=np.random.default_rng(seed))
@@ -467,9 +465,7 @@ def mixing_table(rng, n, kind):
     if kind == "uniform":
         V = topology.consensus_matrix(adj, rng.uniform(0.2, 0.95) / adj.sum(axis=1).max())
     else:
-        deg = adj.sum(axis=1)
-        V = np.where(adj, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
-        V[np.diag_indices(n)] = 1.0 - V.sum(axis=1)
+        V = metropolis_matrix(adj)
     u = rng.uniform(0.0, rng.uniform(0.0, 1.0), (n, n))
     return V, np.where(adj, np.maximum(u, u.T), 0.0)
 

@@ -1,6 +1,8 @@
 """Channel arithmetic, graph construction, and mixing-matrix certificates."""
 
 import hashlib
+import json
+import math
 import warnings
 
 import numpy as np
@@ -8,10 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tthf import topology
+from tthf import cli, topology
 from tthf.topology import ChannelParams, DisconnectedGraphError
 
-from conftest import random_connected_adjacency, random_mixing_matrix
+from conftest import build_network_oracle, random_connected_adjacency, random_mixing_matrix
 
 
 class TestExpectedSnr:
@@ -315,3 +317,134 @@ class TestNetworkBuild:
             digest.update(spec.adjacency.tobytes())
             digest.update(spec.V.tobytes())
         assert digest.hexdigest() == "ec7d57d825e16c6b5c338a6e0331c8369a30343ff3cdfdb2c9981176a010bfda"
+
+    @pytest.mark.parametrize("n_clusters, cluster_size, digests", [
+        (25, 5, {
+            "positions": "fe5b410662a9f34479ec01b79663adcfd6609e47645da2e45b219a06765c801f",
+            "adjacency": "760e4b06fb749effde1d33ff68a434ecae8a81d05483656b7f75152085a86f46",
+            "V": "590e1ca63e6de1d1ef5ee603056dc3c64a7ebf8f0dd463468d11be6cb3d6bffe",
+            "link_outage": "6a8e2fe7b628ac1e30846dcf0566dc64ed4de25760dd7318724e23321f7dd226",
+            "lambda_c": "ff2165f056a304864b319d755442ab76853894b3a9a6642864b3bf661ab96992",
+        }),
+        (10, 8, {
+            "positions": "fd24bd62b226958ddd15e88fb0734e816d69075cfef7ecc81e6c5866a13f320e",
+            "adjacency": "690cde2c39e85c809e367d5de1dff7c6a8cc128a2f85959191fe6be9d9c74f16",
+            "V": "afa73174e19e734b2d20e9ee3f9e05c0aa7073be3670d4e31609764351570037",
+            "link_outage": "5892839c801acd360dd1485392ad007172c81e2848fd702aab3a8e6cbab89f4a",
+            "lambda_c": "92a87f7576d25245b10534882739f6a126aeb02e49c3bacfb4073f2cf4f8354f",
+        }),
+        (5, 3, {
+            "positions": "3a7ff2f594717e78d172e76b2c1eab975a1d54a78f3be046e0552b4d34e81e91",
+            "adjacency": "f7f34babdd1b2784fdede12635548781ab13d58de8ba04a8624345b2ad619fbd",
+            "V": "493f187636cf28c0408c31e29f6bd71fdc31f8b9eb4ba1ca7300ae55d86199bb",
+            "link_outage": "8df1f16d515355f5ffbc95a9a95eb5c59b0c78539bc1f12157fffec0e5b42e55",
+            "lambda_c": "9df5ef85b800f0ae068cd6327180d1a62fda517a220d069b48b14db92d894a50",
+        }),
+    ])
+    def test_every_field_of_seed_11_networks_is_pinned(self, n_clusters, cluster_size, digests):
+        # each field's bytes over all clusters, recorded with the per-cluster
+        # build; lossless runs never read link_outage, so only this sees it move
+        specs = topology.build_network(n_clusters, cluster_size, 50.0, ChannelParams(), seed=11)
+        got = {}
+        for name in ("positions", "adjacency", "V", "link_outage"):
+            digest = hashlib.sha256()
+            for spec in specs:
+                digest.update(getattr(spec, name).tobytes())
+            got[name] = digest.hexdigest()
+        got["lambda_c"] = hashlib.sha256(np.array([spec.lambda_c for spec in specs]).tobytes()).hexdigest()
+        assert got == digests
+
+
+def build_outcome(build, *args):
+    """Every field's bytes of each built cluster, or the error's type and message."""
+    try:
+        specs = build(*args)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+    return [
+        (spec.index, spec.positions.tobytes(), spec.adjacency.tobytes(), spec.V.tobytes(),
+         type(spec.lambda_c), np.float64(spec.lambda_c).tobytes(), spec.link_outage.tobytes())
+        for spec in specs
+    ]
+
+
+# (n_clusters, cluster_size, field_m, d_c, seed, max_attempts); 3x3 at 60 m
+# with one placement connects cluster 0 but not 1 at seed 0, and cluster 1
+# but not 0 at seed 5
+BUILD_CASES = {
+    "d-c-zero-before-a-later-disconnection": (3, 3, 60.0, 0.0, 0, 1),
+    "integer-d-c-zero": (3, 3, 60.0, 0, 0, 1),
+    "negative-d-c": (3, 3, 60.0, -0.1, 3, 100),
+    "nan-d-c": (3, 3, 60.0, math.nan, 3, 100),
+    "d-c-too-small-to-certify": (3, 3, 60.0, 1e-14, 3, 100),
+    "one-device-d-c-above-1": (3, 1, 60.0, 1.5, 3, 100),
+    "disconnection-before-a-later-d-c-error": (3, 3, 60.0, 0.0, 5, 1),
+    "lowest-unconnected-cluster-named": (3, 3, 60.0, 0.125, 0, 1),
+    "no-placements": (3, 3, 60.0, 0.125, 3, 0),
+    "field-too-wide-for-2-placements": (4, 5, 1000.0, 0.125, 0, 2),
+    "no-devices": (3, 0, 60.0, 0.125, 3, 100),
+    "one-device": (3, 1, 60.0, 0.125, 3, 100),
+    # co-located devices: complete graphs of degree 5 and 7, whose backed-off
+    # step 0.9/D_c is not 0.9 * (1/D_c)
+    "backed-off-step-degree-5": (2, 6, 1.0, 0.5, 3, 100),
+    "backed-off-step-degree-7": (2, 8, 1.0, 0.5, 3, 100),
+    "no-clusters": (0, 0, 60.0, 0.125, 3, 100),
+}
+RUNNABLE_BUILDS = {"one-device", "backed-off-step-degree-5", "backed-off-step-degree-7"}
+
+
+class TestStackedBuildOracle:
+    """build_network's stacked passes against build_cluster one cluster at a time."""
+
+    @given(
+        n_clusters=st.integers(1, 6),
+        cluster_size=st.integers(1, 10),
+        # wide fields disconnect most layouts, so clusters retry or run out of placements
+        field_m=st.floats(1.0, 400.0),
+        d_c=st.one_of(st.floats(-0.05, 1.2), st.sampled_from([0, 1e-14, math.nan])),
+        seed=st.integers(0, 2**32 - 1),
+        max_attempts=st.integers(0, 5),
+        ref_dist_m=st.floats(0.5, 5.0),
+        pathloss_exp=st.floats(2.0, 4.5),
+    )
+    def test_matches_per_cluster_builds(
+        self, n_clusters, cluster_size, field_m, d_c, seed, max_attempts, ref_dist_m, pathloss_exp
+    ):
+        params = ChannelParams(ref_dist_m=ref_dist_m, pathloss_exp=pathloss_exp)
+        args = (n_clusters, cluster_size, field_m, params, d_c, seed, max_attempts)
+        assert build_outcome(topology.build_network, *args) == build_outcome(build_network_oracle, *args)
+
+    @pytest.mark.parametrize("case", sorted(BUILD_CASES))
+    def test_outcome_and_error_equal_the_per_cluster_builds(self, case):
+        n_clusters, cluster_size, field_m, d_c, seed, max_attempts = BUILD_CASES[case]
+        args = (n_clusters, cluster_size, field_m, ChannelParams(), d_c, seed, max_attempts)
+        expected = build_outcome(build_network_oracle, *args)
+        assert build_outcome(topology.build_network, *args) == expected
+        if case.startswith("d-c-zero"):
+            assert expected == (ValueError, "d_c=0.0 outside the valid interval (0, 0.5)")
+        if case.startswith("disconnection"):
+            assert expected == (DisconnectedGraphError, "cluster 0: no connected layout after 1 placements")
+        if case.startswith("lowest"):
+            assert expected == (DisconnectedGraphError, "cluster 1: no connected layout after 1 placements")
+        if case == "no-clusters":
+            assert expected == []
+        if case.startswith("backed-off"):
+            assert [spec.V[0, 1] for spec in topology.build_network(*args)] == [0.9 / (args[1] - 1)] * 2
+
+    @pytest.mark.parametrize("case", sorted(set(BUILD_CASES) - RUNNABLE_BUILDS))
+    def test_tthf_run_exits_2_naming_topology(self, tmp_path, capsys, case):
+        n_clusters, cluster_size, field_m, d_c, seed, max_attempts = BUILD_CASES[case]
+        cfg = {
+            "dataset": {"m": 4, "n_labels": 4, "per_label": 30, "separation": 2.0, "seed": 7},
+            "topology": {"n_clusters": n_clusters, "cluster_size": cluster_size, "field_m": field_m,
+                         "d_c": d_c, "seed": seed, "max_attempts": max_attempts},
+            "schedule": {"T": 10, "tau": 5, "gamma": {"mode": "fixed", "value": 1, "cadence": 5}},
+            "step": {"kind": "constant", "eta": 0.02},
+            "seeds": [1],
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(cfg_path)]) == 2
+        assert "config field 'topology" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

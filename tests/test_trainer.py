@@ -17,12 +17,15 @@ from tthf.topology import ClusterSpec
 
 from conftest import (
     accuracy_oracle,
+    build_cluster,
     build_small_task,
     effective_matrix,
     local_grad,
     local_loss,
     local_sgd,
+    metropolis_matrix,
     one_device,
+    random_connected_adjacency,
     scalar_gamma_rounds,
 )
 
@@ -465,19 +468,57 @@ def reference_tthf(task, steps, schedule, plan, lossy=False, seed=0):
     return {name: np.array(v) for name, v in cols.items()}, gammas
 
 
-def unequal_cluster_task(sizes=(3, 2, 3, 5), seed=4, **task_options):
-    """Clusters of several sizes; the two size-3 clusters are not adjacent in device order."""
+def regression_task_on(clusters, seed, **task_options):
+    """A regression task whose devices, in cluster order, hold an extreme partition of synthetic data."""
+    sizes = [spec.size for spec in clusters]
     ds = data.gen_synthetic(4, 4, 60, 2.0, seed)
     model = LossModel(kind=LINEAR_REGRESSION, reg=0.5, dim=4)
-    plan = data.PartitionPlan("extreme", seed=seed + 1)
-    flat = data.partition(ds, sum(sizes), plan, kind=model.kind)
-    channel, step = topology.ChannelParams(), topology.DEFAULT_MIXING_STEP
-    clusters = [
-        topology.build_cluster(c, size, 50.0, channel, step, seed) for c, size in enumerate(sizes)
-    ]
-    bounds_ = np.cumsum((0,) + tuple(sizes))
+    flat = data.partition(ds, sum(sizes), data.PartitionPlan("extreme", seed=seed + 1), kind=model.kind)
+    bounds_ = np.cumsum([0] + sizes)
     parts = [flat[a:b] for a, b in zip(bounds_[:-1], bounds_[1:])]
     return trainer.make_task(model, clusters, parts, **task_options)
+
+
+def unequal_cluster_task(sizes=(3, 2, 3, 5), seed=4, **task_options):
+    """Clusters of several sizes; the two size-3 clusters are not adjacent in device order."""
+    channel, step = topology.ChannelParams(), topology.DEFAULT_MIXING_STEP
+    clusters = [
+        build_cluster(c, size, 50.0, channel, step, seed) for c, size in enumerate(sizes)
+    ]
+    return regression_task_on(clusters, seed, **task_options)
+
+
+def metropolis_cluster_task(sizes=(6, 8, 7), seed=10):
+    """Hand-built clusters with Metropolis weights on random connected graphs,
+    every link lost with probability 0.4; a node's link weights differ, unlike
+    a uniform-step V's."""
+    rng = np.random.default_rng(seed)
+    clusters = []
+    for c, n in enumerate(sizes):
+        adj = random_connected_adjacency(rng, n)
+        V = metropolis_matrix(adj)
+        clusters.append(ClusterSpec(
+            index=c, positions=np.zeros((n, 2)), adjacency=adj, V=V,
+            lambda_c=topology.spectral_radius(V), link_outage=np.where(adj, 0.4, 0.0),
+        ))
+    return regression_task_on(clusters, seed)
+
+
+class TestMetropolisLossyRun:
+    def test_lossy_metropolis_run_bytes_are_pinned(self, tmp_path):
+        # the benchmark networks' V has one weight per node, so the order in
+        # which a node's lost links fold onto its diagonal shows only here
+        task = metropolis_cluster_task()
+        assert any(len(set(row[row > 0].tolist())) > 1 for spec in task.clusters
+                   for row in np.where(spec.adjacency, spec.V, 0.0))
+        steps = StepSchedule(kind="diminishing", gamma=2 / task.mu, alpha=30.0)
+        trace = trainer.run_tthf(
+            task, steps, TrainingSchedule.uniform(33, 7), GammaPlan(mode="fixed", value=4, cadence=1),
+            lossy=True, seed=5,
+        )
+        trace.to_csv(tmp_path / "trace.csv")
+        digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+        assert digest == "5200d4a5d25e6181e2c644098c7d46f6323eb3e4731dcdf72c20dfca1beb7bb8"
 
 
 CERTIFIED = GammaPlan(mode="certified", phi=0.5, max_rounds=60)
