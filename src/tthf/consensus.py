@@ -38,8 +38,8 @@ def _check_probabilities(link: np.ndarray):
         raise ValueError("link_outage must hold probabilities in [0, 1] (NaN is not one)")
 
 
-# one entry per (cluster matrix, round count) in use; a topology refresh brings
-# new bytes, so stale entries age out instead of being invalidated
+# one entry per (cluster matrix, round count) in use, keyed by bytes so that a matrix
+# changed in place is never read stale; a refresh's new bytes age old entries out
 _CACHE_SIZE = 1024
 # uniforms an OutageStream fetches per block, in whole rounds of its link count;
 # on the 25x5 benchmark network a lossy seed builds each cluster's blocks about
@@ -147,6 +147,7 @@ class OutageStream:
 
     def rounds(self, V: np.ndarray, link: np.ndarray, gamma: int) -> list:
         """The next gamma round matrices for this float, C-ordered V and link."""
+        # by bytes, so a matrix changed in place reads a new, checked table
         key = (V.tobytes(), link.tobytes())
         if key != self._key:
             table = _edges(*key, len(V))  # before any state moves, as it may raise

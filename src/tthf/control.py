@@ -8,7 +8,7 @@ import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .consensus import divergence_estimate
 from .costs import CostParams
 from .losses import LossModel
 from .schedules import StepSchedule
-from .topology import ClusterSpec
 
 
 class InfeasibleError(RuntimeError):
@@ -218,7 +217,8 @@ def fit_predictor(upsilon_history, gamma_history) -> PredictorCoeffs:
 _TABLE_WIDTH = 128
 
 
-# one entry per set of cluster lambdas and width in use; a topology refresh
+# one entry per set of cluster lambdas and width in use, keyed by bytes for direct
+# callers (the D2DEpoch takes it over after ROADMAP item 2); a topology refresh
 # brings new bytes, so stale entries age out
 @functools.lru_cache(maxsize=8)
 def _lambda_table(lams_bytes: bytes, width: int) -> np.ndarray:
@@ -292,23 +292,20 @@ def gamma_rounds(
 
 
 def round_rule(
-    clusters: Sequence[ClusterSpec], blocks, divergence, eta_t: float, phi: float,
-    gamma_max: Optional[int],
+    epoch: trainer.D2DEpoch, blocks, divergence, eta_t: float, phi: float, gamma_max: Optional[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cluster divergences and certified D2D rounds for one step.
 
     blocks holds (member cluster indices, (members, size, d) intermediate models)
     pairs, one per cluster size, as run_protocol passes them. `divergence`
-    (divergence_exact or divergence_estimate) is called once per block, then
-    gamma_rounds once for all clusters, with the lambdas of the current specs.
+    (divergence_exact or divergence_estimate) is called once per block, then gamma_rounds
+    once on the epoch's sizes and lambdas; perfbench patches both names to count the calls.
     Returns (upsilon, gammas) in cluster order.
     """
-    upsilon, sizes = np.zeros((2, len(clusters)))
+    upsilon = np.zeros(len(epoch.sizes))
     for members, block in blocks:
         upsilon[members] = divergence(block)
-        sizes[members] = block.shape[1]
-    lams = np.array([spec.lambda_c for spec in clusters])
-    return upsilon, gamma_rounds(eta_t, phi, sizes, upsilon, lams, gamma_max)
+    return upsilon, gamma_rounds(eta_t, phi, epoch.sizes, upsilon, epoch.lams, gamma_max)
 
 
 @dataclass
@@ -333,7 +330,7 @@ def predict_interval_cost(
     t_km1: int,
     hi: int,
     coeffs: PredictorCoeffs,
-    clusters: Sequence[ClusterSpec],
+    epoch: trainer.D2DEpoch,
     sched: StepSchedule,
     phi: float,
     cost: CostParams,
@@ -344,12 +341,11 @@ def predict_interval_cost(
     The predicted divergence and rounds do not depend on the length, so one
     simulation to t_km1+hi yields every length's energy and delay as running sums.
     """
-    sizes = np.array([spec.size for spec in clusters])
-    lams = np.array([spec.lambda_c for spec in clusters])
-    upsilon = np.zeros(len(clusters))
-    gammas = np.empty((hi + 1, len(clusters)), dtype=int)
+    sizes, n = epoch.sizes, len(epoch.sizes)
+    upsilon = np.zeros(n)
+    gammas = np.empty((hi + 1, n), dtype=int)
     for i, t in enumerate(range(t_km1, t_km1 + hi + 1)):
-        g = gammas[i] = gamma_rounds(sched.eta(t), phi, sizes, upsilon, lams, gamma_max)
+        g = gammas[i] = gamma_rounds(sched.eta(t), phi, sizes, upsilon, epoch.lams, gamma_max)
         # the rounds run at t pick the predictor branch of the divergence at t+1
         idle = g == 0
         upsilon = np.where(idle, coeffs.A, coeffs.a) * upsilon + np.where(idle, coeffs.B, coeffs.b)
@@ -358,7 +354,6 @@ def predict_interval_cost(
     # that order, where a sum would add pairwise
     energy = np.cumsum(np.append(cost.e_glob, gammas * sizes * cost.e_d2d))
     delay = np.cumsum(np.append(cost.delta_glob, gammas * cost.delta_d2d))
-    n = len(clusters)
     return [
         sum(cost.interval_terms(e, d, t_km1, tau, sched.alpha))
         for tau, (e, d) in enumerate(zip(energy[2 * n :: n].tolist(), delay[2 * n :: n].tolist()), start=1)
@@ -368,7 +363,7 @@ def predict_interval_cost(
 def solve_P(
     t_km1: int,
     coeffs: PredictorCoeffs,
-    clusters: Sequence[ClusterSpec],
+    epoch: trainer.D2DEpoch,
     sched: StepSchedule,
     phi: float,
     cost: CostParams,
@@ -380,9 +375,7 @@ def solve_P(
     hi = min(tau_max, T - t_km1)
     if hi < 1:
         raise ValueError("no feasible interval length remains before the horizon")
-    values = predict_interval_cost(
-        t_km1, hi, coeffs, clusters, sched, phi, cost, gamma_max
-    )
+    values = predict_interval_cost(t_km1, hi, coeffs, epoch, sched, phi, cost, gamma_max)
     best_tau, best_val = 1, math.inf
     for tau, val in enumerate(values, start=1):
         if val < best_val - 1e-15:
@@ -448,11 +441,11 @@ def _probe(task, models, w_ref, zeta, batch, rng):
     gradients at the reference model w_ref, and the gradients' weighted mean.
     """
     data = task.data
-    devices = np.empty(len(task.clusters), dtype=int)
-    sigma_locals = np.zeros(len(task.clusters))
-    grads = np.empty((len(task.clusters), task.model.dim))
-    for c, (spec, sl) in enumerate(zip(task.clusters, data.cluster_slices)):
-        dev = devices[c] = sl.start + int(rng.integers(0, spec.size))
+    devices = np.empty(len(data.cluster_slices), dtype=int)
+    sigma_locals = np.zeros(len(devices))
+    grads = np.empty((len(devices), task.model.dim))
+    for c, sl in enumerate(data.cluster_slices):
+        dev = devices[c] = sl.start + int(rng.integers(0, sl.stop - sl.start))
         if batch < data.n_points[dev]:
             sigma_locals[c], grads[c] = estimate_sigma(task.model, data, dev, models[dev], batch, rng)
     full = data.n_points[devices] <= batch
@@ -540,20 +533,19 @@ def run_adaptive(
 
     # gamma_step and alpha are fixed at start-up, so one schedule serves the run
     sched = state.step_schedule()
-    n_clusters = len(task.clusters)
     # divergences and rounds of the running interval, by local step; row 0 is
     # the aggregation point, where the divergence is 0 and no rounds ran
-    ups_log = np.zeros((config.tau_max + 1, n_clusters))
-    gam_log = np.zeros((config.tau_max + 1, n_clusters), dtype=int)
+    ups_log = np.zeros((config.tau_max + 1, len(task.clusters)))
+    gam_log = np.zeros(ups_log.shape, dtype=int)
     tau_next = min(config.tau1, config.tau_max)
 
-    def gamma_provider(local_step, clusters, blocks, eta_next):
+    def gamma_provider(local_step, epoch, blocks, eta_next):
         ups_log[local_step], gam_log[local_step] = round_rule(
-            clusters, blocks, divergence_estimate, eta_next, state.phi, config.gamma_max
+            epoch, blocks, divergence_estimate, eta_next, state.phi, config.gamma_max
         )
         return gam_log[local_step]
 
-    def on_aggregate(t_k, tau, w_hat, W, clusters):
+    def on_aggregate(t_k, tau, w_hat, W, epoch):
         nonlocal tau_next
         # device-side probes at the sampled models, then server-side re-estimation
         state.sigma2, state.delta_prime, g_bar_k = _probe(
@@ -579,7 +571,7 @@ def run_adaptive(
         coeffs = fit_predictor(ups_log[: tau + 1], gam_log[:tau])
         if t_k < state.T:
             tau_next = solve_P(
-                t_k, coeffs, clusters, sched, state.phi, cost,
+                t_k, coeffs, epoch, sched, state.phi, cost,
                 config.tau_max, state.T, gamma_max=config.gamma_max,
             )
         return {

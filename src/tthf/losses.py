@@ -65,23 +65,22 @@ class DevicePartition:
         return self.X.shape[0]
 
 
-def size_groups(sizes: Sequence[int]) -> list[tuple[list[int], slice | np.ndarray, int]]:
+def size_groups(sizes: Sequence[int]) -> list[tuple[np.ndarray, slice | np.ndarray, int]]:
     """Consecutive row ranges of the given sizes, grouped by size: (members, rows, size).
 
-    The group's rows, reshaped to (members, size, ...), hold its members in
-    order. They are a slice, so indexing gives a view, when the members are
+    members is an int array. The group's rows, reshaped to (members, size, ...), hold its
+    members in order. They are a slice, so indexing gives a view, when the members are
     consecutive, as they are when all ranges share a size.
     """
+    sizes = np.asarray(sizes)
     ends = np.cumsum(sizes)
-    by_size: dict[int, list[int]] = {}
-    for i, size in enumerate(sizes):
-        by_size.setdefault(int(size), []).append(i)
     groups = []
-    for size, members in by_size.items():
-        if members == list(range(members[0], members[-1] + 1)):
+    for size in dict.fromkeys(sizes.tolist()):
+        members = np.flatnonzero(sizes == size)
+        if members[-1] - members[0] == len(members) - 1:
             rows = slice(int(ends[members[0]]) - size, int(ends[members[-1]]))
         else:
-            rows = np.concatenate([np.arange(ends[i] - size, ends[i]) for i in members])
+            rows = (ends[members, None] - size + np.arange(size)).ravel()
         groups.append((members, rows, size))
     return groups
 

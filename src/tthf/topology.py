@@ -135,11 +135,11 @@ def consensus_matrix(adjacency: np.ndarray, d_c) -> np.ndarray:
 def mixing_step(adjacency: np.ndarray, d_c: float = DEFAULT_MIXING_STEP):
     """The configured d_c, or 0.9/D_c when d_c >= 1/D_c for the largest degree D_c.
 
-    Any such d_c backs off, not only the default: a configured d_c of 2.5 runs with 0.9/D_c.
-    A stack gets one step per matrix, or d_c as given when no matrix backs off.
+    Any such d_c backs off, not only the default: d_c = 2.5 runs with 0.9/D_c, and a lone
+    device, read as D_c = 1, with 0.9. A stack gets one step per matrix, or d_c as given when none does.
     """
     max_degree = np.asarray(adjacency).sum(axis=-1).max(axis=-1, initial=0)
-    backoff = (max_degree > 0) & (d_c >= 1.0 / np.maximum(max_degree, 1))
+    backoff = d_c >= 1.0 / np.maximum(max_degree, 1)
     return _scalar_or_array(np.where(backoff, 0.9 / np.maximum(max_degree, 1), d_c)) if backoff.any() else d_c
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -221,7 +221,25 @@ class MetricsTrace:
         )
 
 
-# round provider ---------------------------------------------------------------
+# D2D epoch and round provider -------------------------------------------------
+
+
+class D2DEpoch(NamedTuple):
+    """One topology's D2D constants in cluster order: the sizes and lambdas as floats,
+    and each cluster's run_consensus arguments (V, OutagePolicy or None)."""
+
+    sizes: np.ndarray
+    lams: np.ndarray
+    gossip: list[tuple[np.ndarray, Optional[OutagePolicy]]]
+
+
+def d2d_epoch(clusters: Sequence[ClusterSpec], lossy=False, previous: Optional[D2DEpoch] = None) -> D2DEpoch:
+    """The D2DEpoch of these specs; a refresh passes the one it ends, whose sizes they must keep."""
+    sizes = np.array([spec.size for spec in clusters], dtype=float)
+    if previous is not None and not np.array_equal(sizes, previous.sizes):
+        raise ValueError("topology refresh must preserve cluster sizes")
+    gossip = [(spec.V, OutagePolicy(True, spec.link_outage) if lossy else None) for spec in clusters]
+    return D2DEpoch(sizes, np.array([spec.lambda_c for spec in clusters], dtype=float), gossip)
 
 
 def provider_from_plan(plan: GammaPlan):
@@ -231,16 +249,17 @@ def provider_from_plan(plan: GammaPlan):
     fixed plans run plan.value rounds at every plan.cadence-th local step.
     """
     if plan.mode == "certified":
+        # imported here: control imports trainer, and perfbench patches consensus.divergence_exact
         from .consensus import divergence_exact
         from .control import round_rule
 
-        def certified(local_step, clusters, blocks, eta_next):
-            return round_rule(clusters, blocks, divergence_exact, eta_next, plan.phi, plan.max_rounds)[1]
+        def certified(local_step, epoch, blocks, eta_next):
+            return round_rule(epoch, blocks, divergence_exact, eta_next, plan.phi, plan.max_rounds)[1]
 
         return certified
 
-    def fixed(local_step, clusters, blocks, eta_next):
-        return [plan.value if local_step % plan.cadence == 0 else 0] * len(clusters)
+    def fixed(local_step, epoch, blocks, eta_next):
+        return [plan.value if local_step % plan.cadence == 0 else 0] * len(epoch.sizes)
 
     return fixed
 
@@ -267,19 +286,19 @@ def run_protocol(
     tau_provider(k) -> planned length of interval k (1-based k); the horizon
     cuts the last interval short, and each interval is recorded with the
     number of steps it ran.
-    gamma_provider(local_step, clusters, blocks, eta_t) -> D2D rounds for this
-    step, one int per cluster in `clusters` order. blocks holds one (member
-    cluster indices, (members, size, d) intermediate models) pair per cluster
-    size; a provider batches its rule over them and copies what it keeps, as
-    later steps reuse their buffer rows.
-    on_aggregate(t_k, tau_k, w_hat, W, clusters) -> optional dict merged into
+    gamma_provider(local_step, epoch, blocks, eta_t) -> D2D rounds for this
+    step, one int per cluster in cluster order; epoch is the current D2DEpoch.
+    blocks holds one (member cluster indices as an int array, (members, size, d)
+    intermediate models) pair per cluster size; a provider batches its rule over
+    them and copies what it keeps, as later steps reuse their buffer rows.
+    on_aggregate(t_k, tau_k, w_hat, W, epoch) -> optional dict merged into
     the control row (the adaptive controller hooks its re-estimation logic
-    here); clusters are the specs of interval k+1, already refreshed.
+    here); epoch is that of interval k+1, already refreshed.
     lossy loses each link of a D2D round with its cluster's link_outage probability.
     radius_ref, when given, tracks the largest device-model distance from that
     reference over every gradient evaluation point (meta["max_radius"]).
-    topology_refresh(k) -> new cluster specs for interval k, called when interval
-    k-1 ends (positions stay static within each interval either way).
+    topology_refresh(k) -> new specs of the same cluster sizes for interval k, or None,
+    called when interval k-1 ends; each topology's D2DEpoch is derived once.
     aggregation FULL is the full-participation baseline, whose gamma_provider
     runs no rounds; its server model at each step is the average model.
     A step computes only what the next step reads; its models wait in buffers of
@@ -289,14 +308,12 @@ def run_protocol(
     if aggregation not in (SAMPLED, FULL):
         raise ValueError(f"unknown aggregation mode {aggregation!r}")
     cost = cost or CostParams()
-    clusters = list(task.clusters)
-    n_clusters = len(clusters)
+    epoch = d2d_epoch(task.clusters, lossy)
+    n_clusters = len(epoch.sizes)
     n_dev = task.n_devices
     dim = task.model.dim
     groups = task.data.cluster_groups
-    # refreshes keep every cluster's size
-    sizes = np.array([spec.size for spec in clusters])
-    cluster_starts = np.array([sl.start for sl in task.data.cluster_slices])
+    starts, stops = np.array([(sl.start, sl.stop) for sl in task.data.cluster_slices]).T
     upload_scale = 1.0 if aggregation == SAMPLED else n_dev / n_clusters
 
     rng_sampling = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SAMPLING]))
@@ -340,12 +357,6 @@ def run_protocol(
         if acc_log is not None:
             acc_log[span] = task.accuracy(hat)
 
-    def outage_policies():
-        if not lossy:
-            return [None] * n_clusters
-        return [OutagePolicy(enabled=True, link_outage=spec.link_outage) for spec in clusters]
-
-    per_cluster_outage = outage_policies()
     control_rows: list[dict] = []
     t_k = 0
     while t_k < T:
@@ -355,7 +366,7 @@ def run_protocol(
             raise ValueError("tau_provider returned an interval shorter than 1")
         t_km1, t_k = t_k, min(t_k + tau, T)
         # one draw per cluster, in cluster order, as separate scalar calls would give
-        sampled = (cluster_starts + rng_sampling.integers(0, sizes)).tolist()
+        sampled = (starts + rng_sampling.integers(0, stops - starts)).tolist()
 
         for t in range(t_km1 + 1, t_k + 1):
             if radius_ref is not None:
@@ -374,18 +385,18 @@ def run_protocol(
                 bad = int(np.flatnonzero(np.isnan(W_tilde).any(axis=1))[0])
                 raise RuntimeError(f"NaN model parameters at t={t} (device {bad}); aborting run")
 
-            # D2D consensus: the round rule runs once per size group on
-            # (members, size, d) blocks; only the gossip is per cluster
+            # D2D consensus: the round rule runs once per size group on (members, size, d)
+            # blocks; the gossip stays one call per cluster, as criteria 1-3 and perfbench count it
             blocks = [
                 (members, W_tilde[dev_rows].reshape(len(members), size, dim))
                 for members, dev_rows, size in groups
             ]
-            gamma_log[t - 1] = gamma_provider(t - t_km1, clusters, blocks, eta_next)
+            gamma_log[t - 1] = gamma_provider(t - t_km1, epoch, blocks, eta_next)
             gammas = gamma_log[t - 1].tolist()
-            for spec, (w_c, out_c), gamma, policy, stream in zip(
-                clusters, cluster_views[row], gammas, per_cluster_outage, outage_streams
+            for (w_c, out_c), gamma, (V, policy), stream in zip(
+                cluster_views[row], gammas, epoch.gossip, outage_streams
             ):
-                run_consensus(w_c, spec.V, gamma, outage=policy, rng=stream, out=out_c)
+                run_consensus(w_c, V, gamma, outage=policy, rng=stream, out=out_c)
             W = post_buf[row]
             sampled_buf[row] = sampled
             if row == METRIC_BLOCK - 1 or t == T:
@@ -404,12 +415,9 @@ def run_protocol(
         if t_k < T and topology_refresh is not None:
             fresh = topology_refresh(k + 1)
             if fresh is not None:
-                if [s.size for s in fresh] != [s.size for s in clusters]:
-                    raise ValueError("topology refresh must preserve cluster sizes")
-                clusters = list(fresh)
-                per_cluster_outage = outage_policies()
+                epoch = d2d_epoch(fresh, lossy, epoch)
         if on_aggregate is not None:
-            extra = on_aggregate(t_k, t_k - t_km1, w_hat, W, clusters)
+            extra = on_aggregate(t_k, t_k - t_km1, w_hat, W, epoch)
             if extra:
                 record.update(extra)
         control_rows.append(record)
@@ -420,7 +428,7 @@ def run_protocol(
 
     # per-step costs: D2D rounds, plus the upload charge at each aggregation
     gamma_total = gamma_log.sum(axis=1)
-    energy = (gamma_log * sizes).sum(axis=1) * cost.e_d2d
+    energy = (gamma_log * epoch.sizes).sum(axis=1) * cost.e_d2d
     delay = gamma_total * cost.delta_d2d
     ends = [record["t_k"] - 1 for record in control_rows]
     energy[ends] += cost.e_glob * upload_scale

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tthf import bounds, consensus, control, losses, topology
+from tthf import bounds, consensus, control, losses, topology, trainer
 from tthf.control import PredictorCoeffs
 from tthf.costs import CostParams
 from tthf.losses import LINEAR_REGRESSION, SQUARED_HINGE_SVM, DevicePartition, LossModel
@@ -518,7 +518,9 @@ class TestRoundRule:
         ]
         eta, phi = float(10.0 ** rng.uniform(-3, 0)), float(10.0 ** rng.uniform(-2, 1))
 
-        upsilon, gammas = control.round_rule(clusters, blocks, divergence, eta, phi, gamma_max)
+        upsilon, gammas = control.round_rule(
+            trainer.d2d_epoch(clusters), blocks, divergence, eta, phi, gamma_max
+        )
         ends = np.cumsum(sizes)
         for c, spec in enumerate(clusters):
             ups_c = divergence(W[ends[c] - spec.size : ends[c]])
@@ -529,29 +531,29 @@ class TestRoundRule:
 class TestSolveP:
     SCHED = StepSchedule(kind="diminishing", gamma=2.0, alpha=30.0)
 
-    def clusters(self):
-        return [make_cluster(i) for i in range(3)]
+    def epoch(self):
+        return trainer.d2d_epoch([make_cluster(i) for i in range(3)])
 
     def idle_growth_coeffs(self):
         return PredictorCoeffs(A=1.0, B=0.05, a=0.5, b=0.0)
 
     def test_progress_only_prefers_shortest(self):
         cost = CostParams(c1=0.0, c2=0.0, c3=1.0)
-        tau = control.solve_P(0, self.idle_growth_coeffs(), self.clusters(), self.SCHED, 1.0, cost, 15, 100)
+        tau = control.solve_P(0, self.idle_growth_coeffs(), self.epoch(), self.SCHED, 1.0, cost, 15, 100)
         assert tau == 1
 
     def test_free_progress_amortizes_uplink(self):
         cost = CostParams(c1=1.0, c2=1.0, c3=0.0)
         quiet = PredictorCoeffs(A=0.0, B=0.0, a=0.0, b=0.0)
-        tau = control.solve_P(0, quiet, self.clusters(), self.SCHED, 1.0, cost, 15, 100)
+        tau = control.solve_P(0, quiet, self.epoch(), self.SCHED, 1.0, cost, 15, 100)
         assert tau == 15
 
     def test_range_respects_horizon(self):
         cost = CostParams(c1=1.0, c2=1.0, c3=0.0)
         quiet = PredictorCoeffs(A=0.0, B=0.0, a=0.0, b=0.0)
-        assert control.solve_P(95, quiet, self.clusters(), self.SCHED, 1.0, cost, 15, 100) == 5
+        assert control.solve_P(95, quiet, self.epoch(), self.SCHED, 1.0, cost, 15, 100) == 5
         with pytest.raises(ValueError):
-            control.solve_P(100, quiet, self.clusters(), self.SCHED, 1.0, cost, 15, 100)
+            control.solve_P(100, quiet, self.epoch(), self.SCHED, 1.0, cost, 15, 100)
 
     def test_monotone_in_weights(self):
         # tau non-decreasing in c1 and c2, non-increasing in c3 over a 3x3x3 grid
@@ -559,7 +561,7 @@ class TestSolveP:
         for c1, c2, c3 in itertools.product((1e-3, 1e-1, 10.0), repeat=3):
             cost = CostParams(c1=c1, c2=c2, c3=c3)
             taus[(c1, c2, c3)] = control.solve_P(
-                0, self.idle_growth_coeffs(), self.clusters(), self.SCHED, 0.5, cost, 12, 100
+                0, self.idle_growth_coeffs(), self.epoch(), self.SCHED, 0.5, cost, 12, 100
             )
         levels = (1e-3, 1e-1, 10.0)
         for a, b in zip(levels, levels[1:]):
@@ -625,9 +627,8 @@ class TestOnePassLineSearch:
         T = t_km1 + int(rng.integers(1, 2 * tau_max + 1))
         hi = min(tau_max, T - t_km1)
 
-        values = control.predict_interval_cost(
-            t_km1, hi, coeffs, clusters, sched, phi, cost, gamma_max
-        )
+        epoch = trainer.d2d_epoch(clusters)
+        values = control.predict_interval_cost(t_km1, hi, coeffs, epoch, sched, phi, cost, gamma_max)
         oracle = [
             oracle_interval_cost(t_km1, tau, coeffs, clusters, sched, phi, cost, gamma_max)
             for tau in range(1, hi + 1)
@@ -637,7 +638,7 @@ class TestOnePassLineSearch:
         for tau, val in enumerate(oracle, start=1):
             if val < best_val - 1e-15:
                 best_tau, best_val = tau, val
-        chosen = control.solve_P(t_km1, coeffs, clusters, sched, phi, cost, tau_max, T, gamma_max)
+        chosen = control.solve_P(t_km1, coeffs, epoch, sched, phi, cost, tau_max, T, gamma_max)
         assert chosen == best_tau
 
 
@@ -747,14 +748,20 @@ class TestRunAdaptive:
         plans = []
         solve_P = control.solve_P
 
-        def spy(t_km1, coeffs, clusters, *args, **kwargs):
-            plans.append(clusters)
-            return solve_P(t_km1, coeffs, clusters, *args, **kwargs)
+        def spy(t_km1, coeffs, epoch, *args, **kwargs):
+            plans.append(epoch)
+            return solve_P(t_km1, coeffs, epoch, *args, **kwargs)
 
         monkeypatch.setattr(control, "solve_P", spy)
         cfg = control.AdaptiveConfig(T=30, tau_max=6, tau1=3, zeta_frac=0.02, sigma_batch=8)
         trace, _ = control.run_adaptive(task, cfg, seed=3, topology_refresh=refresh)
         # every aggregation before the horizon refreshes, then plans the next interval
         assert len(plans) == len(trace.boundaries) - 1 == len(fresh)
-        for k, clusters in enumerate(plans, start=1):
-            assert [id(spec) for spec in clusters] == [id(spec) for spec in fresh[k + 1]]
+        for k, epoch in enumerate(plans, start=1):
+            assert epoch.sizes.dtype == epoch.lams.dtype == float
+            assert epoch.sizes.tolist() == [spec.size for spec in fresh[k + 1]]
+            assert epoch.lams.tolist() == [spec.lambda_c for spec in fresh[k + 1]]
+            assert [id(V) for V, _ in epoch.gossip] == [id(spec.V) for spec in fresh[k + 1]]
+        # some networks' lambdas differ from the start's, so a plan on the task's
+        # own specs would fail above
+        assert any(epoch.lams.tolist() != [spec.lambda_c for spec in task.clusters] for epoch in plans)

@@ -231,7 +231,31 @@ class TestRunExperiment:
         }
         assert digests == expected
 
-    def test_certified_run_bytes_are_pinned(self, tmp_path):
+    @pytest.mark.parametrize(
+        "override, expected",
+        [
+            (
+                {},
+                {
+                    "summary.json": "d773f4ee38972a6b9d43a085ef5b500a525881315a57c5b45ee02cc2471446c2",
+                    "trace_seed3.csv": "7bbf4f1ec72b5127fe041ff2bf29b22107e8287fa43831c89aa262b26f51ae12",
+                    "trace_seed3_control.csv": "a63bcaedf493345d32fbbba45c3a13ed9ba0ab7f45366eeb0884b1d118b9dece",
+                },
+            ),
+            (
+                # devices re-placed between intervals: each interval's rounds
+                # read the sizes and lambdas of its own network
+                {"replace_between_intervals": True},
+                {
+                    "summary.json": "9c7807df26aa497d2f9bf1eadf5e0b4454f3e3000e24f5d14c8bccbd0759022e",
+                    "trace_seed3.csv": "af2178b070a0e2bf313b910ab48ffcd39451e99f1cadd00a9e09b6c80f63a993",
+                    "trace_seed3_control.csv": "cb63d3236a1d1b58354e446131fd3159df48befb5fe0ec441c80fdb80f8d666d",
+                },
+            ),
+        ],
+        ids=["static", "refresh"],
+    )
+    def test_certified_run_bytes_are_pinned(self, tmp_path, override, expected):
         # lossless rounds on a 4x4 network, each cluster's rounds chosen by the
         # round rule on the exact divergence and run as one cached power of V;
         # the most rounds any cluster runs in one step is 37, well below
@@ -246,6 +270,7 @@ class TestRunExperiment:
             "control": {"zeta_frac": 0.05, "tau_max": 10},
             "seeds": [3],
             "output_dir": str(tmp_path / "out"),
+            **override,
         }
         summary = experiment.run_experiment(cfg)
         assert summary["bound_check"] is True
@@ -253,13 +278,34 @@ class TestRunExperiment:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted((tmp_path / "out").glob("*"))
         }
-        assert digests == {
-            "summary.json": "d773f4ee38972a6b9d43a085ef5b500a525881315a57c5b45ee02cc2471446c2",
-            "trace_seed3.csv": "7bbf4f1ec72b5127fe041ff2bf29b22107e8287fa43831c89aa262b26f51ae12",
-            "trace_seed3_control.csv": "a63bcaedf493345d32fbbba45c3a13ed9ba0ab7f45366eeb0884b1d118b9dece",
-        }
+        assert digests == expected
 
-    def test_adaptive_minibatch_run_bytes_are_pinned(self, tmp_path):
+    @pytest.mark.parametrize(
+        "override, expected",
+        [
+            (
+                {},
+                {
+                    "summary.json": "64e0c52fb759e7f2558db85ac76a4908f68b99a51b9bba0ed9dca263f57c2817",
+                    "trace_seed2.csv": "0379f38a863edcc5cc753f32ebf05f7e0031ae1929e228c1b0b533a2d2854085",
+                    "trace_seed2_control.csv": "240c5fc1bfc23327621cc82a023e5aa4e6503e0a7cec826abd2cb2134df5d6e5",
+                },
+            ),
+            (
+                # devices re-placed between intervals: the round rule and the
+                # line search of each interval read its own network, and the
+                # fourth interval ends at t=23, not at the static run's 24
+                {"replace_between_intervals": True},
+                {
+                    "summary.json": "45291ec03fcd8ee37f2c384d4259ef6a07dbee5cb0f328b39445e418cb73db93",
+                    "trace_seed2.csv": "e864728287edfc306083b4931a17b159b1010d446138a170f5f3001bb732dafd",
+                    "trace_seed2_control.csv": "93975a960241875c079696d8689b1f09ce15fed7676861dec6c8627ed8a1c37e",
+                },
+            ),
+        ],
+        ids=["static", "refresh"],
+    )
+    def test_adaptive_minibatch_run_bytes_are_pinned(self, tmp_path, override, expected):
         # the adaptive controller on a mini-batch SVM: its intervals (3, 7, ...,
         # 5, 7, 2) and its horizon T=45 are not multiples of the sampler's
         # 16-step blocks. A change to the mini-batch draws, the probes or the
@@ -273,6 +319,7 @@ class TestRunExperiment:
             "control": {"tau_max": 7, "tau1": 3, "zeta_frac": 0.02, "sigma_batch": 4},
             "seeds": [2],
             "output_dir": str(tmp_path / "out"),
+            **override,
         }
         summary = experiment.run_experiment(cfg)
         assert summary["T"] == 45
@@ -280,11 +327,7 @@ class TestRunExperiment:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted((tmp_path / "out").glob("*"))
         }
-        assert digests == {
-            "summary.json": "64e0c52fb759e7f2558db85ac76a4908f68b99a51b9bba0ed9dca263f57c2817",
-            "trace_seed2.csv": "0379f38a863edcc5cc753f32ebf05f7e0031ae1929e228c1b0b533a2d2854085",
-            "trace_seed2_control.csv": "240c5fc1bfc23327621cc82a023e5aa4e6503e0a7cec826abd2cb2134df5d6e5",
-        }
+        assert digests == expected
 
 
 class RunHung(Exception):

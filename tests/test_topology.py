@@ -390,7 +390,9 @@ BUILD_CASES = {
     "backed-off-step-degree-7": (2, 8, 1.0, 0.5, 3, 100),
     "no-clusters": (0, 0, 60.0, 0.125, 3, 100),
 }
-RUNNABLE_BUILDS = {"one-device", "backed-off-step-degree-5", "backed-off-step-degree-7"}
+RUNNABLE_BUILDS = {
+    "one-device", "one-device-d-c-above-1", "backed-off-step-degree-5", "backed-off-step-degree-7",
+}
 
 
 class TestStackedBuildOracle:
@@ -430,9 +432,12 @@ class TestStackedBuildOracle:
             assert expected == []
         if case.startswith("backed-off"):
             assert [spec.V[0, 1] for spec in topology.build_network(*args)] == [0.9 / (args[1] - 1)] * 2
+        if case.startswith("one-device"):
+            # a lone device backs off from a d_c >= 1 as larger clusters do
+            assert [spec.V.tolist() for spec in topology.build_network(*args)] == [[[1.0]]] * 3
 
-    @pytest.mark.parametrize("case", sorted(set(BUILD_CASES) - RUNNABLE_BUILDS))
-    def test_tthf_run_exits_2_naming_topology(self, tmp_path, capsys, case):
+    @staticmethod
+    def run_config(tmp_path, case):
         n_clusters, cluster_size, field_m, d_c, seed, max_attempts = BUILD_CASES[case]
         cfg = {
             "dataset": {"m": 4, "n_labels": 4, "per_label": 30, "separation": 2.0, "seed": 7},
@@ -445,6 +450,15 @@ class TestStackedBuildOracle:
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        assert cli.main(["run", str(cfg_path)]) == 2
+        return str(cfg_path)
+
+    @pytest.mark.parametrize("case", sorted(set(BUILD_CASES) - RUNNABLE_BUILDS))
+    def test_tthf_run_exits_2_naming_topology(self, tmp_path, capsys, case):
+        assert cli.main(["run", self.run_config(tmp_path, case)]) == 2
         assert "config field 'topology" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(RUNNABLE_BUILDS))
+    def test_tthf_run_exits_0(self, tmp_path, case):
+        assert cli.main(["run", self.run_config(tmp_path, case)]) == 0
+        assert (tmp_path / "out" / "summary.json").exists()

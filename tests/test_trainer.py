@@ -543,7 +543,9 @@ class TestBatchedEngineOracle:
     def test_unequal_sizes_group_by_size(self):
         task = unequal_cluster_task()
         groups = losses.size_groups([spec.size for spec in task.clusters])
-        assert [(members, size) for members, _, size in groups] == [([0, 2], 3), ([1], 2), ([3], 5)]
+        assert [(members.dtype.kind, members.tolist(), size) for members, _, size in groups] == [
+            ("i", [0, 2], 3), ("i", [1], 2), ("i", [3], 5)
+        ]
         np.testing.assert_array_equal(groups[0][1], [0, 1, 2, 5, 6, 7])
         assert groups[2][1] == slice(8, 13)
 
@@ -586,6 +588,27 @@ class TestOutageStreams:
         steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
         trainer.run_tthf(task, steps, TrainingSchedule.uniform(6, 3), plan, lossy=lossy, seed=4)
         assert len(built) == (len(task.clusters) if lossy else 0)
+
+
+class TestTopologyRefresh:
+    @pytest.mark.parametrize(
+        "n_clusters, cluster_size", [(4, 4), (3, 3), (5, 3)],
+        ids=["other-sizes", "fewer-clusters", "more-clusters"],
+    )
+    def test_a_refresh_that_changes_the_cluster_sizes_is_rejected(self, n_clusters, cluster_size):
+        task = build_small_task()  # 4 clusters of 3 devices
+        refreshed = []
+
+        def refresh(k):
+            refreshed.append(k)
+            return topology.build_network(n_clusters, cluster_size, 50.0, topology.ChannelParams(), seed=k)
+
+        plan = GammaPlan(mode="fixed", value=2, cadence=1)
+        steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
+        with pytest.raises(ValueError, match="topology refresh must preserve cluster sizes"):
+            trainer.run_tthf(task, steps, TrainingSchedule.uniform(9, 3), plan, seed=4, topology_refresh=refresh)
+        # the first refresh, when interval 1 ends, is refused
+        assert refreshed == [2]
 
 
 def per_step_metrics(W_tilde, W, groups, varrho, sampled):
