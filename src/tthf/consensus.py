@@ -38,8 +38,8 @@ def _check_probabilities(link: np.ndarray):
         raise ValueError("link_outage must hold probabilities in [0, 1] (NaN is not one)")
 
 
-# one entry per (cluster matrix, round count) in use, keyed by bytes so that a matrix
-# changed in place is never read stale; a refresh's new bytes age old entries out
+# one entry per (cluster matrix, round count) a direct caller uses, keyed by bytes so
+# that a matrix changed in place is never read stale (a ClusterGossip holds its own)
 _CACHE_SIZE = 1024
 # uniforms an OutageStream fetches per block, in whole rounds of its link count;
 # on the 25x5 benchmark network a lossy seed builds each cluster's blocks about
@@ -60,13 +60,17 @@ def _pair_differences(s: int) -> np.ndarray:
     return matrix
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cached_power(V_bytes: bytes, n: int, gamma: int) -> np.ndarray:
-    """V^gamma for the n x n matrix with these bytes; read-only, as callers share it."""
-    V = np.frombuffer(V_bytes, dtype=float).reshape(n, n)
+def _power(V: np.ndarray, gamma: int) -> np.ndarray:
+    """V^gamma, read-only, as callers share it."""
     power = np.linalg.matrix_power(V, gamma)
     power.flags.writeable = False
     return power
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _cached_power(V_bytes: bytes, n: int, gamma: int) -> np.ndarray:
+    """V^gamma for the n x n matrix with these bytes."""
+    return _power(np.frombuffer(V_bytes, dtype=float).reshape(n, n), gamma)
 
 
 class _EdgeTable(NamedTuple):
@@ -90,6 +94,45 @@ def _edges(V_bytes: bytes, outage_bytes: bytes, n: int) -> _EdgeTable:
     _check_probabilities(link)
     rows, cols = np.nonzero(np.triu(V, 1))
     return _EdgeTable(V, rows, cols, link[rows, cols])
+
+
+class _Powers(dict):
+    """V's powers by round count, each made the first time it is looked up."""
+
+    def __init__(self, V: np.ndarray):
+        super().__init__()
+        self.V = V
+
+    def __missing__(self, gamma: int) -> np.ndarray:
+        power = self[gamma] = _power(self.V, gamma)
+        return power
+
+
+class ClusterGossip:
+    """One cluster's gossip on one topology, passed to run_consensus in V's place.
+
+    It holds a read-only copy of V (`V`). Lossless gossip holds `powers`:
+    `powers[gamma]` is V^gamma, made the first time it is looked up by the
+    matrix_power of `_cached_power`, so a call through this object has the
+    bits of one on the bare matrix and needs no bytes key. Lossy gossip holds
+    the edge table (`table`), built and checked once, which an OutageStream
+    binds to by identity, and a read-only copy of the outage matrix (`link`),
+    kept for inspection only: the losses read the table's probabilities.
+    """
+
+    def __init__(self, V: np.ndarray, link_outage: Optional[np.ndarray] = None):
+        V = np.ascontiguousarray(V, dtype=float)
+        self.link = self.table = self.powers = None
+        if link_outage is None:
+            self.V = np.frombuffer(V.tobytes(), dtype=float).reshape(V.shape)
+            self.powers = _Powers(self.V)
+        else:
+            link = np.ascontiguousarray(link_outage, dtype=float)
+            if link.shape != V.shape:
+                raise ValueError(f"link_outage of shape {link.shape} does not match V's {V.shape}")
+            self.table = _edges(V.tobytes(), link.tobytes(), len(V))
+            self.V = self.table.V
+            self.link = np.frombuffer(link.tobytes(), dtype=float).reshape(link.shape)
 
 
 def _folded(table: _EdgeTable, lost: np.ndarray) -> np.ndarray:
@@ -125,9 +168,9 @@ class OutageStream:
     uniforms (0: just the rounds asked for) and reads them as rows of the
     current link count; one comparison gives every row's lost links, one
     `_folded` pass the matrix of every row that lost one, and the block keeps
-    only those and its uniforms. A new V or link matrix (a topology refresh)
-    re-reads the kept uniforms not yet used at the new link count, and leaves
-    the generator alone.
+    only those and its uniforms. It binds to its ClusterGossip by identity: a
+    new one (a refresh, or each call on bare matrices) re-reads the kept
+    uniforms not yet used at its link count, and leaves the generator alone.
 
     The stream runs ahead of the rounds it hands out, so it must be its
     generator's only user.
@@ -136,7 +179,7 @@ class OutageStream:
     def __init__(self, rng: np.random.Generator, block: int = OUTAGE_BLOCK):
         self.rng = rng
         self.block = block
-        self._key = self._table = None
+        self._gossip = self._table = None  # the bound ClusterGossip and its edge table
         self._m = 0  # links of the current table
         self._u = np.empty(0)  # the block's uniforms, read as rows of m
         self._rows = self._used = 0  # the block's whole rows, and those handed out
@@ -145,14 +188,11 @@ class OutageStream:
         self._next = 0  # the first of _hit not handed out
         self._clean = 0  # rows before this one lost no link
 
-    def rounds(self, V: np.ndarray, link: np.ndarray, gamma: int) -> list:
-        """The next gamma round matrices for this float, C-ordered V and link."""
-        # by bytes, so a matrix changed in place reads a new, checked table
-        key = (V.tobytes(), link.tobytes())
-        if key != self._key:
-            table = _edges(*key, len(V))  # before any state moves, as it may raise
+    def rounds(self, gossip: ClusterGossip, gamma: int) -> list:
+        """The next gamma round matrices of this lossy gossip."""
+        if gossip is not self._gossip:
             u = self._unread()
-            self._key, self._table, self._m = key, table, len(table.probs)
+            self._gossip, self._table, self._m = gossip, gossip.table, len(gossip.table.probs)
             self._read(u)
         end = self._used + gamma
         if end <= self._clean:
@@ -195,7 +235,7 @@ class OutageStream:
 
 def run_consensus(
     w_tilde: np.ndarray,
-    V: np.ndarray,
+    V: Union[np.ndarray, ClusterGossip],
     gamma: int,
     outage: Optional[OutagePolicy] = None,
     rng: Union[np.random.Generator, OutageStream, None] = None,
@@ -209,7 +249,13 @@ def run_consensus(
     into out, and 0 rounds copy w_tilde into it. The engine passes each
     cluster's rows of its step buffer, so a call allocates no result.
 
-    Lossless rounds are one multiply by the cached V^gamma. Lossy rounds take
+    V is a matrix, or the ClusterGossip the engine passes in its place (one per
+    cluster and topology, from run_protocol's D2D epoch), which fixes the link
+    losses itself, so outage must then be None. A bare matrix is read by its
+    bytes, so one changed in place is never read stale: lossless through a
+    bounded cache of V^gamma, lossy as a new ClusterGossip on each call.
+
+    Lossless rounds are one multiply by V^gamma. Lossy rounds take
     their link losses from rng: one uniform per edge in (i < j) row-major order,
     round after round. A round that lost no link multiplies by V; otherwise each
     lost link's weight folds back onto both endpoint diagonals, in edge order,
@@ -218,9 +264,9 @@ def run_consensus(
     rng is the cluster's OutageStream when the engine calls: run_protocol owns
     one per cluster of a lossy run, and it prefetches uniforms and builds the
     round matrices a block at a time. The uniforms form one flat sequence, so
-    the blocks change no loss, and at a topology refresh (a new V or link
-    matrix) the stream re-reads the uniforms not yet used at the new edge
-    count. A bare Generator is read through a stream that fetches exactly this
+    the blocks change no loss, and at a topology refresh (a new ClusterGossip)
+    the stream re-reads the uniforms not yet used at the new edge count. A
+    bare Generator is read through a stream that fetches exactly this
     call's gamma * n_edges uniforms, so it ends where one
     `rng.random((gamma, n_edges))` would leave it.
 
@@ -238,16 +284,19 @@ def run_consensus(
             return w_tilde.copy()
         out[...] = w_tilde
         return out
-    V = np.ascontiguousarray(V, dtype=float)
-    if outage is None or not outage.enabled:
+    if isinstance(V, ClusterGossip):
+        if outage is not None:
+            raise ValueError("a ClusterGossip fixes its own link losses: pass outage=None")
+        if V.table is None:
+            return np.dot(V.powers[gamma], w_tilde, out=out)
+    elif outage is None or not outage.enabled:
+        V = np.ascontiguousarray(V, dtype=float)
         return np.dot(_cached_power(V.tobytes(), V.shape[0], gamma), w_tilde, out=out)
     if rng is None:
         raise ValueError("outage-enabled consensus needs an rng")
-    link = np.ascontiguousarray(outage.link_outage, dtype=float)
-    if link.shape != V.shape:
-        raise ValueError(f"link_outage of shape {link.shape} does not match V's {V.shape}")
+    gossip = V if isinstance(V, ClusterGossip) else ClusterGossip(V, outage.link_outage)
     stream = rng if isinstance(rng, OutageStream) else OutageStream(rng, block=0)
-    rounds = stream.rounds(V, link, gamma)
+    rounds = stream.rounds(gossip, gamma)
     z = w_tilde
     for matrix in rounds[:-1]:
         z = np.dot(matrix, z)

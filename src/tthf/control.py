@@ -217,9 +217,9 @@ def fit_predictor(upsilon_history, gamma_history) -> PredictorCoeffs:
 _TABLE_WIDTH = 128
 
 
-# one entry per set of cluster lambdas and width in use, keyed by bytes for direct
-# callers (the D2DEpoch takes it over after ROADMAP item 2); a topology refresh
-# brings new bytes, so stale entries age out
+# one entry per set of cluster lambdas and width in use, keyed by bytes: the engine's
+# last bytes key, paid each step until the D2DEpoch holds the table (ROADMAP item 3,
+# after item 2); a topology refresh brings new bytes, so stale entries age out
 @functools.lru_cache(maxsize=8)
 def _lambda_table(lams_bytes: bytes, width: int) -> np.ndarray:
     """The (clusters, width) table of lam_c ** k, k < width, of the lambdas with

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import losses
 from .bounds import dispersion_sample
-from .consensus import OutagePolicy, OutageStream, consensus_error, run_consensus
+from .consensus import ClusterGossip, OutageStream, consensus_error, run_consensus
 from .costs import CostParams
 from .losses import DeviceData, DevicePartition, LossModel
 from .schedules import GammaPlan, StepSchedule, TrainingSchedule
@@ -226,11 +226,16 @@ class MetricsTrace:
 
 class D2DEpoch(NamedTuple):
     """One topology's D2D constants in cluster order: the sizes and lambdas as floats,
-    and each cluster's run_consensus arguments (V, OutagePolicy or None)."""
+    and each cluster's ClusterGossip, which run_consensus takes in V's place.
+
+    The epoch snapshots each V, and in a lossy run each link matrix, when it is
+    built: the gossip holds read-only copies, with V's powers and the edge table,
+    so a spec changed in place afterwards does not reach the run.
+    """
 
     sizes: np.ndarray
     lams: np.ndarray
-    gossip: list[tuple[np.ndarray, Optional[OutagePolicy]]]
+    gossip: list[ClusterGossip]
 
 
 def d2d_epoch(clusters: Sequence[ClusterSpec], lossy=False, previous: Optional[D2DEpoch] = None) -> D2DEpoch:
@@ -238,7 +243,7 @@ def d2d_epoch(clusters: Sequence[ClusterSpec], lossy=False, previous: Optional[D
     sizes = np.array([spec.size for spec in clusters], dtype=float)
     if previous is not None and not np.array_equal(sizes, previous.sizes):
         raise ValueError("topology refresh must preserve cluster sizes")
-    gossip = [(spec.V, OutagePolicy(True, spec.link_outage) if lossy else None) for spec in clusters]
+    gossip = [ClusterGossip(spec.V, spec.link_outage if lossy else None) for spec in clusters]
     return D2DEpoch(sizes, np.array([spec.lambda_c for spec in clusters], dtype=float), gossip)
 
 
@@ -393,10 +398,10 @@ def run_protocol(
             ]
             gamma_log[t - 1] = gamma_provider(t - t_km1, epoch, blocks, eta_next)
             gammas = gamma_log[t - 1].tolist()
-            for (w_c, out_c), gamma, (V, policy), stream in zip(
+            for (w_c, out_c), gamma, gossip, stream in zip(
                 cluster_views[row], gammas, epoch.gossip, outage_streams
             ):
-                run_consensus(w_c, V, gamma, outage=policy, rng=stream, out=out_c)
+                run_consensus(w_c, gossip, gamma, rng=stream, out=out_c)
             W = post_buf[row]
             sampled_buf[row] = sampled
             if row == METRIC_BLOCK - 1 or t == T:

@@ -537,6 +537,93 @@ class TestOutageStreamOracle:
         assert next_uniform(stream) == gen.random()
 
 
+class TestClusterGossipOracle:
+    """Calls through a D2D epoch's ClusterGossip against bare (V, OutagePolicy) calls,
+    bit for bit, with and without out, on every layout of w."""
+
+    @given(
+        s=st.integers(1, 9), d=st.integers(1, 8), gamma=st.integers(0, 40),
+        layout=st.sampled_from(["C", "F", "strided"]), with_out=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lossless_call_equals_the_bare_call(self, s, d, gamma, layout, with_out, seed):
+        rng = np.random.default_rng(seed)
+        V = random_mixing_matrix(rng, s)[0] if s > 1 else np.eye(1)
+        w = laid_out(rng, s, d, layout)
+        gossip = consensus.ClusterGossip(V)
+        bare = consensus.run_consensus(w, V, gamma)
+        call = into_buffer if with_out else consensus.run_consensus
+        for _ in range(2):  # the second call reads the power the first one made
+            assert call(w, gossip, gamma).tobytes() == bare.tobytes()
+        assert list(gossip.powers) == ([gamma] if gamma else [])
+
+    @given(
+        s=st.integers(1, 6),
+        d=st.integers(1, 6),
+        calls=st.lists(
+            st.tuples(
+                st.integers(0, 12), st.sampled_from(["keep", "same", "other"]),
+                st.sampled_from(["C", "F", "strided"]), st.booleans(),
+            ),
+            min_size=1, max_size=20,
+        ),
+        kinds=st.lists(st.sampled_from(["uniform", "metropolis", "none"]), min_size=2, max_size=2),
+        block=st.sampled_from([0, 1, 5, 16, 40, consensus.OUTAGE_BLOCK]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lossy_calls_equal_the_bare_calls(self, s, d, calls, kinds, block, seed):
+        # a call may first switch to a new gossip object, as a topology refresh
+        # does: of the same matrices ("same") or of the cluster's other table
+        rng = np.random.default_rng(seed)
+        tables = [mixing_table(rng, s, kind) for kind in kinds]
+        current = 0
+        gossip = consensus.ClusterGossip(*tables[current])
+        stream = consensus.OutageStream(np.random.default_rng([seed, 1]), block)
+        bare = np.random.default_rng([seed, 1])
+        for gamma, switch, layout, with_out in calls:
+            if switch != "keep":
+                current ^= switch == "other"
+                gossip = consensus.ClusterGossip(*tables[current])
+            V, link = tables[current]
+            w = laid_out(rng, s, d, layout)
+            want = consensus.run_consensus(w, V, gamma, outage=OutagePolicy(True, link), rng=bare)
+            call = into_buffer if with_out else consensus.run_consensus
+            assert call(w, gossip, gamma, rng=stream).tobytes() == want.tobytes()
+        # the stream used exactly the uniforms the bare calls drew
+        assert next_uniform(stream) == bare.random()
+
+    def test_the_gossip_holds_read_only_copies(self):
+        V, link = mixing_table(np.random.default_rng(5), 4, "uniform")
+        lossy, lossless = consensus.ClusterGossip(V, link), consensus.ClusterGossip(V)
+        for gossip in (lossy, lossless):
+            assert gossip.V.tobytes() == V.tobytes() and not np.shares_memory(gossip.V, V)
+            assert not gossip.V.flags.writeable
+        assert lossy.link.tobytes() == link.tobytes() and not lossy.link.flags.writeable
+        assert not np.shares_memory(lossy.link, link)
+        table = lossy.table
+        assert table.V is lossy.V and table.probs.tobytes() == link[table.rows, table.cols].tobytes()
+        assert lossy.powers is None and lossless.link is None and lossless.table is None
+
+    @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+    @pytest.mark.parametrize("enabled", [False, True], ids=["disabled", "enabled"])
+    def test_a_gossip_refuses_an_outage_policy(self, lossy, enabled):
+        # the gossip object already fixes whether links are lost
+        V, link = mixing_table(np.random.default_rng(6), 3, "uniform")
+        gossip = consensus.ClusterGossip(V, link if lossy else None)
+        with pytest.raises(ValueError, match="outage=None"):
+            consensus.run_consensus(
+                np.ones((3, 2)), gossip, 2, outage=OutagePolicy(enabled, link), rng=np.random.default_rng(0)
+            )
+
+    @pytest.mark.parametrize(
+        "link", [np.full((3, 3), 1.5), np.full((4, 4), 0.1)], ids=["not-a-probability", "not-v-shaped"]
+    )
+    def test_a_bad_link_matrix_is_refused_when_the_gossip_is_built(self, link):
+        V, _, _ = random_mixing_matrix(np.random.default_rng(4), 3)
+        with pytest.raises(ValueError, match="link_outage"):
+            consensus.ClusterGossip(V, link)
+
+
 class TestOutagePolicyInput:
     @pytest.mark.parametrize(
         "link",

@@ -739,13 +739,12 @@ class TestRunAdaptive:
 
     def test_plans_each_interval_on_its_refreshed_topology(self, monkeypatch):
         task = build_small_task(mode="extreme", per_label=100, reg=1.5)
-        fresh = {}
+        fresh, plans = {}, []
 
         def refresh(k):
             fresh[k] = topology.build_network(4, 3, 50.0, topology.ChannelParams(), seed=100 + k)
             return fresh[k]
 
-        plans = []
         solve_P = control.solve_P
 
         def spy(t_km1, coeffs, epoch, *args, **kwargs):
@@ -754,14 +753,26 @@ class TestRunAdaptive:
 
         monkeypatch.setattr(control, "solve_P", spy)
         cfg = control.AdaptiveConfig(T=30, tau_max=6, tau1=3, zeta_frac=0.02, sigma_batch=8)
-        trace, _ = control.run_adaptive(task, cfg, seed=3, topology_refresh=refresh)
-        # every aggregation before the horizon refreshes, then plans the next interval
-        assert len(plans) == len(trace.boundaries) - 1 == len(fresh)
-        for k, epoch in enumerate(plans, start=1):
-            assert epoch.sizes.dtype == epoch.lams.dtype == float
-            assert epoch.sizes.tolist() == [spec.size for spec in fresh[k + 1]]
-            assert epoch.lams.tolist() == [spec.lambda_c for spec in fresh[k + 1]]
-            assert [id(V) for V, _ in epoch.gossip] == [id(spec.V) for spec in fresh[k + 1]]
-        # some networks' lambdas differ from the start's, so a plan on the task's
-        # own specs would fail above
-        assert any(epoch.lams.tolist() != [spec.lambda_c for spec in task.clusters] for epoch in plans)
+        for lossy in (False, True):
+            fresh.clear()
+            del plans[:]
+            trace, _ = control.run_adaptive(task, cfg, lossy=lossy, seed=3, topology_refresh=refresh)
+            # every aggregation before the horizon refreshes, then plans the next interval
+            assert len(plans) == len(trace.boundaries) - 1 == len(fresh)
+            for k, epoch in enumerate(plans, start=1):
+                assert epoch.sizes.dtype == epoch.lams.dtype == float
+                assert epoch.sizes.tolist() == [spec.size for spec in fresh[k + 1]]
+                assert epoch.lams.tolist() == [spec.lambda_c for spec in fresh[k + 1]]
+                # each cluster's gossip holds read-only copies of that spec's V and,
+                # in a lossy run only, of its link matrix, bit for bit
+                for gossip, spec in zip(epoch.gossip, fresh[k + 1], strict=True):
+                    assert gossip.V.tobytes() == spec.V.tobytes() and gossip.V.shape == spec.V.shape
+                    assert not gossip.V.flags.writeable
+                    if lossy:
+                        assert gossip.link.tobytes() == spec.link_outage.tobytes()
+                        assert not gossip.link.flags.writeable
+                    else:
+                        assert gossip.link is None and gossip.table is None
+            # some networks' lambdas differ from the start's, so a plan on the task's
+            # own specs would fail above
+            assert any(epoch.lams.tolist() != [spec.lambda_c for spec in task.clusters] for epoch in plans)

@@ -228,6 +228,77 @@ class TestConsensusMatrix:
         topology.consensus_matrix(adj, step)  # must be accepted
 
 
+def mixing_rule_oracle(adjacency, d_c):
+    """One cluster's V from the docstrings of mixing_step and consensus_matrix, a node
+    at a time in Python floats, or ValueError for a step outside (0, 1/D_c).
+
+    The step is d_c, or 0.9/D_c when d_c >= 1/D_c for the largest degree D_c, a lone
+    device (or a graph without links) read as D_c = 1; then V = I - step * L for the
+    graph Laplacian L, whose row i holds deg(i) on the diagonal and -1 at each neighbour.
+    """
+    n = len(adjacency)
+    degree = [sum(1 for j in range(n) if j != i and adjacency[i][j]) for i in range(n)]
+    D_c = max(max(degree, default=0), 1)
+    step = 0.9 / D_c if d_c >= 1.0 / D_c else d_c
+    if not 0.0 < step < 1.0 / D_c:
+        raise ValueError(f"step {step} outside (0, {1.0 / D_c})")
+    V = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            laplacian = degree[i] if i == j else -1.0 if adjacency[i][j] else 0.0
+            row.append((1.0 if i == j else 0.0) - step * laplacian)
+        V.append(row)
+    return V
+
+
+def random_adjacency(rng, n):
+    """A symmetric adjacency without self-links, connected or not, of random density."""
+    upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+    return upper | upper.T
+
+
+class TestMixingRuleOracle:
+    """mixing_step and consensus_matrix against the scalar rule their docstrings state,
+    which shares no code with them (TestStackedBuildOracle's oracle calls both)."""
+
+    @given(
+        n=st.integers(1, 8),
+        stack=st.integers(1, 4),
+        d_c=st.one_of(
+            st.floats(-0.1, 1.5),
+            # each 1/D_c itself, where the back-off starts, and steps that are no step
+            st.sampled_from([1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6, 1 / 7, 0.0, 1e-14, math.nan]),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_v_is_i_minus_the_step_times_the_laplacian(self, n, stack, d_c, seed):
+        rng = np.random.default_rng(seed)
+        adjacency = np.array([random_adjacency(rng, n) for _ in range(stack)])
+        expected = []
+        for adj in adjacency:
+            try:
+                expected.append(mixing_rule_oracle(adj.tolist(), d_c))
+            except ValueError:
+                expected.append(None)
+        for adj, V in zip(adjacency, expected):
+            # one cluster alone, and then the stack as build_network passes it
+            if V is None:
+                with pytest.raises(ValueError, match="d_c="):
+                    topology.consensus_matrix(adj, topology.mixing_step(adj, d_c))
+                continue
+            got = topology.consensus_matrix(adj, topology.mixing_step(adj, d_c))
+            assert got.tobytes() == np.array(V).tobytes()
+            # each row sums to 1 up to the rounding of its diagonal
+            assert all(abs(math.fsum(row) - 1.0) <= 2**-52 for row in V)
+        if None in expected:
+            with pytest.raises(ValueError, match="d_c="):
+                topology.consensus_matrix(adjacency, topology.mixing_step(adjacency, d_c))
+        else:
+            stacked = topology.consensus_matrix(adjacency, topology.mixing_step(adjacency, d_c))
+            assert stacked.tobytes() == np.array(expected).tobytes()
+
+
 class TestSpectralRadius:
     def test_three_node_path_eigenvalues(self):
         adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)

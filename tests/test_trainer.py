@@ -1,5 +1,6 @@
 """Protocol loop semantics: SGD steps, aggregation, broadcast resets, determinism."""
 
+import copy
 import hashlib
 
 import numpy as np
@@ -609,6 +610,86 @@ class TestTopologyRefresh:
             trainer.run_tthf(task, steps, TrainingSchedule.uniform(9, 3), plan, seed=4, topology_refresh=refresh)
         # the first refresh, when interval 1 ends, is refused
         assert refreshed == [2]
+
+    def test_a_refresh_to_the_same_network_moves_no_loss(self, tmp_path, monkeypatch):
+        # every refresh hands each stream a new gossip object of the same matrices:
+        # it re-reads its unused uniforms at the same link count, so each loss
+        # falls where it falls in the run without a refresh
+        task = build_small_task()
+        plan = GammaPlan(mode="fixed", value=2, cadence=1)
+        steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
+        epochs, streams = [], []
+        d2d_epoch = trainer.d2d_epoch
+
+        def recording_epoch(*args, **kwargs):
+            epochs.append(d2d_epoch(*args, **kwargs))
+            return epochs[-1]
+
+        def recording_stream(rng):
+            streams.append(consensus.OutageStream(rng))
+            return streams[-1]
+
+        monkeypatch.setattr(trainer, "d2d_epoch", recording_epoch)
+        monkeypatch.setattr(trainer, "OutageStream", recording_stream)
+        runs = {
+            "static": (True, None),
+            "refreshed": (True, lambda k: copy.deepcopy(task.clusters)),
+            "lossless": (False, None),
+        }
+        digests = {}
+        for name, (lossy, refresh) in runs.items():
+            del epochs[:], streams[:]
+            trace = trainer.run_tthf(
+                task, steps, TrainingSchedule.uniform(40, 5), plan, lossy=lossy, seed=4, topology_refresh=refresh
+            )
+            trace.to_csv(tmp_path / f"{name}.csv")
+            digests[name] = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+            if name == "refreshed":
+                # eight epochs, and every stream ends bound to the last one's gossip
+                assert len(epochs) == 8
+                assert [s._gossip for s in streams] == epochs[-1].gossip
+        assert digests["refreshed"] == digests["static"] != digests["lossless"]
+
+
+class TestEpochGossip:
+    @pytest.mark.parametrize("refresh", [False, True], ids=["static", "refreshed"])
+    @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+    def test_the_engine_makes_no_bytes_keyed_lookup_once_the_epoch_is_built(self, monkeypatch, lossy, refresh):
+        # V^gamma and the edge tables come from the epoch's gossip objects; the
+        # bytes-keyed _cached_power and _edges serve direct callers and the
+        # building of an epoch only
+        task = build_small_task()
+        steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
+
+        def fresh(k):
+            return topology.build_network(4, 3, 50.0, topology.ChannelParams(), seed=40 + k)
+
+        def run():
+            return trainer.run_tthf(
+                task, steps, TrainingSchedule.uniform(24, 4), GammaPlan(mode="certified", phi=0.5),
+                lossy=lossy, seed=4, topology_refresh=fresh if refresh else None,
+            )
+
+        want = run()
+        d2d_epoch = trainer.d2d_epoch
+        keyed = {name: getattr(consensus, name) for name in ("_cached_power", "_edges")}
+
+        def forbidden(*args):
+            raise AssertionError("a bytes-keyed lookup on the engine's path")
+
+        def epoch_then_forbid(*args, **kwargs):
+            for name, function in keyed.items():
+                monkeypatch.setattr(consensus, name, function)
+            epoch = d2d_epoch(*args, **kwargs)
+            for name in keyed:
+                monkeypatch.setattr(consensus, name, forbidden)
+            return epoch
+
+        monkeypatch.setattr(trainer, "d2d_epoch", epoch_then_forbid)
+        got = run()
+        assert np.unique(got.gamma_by_cluster).size > 2  # several round counts, so several powers
+        for column in ("loss_gap_sampled", "eps_rms", "gamma_total"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
 
 
 def per_step_metrics(W_tilde, W, groups, varrho, sampled):
