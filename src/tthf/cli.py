@@ -91,7 +91,7 @@ def _cmd_bounds_report(args) -> int:
     config = experiment.load_config(args.config)
     task = experiment.build_task(config)
     constants = experiment.certificate_constants(config, task)
-    traces = [experiment.run_single(config, task, int(s)) for s in config.raw["seeds"]]
+    traces = experiment.run_seeds(config, task)
     mean_gap = np.stack([tr.loss_gap_sampled for tr in traces]).mean(axis=0)
     payload = bounds.certificate_report(args.out, constants, mean_gap, t0=int(traces[0].t[0]))
     print(f"envelope holds: {payload['holds']} (nu={constants.nu:.6g}); wrote {args.out}")

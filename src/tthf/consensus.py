@@ -224,13 +224,18 @@ class OutageStream:
     def _read(self, u: np.ndarray):
         m = self._m
         rows = len(u) // m if m else 0
+        self._u, self._rows, self._used, self._next = u, rows, 0, 0
+        if not rows:
+            # a fresh stream's first bind, or nothing left to read: no row lost a link,
+            # and a table without links draws nothing, as every round is V
+            self._hit, self._folded = [], None
+            self._clean = 0 if m else sys.maxsize
+            return
         lost = u[: rows * m].reshape(rows, m) < self._table.probs
         hit = np.flatnonzero(lost.any(axis=1))
-        self._u, self._rows, self._used, self._next = u, rows, 0, 0
         self._hit = hit.tolist()
         self._folded = _folded(self._table, lost[hit]) if len(hit) else None
-        # a table without links draws nothing: every round is V
-        self._clean = self._hit[0] if self._hit else rows if m else sys.maxsize
+        self._clean = self._hit[0] if self._hit else rows
 
 
 def run_consensus(

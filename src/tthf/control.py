@@ -17,6 +17,7 @@ from .consensus import divergence_estimate
 from .costs import CostParams
 from .losses import LossModel
 from .schedules import StepSchedule
+from .seeding import generators
 
 
 class InfeasibleError(RuntimeError):
@@ -464,17 +465,18 @@ def run_adaptive(
     lossy: bool = False,
     seed: int = 0,
     topology_refresh=None,
+    epoch=None,
 ):
     """TT-HF under the full adaptive controller.
 
     Returns (trace, state). Step-size parameters, phi, and the divergence
     predictor are re-estimated at every aggregation; interval lengths come from
     the line search, and per-step D2D rounds from the live divergence estimate.
+    epoch is run_protocol's starting D2DEpoch, by default derived from task.clusters.
     """
     cost = cost or CostParams()
-    rng_init = np.random.default_rng(np.random.SeedSequence([seed, 0x1A17]))
     # the server's probes at every aggregation draw from their own stream
-    rng_probe = np.random.default_rng(np.random.SeedSequence([seed, 0xE57]))
+    rng_init, rng_probe = generators([(seed, 0x1A17), (seed, 0xE57)])
     w0 = task.w0
     zeta = config.zeta_frac * 2.0 * task.beta
     omega = config.zeta_frac  # zeta/(2 beta)
@@ -597,5 +599,6 @@ def run_adaptive(
         seed=seed,
         on_aggregate=on_aggregate,
         topology_refresh=topology_refresh,
+        epoch=epoch,
     )
     return trace, state

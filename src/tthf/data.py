@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .losses import LINEAR_REGRESSION, SQUARED_HINGE_SVM, DevicePartition
+from .seeding import generators
 
 PARTITION_MODES = ("extreme", "moderate", "iid")
 MODERATE_LABELS = 3
@@ -55,7 +56,7 @@ def gen_synthetic(m: int, n_labels: int, per_label: int, separation: float, seed
     """Gaussian class clusters with centers `separation` away from the origin."""
     if m < 1 or n_labels < 2 or per_label < 1:
         raise ValueError("need m >= 1, n_labels >= 2, per_label >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
+    [rng] = generators([(seed, 0xDA7A)])
     centers = rng.standard_normal((n_labels, m))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     centers *= separation
@@ -97,7 +98,7 @@ def partition(dataset: LabeledDataset, n_devices: int, plan: PartitionPlan, kind
     """
     if n_devices < 1:
         raise ValueError("need at least one device")
-    rng = np.random.default_rng(np.random.SeedSequence([plan.seed, 0x5E1EC7]))
+    [rng] = generators([(plan.seed, 0x5E1EC7)])
     n_labels = dataset.n_labels
     by_label = [np.flatnonzero(dataset.labels == l) for l in range(n_labels)]
 

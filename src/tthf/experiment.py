@@ -16,6 +16,7 @@ import numpy as np
 from . import bounds, control, data, losses, topology, trainer
 from .costs import CostParams
 from .schedules import GammaPlan, StepSchedule, TrainingSchedule
+from .seeding import generators
 from .trainer import MetricsTrace, TrainTask
 
 SCHEMA_VERSION = 1
@@ -285,7 +286,7 @@ def build_task(config: ExperimentConfig) -> TrainTask:
     )
     init = cfg["init"]
     if init["kind"] == "offset":
-        rng = np.random.default_rng(np.random.SeedSequence([init["seed"], 0x1217]))
+        [rng] = generators([(init["seed"], 0x1217)])
         direction = rng.standard_normal(model.dim)
         task.w0 = init["scale"] * direction / np.linalg.norm(direction)
     if config.adaptive is None and config.step is None:
@@ -332,24 +333,40 @@ def _topology_refresh(config: ExperimentConfig):
     return lambda k: _network(config, config.raw["topology"]["seed"] + 7919 * k)
 
 
-def run_single(config: ExperimentConfig, task: TrainTask, seed: int) -> MetricsTrace:
-    """One deterministic protocol run for the given seed."""
+def _is_baseline(config: ExperimentConfig) -> bool:
+    return config.adaptive is None and config.raw["aggregation"]["mode"] == trainer.FULL
+
+
+def run_single(config: ExperimentConfig, task: TrainTask, seed: int, epoch=None) -> MetricsTrace:
+    """One deterministic protocol run for the given seed.
+
+    epoch is the run's starting D2DEpoch (run_seeds shares one across the seeds),
+    by default derived from task.clusters; a baseline takes none.
+    """
     lossy = config.raw["outage"]["enabled"]
     if config.adaptive is not None:
         trace, _ = control.run_adaptive(
             task, config.adaptive, cost=config.cost, lossy=lossy, seed=seed,
-            topology_refresh=_topology_refresh(config),
+            topology_refresh=_topology_refresh(config), epoch=epoch,
         )
         return trace
-    if config.raw["aggregation"]["mode"] == trainer.FULL:
+    if _is_baseline(config):
         # a baseline runs no D2D rounds, so a re-placed network or lossy links would go unread
         return trainer.run_baseline(
             task, config.step, config.schedule.T, config.schedule.taus, cost=config.cost, seed=seed,
         )
     return trainer.run_tthf(
         task, config.step, config.schedule, config.gamma_plan, lossy=lossy,
-        cost=config.cost, seed=seed, topology_refresh=_topology_refresh(config),
+        cost=config.cost, seed=seed, topology_refresh=_topology_refresh(config), epoch=epoch,
     )
+
+
+def run_seeds(config: ExperimentConfig, task: TrainTask) -> list[MetricsTrace]:
+    """run_single for each of the config's seeds, in turn, all starting from one D2D
+    epoch of the task's network: the seeds share V's powers and the lossy edge tables."""
+    lossy = config.raw["outage"]["enabled"]
+    epoch = None if _is_baseline(config) else trainer.d2d_epoch(task.clusters, lossy)
+    return [run_single(config, task, seed, epoch) for seed in config.raw["seeds"]]
 
 
 @dataclass
@@ -487,7 +504,7 @@ def run_prepared(config: ExperimentConfig, task: TrainTask) -> dict:
     """run_experiment on a config and task from prepare_experiment."""
     out = Path(config.raw["output_dir"])
     seeds = config.raw["seeds"]
-    traces = [run_single(config, task, seed) for seed in seeds]
+    traces = run_seeds(config, task)
     horizons = {seed: len(trace) for seed, trace in zip(seeds, traces)}
     if len(set(horizons.values())) > 1:
         raise HorizonMismatchError(horizons)

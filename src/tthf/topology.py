@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seeding import generators
+
 DEFAULT_MIXING_STEP = 1.0 / 8.0
 
 
@@ -180,8 +182,9 @@ def build_network(
 ) -> list[ClusterSpec]:
     """Place each cluster's devices and derive its graph, re-seeding it until the graph is connected.
 
-    Attempt a of cluster c draws from SeedSequence([seed, c, a, 0x70B0]). Each attempt is
-    one pass over the clusters not yet connected, and the operators one pass over all.
+    Attempt a of cluster c draws from the generator of the row (seed, c, a, 0x70B0). Each
+    attempt is one pass over the clusters not yet connected, whose generators are seeded
+    in one `seeding.generators` call, and the operators one pass over all.
     """
     clusters = range(n_clusters)
     if not clusters:
@@ -205,11 +208,8 @@ def _build(clusters: range, cluster_size, field_m, params, d_c, seed, max_attemp
     adjacency = np.empty(link_outage.shape, dtype=bool)
     pending = np.arange(len(clusters))  # stack rows of the clusters not yet connected
     for attempt in range(max_attempts):
-        positions[pending] = [
-            np.random.default_rng(np.random.SeedSequence([seed, clusters[i], attempt, 0x70B0]))
-            .uniform(0.0, field_m, size=(cluster_size, 2))
-            for i in pending.tolist()
-        ]
+        rngs = generators([(seed, clusters[i], attempt, 0x70B0) for i in pending.tolist()])
+        positions[pending] = [rng.uniform(0.0, field_m, size=(cluster_size, 2)) for rng in rngs]
         link_outage[pending] = link_outage_matrix(positions[pending], params)
         adjacency[pending] = build_graph(link_outage[pending], params)
         pending = pending[~is_connected(adjacency[pending])]

@@ -20,6 +20,7 @@ from .consensus import ClusterGossip, OutageStream, consensus_error, run_consens
 from .costs import CostParams
 from .losses import DeviceData, DevicePartition, LossModel
 from .schedules import GammaPlan, StepSchedule, TrainingSchedule
+from .seeding import generators
 from .topology import ClusterSpec
 
 SAMPLED = "sampled"
@@ -34,12 +35,17 @@ _STREAM_SGD = 0x5D00
 _STREAM_OUTAGE = 0x007A
 
 
+def _device_rows(seed: int, n_devices: int) -> list[tuple]:
+    return [(seed, _STREAM_SGD, d) for d in range(n_devices)]
+
+
 def device_rngs(seed: int, n_devices: int) -> list[np.random.Generator]:
-    """One deterministic substream per device, independent of iteration order."""
-    return [
-        np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SGD, d]))
-        for d in range(n_devices)
-    ]
+    """One deterministic substream per device, independent of iteration order.
+
+    Device d's is the generator of the row (seed, _STREAM_SGD, d); the rows are
+    seeded in one `seeding.generators` call.
+    """
+    return generators(_device_rows(seed, n_devices))
 
 
 def global_aggregate(
@@ -285,6 +291,7 @@ def run_protocol(
     on_aggregate: Optional[Callable] = None,
     radius_ref: Optional[np.ndarray] = None,
     topology_refresh: Optional[Callable] = None,
+    epoch: Optional[D2DEpoch] = None,
 ) -> MetricsTrace:
     """Run the full two-timescale protocol for T timesteps.
 
@@ -304,6 +311,9 @@ def run_protocol(
     reference over every gradient evaluation point (meta["max_radius"]).
     topology_refresh(k) -> new specs of the same cluster sizes for interval k, or None,
     called when interval k-1 ends; each topology's D2DEpoch is derived once.
+    epoch, when given, is the D2DEpoch of task.clusters (lossy exactly when the run
+    is) that the run starts from, so the seeds of one network share V's powers and
+    the edge tables; by default the run derives it from task.clusters at its start.
     aggregation FULL is the full-participation baseline, whose gamma_provider
     runs no rounds; its server model at each step is the average model.
     A step computes only what the next step reads; its models wait in buffers of
@@ -313,7 +323,10 @@ def run_protocol(
     if aggregation not in (SAMPLED, FULL):
         raise ValueError(f"unknown aggregation mode {aggregation!r}")
     cost = cost or CostParams()
-    epoch = d2d_epoch(task.clusters, lossy)
+    if epoch is None:
+        epoch = d2d_epoch(task.clusters, lossy)
+    elif any((gossip.table is not None) != lossy for gossip in epoch.gossip):
+        raise ValueError("the starting epoch's gossip must be lossy exactly when the run is")
     n_clusters = len(epoch.sizes)
     n_dev = task.n_devices
     dim = task.model.dim
@@ -321,17 +334,17 @@ def run_protocol(
     starts, stops = np.array([(sl.start, sl.stop) for sl in task.data.cluster_slices]).T
     upload_scale = 1.0 if aggregation == SAMPLED else n_dev / n_clusters
 
-    rng_sampling = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SAMPLING]))
+    # the run's generators in one seeding pass: the aggregation sampling, each
+    # cluster's link losses (a lossy run) and each device's SGD sampling (a mini-batch run)
+    outage_rows = [(seed, _STREAM_OUTAGE, c) for c in range(n_clusters)] if lossy else []
+    sgd_rows = _device_rows(seed, n_dev) if task.batch_size is not None else []
+    rng_sampling, *rngs = generators([(seed, _STREAM_SAMPLING), *outage_rows, *sgd_rows])
     # each cluster's link losses, prefetched in blocks that run ahead of the steps
     # and go with the run; a lossless run draws none
-    outage_streams = [
-        OutageStream(np.random.default_rng(np.random.SeedSequence([seed, _STREAM_OUTAGE, c])))
-        if lossy else None
-        for c in range(n_clusters)
-    ]
+    outage_streams = [OutageStream(rng) for rng in rngs[: len(outage_rows)]] if lossy else [None] * n_clusters
     sampler = None
-    if task.batch_size is not None:
-        sampler = losses.BatchSampler(task.data.n_points, task.batch_size, device_rngs(seed, n_dev))
+    if sgd_rows:
+        sampler = losses.BatchSampler(task.data.n_points, task.batch_size, rngs[len(outage_rows) :])
 
     W = np.tile(task.w0, (n_dev, 1)).astype(float)
     varrho = task.data.varrho
@@ -464,8 +477,12 @@ def run_tthf(
     seed: int = 0,
     radius_ref=None,
     topology_refresh=None,
+    epoch: Optional[D2DEpoch] = None,
 ) -> MetricsTrace:
-    """TT-HF with set control parameters: fixed interval plan, fixed/certified rounds."""
+    """TT-HF with set control parameters: fixed interval plan, fixed/certified rounds.
+
+    epoch is run_protocol's starting D2DEpoch, by default derived from task.clusters.
+    """
     return run_protocol(
         task,
         steps,
@@ -478,6 +495,7 @@ def run_tthf(
         seed=seed,
         radius_ref=radius_ref,
         topology_refresh=topology_refresh,
+        epoch=epoch,
     )
 
 

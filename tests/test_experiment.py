@@ -163,6 +163,45 @@ class TestRunExperiment:
             assert (tmp_path / "out" / name).read_bytes() == blob, name
 
     @pytest.mark.parametrize(
+        "override",
+        [
+            {},
+            {"schedule": {"T": 20, "tau": 5, "gamma": {"mode": "certified", "phi": 0.5, "max_rounds": 50}}},
+            {"outage": {"enabled": True}, "sgd": {"batch_size": 3}},
+            {"outage": {"enabled": True}, "replace_between_intervals": True},
+            {"schedule": {"mode": "adaptive", "T": 20}, "step": {}},
+            {"aggregation": {"mode": "full"}, "schedule": {"T": 20, "tau": 5}},
+        ],
+        ids=["fixed", "certified", "lossy", "lossy-refresh", "adaptive", "baseline"],
+    )
+    def test_the_seeds_share_one_starting_epoch(self, tmp_path, monkeypatch, override):
+        # run_seeds builds the network's epoch once for all seeds, where each
+        # run_single alone builds its own; every trace keeps its bytes
+        config = experiment.load_config(minimal_config(tmp_path, **override))
+        task = experiment.build_task(config)
+        built = []
+        d2d_epoch = trainer.d2d_epoch
+
+        def counted_epoch(*args, **kwargs):
+            built.append(args)
+            return d2d_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "d2d_epoch", counted_epoch)
+        alone = [experiment.run_single(config, task, seed) for seed in config.raw["seeds"]]
+        built_alone, built[:] = len(built), []
+        shared = experiment.run_seeds(config, task)
+        baseline = override.get("aggregation") is not None
+        assert len(built) == built_alone - (0 if baseline else len(alone) - 1)
+
+        def csv_bytes(trace, name):
+            trace.to_csv(tmp_path / f"{name}.csv")
+            trace.control_to_csv(tmp_path / f"{name}_control.csv")
+            return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}_control.csv").read_bytes()
+
+        for a, b in zip(alone, shared):
+            assert csv_bytes(a, "alone") == csv_bytes(b, "shared")
+
+    @pytest.mark.parametrize(
         "override, expected",
         [
             (

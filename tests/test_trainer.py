@@ -393,7 +393,10 @@ def reference_tthf(task, steps, schedule, plan, lossy=False, seed=0):
         np.random.default_rng(np.random.SeedSequence([seed, trainer._STREAM_OUTAGE, c]))
         for c in range(len(clusters))
     ]
-    dev_rngs = trainer.device_rngs(seed, task.n_devices)
+    dev_rngs = [
+        np.random.default_rng(np.random.SeedSequence([seed, trainer._STREAM_SGD, d]))
+        for d in range(task.n_devices)
+    ]
 
     def sample():
         return [
@@ -649,6 +652,15 @@ class TestTopologyRefresh:
                 assert len(epochs) == 8
                 assert [s._gossip for s in streams] == epochs[-1].gossip
         assert digests["refreshed"] == digests["static"] != digests["lossless"]
+
+    @pytest.mark.parametrize("lossy", [False, True], ids=["lossless-run", "lossy-run"])
+    def test_a_starting_epoch_of_the_other_kind_is_rejected(self, lossy):
+        task = build_small_task()
+        plan = GammaPlan(mode="fixed", value=2, cadence=1)
+        steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
+        epoch = trainer.d2d_epoch(task.clusters, not lossy)
+        with pytest.raises(ValueError, match="lossy exactly when the run is"):
+            trainer.run_tthf(task, steps, TrainingSchedule.uniform(9, 3), plan, lossy=lossy, epoch=epoch)
 
 
 class TestEpochGossip:
