@@ -38,9 +38,6 @@ def _check_probabilities(link: np.ndarray):
         raise ValueError("link_outage must hold probabilities in [0, 1] (NaN is not one)")
 
 
-# one entry per (cluster matrix, round count) a direct caller uses, keyed by bytes so
-# that a matrix changed in place is never read stale (a ClusterGossip holds its own)
-_CACHE_SIZE = 1024
 # uniforms an OutageStream fetches per block, in whole rounds of its link count;
 # on the 25x5 benchmark network a lossy seed builds each cluster's blocks about
 # three times, and the 25 streams hold about 360 kB at the end of a seed
@@ -67,12 +64,6 @@ def _power(V: np.ndarray, gamma: int) -> np.ndarray:
     return power
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cached_power(V_bytes: bytes, n: int, gamma: int) -> np.ndarray:
-    """V^gamma for the n x n matrix with these bytes."""
-    return _power(np.frombuffer(V_bytes, dtype=float).reshape(n, n), gamma)
-
-
 class _EdgeTable(NamedTuple):
     """A cluster's m links: the nonzero (i < j) entries of V, in row-major order."""
 
@@ -82,15 +73,12 @@ class _EdgeTable(NamedTuple):
     probs: np.ndarray  # (m,) each link's loss probability
 
 
-def _edges(V_bytes: bytes, outage_bytes: bytes, n: int) -> _EdgeTable:
-    """Edge table of the n x n matrix with these bytes and its outage matrix.
+def _edges(V: np.ndarray, link: np.ndarray) -> _EdgeTable:
+    """Edge table of V and its outage matrix, read-only copies that no caller changes.
 
-    V reads the bytes, so a table cannot disagree with the matrix it was built
-    from. The outage matrix is checked here, not only when its policy is built:
-    a matrix changed in place after that brings new bytes, and so a new table.
+    The outage matrix is checked here, not only when its policy is built: a
+    matrix changed in place after that is checked when a table is next built from it.
     """
-    V = np.frombuffer(V_bytes, dtype=float).reshape(n, n)
-    link = np.frombuffer(outage_bytes, dtype=float).reshape(n, n)
     _check_probabilities(link)
     rows, cols = np.nonzero(np.triu(V, 1))
     return _EdgeTable(V, rows, cols, link[rows, cols])
@@ -112,27 +100,26 @@ class ClusterGossip:
     """One cluster's gossip on one topology, passed to run_consensus in V's place.
 
     It holds a read-only copy of V (`V`). Lossless gossip holds `powers`:
-    `powers[gamma]` is V^gamma, made the first time it is looked up by the
-    matrix_power of `_cached_power`, so a call through this object has the
-    bits of one on the bare matrix and needs no bytes key. Lossy gossip holds
-    the edge table (`table`), built and checked once, which an OutageStream
-    binds to by identity, and a read-only copy of the outage matrix (`link`),
-    kept for inspection only: the losses read the table's probabilities.
+    `powers[gamma]` is V^gamma, made by matrix_power the first time it is
+    looked up. Lossy gossip holds the edge table (`table`), built and checked
+    once, which an OutageStream binds to by identity, and a read-only copy of
+    the outage matrix (`link`), kept for inspection only: the losses read the
+    table's probabilities. run_consensus makes a new one for each call on a bare
+    matrix, so a matrix changed in place is never read stale.
     """
 
     def __init__(self, V: np.ndarray, link_outage: Optional[np.ndarray] = None):
-        V = np.ascontiguousarray(V, dtype=float)
+        self.V = np.array(V, dtype=float, order="C")
+        self.V.flags.writeable = False
         self.link = self.table = self.powers = None
         if link_outage is None:
-            self.V = np.frombuffer(V.tobytes(), dtype=float).reshape(V.shape)
             self.powers = _Powers(self.V)
         else:
-            link = np.ascontiguousarray(link_outage, dtype=float)
-            if link.shape != V.shape:
-                raise ValueError(f"link_outage of shape {link.shape} does not match V's {V.shape}")
-            self.table = _edges(V.tobytes(), link.tobytes(), len(V))
-            self.V = self.table.V
-            self.link = np.frombuffer(link.tobytes(), dtype=float).reshape(link.shape)
+            self.link = np.array(link_outage, dtype=float, order="C")
+            self.link.flags.writeable = False
+            if self.link.shape != self.V.shape:
+                raise ValueError(f"link_outage of shape {self.link.shape} does not match V's {self.V.shape}")
+            self.table = _edges(self.V, self.link)
 
 
 def _folded(table: _EdgeTable, lost: np.ndarray) -> np.ndarray:
@@ -256,9 +243,9 @@ def run_consensus(
 
     V is a matrix, or the ClusterGossip the engine passes in its place (one per
     cluster and topology, from run_protocol's D2D epoch), which fixes the link
-    losses itself, so outage must then be None. A bare matrix is read by its
-    bytes, so one changed in place is never read stale: lossless through a
-    bounded cache of V^gamma, lossy as a new ClusterGossip on each call.
+    losses itself, so outage must then be None. A bare matrix becomes a new
+    ClusterGossip on each call, lossless or lossy, so one changed in place is
+    never read stale.
 
     Lossless rounds are one multiply by V^gamma. Lossy rounds take
     their link losses from rng: one uniform per edge in (i < j) row-major order,
@@ -292,14 +279,13 @@ def run_consensus(
     if isinstance(V, ClusterGossip):
         if outage is not None:
             raise ValueError("a ClusterGossip fixes its own link losses: pass outage=None")
-        if V.table is None:
-            return np.dot(V.powers[gamma], w_tilde, out=out)
-    elif outage is None or not outage.enabled:
-        V = np.ascontiguousarray(V, dtype=float)
-        return np.dot(_cached_power(V.tobytes(), V.shape[0], gamma), w_tilde, out=out)
+        gossip = V
+    else:
+        gossip = ClusterGossip(V, outage.link_outage if outage is not None and outage.enabled else None)
+    if gossip.table is None:
+        return np.dot(gossip.powers[gamma], w_tilde, out=out)
     if rng is None:
         raise ValueError("outage-enabled consensus needs an rng")
-    gossip = V if isinstance(V, ClusterGossip) else ClusterGossip(V, outage.link_outage)
     stream = rng if isinstance(rng, OutageStream) else OutageStream(rng, block=0)
     rounds = stream.rounds(gossip, gamma)
     z = w_tilde

@@ -4,7 +4,6 @@ interval-length line search."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -212,26 +211,11 @@ def fit_predictor(upsilon_history, gamma_history) -> PredictorCoeffs:
 
 
 # The rule compares lam ** k * scale with the target exactly, so at a regime
-# boundary one ulp decides the count. It reads the powers from a table of
-# Python's float ** (the C library's pow), which np.power does not reproduce
-# bit for bit. A search doubles the width while some count lies past it.
+# boundary one ulp decides the count. It reads the powers from the table of
+# Python's float ** (the C library's pow) that a trainer.LambdaPowers holds,
+# which np.power does not reproduce bit for bit. A search doubles the width
+# while some count lies past it.
 _TABLE_WIDTH = 128
-
-
-# one entry per set of cluster lambdas and width in use, keyed by bytes: the engine's
-# last bytes key, paid each step until the D2DEpoch holds the table (ROADMAP item 3,
-# after item 2); a topology refresh brings new bytes, so stale entries age out
-@functools.lru_cache(maxsize=8)
-def _lambda_table(lams_bytes: bytes, width: int) -> np.ndarray:
-    """The (clusters, width) table of lam_c ** k, k < width, of the lambdas with
-    these bytes. Read-only, as callers share it."""
-    lams = np.frombuffer(lams_bytes)
-    valid = (lams >= 0.0) & (lams < 1.0)
-    if not valid.all():
-        raise ValueError(f"lambda_c={lams[~valid][0]} must lie in [0, 1)")
-    table = np.array([[lam**k for k in range(width)] for lam in lams.tolist()])
-    table.flags.writeable = False
-    return table
 
 
 def gamma_rounds(
@@ -247,17 +231,20 @@ def gamma_rounds(
     Returns 0 whenever the divergence is already below the trigger threshold.
     s_c, upsilon and lambda_c may be arrays, one entry per cluster: the result
     is then one round count per entry, an int array of their broadcast shape;
-    for scalars it is an int.
+    for scalars it is an int. lambda_c may be a trainer.LambdaPowers, whose
+    table the call reads and widens; plain lambdas get a fresh one for the call.
     """
     sizes = np.asarray(s_c, dtype=float)
     ups = np.asarray(upsilon, dtype=float)
-    lams = np.asarray(lambda_c, dtype=float)
+    powers = lambda_c
+    if not isinstance(powers, trainer.LambdaPowers):
+        powers = trainer.LambdaPowers(np.asarray(lambda_c, dtype=float))
     shape = ups.shape
-    if not (ups.ndim == 1 and sizes.shape == shape == lams.shape):
-        sizes, ups, lams = np.broadcast_arrays(sizes, ups, lams)
+    if not (ups.ndim == 1 and sizes.shape == shape == powers.lams.shape):
+        sizes, ups, lams = np.broadcast_arrays(sizes, ups, powers.lams)
         shape = ups.shape
-        sizes, ups, lams = sizes.ravel(), ups.ravel(), lams.ravel()
-    table = _lambda_table(lams.tobytes(), _TABLE_WIDTH)
+        sizes, ups, powers = sizes.ravel(), ups.ravel(), trainer.LambdaPowers(lams.ravel())
+    table = powers.widen(_TABLE_WIDTH)
     # an infinite divergence would meet no target, and the search would not end
     if not 0.0 <= ups.min() <= ups.max() < np.inf:
         raise ValueError("upsilon must be non-negative and finite")
@@ -283,7 +270,7 @@ def gamma_rounds(
             if gamma_max is not None and table.shape[1] >= gamma_max:
                 g[g == 0] = table.shape[1]  # the count lies past the table, so at or past gamma_max
                 break
-            table = _lambda_table(lams.tobytes(), 2 * table.shape[1])
+            table = powers.widen(2 * table.shape[1])
             g = (table[rows] * scale <= target).argmax(axis=1)
         # every count is at most the table's width, so only a wider table needs the cap
         if gamma_max is not None and table.shape[1] > gamma_max:
@@ -300,13 +287,13 @@ def round_rule(
     blocks holds (member cluster indices, (members, size, d) intermediate models)
     pairs, one per cluster size, as run_protocol passes them. `divergence`
     (divergence_exact or divergence_estimate) is called once per block, then gamma_rounds
-    once on the epoch's sizes and lambdas; perfbench patches both names to count the calls.
+    once on the epoch's sizes and lambda powers; perfbench patches both names to count the calls.
     Returns (upsilon, gammas) in cluster order.
     """
     upsilon = np.zeros(len(epoch.sizes))
     for members, block in blocks:
         upsilon[members] = divergence(block)
-    return upsilon, gamma_rounds(eta_t, phi, epoch.sizes, upsilon, epoch.lams, gamma_max)
+    return upsilon, gamma_rounds(eta_t, phi, epoch.sizes, upsilon, epoch.lambda_powers, gamma_max)
 
 
 @dataclass
@@ -346,7 +333,7 @@ def predict_interval_cost(
     upsilon = np.zeros(n)
     gammas = np.empty((hi + 1, n), dtype=int)
     for i, t in enumerate(range(t_km1, t_km1 + hi + 1)):
-        g = gammas[i] = gamma_rounds(sched.eta(t), phi, sizes, upsilon, epoch.lams, gamma_max)
+        g = gammas[i] = gamma_rounds(sched.eta(t), phi, sizes, upsilon, epoch.lambda_powers, gamma_max)
         # the rounds run at t pick the predictor branch of the divergence at t+1
         idle = g == 0
         upsilon = np.where(idle, coeffs.A, coeffs.a) * upsilon + np.where(idle, coeffs.B, coeffs.b)

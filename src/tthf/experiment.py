@@ -363,7 +363,8 @@ def run_single(config: ExperimentConfig, task: TrainTask, seed: int, epoch=None)
 
 def run_seeds(config: ExperimentConfig, task: TrainTask) -> list[MetricsTrace]:
     """run_single for each of the config's seeds, in turn, all starting from one D2D
-    epoch of the task's network: the seeds share V's powers and the lossy edge tables."""
+    epoch of the task's network: the seeds share V's powers, the lossy edge tables and
+    the lambda power table."""
     lossy = config.raw["outage"]["enabled"]
     epoch = None if _is_baseline(config) else trainer.d2d_epoch(task.clusters, lossy)
     return [run_single(config, task, seed, epoch) for seed in config.raw["seeds"]]

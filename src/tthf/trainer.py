@@ -39,15 +39,6 @@ def _device_rows(seed: int, n_devices: int) -> list[tuple]:
     return [(seed, _STREAM_SGD, d) for d in range(n_devices)]
 
 
-def device_rngs(seed: int, n_devices: int) -> list[np.random.Generator]:
-    """One deterministic substream per device, independent of iteration order.
-
-    Device d's is the generator of the row (seed, _STREAM_SGD, d); the rows are
-    seeded in one `seeding.generators` call.
-    """
-    return generators(_device_rows(seed, n_devices))
-
-
 def global_aggregate(
     models: Sequence[np.ndarray], varrho: np.ndarray, sampled: Sequence[int]
 ) -> np.ndarray:
@@ -230,17 +221,42 @@ class MetricsTrace:
 # D2D epoch and round provider -------------------------------------------------
 
 
+class LambdaPowers:
+    """One topology's lambdas (`lams`) and their read-only table of lam_c ** k
+    (`table`), which control.gamma_rounds takes in lambda_c's place, as
+    run_consensus takes a ClusterGossip in V's. The table holds Python's float
+    ** (see control._TABLE_WIDTH); the rule's first call builds it, so a run
+    without the rule never does, and the search's doubling widens it.
+    """
+
+    def __init__(self, lams: np.ndarray):
+        self.lams, self.table = lams, np.empty((0, 0))
+
+    def widen(self, width: int) -> np.ndarray:
+        """The table, rebuilt first at this width if it is narrower."""
+        if self.table.shape[1] < width:
+            valid = (self.lams >= 0.0) & (self.lams < 1.0)
+            if not valid.all():
+                raise ValueError(f"lambda_c={self.lams[~valid][0]} must lie in [0, 1)")
+            powers = [lam**k for lam in self.lams.tolist() for k in range(width)]
+            self.table = np.reshape(powers, (len(self.lams), width))
+            self.table.flags.writeable = False
+        return self.table
+
+
 class D2DEpoch(NamedTuple):
-    """One topology's D2D constants in cluster order: the sizes and lambdas as floats,
-    and each cluster's ClusterGossip, which run_consensus takes in V's place.
+    """One topology's D2D constants in cluster order: the sizes as floats, the
+    lambdas' LambdaPowers, and each cluster's ClusterGossip, which run_consensus
+    takes in V's place.
 
     The epoch snapshots each V, and in a lossy run each link matrix, when it is
     built: the gossip holds read-only copies, with V's powers and the edge table,
-    so a spec changed in place afterwards does not reach the run.
+    so a spec changed in place afterwards does not reach the run. The round rule
+    reads the lambdas' powers from the epoch's one table, which it widens in place.
     """
 
     sizes: np.ndarray
-    lams: np.ndarray
+    lambda_powers: LambdaPowers
     gossip: list[ClusterGossip]
 
 
@@ -250,7 +266,8 @@ def d2d_epoch(clusters: Sequence[ClusterSpec], lossy=False, previous: Optional[D
     if previous is not None and not np.array_equal(sizes, previous.sizes):
         raise ValueError("topology refresh must preserve cluster sizes")
     gossip = [ClusterGossip(spec.V, spec.link_outage if lossy else None) for spec in clusters]
-    return D2DEpoch(sizes, np.array([spec.lambda_c for spec in clusters], dtype=float), gossip)
+    lams = np.array([spec.lambda_c for spec in clusters], dtype=float)
+    return D2DEpoch(sizes, LambdaPowers(lams), gossip)
 
 
 def provider_from_plan(plan: GammaPlan):
@@ -312,8 +329,9 @@ def run_protocol(
     topology_refresh(k) -> new specs of the same cluster sizes for interval k, or None,
     called when interval k-1 ends; each topology's D2DEpoch is derived once.
     epoch, when given, is the D2DEpoch of task.clusters (lossy exactly when the run
-    is) that the run starts from, so the seeds of one network share V's powers and
-    the edge tables; by default the run derives it from task.clusters at its start.
+    is) that the run starts from, so the seeds of one network share V's powers, the
+    edge tables and the lambda power table; by default the run derives it from
+    task.clusters at its start.
     aggregation FULL is the full-participation baseline, whose gamma_provider
     runs no rounds; its server model at each step is the average model.
     A step computes only what the next step reads; its models wait in buffers of

@@ -296,14 +296,14 @@ class TestBatchedProperties:
             assert known_max[i] - known_min[i] == estimate
 
     @given(n=st.integers(2, 8), gamma=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
-    def test_cached_power_matches_iterated_rounds(self, n, gamma, seed):
+    def test_power_matches_iterated_rounds(self, n, gamma, seed):
         rng = np.random.default_rng(seed)
         V, _, _ = random_mixing_matrix(rng, n)
         w = rng.standard_normal((n, int(rng.integers(1, 6))))
         out = consensus.run_consensus(w, V, gamma)
         np.testing.assert_allclose(out, iterated_consensus(w, V, gamma), rtol=0, atol=1e-12)
         if gamma:
-            power = consensus._cached_power(V.tobytes(), n, gamma)
+            power = consensus._power(V, gamma)
             assert not power.flags.writeable and not np.shares_memory(out, power)
             first = out.copy()
             out[...] = np.nan
@@ -350,12 +350,12 @@ class TestGossipProductOracle:
         layout=st.sampled_from(["C", "F", "strided"]), with_out=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_lossless_call_equals_the_cached_power_matmul(self, s, d, gamma, layout, with_out, seed):
+    def test_lossless_call_equals_the_power_matmul(self, s, d, gamma, layout, with_out, seed):
         rng = np.random.default_rng(seed)
         V = random_mixing_matrix(rng, s)[0] if s > 1 else np.eye(1)
         w = laid_out(rng, s, d, layout)
         out = consensus.run_consensus(w, V, gamma)
-        np.testing.assert_array_equal(out, consensus._cached_power(V.tobytes(), s, gamma) @ w)
+        np.testing.assert_array_equal(out, consensus._power(V, gamma) @ w)
         if with_out:
             assert into_buffer(w, V, gamma).tobytes() == out.tobytes()
 
@@ -449,7 +449,7 @@ class TestLossyCachedPath:
         rng = np.random.default_rng(21)
         V, adj, _ = random_mixing_matrix(rng, 6)
         link = np.where(adj, rng.uniform(0.0, 0.5, (6, 6)), 0.0)
-        table = consensus._edges(V.tobytes(), link.tobytes(), 6)
+        table = consensus._edges(V, link)
         edges = [(i, j) for i in range(6) for j in range(i + 1, 6) if V[i, j] != 0.0]
         np.testing.assert_array_equal(table.V, V)
         assert list(zip(table.rows.tolist(), table.cols.tolist())) == edges

@@ -366,22 +366,33 @@ class TestGammaRounds:
 def boundary_clusters(rng, n, target):
     """n random clusters, most of them at or next to a regime boundary of the target.
 
-    Cluster c gets a round count k_c and an upsilon for which Python's
-    lam ** k * (sqrt(s) * upsilon), the scalar rule's guard, equals the target
-    exactly; where a few ulps of upsilon find no such value it stays near it.
-    A found upsilon then moves by -1, 0 or +1 ulp, so the guard's product sits
-    on the target or next to it; np.power, which mostly rounds a power down
-    from Python's, decides such a count wrongly now and then.
-    Returns (sizes, upsilons, lambdas, at_boundary).
+    Returns (sizes, upsilons, lambdas, at_boundary), the upsilons and
+    at_boundary from boundary_upsilons.
     """
     sizes = rng.integers(1, 9, n)
     lams = rng.uniform(0.05, 0.995, n)
+    ups, at_boundary = boundary_upsilons(rng, sizes, lams, target)
+    return sizes, ups, lams, at_boundary
+
+
+def boundary_upsilons(rng, sizes, lams, target, max_count=600):
+    """Upsilons that put most of these clusters at or next to a regime boundary of the target.
+
+    Cluster c gets a round count k_c of at most max_count and an upsilon for
+    which Python's lam ** k * (sqrt(s) * upsilon), the scalar rule's guard,
+    equals the target exactly; where a few ulps of upsilon find no such value
+    it stays near it. A found upsilon then moves by -1, 0 or +1 ulp, so the
+    guard's product sits on the target or next to it; np.power, which mostly
+    rounds a power down from Python's, decides such a count wrongly now and then.
+    Returns (upsilons, at_boundary).
+    """
+    n = len(sizes)
     ups = np.empty(n)
     at_boundary = np.zeros(n, dtype=bool)
     for c in range(n):
         lam, root = float(lams[c]), math.sqrt(int(sizes[c]))
         # keep lam ** k far from underflow; counts past 127, 255 and 511 double the power table
-        k = int(rng.integers(0, min(600, int(200 / -math.log10(lam))) + 1))
+        k = int(rng.integers(0, min(max_count, int(200 / -math.log10(lam))) + 1))
         u = target / (lam**k * root)
         for _ in range(8):
             cert = lam**k * (root * u)
@@ -391,7 +402,7 @@ def boundary_clusters(rng, n, target):
                 break
             u = math.nextafter(u, math.inf if cert < target else -math.inf)
         ups[c] = u
-    return sizes, ups, lams, at_boundary
+    return ups, at_boundary
 
 
 class TestArrayRoundRuleOracle:
@@ -455,6 +466,37 @@ class TestArrayRoundRuleOracle:
         np.testing.assert_array_equal(got, expected)
         active = (lams == 0.0) & (np.sqrt(sizes) * ups > eta * phi)
         np.testing.assert_array_equal(got[active], 1 if gamma_max is None else min(1, gamma_max))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from([100, 200, 400, 600]), st.one_of(st.none(), st.integers(0, 600)),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_a_shared_epoch_table_equals_fresh_tables(self, seed, n, calls):
+        # the calls share one LambdaPowers, as the round rule of a D2D epoch does:
+        # counts past 128, 256 and 512 widen its table, and later calls read the
+        # wide table, some with a gamma_max below its width
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 9, n)
+        lams = rng.uniform(0.05, 0.995, n)
+        shared = trainer.LambdaPowers(lams)
+        for max_count, gamma_max, zero_share in calls:
+            eta, phi = float(10.0 ** rng.uniform(-4, 0)), float(10.0 ** rng.uniform(-2, 1))
+            ups, _ = boundary_upsilons(rng, sizes, lams, eta * phi, max_count)
+            ups[rng.random(n) < zero_share] = 0.0
+            width, fresh = shared.table.shape[1], trainer.LambdaPowers(lams)
+            got = control.gamma_rounds(eta, phi, sizes, ups, shared, gamma_max)
+            np.testing.assert_array_equal(got, control.gamma_rounds(eta, phi, sizes, ups, fresh, gamma_max))
+            np.testing.assert_array_equal(got, self.scalar_rounds(eta, phi, sizes, ups, lams, gamma_max))
+            # the shared table is the widest that either search has needed, and read-only
+            assert shared.table.shape[1] == max(width, fresh.table.shape[1])
+            assert not shared.table.flags.writeable
 
     def test_scalar_inputs_give_an_int(self):
         for ups in (0.0, 0.3, 40.0):
@@ -760,9 +802,9 @@ class TestRunAdaptive:
             # every aggregation before the horizon refreshes, then plans the next interval
             assert len(plans) == len(trace.boundaries) - 1 == len(fresh)
             for k, epoch in enumerate(plans, start=1):
-                assert epoch.sizes.dtype == epoch.lams.dtype == float
+                assert epoch.sizes.dtype == epoch.lambda_powers.lams.dtype == float
                 assert epoch.sizes.tolist() == [spec.size for spec in fresh[k + 1]]
-                assert epoch.lams.tolist() == [spec.lambda_c for spec in fresh[k + 1]]
+                assert epoch.lambda_powers.lams.tolist() == [spec.lambda_c for spec in fresh[k + 1]]
                 # each cluster's gossip holds read-only copies of that spec's V and,
                 # in a lossy run only, of its link matrix, bit for bit
                 for gossip, spec in zip(epoch.gossip, fresh[k + 1], strict=True):
@@ -775,4 +817,5 @@ class TestRunAdaptive:
                         assert gossip.link is None and gossip.table is None
             # some networks' lambdas differ from the start's, so a plan on the task's
             # own specs would fail above
-            assert any(epoch.lams.tolist() != [spec.lambda_c for spec in task.clusters] for epoch in plans)
+            start = [spec.lambda_c for spec in task.clusters]
+            assert any(epoch.lambda_powers.lams.tolist() != start for epoch in plans)

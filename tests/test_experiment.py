@@ -296,7 +296,8 @@ class TestRunExperiment:
     )
     def test_certified_run_bytes_are_pinned(self, tmp_path, override, expected):
         # lossless rounds on a 4x4 network, each cluster's rounds chosen by the
-        # round rule on the exact divergence and run as one cached power of V;
+        # round rule on the exact divergence and run as one power of V, which the
+        # epoch's gossip makes once per round count;
         # the most rounds any cluster runs in one step is 37, well below
         # max_rounds. A change to the round rule, the powers, the accuracy or
         # the summary changes these bytes

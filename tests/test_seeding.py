@@ -88,7 +88,7 @@ class TestSeedingOracle:
         # PCG64's words, each step equal to one choice call on NumPy's own generator
         n_points, b = [12, 7, 30, 4, 9, 4, 16, 11, 8, 20], 4
         assert len(n_points) >= BATCH_MIN
-        sampler = losses.BatchSampler(n_points, b, trainer.device_rngs(9, len(n_points)))
+        sampler = losses.BatchSampler(n_points, b, generators(trainer._device_rows(9, len(n_points))))
         drawn = [d for d, n in enumerate(n_points) if n > b]
         assert sampler.replayed.tolist() == drawn and sampler.chosen.tolist() == []
         oracle = [np.random.default_rng(np.random.SeedSequence([9, trainer._STREAM_SGD, d])) for d in drawn]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tthf import consensus, data, experiment, losses, topology, trainer
+from tthf import consensus, control, data, experiment, losses, seeding, topology, trainer
 from tthf.bounds import dispersion_sample
 from tthf.consensus import consensus_error, divergence_exact
 from tthf.costs import CostParams
@@ -49,7 +49,7 @@ def one_step(task, eta):
         grads = losses.grad_full(task.model, W, task.data)
     else:
         sampler = losses.BatchSampler(
-            task.data.n_points, task.batch_size, trainer.device_rngs(0, task.n_devices)
+            task.data.n_points, task.batch_size, seeding.generators(trainer._device_rows(0, task.n_devices))
         )
         grads = losses.grad_sgd(task.model, W, task.data, task.batch_size, sampler)
     return W - eta * grads
@@ -71,7 +71,7 @@ class TestLocalSgdStep:
     def test_matches_axpy_composition(self):
         task = build_small_task(batch_size=3)
         task.w0 = np.random.default_rng(2).standard_normal(task.model.dim)
-        rngs = trainer.device_rngs(0, task.n_devices)
+        rngs = seeding.generators(trainer._device_rows(0, task.n_devices))
         composed = np.stack([
             task.w0 - 0.05 * local_sgd(task.model, task.w0, one_device(task.model, part), 3, rng)
             for part, rng in zip(task.flat_parts, rngs)
@@ -666,42 +666,70 @@ class TestTopologyRefresh:
 class TestEpochGossip:
     @pytest.mark.parametrize("refresh", [False, True], ids=["static", "refreshed"])
     @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
-    def test_the_engine_makes_no_bytes_keyed_lookup_once_the_epoch_is_built(self, monkeypatch, lossy, refresh):
-        # V^gamma and the edge tables come from the epoch's gossip objects; the
-        # bytes-keyed _cached_power and _edges serve direct callers and the
-        # building of an epoch only
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["certified", "adaptive"])
+    def test_the_engine_builds_no_gossip_and_one_lambda_table_per_epoch(self, monkeypatch, adaptive, lossy, refresh):
+        # V^gamma, the edge tables and the lambda powers come from the epoch:
+        # once it is built, the engine makes no ClusterGossip and no edge table,
+        # and the round rule builds each epoch's lambda table once at 128 powers
+        # and again only when its search doubles the width, never once per step
         task = build_small_task()
         steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
+        config = control.AdaptiveConfig(T=30, tau_max=6, tau1=3, zeta_frac=0.02, sigma_batch=8)
+        # a target of 1e-9 takes up to 174 rounds, past the first table's 128
+        plan = GammaPlan(mode="certified", phi=1e-9, max_rounds=600)
 
         def fresh(k):
             return topology.build_network(4, 3, 50.0, topology.ChannelParams(), seed=40 + k)
 
         def run():
+            if adaptive:
+                return control.run_adaptive(
+                    task, config, lossy=lossy, seed=4, topology_refresh=fresh if refresh else None
+                )[0]
             return trainer.run_tthf(
-                task, steps, TrainingSchedule.uniform(24, 4), GammaPlan(mode="certified", phi=0.5),
+                task, steps, TrainingSchedule.uniform(24, 4), plan,
                 lossy=lossy, seed=4, topology_refresh=fresh if refresh else None,
             )
 
         want = run()
-        d2d_epoch = trainer.d2d_epoch
-        keyed = {name: getattr(consensus, name) for name in ("_cached_power", "_edges")}
+        d2d_epoch, widen = trainer.d2d_epoch, trainer.LambdaPowers.widen
+        builders = {
+            (consensus, "_edges"): consensus._edges,
+            (consensus.ClusterGossip, "__init__"): consensus.ClusterGossip.__init__,
+        }
+        epochs, builds = [], []
 
         def forbidden(*args):
-            raise AssertionError("a bytes-keyed lookup on the engine's path")
+            raise AssertionError("a gossip object or edge table built on the engine's path")
 
         def epoch_then_forbid(*args, **kwargs):
-            for name, function in keyed.items():
-                monkeypatch.setattr(consensus, name, function)
-            epoch = d2d_epoch(*args, **kwargs)
-            for name in keyed:
-                monkeypatch.setattr(consensus, name, forbidden)
-            return epoch
+            for (owner, name), function in builders.items():
+                monkeypatch.setattr(owner, name, function)
+            epochs.append(d2d_epoch(*args, **kwargs))
+            for owner, name in builders:
+                monkeypatch.setattr(owner, name, forbidden)
+            return epochs[-1]
+
+        def counted_widen(powers, width):
+            before = powers.table
+            table = widen(powers, width)
+            if table is not before:
+                builds.append((powers, table.shape[1]))
+            return table
 
         monkeypatch.setattr(trainer, "d2d_epoch", epoch_then_forbid)
+        monkeypatch.setattr(trainer.LambdaPowers, "widen", counted_widen)
         got = run()
         assert np.unique(got.gamma_by_cluster).size > 2  # several round counts, so several powers
         for column in ("loss_gap_sampled", "eps_rms", "gamma_total"):
             assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+        assert len(epochs) == (len(got.boundaries) if refresh else 1)
+        widths = [[width for powers, width in builds if powers is epoch.lambda_powers] for epoch in epochs]
+        assert sum(map(len, widths)) == len(builds) and widths[0]
+        for built in widths:
+            assert built == [128 * 2**i for i in range(len(built))]
+        # the adaptive rule caps its counts at gamma_max=100, inside the first table
+        assert max(map(len, widths)) == (1 if adaptive else 2)
 
 
 def per_step_metrics(W_tilde, W, groups, varrho, sampled):
