@@ -300,10 +300,10 @@ def consensus_error(w: np.ndarray, w_tilde: np.ndarray) -> tuple[np.ndarray, flo
     Axes before the last two are batch axes: (..., s, d) inputs give (..., s)
     norms and one RMS per batch entry (a float for 2-D inputs). The norms are
     `np.linalg.norm`'s, bit for bit: the root of each row's sum of squares.
-    The center of one row is that row, bit for bit, so a caller that holds the
-    cluster means already passes them as (..., 1, d) w_tilde.
+    A one-row w_tilde is the center itself, taken without a mean, so a caller
+    that holds the cluster means already passes them as (..., 1, d) w_tilde.
     """
-    diff = w - w_tilde.mean(axis=-2, keepdims=True)
+    diff = w - (w_tilde if w_tilde.shape[-2] == 1 else w_tilde.mean(axis=-2, keepdims=True))
     errs = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
     rms = np.sqrt(np.mean(errs**2, axis=-1))
     return errs, float(rms) if rms.ndim == 0 else rms
@@ -346,6 +346,7 @@ def lemma1_bound(lambda_c: float, gamma: int, s_c: int, upsilon: float) -> float
     """Certified cap on any device's consensus error: lambda^Gamma * sqrt(s) * Upsilon."""
     if lambda_c < 0 or not lambda_c < 1:
         raise ValueError("lambda_c must lie in [0, 1)")
-    if gamma < 0 or s_c < 1 or upsilon < 0:
+    # written as `not x >= bound`, so NaN fails
+    if not (gamma >= 0 and s_c >= 1 and upsilon >= 0):
         raise ValueError("gamma, s_c, upsilon must be non-negative (s_c >= 1)")
     return float(lambda_c**gamma * np.sqrt(s_c) * upsilon)

@@ -232,12 +232,17 @@ def gamma_rounds(
     s_c, upsilon and lambda_c may be arrays, one entry per cluster: the result
     is then one round count per entry, an int array of their broadcast shape;
     for scalars it is an int. lambda_c may be a trainer.LambdaPowers, whose
-    table the call reads and widens; plain lambdas get a fresh one for the call.
+    table the call reads and widens; plain lambdas get a fresh one for the call,
+    and their sizes are checked (each at least 1, not NaN). With a LambdaPowers,
+    s_c is its D2D epoch's sizes, the specs' device counts, which are ints >= 1,
+    so the engine's per-step call checks none.
     """
     sizes = np.asarray(s_c, dtype=float)
     ups = np.asarray(upsilon, dtype=float)
     powers = lambda_c
     if not isinstance(powers, trainer.LambdaPowers):
+        if not (sizes >= 1.0).all():
+            raise ValueError("cluster size s_c must be at least 1")
         powers = trainer.LambdaPowers(np.asarray(lambda_c, dtype=float))
     shape = ups.shape
     if not (ups.ndim == 1 and sizes.shape == shape == powers.lams.shape):

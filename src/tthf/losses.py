@@ -207,14 +207,25 @@ def grad_point(model: LossModel, w: np.ndarray, x: np.ndarray, y: float) -> np.n
 
 
 def _grad_batch(model: LossModel, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean per-point gradient over the rows of X; leading axes of w, X and y are devices."""
-    margins = np.matmul(X, w[..., None])[..., 0]
+    """Mean per-point gradient over the rows of X; leading axes of w, X and y are devices.
+
+    The margins' array takes the residual in place, and the product's array the
+    1/n scale and the reg*w term: the bits of the out-of-place formulas, with
+    two arrays where they made six.
+    """
+    residual = np.matmul(X, w[..., None])[..., 0]
     if model.kind == LINEAR_REGRESSION:
-        residual = margins - y
+        np.subtract(residual, y, out=residual)
     else:
-        residual = -y * np.maximum(0.0, 1.0 - y * margins)
-    g = np.matmul(np.swapaxes(X, -1, -2), residual[..., None])[..., 0] / X.shape[-2]
-    return g + model.reg * w
+        # -y * max(0, 1 - y*m), each operation as the formula orders it
+        np.multiply(y, residual, out=residual)
+        np.subtract(1.0, residual, out=residual)
+        np.maximum(0.0, residual, out=residual)
+        np.multiply(-y, residual, out=residual)
+    g = np.matmul(np.swapaxes(X, -1, -2), residual[..., None])[..., 0]
+    g /= X.shape[-2]
+    g += model.reg * w
+    return g
 
 
 def grad_full(model: LossModel, w: np.ndarray, data: DeviceData) -> np.ndarray:
@@ -239,13 +250,19 @@ def grad_sgd(
     uniform without-replacement mini-batch of exactly batch_size of its points.
 
     rng is a BatchSampler over the devices' generators, which draws every
-    device's batch; all run as one block.
+    device's batch; all run as one block. The batch size and the sampler are
+    checked once per (sampler, DeviceData) pair: the sampler keeps the data it
+    was last checked against, and a call with other data, or with another
+    batch size, is checked again. The devices whose batch is every point are
+    the sampler's `whole`, fixed when it was built.
     """
-    if not 1 <= batch_size <= data.n_points.min():
-        raise ValueError(f"batch_size {batch_size} out of range [1, {data.n_points.min()}]")
-    if rng.batch_size != batch_size or not np.array_equal(rng.n_points, data.n_points):
-        raise ValueError("the sampler was built for another batch size or other devices")
-    return _grad_rows(model, w, data, np.arange(data.n_devices), rng.draw())
+    if rng.data is not data or rng.batch_size != batch_size:
+        if not 1 <= batch_size <= data.n_points.min():
+            raise ValueError(f"batch_size {batch_size} out of range [1, {data.n_points.min()}]")
+        if rng.batch_size != batch_size or not np.array_equal(rng.n_points, data.n_points):
+            raise ValueError("the sampler was built for another batch size or other devices")
+        rng.data = data
+    return _grad_rows(model, w, data, slice(None), rng.draw(), rng.whole)
 
 
 def grad_batches(
@@ -258,21 +275,25 @@ def grad_batches(
     w[j]; a device may be listed more than once. A batch of every point is
     drawn without the generator.
     """
+    n_points = data.n_points[devices]
     picks = np.array([
         np.arange(n) if n == batch_size else gen.choice(n, size=batch_size, replace=False)
-        for n, gen in zip(data.n_points[devices].tolist(), rngs)
+        for n, gen in zip(n_points.tolist(), rngs)
     ])
-    return _grad_rows(model, w, data, devices, picks)
+    return _grad_rows(model, w, data, devices, picks, np.flatnonzero(n_points == batch_size))
 
 
-def _grad_rows(model: LossModel, w: np.ndarray, data: DeviceData, devices: np.ndarray, picks: np.ndarray):
-    """Gradient at w[j] over the points picks[j] of device devices[j]; a batch of
-    every point takes grad_full's closed form for regression."""
-    rows = data.starts[devices][:, None] + picks
-    g = _grad_batch(model, w, data.X[rows], data.y[rows])
-    full = data.n_points[devices] == picks.shape[1]
-    if model.kind == LINEAR_REGRESSION and full.any():
-        g[full] = _quadratic_grad(data.A[devices[full]], data.b[devices[full]], w[full])
+def _grad_rows(
+    model: LossModel, w: np.ndarray, data: DeviceData, devices, picks: np.ndarray, full: np.ndarray
+) -> np.ndarray:
+    """Gradient at w[j] over the points picks[j] of device devices[j], devices an
+    index array or slice(None) for every device in order; the entries `full`,
+    whose batches hold every point of their device, take grad_full's closed form
+    for regression. The batch is gathered with `take`."""
+    rows = data.starts[devices, None] + picks
+    g = _grad_batch(model, w, data.X.take(rows, axis=0), data.y.take(rows))
+    if model.kind == LINEAR_REGRESSION and len(full):
+        g[full] = _quadratic_grad(data.A[devices][full], data.b[devices][full], w[full])
     return g
 
 
@@ -294,9 +315,11 @@ class BatchSampler:
     The sampler replays both, _BLOCK steps of every device in one array pass, on
     words it prefetches with `random_raw`, and hands out one step per `draw`. Its
     generators run up to two blocks ahead of the steps drawn, so it must be their
-    only user. A device with batch_size points takes them all without a draw; one
-    outside Floyd's regime, or whose generator is not a PCG64 with an empty
-    32-bit buffer, calls `choice` once per step of a block.
+    only user. A device with batch_size points takes them all without a draw
+    (`whole`, built once); one outside Floyd's regime, or whose generator is not
+    a PCG64 with an empty 32-bit buffer, calls `choice` once per step of a block.
+    `draw` hands out each step's picks relative to its device's first point.
+    `data` is the DeviceData that grad_sgd last checked the sampler against.
     """
 
     def __init__(self, n_points, batch_size: int, gens):
@@ -310,6 +333,8 @@ class BatchSampler:
             for g in self.gens
         ])
         drawn = self.n_points > b
+        self.whole = np.flatnonzero(~drawn)
+        self.data = None
         floyd = (self.n_points <= _FLOYD_MAX_N) | (b <= self.n_points // 50)
         self.replayed = np.flatnonzero(drawn & floyd & replay)
         self.chosen = np.flatnonzero(drawn & ~(floyd & replay))

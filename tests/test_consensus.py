@@ -178,6 +178,13 @@ class TestLemma1Bound:
     def test_arithmetic_case(self):
         assert consensus.lemma1_bound(0.5, 3, 1, 8.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "gamma, s_c, upsilon", [(2, np.nan, 1.0), (2, 4, np.nan), (np.nan, 4, 1.0), (2, 0, 1.0), (2, 4, -1.0)]
+    )
+    def test_nan_or_negative_inputs_rejected(self, gamma, s_c, upsilon):
+        with pytest.raises(ValueError, match="non-negative"):
+            consensus.lemma1_bound(0.5, gamma, s_c, upsilon)
+
     def test_certificate_never_violated(self):
         rng = np.random.default_rng(9)
         for _ in range(500):

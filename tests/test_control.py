@@ -4,6 +4,7 @@ the divergence predictor, the round rule, and the interval line search."""
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -523,6 +524,17 @@ class TestArrayRoundRuleOracle:
             control.gamma_rounds(0.1, 1.0, [2, 2], [1.0, -1e-9], [0.5, 0.5])
         with pytest.raises(ValueError, match="finite"):
             control.gamma_rounds(0.1, 1.0, [2, 2], [1.0, np.inf], [0.5, 0.5])
+
+    @pytest.mark.parametrize("size", [0, -1, 0.5, np.nan])
+    def test_size_below_one_or_nan_rejected(self, size):
+        # such a size took no rounds: a scale of 0 or NaN never exceeds the
+        # target. It is rejected before sqrt, which warns on -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="s_c must be at least 1"):
+                control.gamma_rounds(0.1, 1.0, size, 1.0, 0.5)
+            with pytest.raises(ValueError, match="s_c must be at least 1"):
+                control.gamma_rounds(0.1, 1.0, [2, size], [1.0, 1.0], [0.5, 0.5])
 
 
 def make_cluster(index, size=3, lam=0.6):

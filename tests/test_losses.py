@@ -321,6 +321,45 @@ class TestBatchedLayer:
         with pytest.raises(ValueError, match="another batch size"):
             losses.grad_sgd(model, np.zeros((3, 2)), losses.DeviceData(model, clusters), 3, sampler)
 
+    def test_grad_sgd_checks_a_sampler_again_with_other_devices(self):
+        # the first call checks the sampler against its data; a second DeviceData,
+        # of other point counts, is checked again and not taken for the first
+        model, clusters, _, _ = stacked_devices(LINEAR_REGRESSION, [5, 6, 7], 2, 0)
+        _, others, _, _ = stacked_devices(LINEAR_REGRESSION, [5, 6, 8], 2, 0)
+        sampler = losses.BatchSampler([5, 6, 7], 2, seeded_gens(0, 3))
+        losses.grad_sgd(model, np.zeros((3, 2)), losses.DeviceData(model, clusters), 2, sampler)
+        with pytest.raises(ValueError, match="another batch size or other devices"):
+            losses.grad_sgd(model, np.zeros((3, 2)), losses.DeviceData(model, others), 2, sampler)
+
+    @pytest.mark.parametrize("kind", [LINEAR_REGRESSION, SQUARED_HINGE_SVM])
+    def test_grad_sgd_with_equal_data_built_again_gives_the_same_bits(self, kind):
+        model, clusters, parts, rng = stacked_devices(kind, [5, 3, 7, 3], 3, 4)
+        data, again = losses.DeviceData(model, clusters), losses.DeviceData(model, clusters)
+        one = losses.BatchSampler(data.n_points, 3, seeded_gens(4, 4))
+        other = losses.BatchSampler(data.n_points, 3, seeded_gens(4, 4))
+        # each step passes the sampler the data it was checked against, then the other
+        for step in range(4):
+            W = rng.standard_normal((4, 3))
+            want = losses.grad_sgd(model, W, data, 3, one)
+            got = losses.grad_sgd(model, W, again if step % 2 == 0 else data, 3, other)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", [LINEAR_REGRESSION, SQUARED_HINGE_SVM])
+    def test_whole_devices_beside_drawn_ones_equal_per_device_calls(self, kind):
+        # devices 1 and 3 hold exactly batch_size points: regression takes their
+        # closed form, the SVM the kernel on every point
+        model, clusters, parts, rng = stacked_devices(kind, [6, 3, 9, 3, 4], 2, 8)
+        data = losses.DeviceData(model, clusters)
+        sampler = losses.BatchSampler(data.n_points, 3, seeded_gens(8, 5))
+        gens_single = seeded_gens(8, 5)
+        assert sampler.whole.tolist() == [1, 3]
+        for _ in range(3):
+            W = rng.standard_normal((5, 2))
+            per_device = np.stack([
+                local_sgd(model, w, one_device(model, p), 3, g) for w, p, g in zip(W, parts, gens_single)
+            ])
+            assert losses.grad_sgd(model, W, data, 3, sampler).tobytes() == per_device.tobytes()
+
     @given(kind=KINDS, counts=COUNTS, dim=st.integers(1, 5), seed=st.integers(0, 2**16))
     def test_stats_and_beta_equal_per_device_formulas(self, kind, counts, dim, seed):
         model, clusters, parts, _ = stacked_devices(kind, counts, dim, seed)

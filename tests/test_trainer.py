@@ -5,7 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tthf import consensus, control, data, experiment, losses, seeding, topology, trainer
@@ -748,11 +748,19 @@ def per_step_metrics(W_tilde, W, groups, varrho, sampled):
 
 
 class TestBlockMetricsOracle:
+    # clusters of up to 20 devices, as at d = 1 numpy's mean sums 8 or more
+    # members pairwise, and an all -0.0 column, whose mean is +0.0 because
+    # numpy's sum starts from 0.0
     @given(
-        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6), n=st.integers(1, 16),
-        dim=st.integers(1, 40), sampled_rows=st.booleans(), seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 20), min_size=1, max_size=6), n=st.integers(1, 16),
+        dim=st.one_of(st.just(1), st.integers(1, 40)), sampled_rows=st.booleans(),
+        zero_column=st.booleans(), seed=st.integers(0, 2**32 - 1),
     )
-    def test_stacked_reductions_equal_the_per_step_formulas(self, sizes, n, dim, sampled_rows, seed):
+    @example(sizes=[8, 20, 13], n=16, dim=1, sampled_rows=False, zero_column=False, seed=3)
+    @example(sizes=[3, 1], n=4, dim=3, sampled_rows=True, zero_column=True, seed=5)
+    def test_stacked_reductions_equal_the_per_step_formulas(
+        self, sizes, n, dim, sampled_rows, zero_column, seed
+    ):
         # the first size comes again last, so its group's rows are not consecutive
         # unless every size between is the same
         sizes = sizes + sizes[:1]
@@ -763,6 +771,8 @@ class TestBlockMetricsOracle:
             -6, 1
         ) * rng.standard_normal((n, n_dev, dim))
         W = W_tilde + 10.0 ** rng.integers(-8, 0) * rng.standard_normal(W_tilde.shape)
+        if zero_column:
+            W_tilde[..., -1] = -0.0
         varrho = np.array(sizes, dtype=float) / n_dev
         starts = np.cumsum([0] + sizes[:-1])
         sampled = starts + rng.integers(0, sizes, size=(n, len(sizes))) if sampled_rows else None
