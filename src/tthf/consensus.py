@@ -300,10 +300,10 @@ def consensus_error(w: np.ndarray, w_tilde: np.ndarray) -> tuple[np.ndarray, flo
     Axes before the last two are batch axes: (..., s, d) inputs give (..., s)
     norms and one RMS per batch entry (a float for 2-D inputs). The norms are
     `np.linalg.norm`'s, bit for bit: the root of each row's sum of squares.
-    A one-row w_tilde is the center itself, taken without a mean, so a caller
-    that holds the cluster means already passes them as (..., 1, d) w_tilde.
+    The center of one row is that row, bit for bit, so a caller that holds the
+    cluster means already passes them as (..., 1, d) w_tilde.
     """
-    diff = w - (w_tilde if w_tilde.shape[-2] == 1 else w_tilde.mean(axis=-2, keepdims=True))
+    diff = w - w_tilde.mean(axis=-2, keepdims=True)
     errs = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
     rms = np.sqrt(np.mean(errs**2, axis=-1))
     return errs, float(rms) if rms.ndim == 0 else rms

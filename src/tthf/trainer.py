@@ -57,13 +57,10 @@ def block_metrics(W_tilde, W, groups, varrho, sampled=None):
     model the average model. A size group's rows are a view or a `take`, so its
     (n, members, size, d) blocks lie in C order as one step's rows do: numpy's
     reductions add in an order that follows the memory layout, and a fancy index
-    would put the steps innermost. The cluster means add each group's members in
-    order, from numpy's reduction identity 0.0, and divide by the size: the bits
-    of mean over the size axis, which numpy reduces in that order where d > 1. At
-    d = 1 the members lie contiguous and numpy sums 8 or more of them pairwise,
-    so mean is kept there. The means go to consensus_error as one-row w_tilde,
-    which it takes as the center. eps_rms takes one dot per step: a stacked
-    matmul differs.
+    would put the steps innermost. Each group's cluster means are taken once, by
+    mean over the size axis in that per-step order, and passed to consensus_error
+    as one-row w_tilde, whose mean is that row. eps_rms takes one dot per step: a
+    stacked matmul differs.
     """
     n, _, dim = W_tilde.shape
     means, eps2 = np.empty((n, len(varrho), dim)), np.empty((n, len(varrho)))
@@ -74,14 +71,7 @@ def block_metrics(W_tilde, W, groups, varrho, sampled=None):
             block, post = W_tilde.take(dev_rows, axis=1), W.take(dev_rows, axis=1)
         shape = (n, len(members), size, dim)
         block, post = block.reshape(shape), post.reshape(shape)
-        if dim == 1:
-            group_means = block.mean(axis=-2)
-        else:
-            group_means = block[..., 0, :] + 0.0
-            for i in range(1, size):
-                group_means += block[..., i, :]
-            group_means /= size
-        means[:, members] = group_means
+        group_means = means[:, members] = block.mean(axis=-2)
         errs, _ = consensus_error(post, group_means[..., None, :])
         eps2[:, members] = np.mean(errs**2, axis=-1)
     bar = varrho @ means
