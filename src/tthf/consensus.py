@@ -37,10 +37,12 @@ def _check_probabilities(link: np.ndarray):
         raise ValueError("link_outage must hold probabilities in [0, 1] (NaN is not one)")
 
 
-# rounds an OutageBlock holds of each cluster; on the 25x5 benchmark network a
-# lossy seed's block holds about 320 kB (tracemalloc), 148 kB of it the kept
-# uniforms (145 links x 128 rounds), where 25 per-cluster streams held 340 kB
-OUTAGE_ROUNDS = 128
+# uniforms an OutageStream fetches per block, in whole rounds of its link count;
+# on the 25x5 benchmark network a lossy seed builds each cluster's blocks about
+# three times, and the 25 streams hold about 420 kB at the end of a seed
+# (tracemalloc): 200 kB of kept uniforms, the rest their round lists and the
+# folded matrices in them
+OUTAGE_BLOCK = 1024
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,7 +102,7 @@ class ClusterGossip:
     It holds a read-only copy of V (`V`). Lossless gossip holds `powers`:
     `powers[gamma]` is V^gamma, made by matrix_power the first time it is
     looked up. Lossy gossip holds the edge table (`table`), built and checked
-    once, which an OutageBlock binds to by identity, and a read-only copy of
+    once, which an OutageStream binds to by identity, and a read-only copy of
     the outage matrix (`link`), kept for inspection only: the losses read the
     table's probabilities. run_consensus makes a new one for each call on a bare
     matrix, so a matrix changed in place is never read stale.
@@ -120,111 +122,90 @@ class ClusterGossip:
             self.table = _edges(self.V, self.link)
 
 
-def _folded(V: np.ndarray, links: np.ndarray, lost: np.ndarray) -> np.ndarray:
-    """The (h, n, n) matrices of h rounds: round k of V[k] with the links whose
-    flat entries links[:, k] (i * n + j, j * n + i; padding links 0) lost[k] marks.
+def _folded(table: _EdgeTable, lost: np.ndarray) -> np.ndarray:
+    """The (k, n, n) round matrices of k rounds, each row of lost (k, m) one round.
 
     A lost link's entries go to zero and its weight V[i, j] folds onto both
     endpoint diagonals. Each node adds its column of weights left to right,
-    -0.0 where no link was lost (x + -0.0 is x): its links in ascending
-    neighbour order, which is their edge order, so the matrices have the bits
-    of one loop over the edges and stay symmetric and doubly stochastic.
+    -0.0 where no link was lost (x + -0.0 is x for every x): its links in
+    ascending neighbour order, which is their edge order, so the matrices
+    have the bits of one loop over the edges and stay symmetric and doubly
+    stochastic.
     """
-    h, n = len(V), V.shape[-1]
-    mask = np.zeros((h, n, n), dtype=bool)
-    mask.reshape(-1)[np.arange(0, h * n * n, n * n)[:, None] + links] = lost
+    V = table.V
+    n = len(V)
+    mask = np.zeros((len(lost), n, n), dtype=bool)
+    mask[:, table.rows, table.cols] = mask[:, table.cols, table.rows] = lost
     folds = np.where(mask, V, -0.0)
-    diag = V.diagonal(axis1=1, axis2=2) + folds[:, :, 0]
+    diag = V.diagonal() + folds[:, :, 0]
     for r in range(1, n):
         diag += folds[:, :, r]
-    flat = np.where(mask, 0.0, V).reshape(h, n * n)
+    flat = np.where(mask, 0.0, V).reshape(-1, n * n)
     flat[:, :: n + 1] = diag
-    return flat.reshape(h, n, n)
+    return flat.reshape(-1, n, n)
 
 
-class OutageStream(NamedTuple):
-    """Cluster `index` of an OutageBlock, which run_consensus takes as rng."""
+class OutageStream:
+    """One cluster's link losses, drawn from its generator a block at a time.
 
-    block: "OutageBlock"
-    index: int
+    The losses of every round are one uniform per link, in edge order, round
+    after round, from one flat sequence: `rng.random(a)` then `rng.random(b)`
+    hand out the doubles of `rng.random(a + b)`, so how the stream cuts the
+    sequence into blocks changes no loss. A block fetches about `block`
+    uniforms (0: just the rounds asked for) and reads them as rows of the
+    current link count; one comparison gives every row's lost links, one
+    `_folded` pass the matrix of every row that lost one, and the stream hands
+    out the block's rounds from a list (V where no link was lost) at a pointer.
+    A refill reads only fresh uniforms and the part of a row a refresh left
+    over, so each uniform is compared once per binding, whatever the round
+    counts. It binds to its ClusterGossip by identity: a new one (a
+    refresh, or each call on bare matrices, of any size) re-reads the uniforms
+    not yet used at its link count, and leaves the generator alone.
 
-
-class OutageBlock:
-    """The link losses of a size group's clusters, R rounds of each at a time.
-
-    Each cluster draws from its own generator one flat sequence of uniforms, one
-    per link in edge order, round after round; `rng.random(a)` then
-    `rng.random(b)` hand out the doubles of `rng.random(a + b)`, so the refills
-    change no loss. The first cluster to run out refills the group in one pass
-    (a fixed-round run: once per R rounds): each tops its unread uniforms up to
-    R rounds with one `rng.random` and compares them with its link
-    probabilities, and one `_folded` pass makes every round that lost a link.
-    A cluster hands out its rounds from a list of R (V where no link was lost).
-    It binds to its ClusterGossip by identity: a new one (a refresh, or each
-    call on bare matrices) re-reads its unread uniforms at the new link count
-    without drawing. The block runs ahead, so it must own its generators.
+    The stream runs ahead of the rounds it hands out, so it must be its
+    generator's only user.
     """
 
-    def __init__(self, rngs: list, gossip: list, rounds: int = OUTAGE_ROUNDS):
-        C, n = len(rngs), len(gossip[0].V)
-        self.rngs, self.R = rngs, rounds
-        # the bound tables for the fold: each V, and its links' flat entries padded to n(n-1)/2
-        self.V, self.links = np.empty((C, n, n)), np.zeros((2, C, n * (n - 1) // 2), dtype=np.intp)
-        self.gossip, self.lists, self.u = [None] * C, [[]] * C, [np.empty(0)] * C
-        self.m, self.used, self.rows = [0] * C, [0] * C, [0] * C
-        for c, bound in enumerate(gossip):
-            self._bind(c, bound)
+    def __init__(self, rng: np.random.Generator, block: int = OUTAGE_BLOCK):
+        self.rng = rng
+        self.block = block
+        self._gossip = None  # the bound ClusterGossip
+        self._m = 0  # links of its table
+        self._u = np.empty(0)  # the block's uniforms, read as rows of m
+        self._rounds: list = []  # the round matrix of each whole row
+        self._used = 0  # rows handed out
 
-    @property
-    def streams(self) -> list:
-        """Each cluster's OutageStream, made anew: held ones would keep the block alive in a cycle."""
-        return [OutageStream(self, c) for c in range(len(self.rngs))]
-
-    def rounds(self, c: int, gossip: ClusterGossip, gamma: int) -> list:
-        """The next gamma round matrices of cluster c on this lossy gossip."""
-        if gossip is not self.gossip[c]:
-            self._bind(c, gossip)
-        used = self.used[c]
-        if used + gamma <= self.rows[c]:
-            self.used[c] = used + gamma
-            return self.lists[c][used : used + gamma]
-        if not self.m[c]:  # no links: every round is V, and draws nothing
+    def rounds(self, gossip: ClusterGossip, gamma: int) -> list:
+        """The next gamma round matrices of this lossy gossip."""
+        if gossip is not self._gossip:
+            u = self._unread()
+            self._gossip, self._m = gossip, len(gossip.table.probs)
+            self._read(u)
+        used, rows, m = self._used, len(self._rounds), self._m
+        if used + gamma <= rows:
+            self._used = used + gamma
+            return self._rounds[used : used + gamma]
+        if not m:  # a table without links draws nothing, as every round is V
             return [gossip.V] * gamma
-        out = self.lists[c][used : self.rows[c]]
-        self.used[c] = self.rows[c]
-        while len(out) < gamma:
-            self._read(range(len(self.rngs)), draw=True)
-            self.used[c] = min(gamma - len(out), self.R)
-            out += self.lists[c][: self.used[c]]
-        return out
+        out = self._rounds[used:]
+        tail = self._u[rows * m:]
+        fresh = self.rng.random(max(gamma - len(out), self.block // m) * m - len(tail))
+        self._read(np.concatenate((tail, fresh)))
+        self._used = gamma - len(out)
+        return out + self._rounds[: self._used]
 
-    def _bind(self, c: int, gossip: ClusterGossip):
-        (V, i, j, probs), n = gossip.table, len(self.V[c])
-        self.u[c] = self.u[c][self.used[c] * self.m[c] :]
-        self.gossip[c], self.m[c], self.used[c], self.V[c] = gossip, len(probs), 0, V
-        self.links[:, c] = 0
-        self.links[:, c, : len(probs)] = i * n + j, j * n + i
-        self._read([c], draw=False)
+    def _unread(self) -> np.ndarray:
+        """The block's uniforms not yet handed out."""
+        return self._u[self._used * self._m:]
 
-    def _read(self, clusters, draw: bool):
-        """Read these clusters' unread uniforms as up to R rounds each, topped up to R first if draw."""
-        R = self.R
-        lost = np.zeros((len(clusters), self.links.shape[-1], R), dtype=bool)
-        for k, c in enumerate(clusters):
-            m = self.m[c]
-            u = self.u[c][self.used[c] * m :]
-            if draw and len(u) < R * m:
-                u = np.concatenate((u, self.rngs[c].random(R * m - len(u))))
-            self.u[c], self.used[c] = u, 0
-            self.rows[c] = rows = min(len(u) // m, R) if m else 0
-            np.less(u[: rows * m].reshape(rows, m), self.gossip[c].table.probs, out=lost[k, :m, :rows].T)
-        k, r = np.nonzero(lost.any(axis=1))
-        hit = np.array(clusters)[k]
-        folded = _folded(self.V[hit], self.links[:, hit], lost[k, :, r])
-        for c in clusters:
-            self.lists[c] = [self.gossip[c].V] * R
-        for c, r, matrix in zip(hit.tolist(), r.tolist(), folded):
-            self.lists[c][r] = matrix
+    def _read(self, u: np.ndarray):
+        table, m = self._gossip.table, self._m
+        rows = len(u) // m if m else 0
+        lost = u[: rows * m].reshape(rows, m) < table.probs
+        hit = np.flatnonzero(lost.any(axis=1))
+        self._u, self._used, self._rounds = u, 0, [table.V] * rows
+        for r, matrix in zip(hit.tolist(), _folded(table, lost[hit])):
+            self._rounds[r] = matrix
 
 
 def run_consensus(
@@ -238,11 +219,12 @@ def run_consensus(
     """Apply `gamma` rounds of gossip mixing to the rows of w_tilde.
 
     gamma is an int or a NumPy integer >= 0; any other value (a float, a bool)
-    is a ValueError, raised before a generator or block moves. out, when given,
-    is a C-contiguous float array of w_tilde's shape that shares no memory with
-    it; the call writes its result there and returns it, with the bits it would
-    return without out. The last product writes into out, and 0 rounds copy
-    w_tilde into it. The engine passes each cluster's rows of its step buffer.
+    is a ValueError, raised before a generator or stream moves. out, when
+    given, is a C-contiguous float array of w_tilde's shape that shares no
+    memory with it; the call writes its result there and returns it, with the
+    bits it would return without out. The last product writes into out, and 0
+    rounds copy w_tilde into it. The engine passes each cluster's rows of its
+    step buffer, so a call allocates no result.
 
     V is a matrix, or the ClusterGossip the engine passes in its place (one per
     cluster and topology, from run_protocol's D2D epoch), which fixes the link
@@ -256,17 +238,24 @@ def run_consensus(
     lost link's weight folds back onto both endpoint diagonals, in edge order,
     which keeps the round's matrix symmetric and doubly stochastic.
 
-    rng is the cluster's OutageStream when the engine calls (run_protocol owns
-    one OutageBlock per size group of a lossy run, which refills its clusters'
-    rounds together), or a Generator, read through a one-cluster block of gamma
-    rounds, which leaves it where one `rng.random((gamma, n_edges))` would.
+    rng is the cluster's OutageStream when the engine calls: run_protocol owns
+    one per cluster of a lossy run, and it prefetches uniforms and builds the
+    round matrices a block at a time. The uniforms form one flat sequence, so
+    the blocks change no loss, and at a topology refresh (a new ClusterGossip)
+    the stream re-reads the uniforms not yet used at the new edge count. A
+    bare Generator is read through a stream that fetches exactly this
+    call's gamma * n_edges uniforms, so it ends where one
+    `rng.random((gamma, n_edges))` would leave it.
 
     Every product is the matrix's `ndarray.dot`, np.dot's BLAS call without
-    its `__array_function__` dispatch, with the bits of `@` (held, with and
-    without out, by TestGossipProductOracle). The call stays one per cluster:
-    criteria 1-3 call it on one cluster, and perfbench counts one call per
-    cluster and step, so stacking a size group's products waits on ROADMAP item 2.
+    its `__array_function__` dispatch, with the bits of `@`
+    (TestGossipProductOracle in tests/test_consensus.py holds this, with and
+    without out). The call stays one per cluster: acceptance criteria 1-3
+    call it on one cluster, and perfbench counts one call per cluster and
+    step. Stacking the clusters' gossip, and their streams, waits on that
+    count (ROADMAP item 2).
     """
+    # a plain int, the engine's count, passes on one type test
     if type(gamma) is not int and (isinstance(gamma, bool) or not isinstance(gamma, np.integer)) or gamma < 0:
         raise ValueError(f"gamma must be an integer >= 0, not {gamma!r}")
     if gamma == 0:
@@ -282,12 +271,10 @@ def run_consensus(
         gossip = ClusterGossip(V, outage.link_outage if outage is not None and outage.enabled else None)
     if gossip.table is None:
         return gossip.powers[gamma].dot(w_tilde, out=out)
-    if isinstance(rng, OutageStream):
-        rounds = rng.block.rounds(rng.index, gossip, gamma)
-    elif rng is None:
+    if rng is None:
         raise ValueError("outage-enabled consensus needs an rng")
-    else:
-        rounds = OutageBlock([rng], [gossip], gamma).rounds(0, gossip, gamma)
+    stream = rng if isinstance(rng, OutageStream) else OutageStream(rng, block=0)
+    rounds = stream.rounds(gossip, gamma)
     z = w_tilde
     for matrix in rounds[:-1]:
         z = matrix.dot(z)

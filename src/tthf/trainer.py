@@ -16,7 +16,7 @@ import numpy as np
 
 from . import losses
 from .bounds import dispersion_sample
-from .consensus import ClusterGossip, OutageBlock, consensus_error, run_consensus
+from .consensus import ClusterGossip, OutageStream, consensus_error, run_consensus
 from .costs import CostParams
 from .losses import DeviceData, DevicePartition, LossModel
 from .schedules import GammaPlan, StepSchedule, TrainingSchedule
@@ -366,14 +366,9 @@ def run_protocol(
     outage_rows = [(seed, _STREAM_OUTAGE, c) for c in range(n_clusters)] if lossy else []
     sgd_rows = _device_rows(seed, n_dev) if task.batch_size is not None else []
     rng_sampling, *rngs = generators([(seed, _STREAM_SAMPLING), *outage_rows, *sgd_rows])
-    # each cluster's link losses, from one block per size group that folds its
-    # clusters' round matrices ahead of the steps and goes with the run; a
-    # lossless run draws none
-    outage_streams = [None] * n_clusters
-    for members, _, _ in groups if lossy else ():
-        block = OutageBlock([rngs[c] for c in members], [epoch.gossip[c] for c in members])
-        for c, stream in zip(members.tolist(), block.streams):
-            outage_streams[c] = stream
+    # each cluster's link losses, prefetched in blocks that run ahead of the steps
+    # and go with the run; a lossless run draws none
+    outage_streams = [OutageStream(rng) for rng in rngs[: len(outage_rows)]] if lossy else [None] * n_clusters
     sampler = None
     if sgd_rows:
         sampler = losses.BatchSampler(task.data.n_points, task.batch_size, rngs[len(outage_rows) :])

@@ -42,7 +42,7 @@ class TestRunConsensus:
 
 class TestRoundCountInput:
     """A round count is an int or a NumPy integer >= 0 on every path; anything
-    else is one ValueError naming gamma, raised before a generator or block moves."""
+    else is one ValueError naming gamma, raised before a generator or stream moves."""
 
     NOT_COUNTS = [2.0, np.float64(2.0), True, np.bool_(True), -1, np.int64(-1), "2"]
 
@@ -53,7 +53,7 @@ class TestRoundCountInput:
         return V, link, w
 
     @pytest.mark.parametrize("gamma", NOT_COUNTS, ids=repr)
-    @pytest.mark.parametrize("path", ["lossless", "lossless-gossip", "lossy-generator", "lossy-block"])
+    @pytest.mark.parametrize("path", ["lossless", "lossless-gossip", "lossy-generator", "lossy-stream"])
     def test_what_is_not_a_round_count_is_refused(self, path, gamma):
         V, link, w = self.lossy_setup()
         gen = np.random.default_rng(7)
@@ -64,39 +64,36 @@ class TestRoundCountInput:
             "lossy-generator": lambda: consensus.run_consensus(
                 w, V, gamma, outage=OutagePolicy(True, link), rng=gen
             ),
-            "lossy-block": lambda: consensus.run_consensus(
-                w, consensus.ClusterGossip(V, link), gamma, rng=one_stream(gen, V, link, rounds=4)
+            "lossy-stream": lambda: consensus.run_consensus(
+                w, consensus.ClusterGossip(V, link), gamma, rng=consensus.OutageStream(gen, block=16)
             ),
         }
         with pytest.raises(ValueError, match="gamma"):
             calls[path]()
         assert gen.bit_generator.state == start
 
-    def test_a_refused_call_leaves_the_block_and_its_generators_as_they_were(self):
+    def test_a_refused_call_leaves_the_stream_and_its_generator_as_they_were(self):
         V, link, w = self.lossy_setup()
-        other = mixing_table(np.random.default_rng(8), 4, "metropolis")
-        gossip = [consensus.ClusterGossip(V, link), consensus.ClusterGossip(*other)]
-        blocks = [consensus.OutageBlock([np.random.default_rng([9, c]) for c in range(2)], gossip, 5) for _ in range(2)]
-        block, twin = blocks
-        for b in blocks:  # part of a block used, and a refreshed cluster with a kept tail
-            consensus.run_consensus(w, gossip[0], 3, rng=b.streams[0])
-            consensus.run_consensus(w, consensus.ClusterGossip(gossip[1].V, gossip[1].link), 2, rng=b.streams[1])
+        triangle = topology.consensus_matrix(~np.eye(3, dtype=bool), 0.3)
+        streams = [consensus.OutageStream(np.random.default_rng(9), block=20) for _ in range(2)]
+        stream, twin = streams
+        for s in streams:  # 3 of 5 rounds of 4 links used, then a refresh to 3 links: 2 rounds and 2 left over
+            consensus.run_consensus(w, consensus.ClusterGossip(V, link), 3, rng=s)
+            consensus.run_consensus(w[:3], consensus.ClusterGossip(triangle, np.full((3, 3), 0.5)), 2, rng=s)
+        assert (stream._m, len(stream._u), stream._used) == (3, 8, 2)
 
-        def state(b):
-            return (
-                [g.bit_generator.state for g in b.rngs], list(b.used), list(b.rows), list(b.m),
-                [u.tobytes() for u in b.u], [[m.tobytes() for m in rounds] for rounds in b.lists], list(b.gossip),
-            )
+        def state(s):
+            return s.rng.bit_generator.state, s._used, s._m, s._u.tobytes(), [m.tobytes() for m in s._rounds], s._gossip
 
-        before = state(block)
+        before = state(stream)
         for gamma in self.NOT_COUNTS:
-            for c in range(2):
+            for gossip in (stream._gossip, consensus.ClusterGossip(V, link)):
                 with pytest.raises(ValueError, match="gamma"):
-                    consensus.run_consensus(w, consensus.ClusterGossip(V, link), gamma, rng=block.streams[c])
-        assert state(block) == before
-        for c, gamma in [(0, 4), (1, 7), (0, 9)]:
-            got = consensus.run_consensus(w, block.gossip[c], gamma, rng=block.streams[c])
-            assert got.tobytes() == consensus.run_consensus(w, twin.gossip[c], gamma, rng=twin.streams[c]).tobytes()
+                    consensus.run_consensus(w[: len(gossip.V)], gossip, gamma, rng=stream)
+        assert state(stream) == before
+        for gamma in (4, 7, 30):
+            got = consensus.run_consensus(w[:3], stream._gossip, gamma, rng=stream)
+            assert got.tobytes() == consensus.run_consensus(w[:3], twin._gossip, gamma, rng=twin).tobytes()
 
     @pytest.mark.parametrize("gamma", [3, np.int64(3), np.int32(3), np.uint8(3)], ids=repr)
     def test_integer_round_counts_are_accepted(self, gamma):
@@ -449,14 +446,14 @@ class TestGossipProductOracle:
 
         def source():
             gen = np.random.default_rng(seed)
-            return one_stream(gen, V, policy.link_outage, 16) if via == "stream" else gen
+            return consensus.OutageStream(gen, block=16) if via == "stream" else gen
 
         plain, buffered, oracle_gen = source(), source(), np.random.default_rng(seed)
         out = consensus.run_consensus(w, V, gamma, outage=policy, rng=plain)
         np.testing.assert_array_equal(out, iterated_consensus(w, V, gamma, outage=policy, rng=oracle_gen))
         if with_out:
             assert into_buffer(w, V, gamma, outage=policy, rng=buffered).tobytes() == out.tobytes()
-            gens = [generator(g) if via == "stream" else g for g in (plain, buffered)]
+            gens = [g.rng if via == "stream" else g for g in (plain, buffered)]
             assert gens[0].bit_generator.state == gens[1].bit_generator.state
         if via == "generator":
             assert plain.bit_generator.state == oracle_gen.bit_generator.state
@@ -546,34 +543,18 @@ def mixing_table(rng, n, kind):
     return V, np.where(adj, np.maximum(u, u.T), 0.0)
 
 
-def one_stream(gen, V, link, rounds=consensus.OUTAGE_ROUNDS):
-    """The stream of a one-cluster OutageBlock of `rounds` rounds, bound first to (V, link)."""
-    return consensus.OutageBlock([gen], [consensus.ClusterGossip(V, link)], rounds).streams[0]
-
-
-def generator(stream):
-    """The generator a stream's cluster draws from."""
-    return stream.block.rngs[stream.index]
-
-
-def unread(stream):
-    """The uniforms a stream's block holds for its cluster and has not handed out."""
-    block, c = stream
-    return block.u[c][block.used[c] * block.m[c] :]
-
-
 def next_uniform(stream):
     """The uniform a stream would read next: its first unread one, or its generator's next."""
-    rest = unread(stream)
-    return rest[0] if len(rest) else generator(stream).random()
+    unread = stream._unread()
+    return unread[0] if len(unread) else stream.rng.random()
 
 
-class TestOutageBlockOracle:
-    """Calls through an OutageBlock against per-cluster bare-Generator calls and
-    the per-round oracle, bit for bit, uniform for uniform."""
+class TestOutageStreamOracle:
+    """Stream-fed calls against per-call Generator calls and the per-round oracle."""
 
     @given(
         s=st.integers(1, 6),
+        s_other=st.integers(1, 6),
         kinds=st.lists(st.sampled_from(["uniform", "metropolis", "none"]), min_size=2, max_size=8),
         steps=st.lists(
             st.tuples(
@@ -582,22 +563,23 @@ class TestOutageBlockOracle:
             ),
             min_size=1, max_size=12,
         ),
-        rounds=st.sampled_from([1, 3, 8, 16, consensus.OUTAGE_ROUNDS]),
+        block=st.sampled_from([0, 1, 5, 16, 40, consensus.OUTAGE_BLOCK]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_group_calls_equal_per_cluster_generator_calls(self, s, kinds, steps, rounds, seed):
+    def test_size_group_calls_equal_per_cluster_generator_calls(self, s, s_other, kinds, steps, block, seed):
         # one size group of 1-4 clusters with their own link counts (a cluster
-        # without links among them, every one of them at s = 1), called in
-        # cluster order each step with mixed round counts, 0 and more than the
-        # block's rounds included. A step may first refresh the topology: each
-        # cluster gets a new gossip object, of the same matrices or of its other
-        # table, in the middle of the block
+        # without links among them, every one of them at s = 1), each with its
+        # own stream, called through its ClusterGossip in cluster order each
+        # step with mixed round counts, 0 and more than a block's rounds
+        # included. A step may first refresh the topology in the middle of a
+        # block: each cluster gets a new gossip object, of the same matrices or
+        # of its other table, of s_other devices (a stream binds to any size)
         rng = np.random.default_rng(seed)
         C = len(kinds) // 2
-        tables = [[mixing_table(rng, s, kinds[2 * c]), mixing_table(rng, s, kinds[2 * c + 1])] for c in range(C)]
+        tables = [[mixing_table(rng, s, kinds[2 * c]), mixing_table(rng, s_other, kinds[2 * c + 1])] for c in range(C)]
         current = [0] * C
         gossip = [consensus.ClusterGossip(*tables[c][0]) for c in range(C)]
-        block = consensus.OutageBlock([np.random.default_rng([seed, c]) for c in range(C)], gossip, rounds)
+        streams = [consensus.OutageStream(np.random.default_rng([seed, c]), block) for c in range(C)]
         bare = [np.random.default_rng([seed, c]) for c in range(C)]
         oracle = [np.random.default_rng([seed, c]) for c in range(C)]
         for gammas, refresh, with_out, d in steps:
@@ -607,14 +589,14 @@ class TestOutageBlockOracle:
             for c, gamma in zip(range(C), gammas):
                 V, link = tables[c][current[c]]
                 policy = OutagePolicy(enabled=True, link_outage=link)
-                w = laid_out(rng, s, d, "C")
+                w = laid_out(rng, len(V), d, "C")
                 call = into_buffer if with_out else consensus.run_consensus
-                out = call(w, gossip[c], gamma, rng=block.streams[c])
+                out = call(w, gossip[c], gamma, rng=streams[c])
                 assert out.tobytes() == consensus.run_consensus(w, V, gamma, outage=policy, rng=bare[c]).tobytes()
                 np.testing.assert_array_equal(out, iterated_consensus(w, V, gamma, outage=policy, rng=oracle[c]))
                 assert bare[c].bit_generator.state == oracle[c].bit_generator.state
         # each cluster used exactly the uniforms its bare calls drew
-        for stream, gen in zip(block.streams, bare):
+        for stream, gen in zip(streams, bare):
             assert next_uniform(stream) == gen.random()
 
     @given(
@@ -624,21 +606,19 @@ class TestOutageBlockOracle:
             min_size=1, max_size=30,
         ),
         kinds=st.lists(st.sampled_from(["uniform", "metropolis", "none"]), min_size=6, max_size=6),
-        rounds=st.sampled_from([1, 2, 5, 16, 40, consensus.OUTAGE_ROUNDS]),
+        block=st.sampled_from([0, 1, 5, 16, 40, consensus.OUTAGE_BLOCK]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_bare_matrix_calls_through_a_stream_equal_per_call_generator_calls(self, sizes, calls, kinds, rounds, seed):
-        # clusters of their own sizes, each with a one-cluster block, called in
-        # any order on bare matrices: each call is a new gossip object, which
-        # re-reads the unread uniforms. A call may first switch to the
-        # cluster's other edge table, as a topology refresh does
+    def test_stream_calls_equal_per_call_generator_calls(self, sizes, calls, kinds, block, seed):
+        # each cluster has two edge tables of its size, and a call may switch
+        # to the other one first, as a topology refresh does between intervals
         rng = np.random.default_rng(seed)
         tables = [
             [mixing_table(rng, n, kinds[2 * c]), mixing_table(rng, n, kinds[2 * c + 1])]
             for c, n in enumerate(sizes)
         ]
         current = [0] * len(sizes)
-        streams = [one_stream(np.random.default_rng([seed, c]), *tables[c][0], rounds) for c in range(len(sizes))]
+        streams = [consensus.OutageStream(np.random.default_rng([seed, c]), block) for c in range(len(sizes))]
         per_call = [np.random.default_rng([seed, c]) for c in range(len(sizes))]
         oracle = [np.random.default_rng([seed, c]) for c in range(len(sizes))]
         for c, gamma, d, switch in calls:
@@ -657,23 +637,23 @@ class TestOutageBlockOracle:
             assert next_uniform(stream) == gen.random()
 
     def test_a_refresh_carries_part_of_a_round_into_the_next_block(self):
-        # a block of 4 rounds of a 3-link table draws 12 uniforms; one round
-        # used, the other 9 re-read as 4 rounds of a 2-link path and 1 left
-        # over, which opens the next block. The re-read is of the uniforms the
-        # block kept: the call that refreshes and uses those 4 rounds draws nothing
+        # 12 uniforms read as 4 rounds of a 3-link table; one round used, the
+        # other 9 re-read as 4 rounds of a 2-link path and 1 left over, which
+        # opens the next block. The re-read is of the uniforms the stream kept:
+        # the call that refreshes and uses those 4 rounds draws nothing
         triangle = topology.consensus_matrix(~np.eye(3, dtype=bool), 0.3)
         path = topology.consensus_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool), 0.3)
         policy = OutagePolicy(enabled=True, link_outage=np.where(np.eye(3, dtype=bool), 0.0, 0.5))
-        stream = one_stream(np.random.default_rng(8), triangle, policy.link_outage, rounds=4)
+        stream = consensus.OutageStream(np.random.default_rng(8), block=12)
         gen = np.random.default_rng(8)
         w = np.random.default_rng(9).standard_normal((3, 2))
         for V, gamma in [(triangle, 1), (path, 4), (path, 3), (triangle, 1)]:
-            before = generator(stream).bit_generator.state
+            before = stream.rng.bit_generator.state
             out = consensus.run_consensus(w, V, gamma, outage=policy, rng=stream)
             np.testing.assert_array_equal(out, iterated_consensus(w, V, gamma, outage=policy, rng=gen))
             if V is path and gamma == 4:
-                assert generator(stream).bit_generator.state == before
-                assert len(unread(stream)) == 1
+                assert stream.rng.bit_generator.state == before
+                assert len(stream._unread()) == 1
         assert next_uniform(stream) == gen.random()
 
 
@@ -708,17 +688,17 @@ class TestClusterGossipOracle:
             min_size=1, max_size=20,
         ),
         kinds=st.lists(st.sampled_from(["uniform", "metropolis", "none"]), min_size=2, max_size=2),
-        rounds=st.sampled_from([1, 2, 5, 16, 40, consensus.OUTAGE_ROUNDS]),
+        block=st.sampled_from([0, 1, 5, 16, 40, consensus.OUTAGE_BLOCK]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_lossy_calls_equal_the_bare_calls(self, s, d, calls, kinds, rounds, seed):
+    def test_lossy_calls_equal_the_bare_calls(self, s, d, calls, kinds, block, seed):
         # a call may first switch to a new gossip object, as a topology refresh
         # does: of the same matrices ("same") or of the cluster's other table
         rng = np.random.default_rng(seed)
         tables = [mixing_table(rng, s, kind) for kind in kinds]
         current = 0
         gossip = consensus.ClusterGossip(*tables[current])
-        stream = consensus.OutageBlock([np.random.default_rng([seed, 1])], [gossip], rounds).streams[0]
+        stream = consensus.OutageStream(np.random.default_rng([seed, 1]), block)
         bare = np.random.default_rng([seed, 1])
         for gamma, switch, layout, with_out in calls:
             if switch != "keep":
@@ -793,8 +773,8 @@ class TestOutagePolicyInput:
         link = np.where(adj, 0.2, 0.0)
         policy = OutagePolicy(enabled=True, link_outage=link.copy())
         w = np.random.default_rng(7).standard_normal((4, 2))
-        # a block of OUTAGE_ROUNDS rounds: the refused call finds most of it unread
-        stream, twin = (one_stream(np.random.default_rng(8), V, link) for _ in range(2))
+        # a block of 1024 uniforms: the refused call finds most of it unread
+        stream, twin = (consensus.OutageStream(np.random.default_rng(8)) for _ in range(2))
         for rng in (stream, twin):
             consensus.run_consensus(w, V, 2, outage=policy, rng=rng)
         policy.link_outage[...] = value

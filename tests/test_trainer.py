@@ -577,32 +577,39 @@ class TestBatchedEngineOracle:
                 np.testing.assert_allclose(got[name], column, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
-class TestOutageBlocks:
+class TestOutageStreams:
     @pytest.mark.parametrize("lossy", [False, True])
-    def test_only_a_lossy_run_builds_outage_blocks_one_per_size_group(self, monkeypatch, lossy):
+    def test_only_a_lossy_run_builds_outage_streams(self, monkeypatch, lossy):
         built = []
 
-        def counting(rngs, gossip):
-            built.append(consensus.OutageBlock(rngs, gossip))
-            return built[-1]
+        def counting(rng):
+            built.append(rng)
+            return consensus.OutageStream(rng)
 
-        monkeypatch.setattr(trainer, "OutageBlock", counting)
-        task = unequal_cluster_task()
+        monkeypatch.setattr(trainer, "OutageStream", counting)
+        task = build_small_task()
         plan = GammaPlan(mode="fixed", value=2, cadence=1)
         steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
         trainer.run_tthf(task, steps, TrainingSchedule.uniform(6, 3), plan, lossy=lossy, seed=4)
-        groups = task.data.cluster_groups if lossy else []
-        assert [len(block.rngs) for block in built] == [len(members) for members, _, _ in groups]
+        assert len(built) == (len(task.clusters) if lossy else 0)
 
-    def test_each_size_group_refills_once_per_block_inside_a_gossip_call(self, monkeypatch):
-        # a fixed-round lossy run: every size group refills its clusters in one
-        # pass when the first of them runs out, once per R rounds, and each
-        # refill runs inside a traced trainer.run_consensus call, so a
+    def test_each_stream_refills_once_per_block_inside_a_gossip_call(self, monkeypatch):
+        # a fixed-round lossy run: each cluster's stream draws one block of
+        # whole rounds when it runs out, once per block // m rounds, and each
+        # draw runs inside a traced trainer.run_consensus call, so a
         # benchmark's gossip layer holds it
-        task = unequal_cluster_task()  # one size group of two clusters, two of one
+        task = unequal_cluster_task(sizes=(3, 1, 3, 5))  # a one-device cluster draws nothing
         gamma, T = 5, 60
-        inside, refills = [], []
-        gossip, read = trainer.run_consensus, consensus.OutageBlock._read
+        inside, streams = [], []
+        gossip = trainer.run_consensus
+
+        class Recording:
+            def __init__(self, gen):
+                self.gen, self.draws = gen, []
+
+            def random(self, size):
+                self.draws.append((size, bool(inside)))
+                return self.gen.random(size)
 
         def traced_gossip(*args, **kwargs):
             inside.append(True)
@@ -611,22 +618,22 @@ class TestOutageBlocks:
             finally:
                 inside.pop()
 
-        def recorded_read(block, clusters, draw):
-            if draw:
-                refills.append((block, list(clusters), bool(inside)))
-            return read(block, clusters, draw)
+        def recording_stream(rng):
+            streams.append(consensus.OutageStream(Recording(rng)))
+            return streams[-1]
 
         monkeypatch.setattr(trainer, "run_consensus", traced_gossip)
-        monkeypatch.setattr(consensus.OutageBlock, "_read", recorded_read)
+        monkeypatch.setattr(trainer, "OutageStream", recording_stream)
         steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
         plan = GammaPlan(mode="fixed", value=gamma, cadence=1)
         trainer.run_tthf(task, steps, TrainingSchedule.uniform(T, 7), plan, lossy=True, seed=4)
-        blocks = {id(block): block for block, _, _ in refills}
-        assert len(blocks) == len(task.data.cluster_groups)
-        for block in blocks.values():
-            passes = [clusters for b, clusters, _ in refills if b is block]
-            assert passes == [list(range(len(block.rngs)))] * -(-T * gamma // block.R)
-        assert all(held for _, _, held in refills)
+        assert len(streams) == len(task.clusters)
+        assert any(stream._m == 0 for stream in streams) and any(stream._m > 1 for stream in streams)
+        for stream in streams:
+            m = stream._m
+            rows = stream.block // m if m else 0
+            expected = [(rows * m, True)] * (-(-T * gamma // rows) if m else 0)
+            assert stream.rng.draws == expected
 
 
 class TestTopologyRefresh:
@@ -656,19 +663,19 @@ class TestTopologyRefresh:
         task = build_small_task()
         plan = GammaPlan(mode="fixed", value=2, cadence=1)
         steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
-        epochs, blocks = [], []
+        epochs, streams = [], []
         d2d_epoch = trainer.d2d_epoch
 
         def recording_epoch(*args, **kwargs):
             epochs.append(d2d_epoch(*args, **kwargs))
             return epochs[-1]
 
-        def recording_block(rngs, gossip):
-            blocks.append(consensus.OutageBlock(rngs, gossip))
-            return blocks[-1]
+        def recording_stream(rng):
+            streams.append(consensus.OutageStream(rng))
+            return streams[-1]
 
         monkeypatch.setattr(trainer, "d2d_epoch", recording_epoch)
-        monkeypatch.setattr(trainer, "OutageBlock", recording_block)
+        monkeypatch.setattr(trainer, "OutageStream", recording_stream)
         runs = {
             "static": (True, None),
             "refreshed": (True, lambda k: copy.deepcopy(task.clusters)),
@@ -676,16 +683,16 @@ class TestTopologyRefresh:
         }
         digests = {}
         for name, (lossy, refresh) in runs.items():
-            del epochs[:], blocks[:]
+            del epochs[:], streams[:]
             trace = trainer.run_tthf(
                 task, steps, TrainingSchedule.uniform(40, 5), plan, lossy=lossy, seed=4, topology_refresh=refresh
             )
             trace.to_csv(tmp_path / f"{name}.csv")
             digests[name] = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
             if name == "refreshed":
-                # eight epochs, and every cluster of the block ends bound to the last one's gossip
+                # eight epochs, and every stream ends bound to the last one's gossip
                 assert len(epochs) == 8
-                assert [g for block in blocks for g in block.gossip] == epochs[-1].gossip
+                assert [s._gossip for s in streams] == epochs[-1].gossip
         assert digests["refreshed"] == digests["static"] != digests["lossless"]
 
     @pytest.mark.parametrize("lossy", [False, True], ids=["lossless-run", "lossy-run"])
