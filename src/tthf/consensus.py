@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -57,42 +57,16 @@ def _pair_differences(s: int) -> np.ndarray:
     return matrix
 
 
-def _power(V: np.ndarray, gamma: int) -> np.ndarray:
-    """V^gamma, read-only, as callers share it."""
-    power = np.linalg.matrix_power(V, gamma)
-    power.flags.writeable = False
-    return power
-
-
-class _EdgeTable(NamedTuple):
-    """A cluster's m links: the nonzero (i < j) entries of V, in row-major order."""
-
-    V: np.ndarray  # (n, n)
-    rows: np.ndarray  # (m,) each link's i
-    cols: np.ndarray  # (m,) each link's j
-    probs: np.ndarray  # (m,) each link's loss probability
-
-
-def _edges(V: np.ndarray, link: np.ndarray) -> _EdgeTable:
-    """Edge table of V and its outage matrix, read-only copies that no caller changes.
-
-    The outage matrix is checked here, not only when its policy is built: a
-    matrix changed in place after that is checked when a table is next built from it.
-    """
-    _check_probabilities(link)
-    rows, cols = np.nonzero(np.triu(V, 1))
-    return _EdgeTable(V, rows, cols, link[rows, cols])
-
-
 class _Powers(dict):
-    """V's powers by round count, each made the first time it is looked up."""
+    """V's powers by round count, made when first looked up, read-only as callers share them."""
 
     def __init__(self, V: np.ndarray):
         super().__init__()
         self.V = V
 
     def __missing__(self, gamma: int) -> np.ndarray:
-        power = self[gamma] = _power(self.V, gamma)
+        power = self[gamma] = np.linalg.matrix_power(self.V, gamma)
+        power.flags.writeable = False
         return power
 
 
@@ -101,28 +75,32 @@ class ClusterGossip:
 
     It holds a read-only copy of V (`V`). Lossless gossip holds `powers`:
     `powers[gamma]` is V^gamma, made by matrix_power the first time it is
-    looked up. Lossy gossip holds the edge table (`table`), built and checked
-    once, which an OutageStream binds to by identity, and a read-only copy of
-    the outage matrix (`link`), kept for inspection only: the losses read the
-    table's probabilities. run_consensus makes a new one for each call on a bare
-    matrix, so a matrix changed in place is never read stale.
+    looked up. Lossy gossip holds its links instead, the nonzero (i < j)
+    entries of V in row-major (edge) order: their endpoints (`rows`, `cols`)
+    and loss probabilities (`probs`), read-only copies made once the whole
+    outage matrix is checked. An OutageStream binds to it by identity.
+    run_consensus makes a new one for each call on a bare matrix, so a matrix
+    changed in place is never read stale.
     """
 
     def __init__(self, V: np.ndarray, link_outage: Optional[np.ndarray] = None):
         self.V = np.array(V, dtype=float, order="C")
         self.V.flags.writeable = False
-        self.link = self.table = self.powers = None
+        self.rows = self.cols = self.probs = self.powers = None
         if link_outage is None:
             self.powers = _Powers(self.V)
-        else:
-            self.link = np.array(link_outage, dtype=float, order="C")
-            self.link.flags.writeable = False
-            if self.link.shape != self.V.shape:
-                raise ValueError(f"link_outage of shape {self.link.shape} does not match V's {self.V.shape}")
-            self.table = _edges(self.V, self.link)
+            return
+        link = np.asarray(link_outage, dtype=float)
+        if link.shape != self.V.shape:
+            raise ValueError(f"link_outage of shape {link.shape} does not match V's {self.V.shape}")
+        _check_probabilities(link)
+        self.rows, self.cols = np.nonzero(np.triu(self.V, 1))
+        self.probs = link[self.rows, self.cols]
+        for edges in (self.rows, self.cols, self.probs):
+            edges.flags.writeable = False
 
 
-def _folded(table: _EdgeTable, lost: np.ndarray) -> np.ndarray:
+def _folded(gossip: ClusterGossip, lost: np.ndarray) -> np.ndarray:
     """The (k, n, n) round matrices of k rounds, each row of lost (k, m) one round.
 
     A lost link's entries go to zero and its weight V[i, j] folds onto both
@@ -132,10 +110,10 @@ def _folded(table: _EdgeTable, lost: np.ndarray) -> np.ndarray:
     have the bits of one loop over the edges and stay symmetric and doubly
     stochastic.
     """
-    V = table.V
+    V = gossip.V
     n = len(V)
     mask = np.zeros((len(lost), n, n), dtype=bool)
-    mask[:, table.rows, table.cols] = mask[:, table.cols, table.rows] = lost
+    mask[:, gossip.rows, gossip.cols] = mask[:, gossip.cols, gossip.rows] = lost
     folds = np.where(mask, V, -0.0)
     diag = V.diagonal() + folds[:, :, 0]
     for r in range(1, n):
@@ -151,14 +129,14 @@ class OutageStream:
     The losses of every round are one uniform per link, in edge order, round
     after round, from one flat sequence: `rng.random(a)` then `rng.random(b)`
     hand out the doubles of `rng.random(a + b)`, so how the stream cuts the
-    sequence into blocks changes no loss. A block fetches about `block`
-    uniforms (0: just the rounds asked for) and reads them as rows of the
-    current link count; one comparison gives every row's lost links, one
-    `_folded` pass the matrix of every row that lost one, and the stream hands
-    out the block's rounds from a list (V where no link was lost) at a pointer.
-    A refill reads only fresh uniforms and the part of a row a refresh left
-    over, so each uniform is compared once per binding, whatever the round
-    counts. It binds to its ClusterGossip by identity: a new one (a
+    sequence into blocks changes no loss. A block fetches about `block` uniforms
+    (0: just the rounds asked for) and reads them as rows of the current link
+    count; one comparison with the gossip's `probs` gives every row's lost
+    links, one `_folded` pass the matrix of every row that lost one, and the
+    stream hands out the block's rounds from a list (V where no link was lost)
+    at a pointer. A refill reads only fresh uniforms and the part of a row a
+    refresh left over, so each uniform is compared once per binding, whatever
+    the round counts. It binds to its ClusterGossip by identity: a new one (a
     refresh, or each call on bare matrices, of any size) re-reads the uniforms
     not yet used at its link count, and leaves the generator alone.
 
@@ -170,7 +148,7 @@ class OutageStream:
         self.rng = rng
         self.block = block
         self._gossip = None  # the bound ClusterGossip
-        self._m = 0  # links of its table
+        self._m = 0  # its link count
         self._u = np.empty(0)  # the block's uniforms, read as rows of m
         self._rounds: list = []  # the round matrix of each whole row
         self._used = 0  # rows handed out
@@ -178,14 +156,14 @@ class OutageStream:
     def rounds(self, gossip: ClusterGossip, gamma: int) -> list:
         """The next gamma round matrices of this lossy gossip."""
         if gossip is not self._gossip:
-            u = self._unread()
-            self._gossip, self._m = gossip, len(gossip.table.probs)
+            u = self._u[self._used * self._m:]  # the uniforms not yet handed out
+            self._gossip, self._m = gossip, len(gossip.probs)
             self._read(u)
         used, rows, m = self._used, len(self._rounds), self._m
         if used + gamma <= rows:
             self._used = used + gamma
             return self._rounds[used : used + gamma]
-        if not m:  # a table without links draws nothing, as every round is V
+        if not m:  # gossip without links draws nothing, as every round is V
             return [gossip.V] * gamma
         out = self._rounds[used:]
         tail = self._u[rows * m:]
@@ -194,17 +172,13 @@ class OutageStream:
         self._used = gamma - len(out)
         return out + self._rounds[: self._used]
 
-    def _unread(self) -> np.ndarray:
-        """The block's uniforms not yet handed out."""
-        return self._u[self._used * self._m:]
-
     def _read(self, u: np.ndarray):
-        table, m = self._gossip.table, self._m
+        gossip, m = self._gossip, self._m
         rows = len(u) // m if m else 0
-        lost = u[: rows * m].reshape(rows, m) < table.probs
+        lost = u[: rows * m].reshape(rows, m) < gossip.probs
         hit = np.flatnonzero(lost.any(axis=1))
-        self._u, self._used, self._rounds = u, 0, [table.V] * rows
-        for r, matrix in zip(hit.tolist(), _folded(table, lost[hit])):
+        self._u, self._used, self._rounds = u, 0, [gossip.V] * rows
+        for r, matrix in zip(hit.tolist(), _folded(gossip, lost[hit])):
             self._rounds[r] = matrix
 
 
@@ -232,11 +206,12 @@ def run_consensus(
     ClusterGossip on each call, lossless or lossy, so one changed in place is
     never read stale.
 
-    Lossless rounds are one multiply by V^gamma. Lossy rounds take
-    their link losses from rng: one uniform per edge in (i < j) row-major order,
-    round after round. A round that lost no link multiplies by V; otherwise each
-    lost link's weight folds back onto both endpoint diagonals, in edge order,
-    which keeps the round's matrix symmetric and doubly stochastic.
+    Lossless rounds are one multiply by V^gamma. Lossy rounds take their link
+    losses from rng: one uniform per link of the gossip (its `rows`, `cols` and
+    `probs`, in (i < j) row-major order), round after round. A round that lost
+    no link multiplies by V; otherwise each lost link's weight folds back onto
+    both endpoint diagonals, in edge order, which keeps the round's matrix
+    symmetric and doubly stochastic.
 
     rng is the cluster's OutageStream when the engine calls: run_protocol owns
     one per cluster of a lossy run, and it prefetches uniforms and builds the
@@ -269,7 +244,7 @@ def run_consensus(
         gossip = V
     else:
         gossip = ClusterGossip(V, outage.link_outage if outage is not None and outage.enabled else None)
-    if gossip.table is None:
+    if gossip.probs is None:
         return gossip.powers[gamma].dot(w_tilde, out=out)
     if rng is None:
         raise ValueError("outage-enabled consensus needs an rng")

@@ -30,10 +30,10 @@ def select_alpha(
     omega: float,
     tau: int,
     cap: float = 1e9,
-    tol: float = 1e-6,
     margin: float = 1.0,
 ) -> float:
-    """Smallest alpha with alpha >= alpha_min and omega_max(alpha) > margin*omega.
+    """Smallest alpha with alpha >= alpha_min and omega_max(alpha) > margin*omega,
+    bisected to within 1e-6.
 
     margin > 1 keeps omega_max clear of omega so the diversity term of the rate
     constant stays bounded; at the default the rule is the bare admissibility
@@ -64,7 +64,7 @@ def select_alpha(
             raise InfeasibleError(
                 f"gradient diversity too large: omega={omega} not below omega_max for any alpha <= {cap}"
             )
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if admissible(mid):
             hi = mid

@@ -363,7 +363,7 @@ def run_single(config: ExperimentConfig, task: TrainTask, seed: int, epoch=None)
 
 def run_seeds(config: ExperimentConfig, task: TrainTask) -> list[MetricsTrace]:
     """run_single for each of the config's seeds, in turn, all starting from one D2D
-    epoch of the task's network: the seeds share V's powers, the lossy edge tables and
+    epoch of the task's network: the seeds share V's powers, the lossy links and
     the lambda power table."""
     lossy = config.raw["outage"]["enabled"]
     epoch = None if _is_baseline(config) else trainer.d2d_epoch(task.clusters, lossy)

@@ -450,26 +450,22 @@ def smoothness_constants(model: LossModel, data: DeviceData) -> tuple[float, flo
     return mu, max(beta, mu)
 
 
-def solve_optimum(
-    model: LossModel,
-    data: DeviceData,
-    tol: float = 1e-10,
-    max_iter: int = 2_000_000,
-) -> np.ndarray:
-    """Global minimizer: normal equations for quadratics, full-batch GD for the SVM."""
+def solve_optimum(model: LossModel, data: DeviceData) -> np.ndarray:
+    """Global minimizer: normal equations for quadratics, full-batch GD for the SVM
+    until |grad| < 1e-10, in at most 2,000,000 steps."""
     rho = 1.0 / data.n_devices
     if model.kind == LINEAR_REGRESSION:
         return np.linalg.solve((data.A * rho).sum(axis=0), (data.b * rho).sum(axis=0))
     mu, beta = smoothness_constants(model, data)
     w = np.zeros(model.dim)
     eta = 1.0 / beta
-    for _ in range(max_iter):
+    for _ in range(2_000_000):
         g = (grad_full(model, np.broadcast_to(w, (data.n_devices, model.dim)), data) * rho).sum(axis=0)
-        if float(np.linalg.norm(g)) < tol:
+        if float(np.linalg.norm(g)) < 1e-10:
             break
         w = w - eta * g
     else:
-        raise RuntimeError(f"SVM optimum solver did not reach |grad| < {tol}")
+        raise RuntimeError("SVM optimum solver did not reach |grad| < 1e-10")
     return w
 
 

@@ -7,6 +7,13 @@ from numbers import Integral
 from typing import Sequence
 
 
+def _check_integer(name: str, value):
+    # a fractional count would be truncated or skip steps silently; JSON
+    # true/false load as bool, a subclass of int
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """eta_t = gamma/(t+alpha) when diminishing, or a constant eta."""
@@ -50,11 +57,7 @@ class GammaPlan:
         if self.mode not in ("fixed", "certified"):
             raise ValueError(f"unknown gamma plan mode {self.mode!r}")
         for name in ("value", "cadence", "max_rounds"):
-            # a fractional count would be truncated or skip steps silently; JSON
-            # true/false load as bool, a subclass of int
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         # adaptive runs read max_rounds as their round cap, whatever the mode
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be >= 0")
@@ -72,8 +75,11 @@ class TrainingSchedule:
     taus: Sequence[int] = field(default_factory=tuple)
 
     def __post_init__(self):
+        _check_integer("T", self.T)
         if self.T < 1:
             raise ValueError("T must be >= 1")
+        for k, tau in enumerate(self.taus):
+            _check_integer(f"taus[{k}]", tau)
         taus = tuple(int(x) for x in self.taus)
         if not taus:
             raise ValueError("need at least one interval length")
@@ -85,6 +91,10 @@ class TrainingSchedule:
 
     @classmethod
     def uniform(cls, T: int, tau: int) -> "TrainingSchedule":
+        _check_integer("T", T)
+        _check_integer("tau", tau)
+        if tau < 1:
+            raise ValueError("tau must be >= 1")
         n_full, rem = divmod(T, tau)
         taus = [tau] * n_full + ([rem] if rem else [])
         return cls(T=T, taus=taus)

@@ -117,12 +117,14 @@ def make_task(
     model: LossModel,
     clusters: list[ClusterSpec],
     parts: list[list[DevicePartition]],
-    w0: Optional[np.ndarray] = None,
     batch_size: Optional[int] = None,
     eval_accuracy: bool = False,
     n_labels: Optional[int] = None,
 ) -> TrainTask:
-    """Stack the device data once and resolve the exact optimum and curvature constants."""
+    """Stack the device data once and resolve the exact optimum and curvature constants.
+
+    The task starts from the zero model; another start is set on `task.w0` after the build.
+    """
     data = losses.DeviceData(model, parts)
     if n_labels is not None and n_labels < data.n_labels:
         raise ValueError(f"n_labels={n_labels} does not cover the data's {data.n_labels} labels")
@@ -135,7 +137,7 @@ def make_task(
         model=model,
         clusters=clusters,
         parts=parts,
-        w0=np.zeros(model.dim) if w0 is None else np.asarray(w0, dtype=float),
+        w0=np.zeros(model.dim),
         w_star=w_star,
         f_star=f_star,
         mu=mu,
@@ -259,9 +261,10 @@ class D2DEpoch(NamedTuple):
     takes in V's place.
 
     The epoch snapshots each V, and in a lossy run each link matrix, when it is
-    built: the gossip holds read-only copies, with V's powers and the edge table,
-    so a spec changed in place afterwards does not reach the run. The round rule
-    reads the lambdas' powers from the epoch's one table, which it widens in place.
+    built: the gossip holds a read-only copy of V with its powers or, lossy, its
+    links' endpoints and loss probabilities, so a spec changed in place
+    afterwards does not reach the run. The round rule reads the lambdas' powers
+    from the epoch's one table, which it widens in place.
     """
 
     sizes: np.ndarray
@@ -339,7 +342,7 @@ def run_protocol(
     called when interval k-1 ends; each topology's D2DEpoch is derived once.
     epoch, when given, is the D2DEpoch of task.clusters (lossy exactly when the run
     is) that the run starts from, so the seeds of one network share V's powers, the
-    edge tables and the lambda power table; by default the run derives it from
+    lossy links and the lambda power table; by default the run derives it from
     task.clusters at its start.
     aggregation FULL is the full-participation baseline, whose gamma_provider
     runs no rounds; its server model at each step is the average model.
@@ -352,7 +355,7 @@ def run_protocol(
     cost = cost or CostParams()
     if epoch is None:
         epoch = d2d_epoch(task.clusters, lossy)
-    elif any((gossip.table is not None) != lossy for gossip in epoch.gossip):
+    elif any((gossip.probs is not None) != lossy for gossip in epoch.gossip):
         raise ValueError("the starting epoch's gossip must be lossy exactly when the run is")
     n_clusters = len(epoch.sizes)
     n_dev = task.n_devices

@@ -156,6 +156,7 @@ def all_pairs_divergence(w_tilde):
     return np.sqrt((diff**2).sum(axis=-1)).max(axis=(-2, -1))
 
 
+@pytest.mark.oracle
 class TestDivergenceExactOracle:
     def test_every_size_and_dimension(self):
         rng = np.random.default_rng(3)
@@ -376,7 +377,7 @@ class TestBatchedProperties:
         out = consensus.run_consensus(w, V, gamma)
         np.testing.assert_allclose(out, iterated_consensus(w, V, gamma), rtol=0, atol=1e-12)
         if gamma:
-            power = consensus._power(V, gamma)
+            power = consensus.ClusterGossip(V).powers[gamma]
             assert not power.flags.writeable and not np.shares_memory(out, power)
             first = out.copy()
             out[...] = np.nan
@@ -413,6 +414,7 @@ def into_buffer(w, V, gamma, **kwargs):
     return out
 
 
+@pytest.mark.oracle
 class TestGossipProductOracle:
     """run_consensus's ndarray.dot products against the `@` forms, bit for bit, on every layout
     of w; with_out writes the result into an out buffer, which must change no bit and
@@ -428,7 +430,7 @@ class TestGossipProductOracle:
         V = random_mixing_matrix(rng, s)[0] if s > 1 else np.eye(1)
         w = laid_out(rng, s, d, layout)
         out = consensus.run_consensus(w, V, gamma)
-        np.testing.assert_array_equal(out, consensus._power(V, gamma) @ w)
+        np.testing.assert_array_equal(out, consensus.ClusterGossip(V).powers[gamma] @ w)
         if with_out:
             assert into_buffer(w, V, gamma).tobytes() == out.tobytes()
 
@@ -461,8 +463,10 @@ class TestGossipProductOracle:
             assert next_uniform(plain) == oracle_gen.random()
 
 
+@pytest.mark.oracle
 class TestLossyCachedPath:
-    """The edge-table lossy path against the per-round oracle, call by call."""
+    """The lossy path, a new ClusterGossip with its links on each bare call, against the
+    per-round oracle, call by call."""
 
     @given(
         sizes=st.tuples(st.integers(2, 7), st.integers(2, 7)),
@@ -522,11 +526,11 @@ class TestLossyCachedPath:
         rng = np.random.default_rng(21)
         V, adj, _ = random_mixing_matrix(rng, 6)
         link = np.where(adj, rng.uniform(0.0, 0.5, (6, 6)), 0.0)
-        table = consensus._edges(V, link)
+        gossip = consensus.ClusterGossip(V, link)
         edges = [(i, j) for i in range(6) for j in range(i + 1, 6) if V[i, j] != 0.0]
-        np.testing.assert_array_equal(table.V, V)
-        assert list(zip(table.rows.tolist(), table.cols.tolist())) == edges
-        np.testing.assert_array_equal(table.probs, [link[i, j] for i, j in edges])
+        np.testing.assert_array_equal(gossip.V, V)
+        assert list(zip(gossip.rows.tolist(), gossip.cols.tolist())) == edges
+        np.testing.assert_array_equal(gossip.probs, [link[i, j] for i, j in edges])
 
 
 def mixing_table(rng, n, kind):
@@ -543,12 +547,18 @@ def mixing_table(rng, n, kind):
     return V, np.where(adj, np.maximum(u, u.T), 0.0)
 
 
+def unread(stream):
+    """The uniforms a stream holds and has not handed out."""
+    return stream._u[stream._used * stream._m:]
+
+
 def next_uniform(stream):
     """The uniform a stream would read next: its first unread one, or its generator's next."""
-    unread = stream._unread()
-    return unread[0] if len(unread) else stream.rng.random()
+    kept = unread(stream)
+    return kept[0] if len(kept) else stream.rng.random()
 
 
+@pytest.mark.oracle
 class TestOutageStreamOracle:
     """Stream-fed calls against per-call Generator calls and the per-round oracle."""
 
@@ -653,10 +663,11 @@ class TestOutageStreamOracle:
             np.testing.assert_array_equal(out, iterated_consensus(w, V, gamma, outage=policy, rng=gen))
             if V is path and gamma == 4:
                 assert stream.rng.bit_generator.state == before
-                assert len(stream._unread()) == 1
+                assert len(unread(stream)) == 1
         assert next_uniform(stream) == gen.random()
 
 
+@pytest.mark.oracle
 class TestClusterGossipOracle:
     """Calls through a D2D epoch's ClusterGossip against bare (V, OutagePolicy) calls,
     bit for bit, with and without out, on every layout of w."""
@@ -718,11 +729,11 @@ class TestClusterGossipOracle:
         for gossip in (lossy, lossless):
             assert gossip.V.tobytes() == V.tobytes() and not np.shares_memory(gossip.V, V)
             assert not gossip.V.flags.writeable
-        assert lossy.link.tobytes() == link.tobytes() and not lossy.link.flags.writeable
-        assert not np.shares_memory(lossy.link, link)
-        table = lossy.table
-        assert table.V is lossy.V and table.probs.tobytes() == link[table.rows, table.cols].tobytes()
-        assert lossy.powers is None and lossless.link is None and lossless.table is None
+        assert lossy.probs.tobytes() == link[lossy.rows, lossy.cols].tobytes()
+        for edges in (lossy.rows, lossy.cols, lossy.probs):
+            assert not edges.flags.writeable
+        assert lossy.powers is None and lossless.probs is None
+        assert lossless.rows is None and lossless.cols is None
 
     @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
     @pytest.mark.parametrize("enabled", [False, True], ids=["disabled", "enabled"])
@@ -767,7 +778,7 @@ class TestOutagePolicyInput:
     @pytest.mark.parametrize("value", [np.nan, 1.5, -0.1], ids=["nan", "above-1", "below-0"])
     def test_link_matrix_changed_in_place_is_checked_when_its_table_is_built(self, value):
         # the policy checked its matrix when it was built; a change made in place
-        # afterwards brings new bytes, and the edge table built for them checks
+        # afterwards brings new bytes, and the gossip built for them checks
         # them again, whether a bare Generator or an engine stream reads it
         V, adj, _ = random_mixing_matrix(np.random.default_rng(6), 4)
         link = np.where(adj, 0.2, 0.0)
@@ -788,3 +799,20 @@ class TestOutagePolicyInput:
             consensus.run_consensus(w, V, 4, outage=policy, rng=twin),
         )
         assert next_uniform(stream) == next_uniform(twin)
+
+    def test_link_matrix_changed_in_place_after_the_build_moves_no_loss(self):
+        # the gossip copies the link probabilities it reads when it is built,
+        # so the caller's matrix changed afterwards reaches neither its probs
+        # nor its losses
+        V, link = mixing_table(np.random.default_rng(9), 5, "uniform")
+        w = np.random.default_rng(10).standard_normal((5, 3))
+        gossip = consensus.ClusterGossip(V, link)
+        probs = gossip.probs.copy()
+        want = consensus.run_consensus(w, V, 6, outage=OutagePolicy(True, link.copy()), rng=np.random.default_rng(11))
+        link[...] = np.where(V > 0.0, 1.0, 0.0)  # now every link is lost
+        assert gossip.probs.tobytes() == probs.tobytes()
+        got = consensus.run_consensus(w, gossip, 6, rng=consensus.OutageStream(np.random.default_rng(11)))
+        assert got.tobytes() == want.tobytes()
+        # the changed matrix loses other links, so a stale read would show
+        changed = consensus.run_consensus(w, V, 6, outage=OutagePolicy(True, link), rng=np.random.default_rng(11))
+        assert changed.tobytes() != want.tobytes()

@@ -279,6 +279,7 @@ def assert_fit_equals_oracle(coeffs, ups, gammas):
             np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9 * max(map(abs, expected)))
 
 
+@pytest.mark.oracle
 class TestFitPredictorOracle:
     """The one-call fit of all clusters against one lstsq fit per cluster and branch."""
 
@@ -406,6 +407,7 @@ def boundary_upsilons(rng, sizes, lams, target, max_count=600):
     return ups, at_boundary
 
 
+@pytest.mark.oracle
 class TestArrayRoundRuleOracle:
     """The array round rule against the scalar rule, cluster by cluster."""
 
@@ -818,15 +820,17 @@ class TestRunAdaptive:
                 assert epoch.sizes.tolist() == [spec.size for spec in fresh[k + 1]]
                 assert epoch.lambda_powers.lams.tolist() == [spec.lambda_c for spec in fresh[k + 1]]
                 # each cluster's gossip holds read-only copies of that spec's V and,
-                # in a lossy run only, of its link matrix, bit for bit
+                # in a lossy run only, of its links' loss probabilities, bit for bit
                 for gossip, spec in zip(epoch.gossip, fresh[k + 1], strict=True):
                     assert gossip.V.tobytes() == spec.V.tobytes() and gossip.V.shape == spec.V.shape
                     assert not gossip.V.flags.writeable
                     if lossy:
-                        assert gossip.link.tobytes() == spec.link_outage.tobytes()
-                        assert not gossip.link.flags.writeable
+                        rows, cols = np.nonzero(np.triu(spec.V, 1))
+                        assert gossip.rows.tolist() == rows.tolist() and gossip.cols.tolist() == cols.tolist()
+                        assert gossip.probs.tobytes() == spec.link_outage[rows, cols].tobytes()
+                        assert not gossip.probs.flags.writeable
                     else:
-                        assert gossip.link is None and gossip.table is None
+                        assert gossip.probs is None and gossip.rows is None
             # some networks' lambdas differ from the start's, so a plan on the task's
             # own specs would fail above
             start = [spec.lambda_c for spec in task.clusters]

@@ -285,6 +285,7 @@ KINDS = st.sampled_from([LINEAR_REGRESSION, SQUARED_HINGE_SVM])
 COUNTS = st.lists(st.integers(1, 7), min_size=1, max_size=7)
 
 
+@pytest.mark.oracle
 class TestBatchedLayer:
     """The batched calls on stacked data against one call per device."""
 
@@ -401,6 +402,7 @@ TIE_DEVICES = [[[-1.5, 2.5], [2.0, 3.0, 5.0]], [[100.0, -40.0, 0.0]]]
 TIE_LABELS = [[[0, 0], [0, 1, 1]], [[2, 2, 2]]]
 
 
+@pytest.mark.oracle
 class TestStackedMetricOracle:
     """Stacked global loss, accuracy and dispersion against one call per model, bit for bit."""
 
@@ -496,6 +498,7 @@ class ScriptedPCG64(np.random.PCG64):
         return np.array(out, dtype=np.uint64)
 
 
+@pytest.mark.oracle
 class TestBatchSampler:
     """The array sampler against one Generator.choice call per device, bit for bit."""
 
@@ -643,6 +646,7 @@ class TestBatchSamplerBlocks:
         # a rejected word is dropped from its device's column, so no block is cut short
         assert lengths == [losses._BLOCK] * len(lengths)
 
+    @pytest.mark.oracle
     @settings(deadline=None)
     @given(b=st.integers(1, 6), seed=st.integers(0, 2**16), data=st.data())
     def test_random_rejections_follow_the_reference(self, b, seed, data):

@@ -29,6 +29,7 @@ def assert_numpy_generators(rows):
         assert gen.bit_generator.random_raw(8).tolist() == want.bit_generator.random_raw(8).tolist()
 
 
+@pytest.mark.oracle
 class TestSeedingOracle:
     @given(rows=batches())
     def test_equals_numpy_seed_sequences(self, rows):

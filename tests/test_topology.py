@@ -258,6 +258,7 @@ def random_adjacency(rng, n):
     return upper | upper.T
 
 
+@pytest.mark.oracle
 class TestMixingRuleOracle:
     """mixing_step and consensus_matrix against the scalar rule their docstrings state,
     which shares no code with them (TestStackedBuildOracle's oracle calls both)."""
@@ -466,6 +467,7 @@ RUNNABLE_BUILDS = {
 }
 
 
+@pytest.mark.oracle
 class TestStackedBuildOracle:
     """build_network's stacked passes against build_cluster one cluster at a time."""
 

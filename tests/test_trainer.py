@@ -315,6 +315,37 @@ class TestBaseline:
         assert base.energy.sum() == pytest.approx(3.0 * tthf.energy.sum())
 
 
+class TestTrainingScheduleInput:
+    # a fractional length was truncated (taus (2.5, 8) ran as (2, 8)), a bool
+    # read as 1, and a fractional T failed mid-run
+    @pytest.mark.parametrize(
+        "T, taus, field",
+        [(10, [2.5, 8], r"taus\[0\]"), (10, [2, True, 8], r"taus\[1\]"), (10.5, [11], "T"), (True, [1], "T")],
+        ids=["fractional-length", "bool-length", "fractional-T", "bool-T"],
+    )
+    def test_a_non_integral_horizon_or_length_is_refused(self, T, taus, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            TrainingSchedule(T, taus)
+
+    @pytest.mark.parametrize(
+        "T, tau, field", [(10, 2.5, "tau"), (10, True, "tau"), (10.5, 2, "T")],
+        ids=["fractional-length", "bool-length", "fractional-T"],
+    )
+    def test_uniform_refuses_a_non_integral_horizon_or_length(self, T, tau, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            TrainingSchedule.uniform(T, tau)
+
+    @pytest.mark.parametrize("tau", [0, -3])
+    def test_uniform_refuses_a_length_below_one(self, tau):
+        with pytest.raises(ValueError, match="tau must be >= 1"):
+            TrainingSchedule.uniform(10, tau)
+
+    def test_numpy_integers_are_integers(self):
+        schedule = TrainingSchedule(np.int64(10), [np.int64(4), np.int64(6)])
+        assert schedule.taus == (4, 6) and all(type(tau) is int for tau in schedule.taus)
+        assert TrainingSchedule.uniform(np.int64(10), np.int64(4)).taus == (4, 4, 2)
+
+
 class TestTaskLabels:
     @staticmethod
     def six_label_task(**kwargs):
@@ -710,10 +741,10 @@ class TestEpochGossip:
     @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
     @pytest.mark.parametrize("adaptive", [False, True], ids=["certified", "adaptive"])
     def test_the_engine_builds_no_gossip_and_one_lambda_table_per_epoch(self, monkeypatch, adaptive, lossy, refresh):
-        # V^gamma, the edge tables and the lambda powers come from the epoch:
-        # once it is built, the engine makes no ClusterGossip and no edge table,
-        # and the round rule builds each epoch's lambda table once at 128 powers
-        # and again only when its search doubles the width, never once per step
+        # V^gamma, the lossy links and the lambda powers come from the epoch:
+        # once it is built, the engine makes no ClusterGossip, and the round
+        # rule builds each epoch's lambda table once at 128 powers and again
+        # only when its search doubles the width, never once per step
         task = build_small_task()
         steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
         config = control.AdaptiveConfig(T=30, tau_max=6, tau1=3, zeta_frac=0.02, sigma_batch=8)
@@ -735,21 +766,16 @@ class TestEpochGossip:
 
         want = run()
         d2d_epoch, widen = trainer.d2d_epoch, trainer.LambdaPowers.widen
-        builders = {
-            (consensus, "_edges"): consensus._edges,
-            (consensus.ClusterGossip, "__init__"): consensus.ClusterGossip.__init__,
-        }
+        build_gossip = consensus.ClusterGossip.__init__
         epochs, builds = [], []
 
         def forbidden(*args):
-            raise AssertionError("a gossip object or edge table built on the engine's path")
+            raise AssertionError("a gossip object built on the engine's path")
 
         def epoch_then_forbid(*args, **kwargs):
-            for (owner, name), function in builders.items():
-                monkeypatch.setattr(owner, name, function)
+            monkeypatch.setattr(consensus.ClusterGossip, "__init__", build_gossip)
             epochs.append(d2d_epoch(*args, **kwargs))
-            for owner, name in builders:
-                monkeypatch.setattr(owner, name, forbidden)
+            monkeypatch.setattr(consensus.ClusterGossip, "__init__", forbidden)
             return epochs[-1]
 
         def counted_widen(powers, width):
@@ -789,6 +815,7 @@ def per_step_metrics(W_tilde, W, groups, varrho, sampled):
     return means, bar, hat, np.sqrt(varrho @ eps2)
 
 
+@pytest.mark.oracle
 class TestBlockMetricsOracle:
     # clusters of up to 20 devices, as at d = 1 numpy's mean sums 8 or more
     # members pairwise, and an all -0.0 column, whose mean is +0.0 because
