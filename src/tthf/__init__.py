@@ -66,6 +66,6 @@ from .topology import (
     outage_prob,
     spectral_radius,
 )
-from .trainer import MetricsTrace, TrainTask, make_task, run_baseline, run_tthf
+from .trainer import D2DEpochs, MetricsTrace, TrainTask, make_task, run_baseline, run_tthf
 
 __version__ = "0.1.0"

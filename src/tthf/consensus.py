@@ -257,18 +257,18 @@ def run_consensus(
 
 
 def consensus_error(w: np.ndarray, w_tilde: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-device error norms against the intermediate-model average, and the cluster RMS.
+    """Per-device error norms against the intermediate-model average, and their cluster mean square.
 
     Axes before the last two are batch axes: (..., s, d) inputs give (..., s)
-    norms and one RMS per batch entry (a float for 2-D inputs). The norms are
+    norms and one mean square per batch entry (a float for 2-D inputs). The norms are
     `np.linalg.norm`'s, bit for bit: the root of each row's sum of squares.
     The center of one row is that row, bit for bit, so a caller that holds the
     cluster means already passes them as (..., 1, d) w_tilde.
     """
     diff = w - w_tilde.mean(axis=-2, keepdims=True)
     errs = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
-    rms = np.sqrt(np.mean(errs**2, axis=-1))
-    return errs, float(rms) if rms.ndim == 0 else rms
+    mean_sq = np.mean(errs**2, axis=-1)
+    return errs, float(mean_sq) if mean_sq.ndim == 0 else mean_sq
 
 
 def divergence_exact(w_tilde: np.ndarray):

@@ -33,7 +33,8 @@ def select_alpha(
     margin: float = 1.0,
 ) -> float:
     """Smallest alpha with alpha >= alpha_min and omega_max(alpha) > margin*omega,
-    bisected to within 1e-6.
+    bisected to within 1e-6, and at most cap: InfeasibleError when alpha_min
+    exceeds cap or cap itself is not admissible.
 
     margin > 1 keeps omega_max clear of omega so the diversity term of the rate
     constant stays bounded; at the default the rule is the bare admissibility
@@ -55,15 +56,16 @@ def select_alpha(
         except OverflowError:  # an omega_max beyond float range certifies nothing
             return False
 
-    if admissible(alpha_min):
+    if alpha_min <= cap and admissible(alpha_min):
         return alpha_min
-    lo, hi = alpha_min, alpha_min * 2.0
-    while not admissible(hi):
-        hi *= 2.0
-        if not hi <= cap:
+    # the bracket's upper end doubles from alpha_min, clamped at a cap that must not lie below it
+    lo, hi = alpha_min, min(alpha_min * 2.0, cap)
+    while not (alpha_min <= cap and admissible(hi)):
+        if not hi < cap:
             raise InfeasibleError(
                 f"gradient diversity too large: omega={omega} not below omega_max for any alpha <= {cap}"
             )
+        hi = min(hi * 2.0, cap)
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if admissible(mid):
@@ -454,17 +456,15 @@ def run_adaptive(
     task,
     config: AdaptiveConfig,
     cost: Optional[CostParams] = None,
-    lossy: bool = False,
+    epochs: Optional[trainer.D2DEpochs] = None,
     seed: int = 0,
-    topology_refresh=None,
-    epoch=None,
 ):
     """TT-HF under the full adaptive controller.
 
     Returns (trace, state). Step-size parameters, phi, and the divergence
     predictor are re-estimated at every aggregation; interval lengths come from
     the line search, and per-step D2D rounds from the live divergence estimate.
-    epoch is run_protocol's starting D2DEpoch, by default derived from task.clusters.
+    epochs is run_protocol's D2DEpochs, by default task.clusters' lossless and static ones.
     """
     cost = cost or CostParams()
     # the server's probes at every aggregation draw from their own stream
@@ -586,11 +586,9 @@ def run_adaptive(
         lambda k: tau_next,
         gamma_provider,
         aggregation=trainer.SAMPLED,
-        lossy=lossy,
+        epochs=epochs,
         cost=cost,
         seed=seed,
         on_aggregate=on_aggregate,
-        topology_refresh=topology_refresh,
-        epoch=epoch,
     )
     return trace, state

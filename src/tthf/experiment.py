@@ -326,48 +326,39 @@ def resolve_step_schedule(config: ExperimentConfig, task: TrainTask) -> StepSche
     return StepSchedule(kind="diminishing", gamma=float(gamma), alpha=float(alpha))
 
 
-def _topology_refresh(config: ExperimentConfig):
-    """Per-interval device re-placement, when the config asks for it."""
-    if not config.raw["replace_between_intervals"]:
-        return None
-    return lambda k: _network(config, config.raw["topology"]["seed"] + 7919 * k)
+def _d2d_epochs(config: ExperimentConfig, task: TrainTask) -> trainer.D2DEpochs:
+    """The task's network, lossy and re-placed between intervals as the config asks."""
+    seed = config.raw["topology"]["seed"]
+    refresh = (lambda k: _network(config, seed + 7919 * k)) if config.raw["replace_between_intervals"] else None
+    return trainer.D2DEpochs(task.clusters, config.raw["outage"]["enabled"], refresh)
 
 
-def _is_baseline(config: ExperimentConfig) -> bool:
-    return config.adaptive is None and config.raw["aggregation"]["mode"] == trainer.FULL
-
-
-def run_single(config: ExperimentConfig, task: TrainTask, seed: int, epoch=None) -> MetricsTrace:
+def run_single(config: ExperimentConfig, task: TrainTask, seed: int, epochs=None) -> MetricsTrace:
     """One deterministic protocol run for the given seed.
 
-    epoch is the run's starting D2DEpoch (run_seeds shares one across the seeds),
-    by default derived from task.clusters; a baseline takes none.
+    epochs is the run's D2DEpochs (run_seeds shares one across the seeds), by
+    default _d2d_epochs'; a baseline reads none.
     """
-    lossy = config.raw["outage"]["enabled"]
-    if config.adaptive is not None:
-        trace, _ = control.run_adaptive(
-            task, config.adaptive, cost=config.cost, lossy=lossy, seed=seed,
-            topology_refresh=_topology_refresh(config), epoch=epoch,
-        )
-        return trace
-    if _is_baseline(config):
+    if config.adaptive is None and config.raw["aggregation"]["mode"] == trainer.FULL:
         # a baseline runs no D2D rounds, so a re-placed network or lossy links would go unread
         return trainer.run_baseline(
             task, config.step, config.schedule.T, config.schedule.taus, cost=config.cost, seed=seed,
         )
+    epochs = epochs or _d2d_epochs(config, task)
+    if config.adaptive is not None:
+        trace, _ = control.run_adaptive(task, config.adaptive, cost=config.cost, epochs=epochs, seed=seed)
+        return trace
     return trainer.run_tthf(
-        task, config.step, config.schedule, config.gamma_plan, lossy=lossy,
-        cost=config.cost, seed=seed, topology_refresh=_topology_refresh(config), epoch=epoch,
+        task, config.step, config.schedule, config.gamma_plan, epochs=epochs, cost=config.cost, seed=seed,
     )
 
 
 def run_seeds(config: ExperimentConfig, task: TrainTask) -> list[MetricsTrace]:
-    """run_single for each of the config's seeds, in turn, all starting from one D2D
-    epoch of the task's network: the seeds share V's powers, the lossy links and
-    the lambda power table."""
-    lossy = config.raw["outage"]["enabled"]
-    epoch = None if _is_baseline(config) else trainer.d2d_epoch(task.clusters, lossy)
-    return [run_single(config, task, seed, epoch) for seed in config.raw["seeds"]]
+    """run_single for each of the config's seeds, in turn, all on one D2DEpochs:
+    the seeds share each interval's network, V's powers, the lossy links and the
+    lambda power table, each derived once."""
+    epochs = _d2d_epochs(config, task)
+    return [run_single(config, task, seed, epochs) for seed in config.raw["seeds"]]
 
 
 @dataclass

@@ -59,8 +59,8 @@ def block_metrics(W_tilde, W, groups, varrho, sampled=None):
     reductions add in an order that follows the memory layout, and a fancy index
     would put the steps innermost. Each group's cluster means are taken once, by
     mean over the size axis in that per-step order, and passed to consensus_error
-    as one-row w_tilde, whose mean is that row. eps_rms takes one dot per step: a
-    stacked matmul differs.
+    as one-row w_tilde, whose mean is that row; it returns the clusters' mean
+    squares. eps_rms takes one dot per step: a stacked matmul differs.
     """
     n, _, dim = W_tilde.shape
     means, eps2 = np.empty((n, len(varrho), dim)), np.empty((n, len(varrho)))
@@ -72,8 +72,7 @@ def block_metrics(W_tilde, W, groups, varrho, sampled=None):
         shape = (n, len(members), size, dim)
         block, post = block.reshape(shape), post.reshape(shape)
         group_means = means[:, members] = block.mean(axis=-2)
-        errs, _ = consensus_error(post, group_means[..., None, :])
-        eps2[:, members] = np.mean(errs**2, axis=-1)
+        eps2[:, members] = consensus_error(post, group_means[..., None, :])[1]
     bar = varrho @ means
     hat = bar if sampled is None else (varrho[:, None] * W[np.arange(n)[:, None], sampled]).sum(axis=1)
     return means, bar, hat, np.sqrt([np.dot(varrho, row) for row in eps2])
@@ -272,14 +271,41 @@ class D2DEpoch(NamedTuple):
     gossip: list[ClusterGossip]
 
 
-def d2d_epoch(clusters: Sequence[ClusterSpec], lossy=False, previous: Optional[D2DEpoch] = None) -> D2DEpoch:
-    """The D2DEpoch of these specs; a refresh passes the one it ends, whose sizes they must keep."""
+def d2d_epoch(clusters: Sequence[ClusterSpec], lossy=False) -> D2DEpoch:
+    """The D2DEpoch of these specs."""
     sizes = np.array([spec.size for spec in clusters], dtype=float)
-    if previous is not None and not np.array_equal(sizes, previous.sizes):
-        raise ValueError("topology refresh must preserve cluster sizes")
     gossip = [ClusterGossip(spec.V, spec.link_outage if lossy else None) for spec in clusters]
     lams = np.array([spec.lambda_c for spec in clusters], dtype=float)
     return D2DEpoch(sizes, LambdaPowers(lams), gossip)
+
+
+class D2DEpochs:
+    """A run's D2D topology: `epoch(k)` is interval k's D2DEpoch, derived the first
+    time any run asks for it and then kept, so the runs that share this object (the
+    seeds of one experiment) share each interval's network, V's powers, the lossy
+    links and the lambda power table. Interval 1 runs on clusters; refresh(k) -> new
+    specs of the same cluster sizes for interval k, or None to keep interval k-1's,
+    is called once per k, in order. lossy loses each link of a D2D round with its
+    cluster's link_outage probability.
+    """
+
+    def __init__(self, clusters: Sequence[ClusterSpec], lossy=False, refresh: Optional[Callable] = None):
+        self.lossy = lossy
+        self._clusters, self._refresh = clusters, refresh
+        self._epochs: list[D2DEpoch] = []
+
+    def epoch(self, k: int) -> D2DEpoch:
+        """Interval k's D2DEpoch (1-based k)."""
+        if not self._epochs:
+            self._epochs.append(d2d_epoch(self._clusters, self.lossy))
+        if self._refresh is None:
+            return self._epochs[0]
+        while len(self._epochs) < k:
+            fresh, previous = self._refresh(len(self._epochs) + 1), self._epochs[-1]
+            if fresh is not None and not np.array_equal([spec.size for spec in fresh], previous.sizes):
+                raise ValueError("topology refresh must preserve cluster sizes")
+            self._epochs.append(previous if fresh is None else d2d_epoch(fresh, self.lossy))
+        return self._epochs[k - 1]
 
 
 def provider_from_plan(plan: GammaPlan):
@@ -314,13 +340,11 @@ def run_protocol(
     tau_provider: Callable[[int], int],
     gamma_provider: Callable,
     aggregation: str = SAMPLED,
-    lossy: bool = False,
+    epochs: Optional[D2DEpochs] = None,
     cost: Optional[CostParams] = None,
     seed: int = 0,
     on_aggregate: Optional[Callable] = None,
     radius_ref: Optional[np.ndarray] = None,
-    topology_refresh: Optional[Callable] = None,
-    epoch: Optional[D2DEpoch] = None,
 ) -> MetricsTrace:
     """Run the full two-timescale protocol for T timesteps.
 
@@ -335,15 +359,10 @@ def run_protocol(
     on_aggregate(t_k, tau_k, w_hat, W, epoch) -> optional dict merged into
     the control row (the adaptive controller hooks its re-estimation logic
     here); epoch is that of interval k+1, already refreshed.
-    lossy loses each link of a D2D round with its cluster's link_outage probability.
+    epochs is the run's D2DEpochs, by default task.clusters' lossless and static
+    ones; the run asks for interval k+1's epoch when interval k ends before T.
     radius_ref, when given, tracks the largest device-model distance from that
     reference over every gradient evaluation point (meta["max_radius"]).
-    topology_refresh(k) -> new specs of the same cluster sizes for interval k, or None,
-    called when interval k-1 ends; each topology's D2DEpoch is derived once.
-    epoch, when given, is the D2DEpoch of task.clusters (lossy exactly when the run
-    is) that the run starts from, so the seeds of one network share V's powers, the
-    lossy links and the lambda power table; by default the run derives it from
-    task.clusters at its start.
     aggregation FULL is the full-participation baseline, whose gamma_provider
     runs no rounds; its server model at each step is the average model.
     A step computes only what the next step reads; its models wait in buffers of
@@ -353,10 +372,8 @@ def run_protocol(
     if aggregation not in (SAMPLED, FULL):
         raise ValueError(f"unknown aggregation mode {aggregation!r}")
     cost = cost or CostParams()
-    if epoch is None:
-        epoch = d2d_epoch(task.clusters, lossy)
-    elif any((gossip.probs is not None) != lossy for gossip in epoch.gossip):
-        raise ValueError("the starting epoch's gossip must be lossy exactly when the run is")
+    epochs = epochs or D2DEpochs(task.clusters)
+    lossy, epoch = epochs.lossy, epochs.epoch(1)
     n_clusters = len(epoch.sizes)
     n_dev = task.n_devices
     dim = task.model.dim
@@ -460,10 +477,8 @@ def run_protocol(
             "sampled": sampled,
             "gamma_by_cluster": gamma_log[t_km1:t_k].sum(axis=0).tolist(),
         }
-        if t_k < T and topology_refresh is not None:
-            fresh = topology_refresh(k + 1)
-            if fresh is not None:
-                epoch = d2d_epoch(fresh, lossy, epoch)
+        if t_k < T:
+            epoch = epochs.epoch(k + 1)
         if on_aggregate is not None:
             extra = on_aggregate(t_k, t_k - t_km1, w_hat, W, epoch)
             if extra:
@@ -502,16 +517,14 @@ def run_tthf(
     steps: StepSchedule,
     schedule: TrainingSchedule,
     gamma_plan: GammaPlan,
-    lossy: bool = False,
+    epochs: Optional[D2DEpochs] = None,
     cost: Optional[CostParams] = None,
     seed: int = 0,
     radius_ref=None,
-    topology_refresh=None,
-    epoch: Optional[D2DEpoch] = None,
 ) -> MetricsTrace:
     """TT-HF with set control parameters: fixed interval plan, fixed/certified rounds.
 
-    epoch is run_protocol's starting D2DEpoch, by default derived from task.clusters.
+    epochs is run_protocol's D2DEpochs, by default task.clusters' lossless and static ones.
     """
     return run_protocol(
         task,
@@ -520,12 +533,10 @@ def run_tthf(
         lambda k: schedule.taus[k - 1],
         provider_from_plan(gamma_plan),
         aggregation=SAMPLED,
-        lossy=lossy,
+        epochs=epochs,
         cost=cost,
         seed=seed,
         radius_ref=radius_ref,
-        topology_refresh=topology_refresh,
-        epoch=epoch,
     )
 
 

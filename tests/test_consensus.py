@@ -117,18 +117,18 @@ class TestConsensusError:
 
     def test_single_device_zero_error(self):
         w = np.array([[1.0, 2.0, 3.0]])
-        errs, rms = consensus.consensus_error(w, w)
-        assert errs[0] == 0.0 and rms == 0.0
+        errs, mean_sq = consensus.consensus_error(w, w)
+        assert errs[0] == 0.0 and mean_sq == 0.0
 
     def test_matches_definition_oracle(self):
         rng = np.random.default_rng(4)
         w_tilde = rng.standard_normal((6, 3))
         w = rng.standard_normal((6, 3))
-        errs, rms = consensus.consensus_error(w, w_tilde)
+        errs, mean_sq = consensus.consensus_error(w, w_tilde)
         center = w_tilde.mean(axis=0)
         oracle = np.array([np.linalg.norm(w[i] - center) for i in range(6)])
         np.testing.assert_allclose(errs, oracle, atol=1e-12)
-        assert rms == pytest.approx(np.sqrt(np.mean(oracle**2)), rel=1e-12)
+        assert mean_sq == pytest.approx(np.mean(oracle**2), rel=1e-12)
 
 
 class TestDivergence:
@@ -158,6 +158,9 @@ def all_pairs_divergence(w_tilde):
 
 @pytest.mark.oracle
 class TestDivergenceExactOracle:
+    """The i < j divergence, one matmul by the +-1 pair-difference matrix, against the
+    all-pairs subtraction form, NaN entries included."""
+
     def test_every_size_and_dimension(self):
         rng = np.random.default_rng(3)
         for s in range(1, 10):
@@ -341,13 +344,13 @@ class TestBatchedProperties:
     @given(w_tilde=batches, seed=st.integers(0, 2**32 - 1))
     def test_batched_error_and_divergence_equal_per_cluster_calls(self, w_tilde, seed):
         w = w_tilde + np.random.default_rng(seed).standard_normal(w_tilde.shape)
-        errs, rms = consensus.consensus_error(w, w_tilde)
+        errs, mean_sq = consensus.consensus_error(w, w_tilde)
         divergence = consensus.divergence_exact(w_tilde)
-        assert errs.shape == w.shape[:2] and rms.shape == divergence.shape == w.shape[:1]
+        assert errs.shape == w.shape[:2] and mean_sq.shape == divergence.shape == w.shape[:1]
         for c in range(w.shape[0]):
-            errs_c, rms_c = consensus.consensus_error(w[c], w_tilde[c])
+            errs_c, mean_sq_c = consensus.consensus_error(w[c], w_tilde[c])
             np.testing.assert_array_equal(errs[c], errs_c)
-            assert rms[c] == rms_c and isinstance(rms_c, float)
+            assert mean_sq[c] == mean_sq_c and isinstance(mean_sq_c, float)
             div_c = consensus.divergence_exact(w_tilde[c])
             assert divergence[c] == div_c and isinstance(div_c, float)
 
@@ -416,9 +419,12 @@ def into_buffer(w, V, gamma, **kwargs):
 
 @pytest.mark.oracle
 class TestGossipProductOracle:
-    """run_consensus's ndarray.dot products against the `@` forms, bit for bit, on every layout
-    of w; with_out writes the result into an out buffer, which must change no bit and
-    leave the generator where the call without out leaves it."""
+    """run_consensus's ndarray.dot products against the `@` forms, bit for bit, on
+    C-ordered, Fortran-ordered and column-strided w, 0 rounds included: the
+    lossless call against the power's `@`, the lossy call against the per-round `@`
+    rounds, with the same generator state after. with_out writes the result into an
+    out buffer, as the engine does, which must return it with the bits of the call
+    without out and leave the generator where that call leaves it."""
 
     @given(
         s=st.integers(1, 9), d=st.integers(1, 8), gamma=st.integers(0, 40),
@@ -465,8 +471,9 @@ class TestGossipProductOracle:
 
 @pytest.mark.oracle
 class TestLossyCachedPath:
-    """The lossy path, a new ClusterGossip with its links on each bare call, against the
-    per-round oracle, call by call."""
+    """The lossy path, with no cache (a direct caller's call builds a new ClusterGossip
+    with its links, a D2D epoch one per topology), against the per-round oracle,
+    call by call, on model widths 1 to 6."""
 
     @given(
         sizes=st.tuples(st.integers(2, 7), st.integers(2, 7)),
@@ -560,7 +567,17 @@ def next_uniform(stream):
 
 @pytest.mark.oracle
 class TestOutageStreamOracle:
-    """Stream-fed calls against per-call Generator calls and the per-round oracle."""
+    """Stream-fed calls against per-call Generator calls and the per-round oracle.
+
+    The losses come from engine-owned OutageStreams, prefetched in blocks and handed
+    out from a list of round matrices: 1-4 clusters of one size with their own link
+    counts (a link-free one and one-device clusters included), mixed round counts
+    (0 and more than a block's rounds included), with or without out=, and a
+    topology refresh in mid-block, to gossip of the same or another size; and, on
+    bare matrices, 1-3 clusters of their own sizes whose links change mid-stream.
+    A refresh re-reads the uniforms the stream kept at the new link count, and each
+    stream uses exactly the uniforms those calls drew.
+    """
 
     @given(
         s=st.integers(1, 6),
@@ -669,8 +686,11 @@ class TestOutageStreamOracle:
 
 @pytest.mark.oracle
 class TestClusterGossipOracle:
-    """Calls through a D2D epoch's ClusterGossip against bare (V, OutagePolicy) calls,
-    bit for bit, with and without out, on every layout of w."""
+    """Calls through a D2D epoch's ClusterGossip, lossless or lossy, 0 rounds included,
+    against bare (V, OutagePolicy) calls, bit for bit, with and without out, on
+    C-ordered, Fortran-ordered and strided w. A stream ends uniform for uniform where
+    the bare calls leave their generator, across switches to new gossip objects
+    mid-stream (a refresh, to the same matrices or to others)."""
 
     @given(
         s=st.integers(1, 9), d=st.integers(1, 8), gamma=st.integers(0, 40),

@@ -50,6 +50,25 @@ class TestSelectAlpha:
         with pytest.raises(control.InfeasibleError, match="diversity too large"):
             control.select_alpha(MU, BETA, GAMMA, 0.5, tau=20, cap=100.0)
 
+    def test_an_alpha_above_the_cap_is_never_returned(self):
+        # the uncapped answer, 7.1932, lies in the first doubled bracket, past a cap of 6.6
+        assert control.select_alpha(0.5, 1.0, 3.0, 0.01, tau=2) == pytest.approx(7.1932, abs=1e-4)
+        with pytest.raises(control.InfeasibleError, match=r"alpha <= 6\.6"):
+            control.select_alpha(0.5, 1.0, 3.0, 0.01, tau=2, cap=6.6)
+
+    def test_an_admissible_alpha_below_the_cap_is_found(self):
+        # the doubling steps past a cap of 49.9, below which 49.3289 is admissible
+        uncapped = control.select_alpha(0.5, 1.0, 3.0, 0.001, tau=20)
+        alpha = control.select_alpha(0.5, 1.0, 3.0, 0.001, tau=20, cap=49.9)
+        assert alpha <= 49.9 and alpha == pytest.approx(uncapped, abs=1e-6) == pytest.approx(49.3289, abs=1e-4)
+        assert bounds.omega_max_value(3.0, alpha, 0.5, 1.0, 20) > 0.001
+
+    def test_alpha_min_above_the_cap_raises(self):
+        alpha_min = bounds.alpha_min_value(GAMMA, MU, BETA, 0.0)
+        assert control.select_alpha(MU, BETA, GAMMA, 0.0, tau=10, cap=alpha_min) == alpha_min
+        with pytest.raises(control.InfeasibleError, match="diversity too large"):
+            control.select_alpha(MU, BETA, GAMMA, 0.0, tau=10, cap=alpha_min * 0.99)
+
 
 class TestFeasibilityCheck:
     KW = dict(mu=MU, beta=BETA, gamma=GAMMA, omega=0.02, sigma2=0.1, delta=0.2)
@@ -281,7 +300,8 @@ def assert_fit_equals_oracle(coeffs, ups, gammas):
 
 @pytest.mark.oracle
 class TestFitPredictorOracle:
-    """The one-call fit of all clusters against one lstsq fit per cluster and branch."""
+    """The one-call fit of all clusters, once per aggregation, against
+    conftest.fit_predictor_oracle's lstsq fit per cluster and branch."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -409,7 +429,11 @@ def boundary_upsilons(rng, sizes, lams, target, max_count=600):
 
 @pytest.mark.oracle
 class TestArrayRoundRuleOracle:
-    """The array round rule against the scalar rule, cluster by cluster."""
+    """The array round rule against the scalar rule, cluster by cluster, bit for bit,
+    lambda = 0 included. Counts and caps reach 600, past the 128-, 256- and
+    512-wide power tables that the rule's search doubles through; calls that
+    share one epoch's LambdaPowers, widened by earlier calls and read by later
+    ones with caps below its width, equal calls on fresh tables and the scalar rule."""
 
     @staticmethod
     def scalar_rounds(eta, phi, sizes, ups, lams, gamma_max):
@@ -812,7 +836,8 @@ class TestRunAdaptive:
         for lossy in (False, True):
             fresh.clear()
             del plans[:]
-            trace, _ = control.run_adaptive(task, cfg, lossy=lossy, seed=3, topology_refresh=refresh)
+            epochs = trainer.D2DEpochs(task.clusters, lossy, refresh)
+            trace, _ = control.run_adaptive(task, cfg, epochs=epochs, seed=3)
             # every aggregation before the horizon refreshes, then plans the next interval
             assert len(plans) == len(trace.boundaries) - 1 == len(fresh)
             for k, epoch in enumerate(plans, start=1):

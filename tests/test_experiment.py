@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tthf import bounds, cli, control, experiment, trainer
+from tthf import bounds, cli, control, experiment, topology, trainer
 from tthf.experiment import ConfigError
 
 
@@ -168,30 +168,35 @@ class TestRunExperiment:
             {},
             {"schedule": {"T": 20, "tau": 5, "gamma": {"mode": "certified", "phi": 0.5, "max_rounds": 50}}},
             {"outage": {"enabled": True}, "sgd": {"batch_size": 3}},
-            {"outage": {"enabled": True}, "replace_between_intervals": True},
             {"schedule": {"mode": "adaptive", "T": 20}, "step": {}},
-            {"aggregation": {"mode": "full"}, "schedule": {"T": 20, "tau": 5}},
         ],
-        ids=["fixed", "certified", "lossy", "lossy-refresh", "adaptive", "baseline"],
+        ids=["fixed", "certified", "lossy", "adaptive"],
     )
-    def test_the_seeds_share_one_starting_epoch(self, tmp_path, monkeypatch, override):
-        # run_seeds builds the network's epoch once for all seeds, where each
-        # run_single alone builds its own; every trace keeps its bytes
-        config = experiment.load_config(minimal_config(tmp_path, **override))
+    def test_the_seeds_share_each_intervals_network_and_epoch(self, tmp_path, monkeypatch, override):
+        # with devices re-placed between intervals, the task's build and run_seeds
+        # together make one network and one D2D epoch per interval, where each
+        # run_single alone makes its own; every seed keeps its bytes
+        config = experiment.load_config(minimal_config(tmp_path, replace_between_intervals=True, **override))
+        calls = {"build_network": 0, "d2d_epoch": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(topology, "build_network")
+        counted(trainer, "d2d_epoch")
         task = experiment.build_task(config)
-        built = []
-        d2d_epoch = trainer.d2d_epoch
-
-        def counted_epoch(*args, **kwargs):
-            built.append(args)
-            return d2d_epoch(*args, **kwargs)
-
-        monkeypatch.setattr(trainer, "d2d_epoch", counted_epoch)
-        alone = [experiment.run_single(config, task, seed) for seed in config.raw["seeds"]]
-        built_alone, built[:] = len(built), []
         shared = experiment.run_seeds(config, task)
-        baseline = override.get("aggregation") is not None
-        assert len(built) == built_alone - (0 if baseline else len(alone) - 1)
+        intervals = max(len(trace.boundaries) for trace in shared)
+        assert intervals > 1
+        assert calls == {"build_network": intervals, "d2d_epoch": intervals}
+        alone = [experiment.run_single(config, task, seed) for seed in config.raw["seeds"]]
+        assert calls["d2d_epoch"] > 2 * intervals
 
         def csv_bytes(trace, name):
             trace.to_csv(tmp_path / f"{name}.csv")
@@ -953,17 +958,16 @@ class TestConfigFuzz:
 
 class TestTopologyRefresh:
     def test_replacement_changes_graphs_between_intervals(self, tmp_path):
-        cfg = minimal_config(tmp_path, replace_between_intervals=True)
+        # a lossy run's epochs hold each link's outage probability, which the placement sets
+        cfg = minimal_config(tmp_path, replace_between_intervals=True, outage={"enabled": True})
         config = experiment.load_config(cfg)
-        refresh = experiment._topology_refresh(config)
-        assert refresh is not None
-        first = refresh(2)
-        again = refresh(2)
-        other = refresh(3)
-        for a, b in zip(first, again):  # deterministic per interval index
-            np.testing.assert_array_equal(a.positions, b.positions)
+        task = experiment.build_task(config)
+        first, again = (experiment._d2d_epochs(config, task) for _ in range(2))
+        for a, b in zip(first.epoch(2).gossip, again.epoch(2).gossip):  # deterministic per interval index
+            np.testing.assert_array_equal(a.V, b.V)
+            np.testing.assert_array_equal(a.probs, b.probs)
         assert any(
-            not np.array_equal(a.positions, b.positions) for a, b in zip(first, other)
+            not np.array_equal(a.probs, b.probs) for a, b in zip(first.epoch(2).gossip, first.epoch(3).gossip)
         )
 
     def test_baseline_ignores_replacement(self, tmp_path):

@@ -287,7 +287,9 @@ COUNTS = st.lists(st.integers(1, 7), min_size=1, max_size=7)
 
 @pytest.mark.oracle
 class TestBatchedLayer:
-    """The batched calls on stacked data against one call per device."""
+    """The batched calls on stacked data (grad_full, and grad_sgd with its sampler
+    checked once per DeviceData) against one call per device, devices of exactly
+    the batch size included; a sampler passed other data is checked again."""
 
     @given(kind=KINDS, counts=COUNTS, dim=st.integers(1, 5), seed=st.integers(0, 2**16))
     def test_grad_full_equals_per_device_calls(self, kind, counts, dim, seed):
@@ -404,7 +406,8 @@ TIE_LABELS = [[[0, 0], [0, 1, 1]], [[2, 2, 2]]]
 
 @pytest.mark.oracle
 class TestStackedMetricOracle:
-    """Stacked global loss, accuracy and dispersion against one call per model, bit for bit."""
+    """Stacked global loss, accuracy and dispersion against one call per model, bit for
+    bit; the accuracy also against conftest.accuracy_oracle."""
 
     @pytest.mark.parametrize("n_models", [1, 15, 16, 17, 40])
     @pytest.mark.parametrize("kind", [LINEAR_REGRESSION, SQUARED_HINGE_SVM])
@@ -500,7 +503,8 @@ class ScriptedPCG64(np.random.PCG64):
 
 @pytest.mark.oracle
 class TestBatchSampler:
-    """The array sampler against one Generator.choice call per device, bit for bit."""
+    """The block mini-batch sampler against one Generator.choice call per device and
+    step, bit for bit."""
 
     @staticmethod
     def choice_picks(n_points, b, gens):
@@ -650,6 +654,8 @@ class TestBatchSamplerBlocks:
     @settings(deadline=None)
     @given(b=st.integers(1, 6), seed=st.integers(0, 2**16), data=st.data())
     def test_random_rejections_follow_the_reference(self, b, seed, data):
+        """On scripted word streams with zero words at random positions, the sampler
+        equals the pure-Python choice reference through every rejected draw."""
         n_points = data.draw(st.lists(st.integers(b, 30), min_size=1, max_size=6), label="n_points")
         steps = data.draw(st.integers(1, 40), label="steps")
         block = losses._BLOCK * (2 * b - 1)  # the words of a block without rejections

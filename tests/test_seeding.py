@@ -31,6 +31,10 @@ def assert_numpy_generators(rows):
 
 @pytest.mark.oracle
 class TestSeedingOracle:
+    """seeding.generators against NumPy's own SeedSequence of each row (state and first
+    words), over batches of 0 and 1 rows, either side of its row-by-row cutoff, rows
+    of 1 to 6 words with 0 and 2**32-1, and values of 2**32 or more."""
+
     @given(rows=batches())
     def test_equals_numpy_seed_sequences(self, rows):
         assert_numpy_generators(rows)

@@ -260,8 +260,10 @@ def random_adjacency(rng, n):
 
 @pytest.mark.oracle
 class TestMixingRuleOracle:
-    """mixing_step and consensus_matrix against the scalar rule their docstrings state,
-    which shares no code with them (TestStackedBuildOracle's oracle calls both)."""
+    """mixing_step and consensus_matrix against the scalar rule their docstrings state
+    (V = I - d_c L, the 0.9/D_c back-off with a lone device read as D_c = 1, rows
+    summing to 1), a node at a time, over random adjacencies, alone and stacked. The
+    rule shares no code with them (TestStackedBuildOracle's oracle calls both)."""
 
     @given(
         n=st.integers(1, 8),
@@ -469,7 +471,12 @@ RUNNABLE_BUILDS = {
 
 @pytest.mark.oracle
 class TestStackedBuildOracle:
-    """build_network's stacked passes against build_cluster one cluster at a time."""
+    """build_network's stacked passes, one over the stack of unconnected clusters per
+    placement attempt, against conftest.build_cluster one cluster at a time, bit for
+    bit (positions, adjacency, V, lambda_c, link_outage), over random shapes, seeds,
+    fields wide enough to force retries, steps d_c (invalid ones included) and
+    channel constants; a failing build raises the error that the lowest-index
+    failing cluster raises alone."""
 
     @given(
         n_clusters=st.integers(1, 6),

@@ -549,7 +549,7 @@ class TestMetropolisLossyRun:
         steps = StepSchedule(kind="diminishing", gamma=2 / task.mu, alpha=30.0)
         trace = trainer.run_tthf(
             task, steps, TrainingSchedule.uniform(33, 7), GammaPlan(mode="fixed", value=4, cadence=1),
-            lossy=True, seed=5,
+            epochs=trainer.D2DEpochs(task.clusters, lossy=True), seed=5,
         )
         trace.to_csv(tmp_path / "trace.csv")
         digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
@@ -590,7 +590,8 @@ class TestBatchedEngineOracle:
         task = make()
         steps = StepSchedule(kind="diminishing", gamma=2 / task.mu, alpha=30.0)
         schedule = TrainingSchedule.uniform(33, 7)
-        trace = trainer.run_tthf(task, steps, schedule, plan, lossy=lossy, seed=5)
+        epochs = trainer.D2DEpochs(task.clusters, lossy)
+        trace = trainer.run_tthf(task, steps, schedule, plan, epochs=epochs, seed=5)
         expected, gammas = reference_tthf(task, steps, schedule, plan, lossy=lossy, seed=5)
         assert gammas.any()
         np.testing.assert_array_equal(trace.gamma_by_cluster, gammas)
@@ -621,7 +622,8 @@ class TestOutageStreams:
         task = build_small_task()
         plan = GammaPlan(mode="fixed", value=2, cadence=1)
         steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
-        trainer.run_tthf(task, steps, TrainingSchedule.uniform(6, 3), plan, lossy=lossy, seed=4)
+        epochs = trainer.D2DEpochs(task.clusters, lossy)
+        trainer.run_tthf(task, steps, TrainingSchedule.uniform(6, 3), plan, epochs=epochs, seed=4)
         assert len(built) == (len(task.clusters) if lossy else 0)
 
     def test_each_stream_refills_once_per_block_inside_a_gossip_call(self, monkeypatch):
@@ -657,7 +659,8 @@ class TestOutageStreams:
         monkeypatch.setattr(trainer, "OutageStream", recording_stream)
         steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
         plan = GammaPlan(mode="fixed", value=gamma, cadence=1)
-        trainer.run_tthf(task, steps, TrainingSchedule.uniform(T, 7), plan, lossy=True, seed=4)
+        epochs = trainer.D2DEpochs(task.clusters, lossy=True)
+        trainer.run_tthf(task, steps, TrainingSchedule.uniform(T, 7), plan, epochs=epochs, seed=4)
         assert len(streams) == len(task.clusters)
         assert any(stream._m == 0 for stream in streams) and any(stream._m > 1 for stream in streams)
         for stream in streams:
@@ -665,6 +668,55 @@ class TestOutageStreams:
             rows = stream.block // m if m else 0
             expected = [(rows * m, True)] * (-(-T * gamma // rows) if m else 0)
             assert stream.rng.draws == expected
+
+
+class TestD2DEpochs:
+    def networks(self, calls, keep=()):
+        def refresh(k):
+            calls.append(k)
+            if k in keep:
+                return None
+            return topology.build_network(4, 3, 50.0, topology.ChannelParams(), seed=k)
+
+        return refresh
+
+    @pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+    def test_each_interval_is_derived_once_and_kept(self, lossy):
+        task, calls = build_small_task(), []
+        epochs = trainer.D2DEpochs(task.clusters, lossy, self.networks(calls, keep=(3,)))
+        assert epochs.lossy is lossy and calls == []
+        fourth = epochs.epoch(4)  # asks for every interval before it, in order
+        assert calls == [2, 3, 4]
+        got = [epochs.epoch(k) for k in (1, 2, 3, 4, 2, 4, 1)]
+        assert calls == [2, 3, 4]  # refresh(k) runs once per k, however often a run asks
+        first, second, third = got[:3]
+        assert got[3] is fourth and got[4] is second and got[5] is fourth and got[6] is first
+        assert third is second  # a refresh that returns None keeps the previous epoch
+        assert len({id(first), id(second), id(fourth)}) == 3
+        for epoch in (first, second, fourth):
+            assert all((gossip.probs is not None) == lossy for gossip in epoch.gossip)
+        assert [g.V.tobytes() for g in first.gossip] == [spec.V.tobytes() for spec in task.clusters]
+
+    def test_without_a_refresh_every_interval_runs_the_starting_epoch(self):
+        task = build_small_task()
+        epochs = trainer.D2DEpochs(task.clusters)
+        assert epochs.lossy is False
+        first = epochs.epoch(1)
+        assert all(epochs.epoch(k) is first for k in (1, 2, 7, 1000))
+        assert all(gossip.probs is None for gossip in first.gossip)
+
+    def test_a_refresh_that_changes_the_sizes_is_refused(self):
+        task, calls = build_small_task(), []  # 4 clusters of 3 devices
+
+        def refresh(k):
+            calls.append(k)
+            return topology.build_network(3, 4, 50.0, topology.ChannelParams(), seed=k)
+
+        epochs = trainer.D2DEpochs(task.clusters, refresh=refresh)
+        first = epochs.epoch(1)
+        with pytest.raises(ValueError, match="topology refresh must preserve cluster sizes"):
+            epochs.epoch(3)
+        assert calls == [2] and epochs.epoch(1) is first
 
 
 class TestTopologyRefresh:
@@ -682,8 +734,9 @@ class TestTopologyRefresh:
 
         plan = GammaPlan(mode="fixed", value=2, cadence=1)
         steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
+        epochs = trainer.D2DEpochs(task.clusters, refresh=refresh)
         with pytest.raises(ValueError, match="topology refresh must preserve cluster sizes"):
-            trainer.run_tthf(task, steps, TrainingSchedule.uniform(9, 3), plan, seed=4, topology_refresh=refresh)
+            trainer.run_tthf(task, steps, TrainingSchedule.uniform(9, 3), plan, epochs=epochs, seed=4)
         # the first refresh, when interval 1 ends, is refused
         assert refreshed == [2]
 
@@ -716,7 +769,8 @@ class TestTopologyRefresh:
         for name, (lossy, refresh) in runs.items():
             del epochs[:], streams[:]
             trace = trainer.run_tthf(
-                task, steps, TrainingSchedule.uniform(40, 5), plan, lossy=lossy, seed=4, topology_refresh=refresh
+                task, steps, TrainingSchedule.uniform(40, 5), plan,
+                epochs=trainer.D2DEpochs(task.clusters, lossy, refresh), seed=4,
             )
             trace.to_csv(tmp_path / f"{name}.csv")
             digests[name] = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
@@ -725,15 +779,6 @@ class TestTopologyRefresh:
                 assert len(epochs) == 8
                 assert [s._gossip for s in streams] == epochs[-1].gossip
         assert digests["refreshed"] == digests["static"] != digests["lossless"]
-
-    @pytest.mark.parametrize("lossy", [False, True], ids=["lossless-run", "lossy-run"])
-    def test_a_starting_epoch_of_the_other_kind_is_rejected(self, lossy):
-        task = build_small_task()
-        plan = GammaPlan(mode="fixed", value=2, cadence=1)
-        steps = StepSchedule(kind="constant", eta_const=0.1 / task.beta)
-        epoch = trainer.d2d_epoch(task.clusters, not lossy)
-        with pytest.raises(ValueError, match="lossy exactly when the run is"):
-            trainer.run_tthf(task, steps, TrainingSchedule.uniform(9, 3), plan, lossy=lossy, epoch=epoch)
 
 
 class TestEpochGossip:
@@ -755,14 +800,10 @@ class TestEpochGossip:
             return topology.build_network(4, 3, 50.0, topology.ChannelParams(), seed=40 + k)
 
         def run():
+            source = trainer.D2DEpochs(task.clusters, lossy, fresh if refresh else None)
             if adaptive:
-                return control.run_adaptive(
-                    task, config, lossy=lossy, seed=4, topology_refresh=fresh if refresh else None
-                )[0]
-            return trainer.run_tthf(
-                task, steps, TrainingSchedule.uniform(24, 4), plan,
-                lossy=lossy, seed=4, topology_refresh=fresh if refresh else None,
-            )
+                return control.run_adaptive(task, config, epochs=source, seed=4)[0]
+            return trainer.run_tthf(task, steps, TrainingSchedule.uniform(24, 4), plan, epochs=source, seed=4)
 
         want = run()
         d2d_epoch, widen = trainer.d2d_epoch, trainer.LambdaPowers.widen
@@ -817,6 +858,10 @@ def per_step_metrics(W_tilde, W, groups, varrho, sampled):
 
 @pytest.mark.oracle
 class TestBlockMetricsOracle:
+    """The engine's block reductions (consensus errors against cluster means taken
+    once, average and server models of up to 16 steps) against the per-step
+    formulas, bit for bit, on unequal, non-consecutive size groups."""
+
     # clusters of up to 20 devices, as at d = 1 numpy's mean sums 8 or more
     # members pairwise, and an all -0.0 column, whose mean is +0.0 because
     # numpy's sum starts from 0.0
