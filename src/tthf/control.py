@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -15,7 +14,7 @@ from . import bounds, losses, trainer
 from .consensus import divergence_estimate
 from .costs import CostParams
 from .losses import LossModel
-from .schedules import StepSchedule
+from .schedules import StepSchedule, check_integer
 from .seeding import generators
 
 
@@ -400,20 +399,13 @@ class AdaptiveConfig:
     alpha_margin: float = 2.0
 
     def __post_init__(self):
-        for name in ("tau_max", "tau1", "sigma_batch"):
-            # a fractional length or batch would be truncated or fail mid-run;
-            # JSON true/false load as bool, a subclass of int
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+        # a fractional horizon, length, batch or cap would be truncated or fail mid-run
+        for name, least in (("T", 1), ("tau_max", 1), ("tau1", 1), ("sigma_batch", 1), ("gamma_max", 0)):
+            check_integer(name, getattr(self, name), least)
         if not self.gamma_over_mu > 1.0:
             raise ValueError("gamma_over_mu must exceed 1 (the step size needs gamma > 1/mu)")
         if not 0.0 <= self.zeta_frac < 1.0:
             raise ValueError("zeta_frac must lie in [0, 1)")
-        if self.gamma_max < 0:
-            raise ValueError("gamma_max must be >= 0")
         if self.xi is not None and self.xi <= 0:
             raise ValueError("xi must be > 0")
         for name in ("xi_boost", "alpha_cap"):

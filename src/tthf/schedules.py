@@ -4,14 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Sequence
+from typing import Optional, Sequence
 
 
-def _check_integer(name: str, value):
+def check_integer(name: str, value, least: Optional[int] = None):
+    """Refuse a count that is no integer, or one below least, naming it and its value."""
     # a fractional count would be truncated or skip steps silently; JSON
     # true/false load as bool, a subclass of int
     if not isinstance(value, Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,11 +59,10 @@ class GammaPlan:
     def __post_init__(self):
         if self.mode not in ("fixed", "certified"):
             raise ValueError(f"unknown gamma plan mode {self.mode!r}")
-        for name in ("value", "cadence", "max_rounds"):
-            _check_integer(name, getattr(self, name))
+        for name in ("value", "cadence"):
+            check_integer(name, getattr(self, name))
         # adaptive runs read max_rounds as their round cap, whatever the mode
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be >= 0")
+        check_integer("max_rounds", self.max_rounds, 0)
         if self.mode == "fixed" and (self.value < 0 or self.cadence < 1):
             raise ValueError("fixed gamma plan needs value >= 0 and cadence >= 1")
         if self.mode == "certified" and self.phi <= 0:
@@ -75,26 +77,20 @@ class TrainingSchedule:
     taus: Sequence[int] = field(default_factory=tuple)
 
     def __post_init__(self):
-        _check_integer("T", self.T)
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        check_integer("T", self.T, 1)
         for k, tau in enumerate(self.taus):
-            _check_integer(f"taus[{k}]", tau)
+            check_integer(f"taus[{k}]", tau, 1)
         taus = tuple(int(x) for x in self.taus)
         if not taus:
             raise ValueError("need at least one interval length")
-        if any(x < 1 for x in taus):
-            raise ValueError("every tau_k must be >= 1")
         if sum(taus) < self.T:
             raise ValueError(f"interval lengths sum to {sum(taus)} < T={self.T}")
         object.__setattr__(self, "taus", taus)
 
     @classmethod
     def uniform(cls, T: int, tau: int) -> "TrainingSchedule":
-        _check_integer("T", T)
-        _check_integer("tau", tau)
-        if tau < 1:
-            raise ValueError("tau must be >= 1")
+        check_integer("T", T)
+        check_integer("tau", tau, 1)
         n_full, rem = divmod(T, tau)
         taus = [tau] * n_full + ([rem] if rem else [])
         return cls(T=T, taus=taus)

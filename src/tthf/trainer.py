@@ -19,7 +19,7 @@ from .bounds import dispersion_sample
 from .consensus import ClusterGossip, OutageStream, consensus_error, run_consensus
 from .costs import CostParams
 from .losses import DeviceData, DevicePartition, LossModel
-from .schedules import GammaPlan, StepSchedule, TrainingSchedule
+from .schedules import GammaPlan, StepSchedule, TrainingSchedule, check_integer
 from .seeding import generators
 from .topology import ClusterSpec
 
@@ -333,6 +333,40 @@ def provider_from_plan(plan: GammaPlan):
 # engine ----------------------------------------------------------------------
 
 
+def local_step(task: TrainTask, W: np.ndarray, eta: float, sampler, out: np.ndarray, t: int) -> np.ndarray:
+    """Step t's intermediate models W - eta * grad, written into out and returned;
+    sampler is the run's BatchSampler, None for full gradients. A NaN model aborts
+    the run, naming t and the first bad device."""
+    if sampler is None:
+        grads = losses.grad_full(task.model, W, task.data)
+    else:
+        grads = losses.grad_sgd(task.model, W, task.data, task.batch_size, sampler)
+    W_tilde = np.subtract(W, eta * grads, out=out)
+    if np.isnan(W_tilde).any():
+        bad = int(np.flatnonzero(np.isnan(W_tilde).any(axis=1))[0])
+        raise RuntimeError(f"NaN model parameters at t={t} (device {bad}); aborting run")
+    return W_tilde
+
+
+def d2d_step(epoch: D2DEpoch, gammas: Sequence[int], streams: Sequence, views: Sequence) -> None:
+    """gammas[c] rounds of cluster c's gossip with streams[c] (None: lossless), from
+    views[c][0], its intermediate models, into views[c][1]; one run_consensus call each."""
+    for (w_c, out_c), gamma, gossip, stream in zip(views, gammas, epoch.gossip, streams):
+        run_consensus(w_c, gossip, gamma, rng=stream, out=out_c)
+
+
+def metric_block(task: TrainTask, W_tilde: np.ndarray, W: np.ndarray, sampled, out: np.ndarray) -> None:
+    """block_metrics' inputs of n steps -> out's (n,) rows: the sampled and average
+    gaps, dispersion, eps_rms and, when the task asks, accuracy. Stacked evaluation
+    gives each model's values bit for bit."""
+    means, bar, hat, out[3] = block_metrics(W_tilde, W, task.data.cluster_groups, task.data.varrho, sampled)
+    out[0] = task.global_loss(hat) - task.f_star
+    out[1] = task.global_loss(bar) - task.f_star
+    out[2] = dispersion_sample(means, task.data.varrho)
+    if task.eval_accuracy:
+        out[4] = task.accuracy(hat)
+
+
 def run_protocol(
     task: TrainTask,
     steps: StepSchedule,
@@ -356,6 +390,8 @@ def run_protocol(
     blocks holds one (member cluster indices as an int array, (members, size, d)
     intermediate models) pair per cluster size; a provider batches its rule over
     them and copies what it keeps, as later steps reuse their buffer rows.
+    A T or interval length that is no integer >= 1, or rounds that are not
+    integers, raise a ValueError before the run, interval or step.
     on_aggregate(t_k, tau_k, w_hat, W, epoch) -> optional dict merged into
     the control row (the adaptive controller hooks its re-estimation logic
     here); epoch is that of interval k+1, already refreshed.
@@ -365,12 +401,17 @@ def run_protocol(
     reference over every gradient evaluation point (meta["max_radius"]).
     aggregation FULL is the full-participation baseline, whose gamma_provider
     runs no rounds; its server model at each step is the average model.
-    A step computes only what the next step reads; its models wait in buffers of
-    METRIC_BLOCK steps, and each block's consensus errors, cluster means, average
-    and server models, gaps, dispersion and accuracy take one pass (`block_metrics`).
+
+    A step runs three layers, called through this module's globals: `local_step`
+    (models -> intermediate models, by losses.grad_full or grad_sgd), `d2d_step`
+    (-> post-consensus models, by run_consensus) and, every METRIC_BLOCK steps
+    and at T, `metric_block` (the buffered models -> the block's trace columns,
+    by consensus_error, TrainTask.global_loss, dispersion_sample and
+    TrainTask.accuracy). perfbench patches each call named here.
     """
     if aggregation not in (SAMPLED, FULL):
         raise ValueError(f"unknown aggregation mode {aggregation!r}")
+    check_integer("T", T, 1)
     cost = cost or CostParams()
     epochs = epochs or D2DEpochs(task.clusters)
     lossy, epoch = epochs.lossy, epochs.epoch(1)
@@ -389,17 +430,15 @@ def run_protocol(
     # each cluster's link losses, prefetched in blocks that run ahead of the steps
     # and go with the run; a lossless run draws none
     outage_streams = [OutageStream(rng) for rng in rngs[: len(outage_rows)]] if lossy else [None] * n_clusters
-    sampler = None
-    if sgd_rows:
-        sampler = losses.BatchSampler(task.data.n_points, task.batch_size, rngs[len(outage_rows) :])
+    sampler = losses.BatchSampler(task.data.n_points, task.batch_size, rngs[len(outage_rows) :]) if sgd_rows else None
 
     W = np.tile(task.w0, (n_dev, 1)).astype(float)
     varrho = task.data.varrho
     max_radius = 0.0
 
-    gap_s, gap_a, disp, eps = np.empty((4, T))
+    # the trace columns: sampled and average gaps, dispersion, eps_rms[, accuracy]
+    columns = np.empty((4 + task.eval_accuracy, T))
     gamma_log = np.zeros((T, n_clusters), dtype=int)
-    acc_log = np.empty(T) if task.eval_accuracy else None
     tilde_buf, post_buf = np.empty((2, METRIC_BLOCK, n_dev, dim))
     sampled_buf = np.empty((METRIC_BLOCK, n_clusters), dtype=int)
     # each buffer row's per-cluster views, made once: a step's gossip reads its
@@ -409,26 +448,12 @@ def run_protocol(
         for r in range(METRIC_BLOCK)
     ]
 
-    def evaluate_block(t):
-        # steps t-n+1 .. t, in one call per metric; stacked evaluation gives
-        # each model's values bit for bit
-        n = (t - 1) % METRIC_BLOCK + 1
-        span = slice(t - n, t)
-        rows = sampled_buf[:n] if aggregation == SAMPLED else None
-        means, bar, hat, eps[span] = block_metrics(tilde_buf[:n], post_buf[:n], groups, varrho, rows)
-        gap_s[span] = task.global_loss(hat) - task.f_star
-        gap_a[span] = task.global_loss(bar) - task.f_star
-        disp[span] = dispersion_sample(means, varrho)
-        if acc_log is not None:
-            acc_log[span] = task.accuracy(hat)
-
     control_rows: list[dict] = []
     t_k = 0
     while t_k < T:
         k = len(control_rows) + 1
-        tau = int(tau_provider(k))
-        if tau < 1:
-            raise ValueError("tau_provider returned an interval shorter than 1")
+        tau = tau_provider(k)
+        check_integer(f"tau_provider({k})", tau, 1)
         t_km1, t_k = t_k, min(t_k + tau, T)
         # one draw per cluster, in cluster order, as separate scalar calls would give
         sampled = (starts + rng_sampling.integers(0, stops - starts)).tolist()
@@ -436,36 +461,23 @@ def run_protocol(
         for t in range(t_km1 + 1, t_k + 1):
             if radius_ref is not None:
                 max_radius = max(max_radius, float(np.linalg.norm(W - radius_ref, axis=1).max()))
-            eta_prev = steps.eta(t - 1)
-            eta_next = steps.eta(t)
-
-            # local SGD step for every device
-            if sampler is None:
-                grads = losses.grad_full(task.model, W, task.data)
-            else:
-                grads = losses.grad_sgd(task.model, W, task.data, task.batch_size, sampler)
             row = (t - 1) % METRIC_BLOCK
-            W_tilde = np.subtract(W, eta_prev * grads, out=tilde_buf[row])
-            if np.isnan(W_tilde).any():
-                bad = int(np.flatnonzero(np.isnan(W_tilde).any(axis=1))[0])
-                raise RuntimeError(f"NaN model parameters at t={t} (device {bad}); aborting run")
-
-            # D2D consensus: the round rule runs once per size group on (members, size, d)
-            # blocks; the gossip stays one call per cluster, as criteria 1-3 and perfbench count it
+            W_tilde = local_step(task, W, steps.eta(t - 1), sampler, tilde_buf[row], t)
+            # the round rule runs once per size group on (members, size, d) blocks
             blocks = [
                 (members, W_tilde[dev_rows].reshape(len(members), size, dim))
                 for members, dev_rows, size in groups
             ]
-            gamma_log[t - 1] = gamma_provider(t - t_km1, epoch, blocks, eta_next)
-            gammas = gamma_log[t - 1].tolist()
-            for (w_c, out_c), gamma, gossip, stream in zip(
-                cluster_views[row], gammas, epoch.gossip, outage_streams
-            ):
-                run_consensus(w_c, gossip, gamma, rng=stream, out=out_c)
+            rounds = np.asarray(gamma_provider(t - t_km1, epoch, blocks, steps.eta(t)))
+            if rounds.dtype.kind not in "iu":
+                raise ValueError(f"gamma_provider's rounds at t={t} must be integers, got {rounds.tolist()!r}")
+            gamma_log[t - 1] = rounds
+            d2d_step(epoch, gamma_log[t - 1].tolist(), outage_streams, cluster_views[row])
             W = post_buf[row]
             sampled_buf[row] = sampled
             if row == METRIC_BLOCK - 1 or t == T:
-                evaluate_block(t)
+                rows = sampled_buf[: row + 1] if aggregation == SAMPLED else None
+                metric_block(task, tilde_buf[: row + 1], post_buf[: row + 1], rows, columns[:, t - row - 1 : t])
 
         # global aggregation at t_k; a baseline's server model is its block's average model
         w_hat = (global_aggregate(W, varrho, sampled) if aggregation == SAMPLED
@@ -498,15 +510,15 @@ def run_protocol(
     delay[ends] += cost.delta_glob * upload_scale
     return MetricsTrace(
         t=np.arange(1, T + 1),
-        loss_gap_sampled=gap_s,
-        loss_gap_avg=gap_a,
-        dispersion=disp,
-        eps_rms=eps,
+        loss_gap_sampled=columns[0],
+        loss_gap_avg=columns[1],
+        dispersion=columns[2],
+        eps_rms=columns[3],
         gamma_total=gamma_total,
         energy=energy,
         delay=delay,
         gamma_by_cluster=gamma_log,
-        accuracy=acc_log,
+        accuracy=columns[4] if task.eval_accuracy else None,
         control_rows=control_rows,
         meta={"max_radius": max_radius} if radius_ref is not None else {},
     )

@@ -4,6 +4,7 @@ the divergence predictor, the round rule, and the interval line search."""
 import hashlib
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -720,6 +721,20 @@ class TestOnePassLineSearch:
                 best_tau, best_val = tau, val
         chosen = control.solve_P(t_km1, coeffs, epoch, sched, phi, cost, tau_max, T, gamma_max)
         assert chosen == best_tau
+
+
+class TestAdaptiveConfig:
+    # T=0 ran an empty trace, T=2.5 and gamma_max=2.5 failed mid-run, and
+    # gamma_max=True ran with a cap of 1
+    @pytest.mark.parametrize("field, value, message", [
+        ("T", 0, "T must be >= 1, got 0"),
+        ("T", 2.5, "T must be an integer, got 2.5"),
+        ("gamma_max", 2.5, "gamma_max must be an integer, got 2.5"),
+        ("gamma_max", True, "gamma_max must be an integer, got True"),
+    ])
+    def test_a_horizon_or_round_cap_that_cannot_run_is_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            control.AdaptiveConfig(**{field: value})
 
 
 class TestRunAdaptive:

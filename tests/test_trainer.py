@@ -1,7 +1,10 @@
 """Protocol loop semantics: SGD steps, aggregation, broadcast resets, determinism."""
 
 import copy
+import functools
 import hashlib
+import re
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -346,6 +349,70 @@ class TestTrainingScheduleInput:
         assert TrainingSchedule.uniform(np.int64(10), np.int64(4)).taus == (4, 4, 2)
 
 
+class TestRunProtocolInput:
+    # a length of 2.9 ran intervals of 2 and True intervals of 1, NaN failed
+    # inside int(), rounds of 1.7 ran 1 round, and T=0 returned an empty trace
+    @staticmethod
+    def run(T=12, tau_provider=lambda k: 5, gamma_provider=None):
+        task = build_small_task()
+        steps = StepSchedule(kind="constant", eta_const=0.01)
+        gamma_provider = gamma_provider or trainer.provider_from_plan(GammaPlan(mode="fixed", value=1, cadence=1))
+        return trainer.run_protocol(task, steps, T, tau_provider, gamma_provider)
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        layer = getattr(trainer, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return layer(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("T, message", [
+        (0, "T must be >= 1, got 0"),
+        (2.5, "T must be an integer, got 2.5"),
+        (True, "T must be an integer, got True"),
+        (np.float64(12.0), "T must be an integer, got np.float64(12.0)"),
+    ])
+    def test_a_horizon_that_cannot_run_is_refused(self, T, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.run(T=T)
+
+    @pytest.mark.parametrize("tau, message", [
+        (2.9, "must be an integer, got 2.9"),
+        (True, "must be an integer, got True"),
+        (float("nan"), "must be an integer, got nan"),
+        (0, "must be >= 1, got 0"),
+    ])
+    def test_an_interval_length_that_cannot_run_is_refused_before_the_interval(self, monkeypatch, tau, message):
+        steps = self.counting(monkeypatch, "local_step")
+        with pytest.raises(ValueError, match=f"^{re.escape('tau_provider(2) ' + message)}$"):
+            self.run(tau_provider=lambda k: 5 if k == 1 else tau)
+        assert len(steps) == 5
+
+    @pytest.mark.parametrize("rounds", [[1.7], [True], np.array([2.0])], ids=["fraction", "bool", "float-array"])
+    def test_rounds_that_are_not_integers_are_refused_before_the_step(self, monkeypatch, rounds):
+        gossip = self.counting(monkeypatch, "d2d_step")
+
+        def provider(local_step, epoch, blocks, eta):
+            return [1] * len(epoch.sizes) if local_step < 3 else list(rounds) * len(epoch.sizes)
+
+        with pytest.raises(ValueError, match=r"^gamma_provider's rounds at t=3 must be integers, got \["):
+            self.run(gamma_provider=provider)
+        assert len(gossip) == 2
+
+    def test_each_layer_is_called_through_the_module(self, monkeypatch):
+        expected = self.run(T=40)
+        calls = {name: self.counting(monkeypatch, name) for name in ("local_step", "d2d_step", "metric_block")}
+        trace = self.run(T=40)
+        assert {name: len(c) for name, c in calls.items()} == {"local_step": 40, "d2d_step": 40, "metric_block": 3}
+        for _, column in trainer.MetricsTrace.CSV_FIELDS:
+            np.testing.assert_array_equal(getattr(trace, column), getattr(expected, column))
+
+
 class TestTaskLabels:
     @staticmethod
     def six_label_task(**kwargs):
@@ -407,14 +474,15 @@ class TestNanGuard:
             trainer.run_tthf(task, steps, TrainingSchedule.uniform(6, 3), plan, seed=1)
 
 
-def reference_tthf(task, steps, schedule, plan, lossy=False, seed=0):
+def reference_tthf(task, steps, schedule, plan, lossy=False, seed=0, refresh=None):
     """TT-HF with a plain loop over clusters: the oracle of the batched engine.
 
     Per step and cluster it picks the rounds with the scalar rule, runs them
     one `V @ z` (or one effective matrix) at a time, and measures that
     cluster's error and mean; it evaluates every step's metrics, the accuracy
-    too when the task asks for it, as that step ends. Returns the trace
-    columns and the per-cluster rounds.
+    too when the task asks for it, as that step ends. refresh(k) -> the specs
+    of interval k, or None to keep interval k-1's, is called as interval k
+    starts. Returns the trace columns and the per-cluster rounds.
     """
     cost = CostParams()
     clusters, slices, varrho = task.clusters, task.data.cluster_slices, task.data.varrho
@@ -442,15 +510,16 @@ def reference_tthf(task, steps, schedule, plan, lossy=False, seed=0):
     gammas = np.zeros((T, len(clusters)), dtype=int)
     k, t_km1 = 1, 0
     t_k = min(taus[0], T)
+    # each device's data as a network of its own, as local_grad builds it on every call
+    devices = [one_device(task.model, part) for part in task.flat_parts]
     for t in range(1, T + 1):
         if task.batch_size is None:
             grads = np.stack([
-                local_grad(task.model, W[d], part) for d, part in enumerate(task.flat_parts)
+                losses.grad_full(task.model, W[d][None], device)[0] for d, device in enumerate(devices)
             ])
         else:
             grads = np.stack([
-                local_sgd(task.model, W[d], one_device(task.model, part), task.batch_size, dev_rngs[d])
-                for d, part in enumerate(task.flat_parts)
+                local_sgd(task.model, W[d], device, task.batch_size, dev_rngs[d]) for d, device in enumerate(devices)
             ])
         W_tilde = W - steps.eta(t - 1) * grads
         W_new = np.empty_like(W_tilde)
@@ -495,6 +564,8 @@ def reference_tthf(task, steps, schedule, plan, lossy=False, seed=0):
             delay += cost.delta_glob
             W = np.tile(w_hat, (task.n_devices, 1))
             sampled = sample()
+            if refresh is not None and t < T:
+                clusters = refresh(k + 1) or clusters
             t_km1 = t
             k += 1
             t_k = min(t_km1 + taus[k - 1], T) if t < T else T
@@ -503,47 +574,59 @@ def reference_tthf(task, steps, schedule, plan, lossy=False, seed=0):
     return {name: np.array(v) for name, v in cols.items()}, gammas
 
 
-def regression_task_on(clusters, seed, **task_options):
-    """A regression task whose devices, in cluster order, hold an extreme partition of synthetic data."""
+def regression_task_on(clusters, seed, kind=LINEAR_REGRESSION, **task_options):
+    """A task of this loss whose devices, in cluster order, hold an extreme partition of synthetic data."""
     sizes = [spec.size for spec in clusters]
     ds = data.gen_synthetic(4, 4, 60, 2.0, seed)
-    model = LossModel(kind=LINEAR_REGRESSION, reg=0.5, dim=4)
+    model = LossModel(kind=kind, reg=0.5, dim=4)
     flat = data.partition(ds, sum(sizes), data.PartitionPlan("extreme", seed=seed + 1), kind=model.kind)
     bounds_ = np.cumsum([0] + sizes)
     parts = [flat[a:b] for a, b in zip(bounds_[:-1], bounds_[1:])]
     return trainer.make_task(model, clusters, parts, **task_options)
 
 
-def unequal_cluster_task(sizes=(3, 2, 3, 5), seed=4, **task_options):
-    """Clusters of several sizes; the two size-3 clusters are not adjacent in device order."""
+def placed_clusters(sizes, seed):
+    """Clusters placed in a 50 m field, with the uniform mixing step of build_network."""
     channel, step = topology.ChannelParams(), topology.DEFAULT_MIXING_STEP
-    clusters = [
-        build_cluster(c, size, 50.0, channel, step, seed) for c, size in enumerate(sizes)
-    ]
-    return regression_task_on(clusters, seed, **task_options)
+    return [build_cluster(c, size, 50.0, channel, step, seed) for c, size in enumerate(sizes)]
 
 
-def metropolis_cluster_task(sizes=(6, 8, 7), seed=10):
+def metropolis_clusters(sizes, seed, jitter=False):
     """Hand-built clusters with Metropolis weights on random connected graphs,
     every link lost with probability 0.4; a node's link weights differ, unlike
-    a uniform-step V's."""
+    a uniform-step V's. jitter scales each link's weight by a uniform draw in
+    [0.5, 1): Metropolis weights are few simple fractions, whose sums seldom
+    round differently in another order, and these are not."""
     rng = np.random.default_rng(seed)
     clusters = []
     for c, n in enumerate(sizes):
         adj = random_connected_adjacency(rng, n)
         V = metropolis_matrix(adj)
+        if jitter:
+            scale = np.triu(rng.uniform(0.5, 1.0, (n, n)), 1)
+            V = np.where(adj, V * (scale + scale.T), 0.0)
+            V[np.diag_indices(n)] = 1.0 - V.sum(axis=1)
         clusters.append(ClusterSpec(
             index=c, positions=np.zeros((n, 2)), adjacency=adj, V=V,
             lambda_c=topology.spectral_radius(V), link_outage=np.where(adj, 0.4, 0.0),
         ))
-    return regression_task_on(clusters, seed)
+    return clusters
+
+
+def jittered_clusters(sizes, seed):
+    return metropolis_clusters(sizes, seed, jitter=True)
+
+
+def unequal_cluster_task(sizes=(3, 2, 3, 5), seed=4, **task_options):
+    """Clusters of several sizes; the two size-3 clusters are not adjacent in device order."""
+    return regression_task_on(placed_clusters(sizes, seed), seed, **task_options)
 
 
 class TestMetropolisLossyRun:
     def test_lossy_metropolis_run_bytes_are_pinned(self, tmp_path):
         # the benchmark networks' V has one weight per node, so the order in
         # which a node's lost links fold onto its diagonal shows only here
-        task = metropolis_cluster_task()
+        task = regression_task_on(metropolis_clusters((6, 8, 7), 10), 10)
         assert any(len(set(row[row > 0].tolist())) > 1 for spec in task.clusters
                    for row in np.where(spec.adjacency, spec.V, 0.0))
         steps = StepSchedule(kind="diminishing", gamma=2 / task.mu, alpha=30.0)
@@ -556,22 +639,66 @@ class TestMetropolisLossyRun:
         assert digest == "5200d4a5d25e6181e2c644098c7d46f6323eb3e4731dcdf72c20dfca1beb7bb8"
 
 
+class EngineCase(NamedTuple):
+    """One run shape of the engine oracle: make() -> the task; refresh(k) -> the
+    specs of interval k, or None to keep interval k-1's (no refresh when None)."""
+
+    make: Callable
+    plan: GammaPlan
+    lossy: bool
+    schedule: TrainingSchedule
+    seed: int
+    refresh: Optional[Callable] = None
+
+
+def drawn_task(make_clusters, sizes, seed, **task_options):
+    return regression_task_on(make_clusters(sizes, seed), seed, **task_options)
+
+
+def drawn_refresh(make_clusters, sizes, seed, intervals, k):
+    """Fresh clusters of these sizes for each interval k in intervals, None for the others."""
+    return make_clusters(sizes, seed + 100 * k) if k in intervals else None
+
+
+@st.composite
+def engine_cases(draw):
+    """Clusters of 1-6 devices, unequal, with no two neighbours of one size, on
+    placed uniform-step, Metropolis or jittered Metropolis networks; a fixed plan (a value of 0 too)
+    or a certified one whose max_rounds cap often binds; lossy or lossless links;
+    full or mini-batch gradients of either loss, with or without accuracy; a
+    horizon whose last interval is cut short; the seed; and a refresh at some
+    intervals, or none."""
+    sizes = [draw(st.integers(1, 6))]
+    for _ in range(draw(st.integers(1, 3))):
+        sizes.append(draw(st.sampled_from([s for s in range(1, 7) if s != sizes[-1]])))
+    if draw(st.booleans()):
+        plan = GammaPlan(mode="fixed", value=draw(st.integers(0, 4)), cadence=draw(st.integers(1, 3)))
+    else:
+        phi, max_rounds = draw(st.sampled_from([0.05, 0.5])), draw(st.integers(1, 40))
+        plan = GammaPlan(mode="certified", phi=phi, max_rounds=max_rounds)
+    T = draw(st.integers(1, 36))
+    taus = [draw(st.integers(1, 9))]
+    while sum(taus) < T:
+        taus.append(draw(st.integers(1, 9)))
+    if sum(taus) == T:
+        taus[-1] += draw(st.integers(1, 3))
+    make_clusters = draw(st.sampled_from([placed_clusters, metropolis_clusters, jittered_clusters]))
+    net_seed = draw(st.integers(0, 99))
+    make = functools.partial(
+        drawn_task, make_clusters, tuple(sizes), net_seed,
+        kind=draw(st.sampled_from([LINEAR_REGRESSION, SQUARED_HINGE_SVM])),
+        batch_size=draw(st.sampled_from([None, 1, 4])), eval_accuracy=draw(st.booleans()),
+    )
+    intervals = draw(st.none() | st.frozensets(st.integers(2, 6), min_size=1))
+    refresh = None
+    if intervals is not None:
+        refresh = functools.partial(drawn_refresh, make_clusters, tuple(sizes), net_seed, intervals)
+    lossy, seed = draw(st.booleans()), draw(st.integers(0, 2**16))
+    return EngineCase(make, plan, lossy, TrainingSchedule(T, taus), seed, refresh)
+
+
 CERTIFIED = GammaPlan(mode="certified", phi=0.5, max_rounds=60)
-# (task builder, round plan, lossy links)
-ORACLE_CASES = {
-    "fixed": (build_small_task, GammaPlan(mode="fixed", value=3, cadence=2), False),
-    "certified": (build_small_task, CERTIFIED, False),
-    "lossy": (
-        lambda: build_small_task(batch_size=4), GammaPlan(mode="fixed", value=4, cadence=1), True
-    ),
-    "unequal-certified": (unequal_cluster_task, CERTIFIED, False),
-    "unequal-lossy": (unequal_cluster_task, GammaPlan(mode="fixed", value=3, cadence=1), True),
-    "svm-minibatch-accuracy": (
-        lambda: build_small_task(kind=SQUARED_HINGE_SVM, batch_size=4, eval_accuracy=True),
-        CERTIFIED,
-        False,
-    ),
-}
+T33 = TrainingSchedule.uniform(33, 7)
 
 
 class TestBatchedEngineOracle:
@@ -584,16 +711,30 @@ class TestBatchedEngineOracle:
         np.testing.assert_array_equal(groups[0][1], [0, 1, 2, 5, 6, 7])
         assert groups[2][1] == slice(8, 13)
 
-    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.oracle
+    @given(case=engine_cases())
+    @example(case=EngineCase(build_small_task, GammaPlan(mode="fixed", value=3, cadence=2), False, T33, 5))
+    @example(case=EngineCase(build_small_task, CERTIFIED, False, T33, 5))
+    @example(case=EngineCase(
+        functools.partial(build_small_task, batch_size=4), GammaPlan(mode="fixed", value=4, cadence=1), True, T33, 5
+    ))
+    @example(case=EngineCase(unequal_cluster_task, CERTIFIED, False, T33, 5))
+    @example(case=EngineCase(unequal_cluster_task, GammaPlan(mode="fixed", value=3, cadence=1), True, T33, 5))
+    @example(case=EngineCase(
+        functools.partial(build_small_task, kind=SQUARED_HINGE_SVM, batch_size=4, eval_accuracy=True),
+        CERTIFIED, False, T33, 5,
+    ))
     def test_run_protocol_matches_per_cluster_loop(self, case):
-        make, plan, lossy = ORACLE_CASES[case]
-        task = make()
+        """run_tthf against reference_tthf on one run shape (engine_cases): the
+        rounds equal, and every trace column bit for bit on lossy links, which
+        use no matrix power, and within 1e-12 on lossless ones."""
+        task = case.make()
         steps = StepSchedule(kind="diminishing", gamma=2 / task.mu, alpha=30.0)
-        schedule = TrainingSchedule.uniform(33, 7)
-        epochs = trainer.D2DEpochs(task.clusters, lossy)
-        trace = trainer.run_tthf(task, steps, schedule, plan, epochs=epochs, seed=5)
-        expected, gammas = reference_tthf(task, steps, schedule, plan, lossy=lossy, seed=5)
-        assert gammas.any()
+        epochs = trainer.D2DEpochs(task.clusters, case.lossy, case.refresh)
+        trace = trainer.run_tthf(task, steps, case.schedule, case.plan, epochs=epochs, seed=case.seed)
+        expected, gammas = reference_tthf(
+            task, steps, case.schedule, case.plan, lossy=case.lossy, seed=case.seed, refresh=case.refresh
+        )
         np.testing.assert_array_equal(trace.gamma_by_cluster, gammas)
         np.testing.assert_array_equal(trace.gamma_total, gammas.sum(axis=1))
         got = {
@@ -602,8 +743,7 @@ class TestBatchedEngineOracle:
         }
         assert (trace.accuracy is not None) == ("acc" in expected)
         for name, column in expected.items():
-            if lossy:
-                # no matrix power on the lossy path: the same arithmetic in the same order
+            if case.lossy:
                 np.testing.assert_array_equal(got[name], column, err_msg=name)
             else:
                 np.testing.assert_allclose(got[name], column, rtol=1e-12, atol=1e-12, err_msg=name)
