@@ -83,6 +83,8 @@ class FeasibilityResult:
 
 
 _TERM_NAMES = ("noise", "diversity", "initial-gap")
+_MAX_T_DOUBLINGS = 3
+_MAX_XI_RELAXATIONS = 3
 
 
 def feasibility_check(
@@ -381,9 +383,9 @@ def solve_P(
 class AdaptiveConfig:
     """Knobs of the adaptive controller (defaults follow the experimental setup).
 
-    xi=None resolves the loss target automatically to xi_boost times the smallest
-    certifiable value, since the rate constants are far too pessimistic for any
-    performance-level target to pass the feasibility check directly.
+    xi=None resolves the loss target to xi_boost times the smallest value certifiable
+    at T (the rate constants are far too pessimistic for a performance-level target);
+    `start` may then double T and loosen xi. The first interval runs min(tau1, tau_max).
     """
 
     xi: Optional[float] = None
@@ -415,11 +417,6 @@ class AdaptiveConfig:
             raise ValueError("alpha_margin must be >= 1")
 
 
-# feasibility relaxation caps: T doubles up to this often, then xi loosens
-_MAX_T_DOUBLINGS = 3
-_MAX_XI_RELAXATIONS = 3
-
-
 def _probe(task, models, w_ref, zeta, batch, rng):
     """One sampled device per cluster probes its gradient at its own row of models.
 
@@ -444,6 +441,57 @@ def _probe(task, models, w_ref, zeta, batch, rng):
     return float(max(sigma_locals)), delta_prime, g_bar
 
 
+def start(task, config: AdaptiveConfig, rng: np.random.Generator) -> ControlState:
+    """The adaptive run's ControlState, from server probes at w0 drawn with rng.
+
+    One feasibility_check prices Theorem 2's terms, which depend on neither T nor
+    xi; T doubles, then xi grows by 1.25, until their max() is within
+    nu_max = xi*(T+alpha). A target still out of reach, or a NaN max(), raises
+    InfeasibleError.
+    """
+    zeta = config.zeta_frac * 2.0 * task.beta
+    omega = config.zeta_frac  # zeta/(2 beta)
+    gamma_step = config.gamma_over_mu / task.mu
+    sigma2, delta_prime, g_bar = _probe(
+        task, np.tile(task.w0, (task.n_devices, 1)), task.w0, zeta, config.sigma_batch, rng
+    )
+    alpha = select_alpha(
+        task.mu, task.beta, gamma_step, omega, config.tau_max,
+        cap=config.alpha_cap, margin=config.alpha_margin,
+    )
+    T = config.T
+    # the PL surrogate |grad F(w0)|^2 stands in for 2 mu (F(w0) - F*), which the server cannot see
+    feas = feasibility_check(
+        T, 1.0, config.tau_max, task.mu, task.beta, gamma_step, alpha, omega,
+        sigma2, delta_prime, float(g_bar @ g_bar),
+    )
+    need = max(feas.terms)
+    xi = config.xi
+    if xi is None:
+        # all-zero probes carry no signal: a unit certificate level keeps phi positive
+        xi = (1.0 if need <= 0.0 else need) / (T + alpha) * config.xi_boost
+    for attempt in range(_MAX_T_DOUBLINGS + _MAX_XI_RELAXATIONS + 1):
+        nu_max = xi * (T + alpha)
+        if need <= nu_max:
+            break
+        if attempt < _MAX_T_DOUBLINGS:
+            T *= 2
+        else:
+            xi *= 1.25
+    else:
+        raise InfeasibleError(
+            f"loss target infeasible after relaxation (binding term: {feas.binding})"
+        )
+    phi = phi_max(
+        nu_max, config.tau_max, task.mu, task.beta, gamma_step, alpha, omega,
+        sigma2, delta_prime,
+    )
+    return ControlState(
+        zeta=zeta, delta_prime=delta_prime, sigma2=sigma2, gamma_step=gamma_step,
+        alpha=alpha, phi=phi, nu_max=nu_max, xi=xi, T=T,
+    )
+
+
 def run_adaptive(
     task,
     config: AdaptiveConfig,
@@ -453,69 +501,15 @@ def run_adaptive(
 ):
     """TT-HF under the full adaptive controller.
 
-    Returns (trace, state). Step-size parameters, phi, and the divergence
-    predictor are re-estimated at every aggregation; interval lengths come from
-    the line search, and per-step D2D rounds from the live divergence estimate.
-    epochs is run_protocol's D2DEpochs, by default task.clusters' lossless and static ones.
+    Returns (trace, state), the state from `start`, whose sigma2, delta', phi and
+    divergence predictor are re-estimated at every aggregation. The first interval
+    runs min(tau1, tau_max) steps, the line search sets the rest, and per-step D2D
+    rounds follow the live divergence estimate. epochs is run_protocol's D2DEpochs.
     """
     cost = cost or CostParams()
     # the server's probes at every aggregation draw from their own stream
     rng_init, rng_probe = generators([(seed, 0x1A17), (seed, 0xE57)])
-    w0 = task.w0
-    zeta = config.zeta_frac * 2.0 * task.beta
-    omega = config.zeta_frac  # zeta/(2 beta)
-    gamma_step = config.gamma_over_mu / task.mu
-
-    sigma2, delta_prime, g_bar = _probe(
-        task, np.tile(w0, (task.n_devices, 1)), w0, zeta, config.sigma_batch, rng_init
-    )
-    # the PL surrogate |grad F(w0)|^2 stands in for 2 mu (F(w0) - F*), which the server cannot see
-    grad0_sq = float(g_bar @ g_bar)
-
-    # feasibility with bounded relaxation: double T, then loosen xi, then fail
-    T = config.T
-    alpha = select_alpha(
-        task.mu, task.beta, gamma_step, omega, config.tau_max,
-        cap=config.alpha_cap, margin=config.alpha_margin,
-    )
-    if config.xi is None:
-        probe = feasibility_check(
-            T, 1.0, config.tau_max, task.mu, task.beta, gamma_step, alpha, omega,
-            sigma2, delta_prime, grad0_sq,
-        )
-        # all-zero probes (every sampled gradient vanished) carry no signal;
-        # fall back to a unit certificate level so phi stays positive
-        base = max(probe.terms)
-        if base <= 0.0:
-            base = 1.0
-        xi = base / (T + alpha) * config.xi_boost
-    else:
-        xi = config.xi
-    feas = None
-    for attempt in range(_MAX_T_DOUBLINGS + _MAX_XI_RELAXATIONS + 1):
-        feas = feasibility_check(
-            T, xi, config.tau_max, task.mu, task.beta, gamma_step, alpha, omega,
-            sigma2, delta_prime, grad0_sq,
-        )
-        if feas.passed:
-            break
-        if attempt < _MAX_T_DOUBLINGS:
-            T *= 2
-        else:
-            xi *= 1.25
-    if not feas.passed:
-        raise InfeasibleError(
-            f"loss target infeasible after relaxation (binding term: {feas.binding})"
-        )
-
-    phi = phi_max(
-        feas.nu_max, config.tau_max, task.mu, task.beta, gamma_step, alpha, omega,
-        sigma2, delta_prime,
-    )
-    state = ControlState(
-        zeta=zeta, delta_prime=delta_prime, sigma2=sigma2, gamma_step=gamma_step,
-        alpha=alpha, phi=phi, nu_max=feas.nu_max, xi=xi, T=T,
-    )
+    state = start(task, config, rng_init)
 
     # gamma_step and alpha are fixed at start-up, so one schedule serves the run
     sched = state.step_schedule()
@@ -542,14 +536,14 @@ def run_adaptive(
         try:
             state.phi = phi_max(
                 state.nu_max, config.tau_max, task.mu, task.beta,
-                state.gamma_step, state.alpha, omega, state.sigma2, state.delta_prime,
+                state.gamma_step, state.alpha, config.zeta_frac, state.sigma2, state.delta_prime,
             )
         except InfeasibleError:
             phi_note = "kept-previous-phi"
         nu = bounds.thm2_constants(
             state.gamma_step, state.alpha, task.mu, task.beta, config.tau_max,
             state.sigma2, state.phi, state.delta_prime,
-            float(g_bar_k @ g_bar_k) / (2.0 * task.mu), omega,
+            float(g_bar_k @ g_bar_k) / (2.0 * task.mu), config.zeta_frac,
         ).nu
 
         # refit the divergence predictor on the finished interval, then plan tau;

@@ -296,6 +296,7 @@ class D2DEpochs:
 
     def epoch(self, k: int) -> D2DEpoch:
         """Interval k's D2DEpoch (1-based k)."""
+        check_integer("k", k, 1)
         if not self._epochs:
             self._epochs.append(d2d_epoch(self._clusters, self.lossy))
         if self._refresh is None:
@@ -390,8 +391,8 @@ def run_protocol(
     blocks holds one (member cluster indices as an int array, (members, size, d)
     intermediate models) pair per cluster size; a provider batches its rule over
     them and copies what it keeps, as later steps reuse their buffer rows.
-    A T or interval length that is no integer >= 1, or rounds that are not
-    integers, raise a ValueError before the run, interval or step.
+    A T or interval length that is no integer >= 1, or rounds that are not one
+    integer >= 0 per cluster, raise a ValueError before the run, interval or step.
     on_aggregate(t_k, tau_k, w_hat, W, epoch) -> optional dict merged into
     the control row (the adaptive controller hooks its re-estimation logic
     here); epoch is that of interval k+1, already refreshed.
@@ -469,10 +470,13 @@ def run_protocol(
                 for members, dev_rows, size in groups
             ]
             rounds = np.asarray(gamma_provider(t - t_km1, epoch, blocks, steps.eta(t)))
-            if rounds.dtype.kind not in "iu":
-                raise ValueError(f"gamma_provider's rounds at t={t} must be integers, got {rounds.tolist()!r}")
+            gammas = rounds.tolist()
+            if rounds.dtype.kind not in "iu" or rounds.shape != (n_clusters,) or min(gammas) < 0:
+                raise ValueError(
+                    f"gamma_provider's rounds at t={t} must be one integer >= 0 per cluster, got {gammas!r}"
+                )
             gamma_log[t - 1] = rounds
-            d2d_step(epoch, gamma_log[t - 1].tolist(), outage_streams, cluster_views[row])
+            d2d_step(epoch, gammas, outage_streams, cluster_views[row])
             W = post_buf[row]
             sampled_buf[row] = sampled
             if row == METRIC_BLOCK - 1 or t == T:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from tthf import data, experiment, losses, topology, trainer
+from tthf import control, data, experiment, losses, topology, trainer
 
 warnings.filterwarnings("ignore", message="distance .* below reference")
 
@@ -117,6 +117,59 @@ def fit_predictor_oracle(upsilon_history, gamma_history):
         sol, *_ = np.linalg.lstsq(design, targets, rcond=None)
         lines += [float(sol[0]), float(sol[1])]
     return (*lines, *fallbacks)
+
+
+def startup_oracle(task, config, rng):
+    """The adaptive start-up with a feasibility_check per attempt: the oracle of
+    control.start.
+
+    The auto xi prices one check at T and xi = 1; each attempt then checks
+    (T, xi) afresh, doubling T after each of the first 3 failures and loosening
+    xi by 1.25 after each of the next 3, and the 7th failure raises.
+    """
+    w0 = task.w0
+    zeta = config.zeta_frac * 2.0 * task.beta
+    omega = config.zeta_frac
+    gamma_step = config.gamma_over_mu / task.mu
+    sigma2, delta_prime, g_bar = control._probe(
+        task, np.tile(w0, (task.n_devices, 1)), w0, zeta, config.sigma_batch, rng
+    )
+    grad0_sq = float(g_bar @ g_bar)
+    T = config.T
+    alpha = control.select_alpha(
+        task.mu, task.beta, gamma_step, omega, config.tau_max,
+        cap=config.alpha_cap, margin=config.alpha_margin,
+    )
+
+    def check(T, xi):
+        return control.feasibility_check(
+            T, xi, config.tau_max, task.mu, task.beta, gamma_step, alpha, omega, sigma2, delta_prime, grad0_sq,
+        )
+
+    if config.xi is None:
+        base = max(check(T, 1.0).terms)
+        if base <= 0.0:
+            base = 1.0
+        xi = base / (T + alpha) * config.xi_boost
+    else:
+        xi = config.xi
+    for attempt in range(7):
+        feas = check(T, xi)
+        if feas.passed:
+            break
+        if attempt < 3:
+            T *= 2
+        else:
+            xi *= 1.25
+    if not feas.passed:
+        raise control.InfeasibleError(f"loss target infeasible after relaxation (binding term: {feas.binding})")
+    phi = control.phi_max(
+        feas.nu_max, config.tau_max, task.mu, task.beta, gamma_step, alpha, omega, sigma2, delta_prime,
+    )
+    return control.ControlState(
+        zeta=zeta, delta_prime=delta_prime, sigma2=sigma2, gamma_step=gamma_step,
+        alpha=alpha, phi=phi, nu_max=feas.nu_max, xi=xi, T=T,
+    )
 
 
 def accuracy_oracle(model, w, data, n_labels):

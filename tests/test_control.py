@@ -1,6 +1,8 @@
 """Adaptive machinery: alpha selection, feasibility, phi cap, estimators,
 the divergence predictor, the round rule, and the interval line search."""
 
+import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -9,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tthf import bounds, consensus, control, losses, topology, trainer
@@ -17,10 +19,12 @@ from tthf.control import PredictorCoeffs
 from tthf.costs import CostParams
 from tthf.losses import LINEAR_REGRESSION, SQUARED_HINGE_SVM, DevicePartition, LossModel
 from tthf.schedules import StepSchedule
+from tthf.seeding import generators
 from tthf.topology import ClusterSpec
 
 from conftest import (
     build_small_task, fit_predictor_oracle, local_grad, local_sgd, one_device, scalar_gamma_rounds,
+    startup_oracle,
 )
 
 MU, BETA = 1.0, 2.0
@@ -735,6 +739,113 @@ class TestAdaptiveConfig:
     def test_a_horizon_or_round_cap_that_cannot_run_is_refused(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             control.AdaptiveConfig(**{field: value})
+
+
+# regression on skewed data; an SVM whose 4-point devices report exact probe
+# gradients at sigma_batch >= 4; and a regression whose probes all vanish for the
+# seed-3 stream at sigma_batch 8, as every device it samples has zero targets
+STARTUP_TASKS = (
+    {},
+    dict(mode="iid", n_clusters=3, cluster_size=3, m=3, n_labels=2, per_label=20, reg=2.0,
+         kind=SQUARED_HINGE_SVM, batch_size=2),
+    dict(mode="extreme", n_clusters=3, cluster_size=3, per_label=100, reg=1.5, batch_size=8),
+)
+
+
+@functools.cache
+def startup_task(index):
+    return build_small_task(**STARTUP_TASKS[index])
+
+
+def start_outcome(start, task, config, rng):
+    """Every ControlState field of start(task, config, rng) by repr, which tells
+    each float's bits and type, or the type and message of what it raised."""
+    try:
+        state = start(task, config, rng)
+    except Exception as error:
+        return type(error), str(error)
+    return [(field.name, repr(getattr(state, field.name))) for field in dataclasses.fields(state)]
+
+
+class TestStart:
+    # the start-up probes at w0 with run_adaptive's first stream
+    @staticmethod
+    def stream(seed):
+        return generators([(seed, 0x1A17)])[0]
+
+    @pytest.mark.oracle
+    @given(
+        task_index=st.integers(0, 2),
+        seed=st.integers(0, 7),
+        T=st.integers(1, 4000),
+        tau_max=st.integers(1, 40),
+        zeta_frac=st.floats(0.0, 0.1),
+        gamma_over_mu=st.floats(1.1, 4.0),
+        sigma_batch=st.integers(1, 40),
+        alpha_cap=st.one_of(st.just(1e9), st.sampled_from([1e4, 300.0])),
+        alpha_margin=st.floats(1.0, 3.0),
+        # 2**-6 to 8 times the smallest certifiable target: targets that pass at
+        # once, need T doubled, need xi loosened, or fail
+        xi_boost=st.floats(-6.0, 3.0).map(math.exp2),
+        given_xi=st.booleans(),
+    )
+    @example(task_index=2, seed=3, T=20, tau_max=8, zeta_frac=0.02, gamma_over_mu=2.0, sigma_batch=8,
+             alpha_cap=1e9, alpha_margin=2.0, xi_boost=4.0, given_xi=False)  # every probe vanishes
+    # alpha is near 1084: at T=10 boost 0.5 passes at the last check; at T=1000
+    # it takes one doubling, and 0.15 three doublings and two loosenings
+    @example(task_index=0, seed=1, T=10, tau_max=8, zeta_frac=0.02, gamma_over_mu=2.0, sigma_batch=8,
+             alpha_cap=1e9, alpha_margin=2.0, xi_boost=0.5, given_xi=False)
+    @example(task_index=0, seed=1, T=1000, tau_max=8, zeta_frac=0.02, gamma_over_mu=2.0, sigma_batch=8,
+             alpha_cap=1e9, alpha_margin=2.0, xi_boost=0.5, given_xi=False)
+    @example(task_index=0, seed=1, T=1000, tau_max=8, zeta_frac=0.02, gamma_over_mu=2.0, sigma_batch=8,
+             alpha_cap=1e9, alpha_margin=2.0, xi_boost=0.15, given_xi=False)
+    @example(task_index=0, seed=1, T=1000, tau_max=8, zeta_frac=0.02, gamma_over_mu=2.0, sigma_batch=8,
+             alpha_cap=1e9, alpha_margin=2.0, xi_boost=0.15, given_xi=True)
+    def test_equals_the_per_attempt_oracle(self, task_index, seed, given_xi, **fields):
+        task = startup_task(task_index)
+        config = control.AdaptiveConfig(**fields)
+        if given_xi:
+            # the auto target as given: at xi_boost 1 the oracle returns the
+            # smallest certifiable xi, which only a failure leaves unknown
+            try:
+                smallest = startup_oracle(task, dataclasses.replace(config, xi_boost=1.0), self.stream(seed)).xi
+            except control.InfeasibleError:
+                smallest = 1.0
+            config = dataclasses.replace(config, xi=config.xi_boost * smallest)
+        rng, oracle_rng = self.stream(seed), self.stream(seed)
+        assert start_outcome(control.start, task, config, rng) == start_outcome(
+            startup_oracle, task, config, oracle_rng
+        )
+        # the same probes drew the same words
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_one_feasibility_check_per_run(self, monkeypatch):
+        task = startup_task(0)
+        # T doubles 3 times, then xi loosens 3 times: a check per attempt made 8
+        config = control.AdaptiveConfig(T=10, tau_max=8, tau1=4, zeta_frac=0.02, sigma_batch=8, xi_boost=0.5)
+        calls = []
+        check = control.feasibility_check
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(control, "feasibility_check", counted)
+        _, state = control.run_adaptive(task, config, seed=1)
+        assert len(calls) == 1
+        assert state.T == 80
+        assert state.xi == (max(check(*calls[0]).terms) / (10 + state.alpha) * 0.5) * 1.25 * 1.25 * 1.25
+
+    @pytest.mark.parametrize("xi", [None, 1e300], ids=["auto-xi", "given-xi"])
+    def test_nan_terms_are_infeasible(self, monkeypatch, xi):
+        nan = float("nan")
+        monkeypatch.setattr(
+            control, "feasibility_check", lambda *args: control.FeasibilityResult(False, nan, (nan, nan, nan), "noise")
+        )
+        config = control.AdaptiveConfig(T=20, tau_max=8, zeta_frac=0.02, sigma_batch=8, xi=xi)
+        message = "loss target infeasible after relaxation (binding term: noise)"
+        with pytest.raises(control.InfeasibleError, match=f"^{re.escape(message)}$"):
+            control.start(startup_task(0), config, self.stream(1))
 
 
 class TestRunAdaptive:

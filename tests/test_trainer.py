@@ -400,9 +400,26 @@ class TestRunProtocolInput:
         def provider(local_step, epoch, blocks, eta):
             return [1] * len(epoch.sizes) if local_step < 3 else list(rounds) * len(epoch.sizes)
 
-        with pytest.raises(ValueError, match=r"^gamma_provider's rounds at t=3 must be integers, got \["):
+        message = "gamma_provider's rounds at t=3 must be one integer >= 0 per cluster, got ["
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             self.run(gamma_provider=provider)
         assert len(gossip) == 2
+
+    # a scalar 2 or [1] ran every cluster at that count, [1, -1, 1, 1] ran
+    # cluster 0's gossip before run_consensus refused -1 without naming t, and
+    # three values failed in numpy's broadcast into the 4-cluster round log
+    @pytest.mark.parametrize("rounds", [2, [1], [1, -1, 1, 1], [1, 1, 1]],
+                             ids=["scalar", "one-value", "negative", "three-values"])
+    def test_rounds_that_are_not_one_count_per_cluster_are_refused_before_the_step(self, monkeypatch, rounds):
+        gossip = self.counting(monkeypatch, "run_consensus")
+
+        def provider(local_step, epoch, blocks, eta):
+            return [1] * len(epoch.sizes) if local_step < 3 else rounds
+
+        message = f"gamma_provider's rounds at t=3 must be one integer >= 0 per cluster, got {rounds!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.run(gamma_provider=provider)
+        assert len(gossip) == 2 * 4  # the first two steps' gossip, one call per cluster
 
     def test_each_layer_is_called_through_the_module(self, monkeypatch):
         expected = self.run(T=40)
@@ -857,6 +874,22 @@ class TestD2DEpochs:
         with pytest.raises(ValueError, match="topology refresh must preserve cluster sizes"):
             epochs.epoch(3)
         assert calls == [2] and epochs.epoch(1) is first
+
+    # after epoch(3), 0 and -1 returned intervals 3 and 2 by list indexing, 2.5
+    # failed with a TypeError and -5 with an IndexError
+    @pytest.mark.parametrize("k, message", [
+        (0, "k must be >= 1, got 0"),
+        (-1, "k must be >= 1, got -1"),
+        (-5, "k must be >= 1, got -5"),
+        (2.5, "k must be an integer, got 2.5"),
+    ])
+    def test_an_interval_index_that_is_no_integer_from_1_is_refused(self, k, message):
+        task, calls = build_small_task(), []
+        epochs = trainer.D2DEpochs(task.clusters, refresh=self.networks(calls))
+        epochs.epoch(3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            epochs.epoch(k)
+        assert calls == [2, 3]
 
 
 class TestTopologyRefresh:
